@@ -545,24 +545,6 @@ mod tests {
     }
 
     #[test]
-    fn event_driven_search_matches_the_accurate_trajectory() {
-        let accurate = tiny_config(Strategy::Halving, 8);
-        let wheel = SearchConfig {
-            mode: ExecMode::EventDriven,
-            ..accurate.clone()
-        };
-        let a = run_search(&accurate, SearchOptions::with_workers(2)).expect("search");
-        let w = run_search(&wheel, SearchOptions::with_workers(2)).expect("search");
-        // Cycle-exact scores: identical evaluations and frontier; only the
-        // rendered config differs (the mode tag).
-        assert_eq!(a.evals, w.evals);
-        assert_eq!(a.frontier, w.frontier);
-        let rendered = w.to_json().render();
-        assert!(rendered.contains("\"mode\":\"event-driven\""), "{rendered}");
-        assert!(!a.to_json().render().contains("\"mode\""));
-    }
-
-    #[test]
     fn full_budget_evaluates_everything_once() {
         let config = tiny_config(Strategy::Random, usize::MAX);
         let result = run_search(&config, SearchOptions::with_workers(2)).expect("search");

@@ -278,9 +278,9 @@ mod tests {
 
     #[test]
     fn parses_get_without_body() {
-        let req = round_trip("GET /healthz HTTP/1.1\r\n\r\n").expect("parses");
+        let req = round_trip("GET /v1/health HTTP/1.1\r\n\r\n").expect("parses");
         assert_eq!(req.method, "GET");
-        assert_eq!(req.path, "/healthz");
+        assert_eq!(req.path, "/v1/health");
         assert!(req.body.is_empty());
     }
 

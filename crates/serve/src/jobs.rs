@@ -46,9 +46,9 @@ fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
-/// Parses the shared optional `"mode"` field (`"accurate"`,
-/// `"event-driven"`, `"sampled"`, or `"sampled:WARM:DETAIL"`), defaulting
-/// to accurate — the same vocabulary as the CLI's `--mode` flag.
+/// Parses the shared optional `"mode"` field (`"accurate"`, `"sampled"`,
+/// or `"sampled:WARM:DETAIL"`), defaulting to accurate — the same
+/// vocabulary as the CLI's `--mode` flag.
 fn opt_mode(v: &Json) -> Result<ExecMode, String> {
     match v.get("mode") {
         None => Ok(ExecMode::Accurate),
@@ -906,17 +906,20 @@ mod tests {
         let plain =
             parse_sim_request("{\"kernel\":\"reduction\",\"system\":\"fusion\"}").expect("parses");
         assert_eq!(plain.mode, ExecMode::Accurate);
-        let wheel = parse_sim_request(
-            "{\"kernel\":\"reduction\",\"system\":\"fusion\",\"mode\":\"event-driven\"}",
+        let sampled = parse_sim_request(
+            "{\"kernel\":\"reduction\",\"system\":\"fusion\",\"mode\":\"sampled\"}",
         )
         .expect("parses");
-        assert_eq!(wheel.mode, ExecMode::EventDriven);
+        assert_eq!(sampled.mode, ExecMode::sampled_default());
         // Modes address separate cache entries.
-        assert_ne!(plain.content_key(), wheel.content_key());
-        assert!(parse_sim_request(
-            "{\"kernel\":\"reduction\",\"system\":\"fusion\",\"mode\":\"warp-speed\"}"
-        )
-        .is_err());
+        assert_ne!(plain.content_key(), sampled.content_key());
+        for gone in ["warp-speed", "event-driven"] {
+            let err = parse_sim_request(&format!(
+                "{{\"kernel\":\"reduction\",\"system\":\"fusion\",\"mode\":\"{gone}\"}}"
+            ))
+            .expect_err("unknown mode");
+            assert!(err.contains("accurate"), "{err}");
+        }
         assert!(
             parse_sim_request("{\"kernel\":\"reduction\",\"system\":\"fusion\",\"mode\":7}")
                 .is_err()
@@ -940,27 +943,24 @@ mod tests {
     }
 
     #[test]
-    fn event_driven_sim_answers_with_exact_report_bytes() {
-        // The serve path inherits the ExecMode accuracy contract: an
-        // event-driven run's report differs from accurate only by the
-        // informational fast-forward field, which is serialized separately.
+    fn sampled_sim_reports_its_fast_forward_to_the_metrics() {
+        // Sampled runs serialize the extrapolated span next to the report
+        // and feed it into the service aggregate; accurate runs do neither.
+        // (dct, unlike reduction, is long enough at scale 256 to skip.)
         let accurate =
-            parse_sim_request("{\"kernel\":\"reduction\",\"system\":\"fusion\",\"scale\":256}")
+            parse_sim_request("{\"kernel\":\"dct\",\"system\":\"fusion\",\"scale\":256}")
                 .expect("parses");
-        let wheel = parse_sim_request(
-            "{\"kernel\":\"reduction\",\"system\":\"fusion\",\"scale\":256,\
-             \"mode\":\"event-driven\"}",
+        let sampled = parse_sim_request(
+            "{\"kernel\":\"dct\",\"system\":\"fusion\",\"scale\":256,\
+             \"mode\":\"sampled\"}",
         )
         .expect("parses");
         let metrics = Metrics::default();
         let a = run_sim(&accurate, None, None, &metrics).expect("runs");
-        let w = run_sim(&wheel, None, None, &metrics).expect("runs");
-        let av = parse(a.trim_end()).expect("valid json");
-        let wv = parse(w.trim_end()).expect("valid json");
-        assert_eq!(av.get("total_ticks"), wv.get("total_ticks"));
+        assert_eq!(metrics.sim_events().fast_forward_ticks, 0);
+        let s = run_sim(&sampled, None, None, &metrics).expect("runs");
         assert!(!a.contains("fast_forwarded_ticks"));
-        assert!(w.contains("fast_forwarded_ticks"), "{w}");
-        // The fast-forward counter reached the service aggregate.
+        assert!(s.contains("fast_forwarded_ticks"), "{s}");
         assert!(metrics.sim_events().fast_forward_ticks > 0);
     }
 

@@ -39,7 +39,6 @@
 //! | POST   | `/v1/search`    | Async guided multi-objective search; the poll URL reports the Pareto frontier-so-far |
 //! | POST   | `/v1/check`     | Static verifier; answers the checker's JSONL   |
 //! | GET    | `/v1/jobs/<id>` | Async job status / result (running searches include a `progress` object) |
-//! | GET    | `/healthz`      | Liveness (`ok` / `draining`)                   |
 //! | GET    | `/v1/health`    | Liveness + readiness; `503` with `Retry-After` while draining |
 //! | GET    | `/metrics`      | The metric registry as JSON (`?cluster=1` merges the whole fleet) |
 //! | POST   | `/v1/shutdown`  | Graceful drain (std-only binaries cannot trap signals) |
@@ -57,7 +56,7 @@
 //! })
 //! .expect("start");
 //! let mut conn = std::net::TcpStream::connect(server.local_addr()).expect("connect");
-//! conn.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").expect("write");
+//! conn.write_all(b"GET /v1/health HTTP/1.1\r\n\r\n").expect("write");
 //! let mut reply = String::new();
 //! conn.read_to_string(&mut reply).expect("read");
 //! assert!(reply.contains("\"status\":\"ok\""));

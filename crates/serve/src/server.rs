@@ -374,20 +374,6 @@ fn handle(state: &Arc<State>, req: &Request) -> Response {
 
 fn route(state: &Arc<State>, req: &Request) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => {
-            let status = if state.draining.load(Ordering::SeqCst) {
-                "draining"
-            } else {
-                "ok"
-            };
-            Response::json(
-                200,
-                format!(
-                    "{}\n",
-                    Json::obj(vec![("status", Json::Str(status.to_owned()))]).render()
-                ),
-            )
-        }
         ("GET", "/v1/health") => {
             // Liveness vs readiness: the process is live as long as it
             // answers at all; it is ready only while it still admits
@@ -630,7 +616,7 @@ fn route(state: &Arc<State>, req: &Request) -> Response {
                 ),
             )
         }
-        (_, "/healthz" | "/v1/health" | "/metrics" | "/v1/jobs" | "/v1/shutdown")
+        (_, "/v1/health" | "/metrics" | "/v1/jobs" | "/v1/shutdown")
         | (
             "GET" | "PUT" | "DELETE",
             "/v1/sim" | "/v1/sweep" | "/v1/check" | "/v1/fix" | "/v1/search",
@@ -810,23 +796,42 @@ fn wake_accept(addr: SocketAddr) {
 }
 
 fn accept_loop(listener: &TcpListener, state: &Arc<State>) {
+    let handlers = accept_connections(listener, state);
+    drain(state, handlers);
+}
+
+/// Accepts connections until the server starts draining, spawning one
+/// handler thread per connection. Returns the handles of the handler
+/// threads that may still be running.
+fn accept_connections(
+    listener: &TcpListener,
+    state: &Arc<State>,
+) -> Vec<std::thread::JoinHandle<()>> {
     let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     loop {
         let Ok((stream, _)) = listener.accept() else {
             break;
         };
-        if state.draining.load(Ordering::SeqCst) {
-            // The wake-up connection (or a late client): answer nothing
-            // job-shaped; handle it so a late client still gets a 503,
-            // then stop accepting.
-            let conn_state = Arc::clone(state);
-            handlers.push(spawn_handler(stream, conn_state));
-            break;
+        // The wake-up connection (or a late client) is still handled, so a
+        // late client gets a 503; then accepting stops.
+        let draining = state.draining.load(Ordering::SeqCst);
+        // Reap finished connections now: an unjoined thread keeps its
+        // stack mapped, so a long-lived server that kept every handle until
+        // drain would run out of mappings after ~16 k connections.
+        for finished in handlers.extract_if(.., |handler| handler.is_finished()) {
+            let _ = finished.join();
         }
         let conn_state = Arc::clone(state);
         handlers.push(spawn_handler(stream, conn_state));
+        if draining {
+            break;
+        }
     }
-    // Drain sequence: no new connections are accepted past this point.
+    handlers
+}
+
+/// The drain sequence, run once no new connections are accepted.
+fn drain(state: &Arc<State>, handlers: Vec<std::thread::JoinHandle<()>>) {
     // 1. Every connection already accepted runs to completion (their
     //    jobs are in the pool, which is still live).
     for handler in handlers {
@@ -916,6 +921,38 @@ mod tests {
             cluster: OnceLock::new(),
             parts_active: AtomicUsize::new(0),
         })
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped_and_drain_completes() {
+        use std::io::{Read as _, Write as _};
+        let state = draining_state();
+        state.draining.store(false, Ordering::SeqCst);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let accept_state = Arc::clone(&state);
+        let acceptor = std::thread::spawn(move || accept_connections(&listener, &accept_state));
+        let connections = 300;
+        for _ in 0..connections {
+            let mut conn = TcpStream::connect(addr).expect("connect");
+            conn.write_all(b"GET /v1/health HTTP/1.1\r\n\r\n")
+                .expect("write");
+            let mut reply = String::new();
+            conn.read_to_string(&mut reply).expect("read");
+            assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+        }
+        state.draining.store(true, Ordering::SeqCst);
+        wake_accept(addr);
+        let handlers = acceptor.join().expect("accept thread");
+        // Sequential clients leave at most a few handler threads unfinished
+        // at any accept; every finished one was reaped along the way.
+        assert!(
+            handlers.len() <= 8,
+            "{} of {connections} handles retained",
+            handlers.len()
+        );
+        drain(&state, handlers);
+        assert_eq!(state.metrics.requests_total.load(Ordering::Relaxed), 300);
     }
 
     fn get(path: &str) -> Request {

@@ -114,8 +114,8 @@ impl<O: SimObserver> SimulationBuilder<O> {
     }
 
     /// Selects the execution mode ([`ExecMode::Accurate`] by default).
-    /// `EventDriven` is cycle-exact; `Sampled` trades bounded timing error
-    /// for speed — see the [`ExecMode`] accuracy contract.
+    /// `Sampled` trades bounded timing error for speed — see the
+    /// [`ExecMode`] accuracy contract.
     #[must_use]
     pub fn mode(mut self, mode: ExecMode) -> SimulationBuilder<O> {
         self.mode = mode;
@@ -261,7 +261,7 @@ impl<O: SimObserver> Simulation<O> {
         }
         Ok(self
             .system
-            .execute_with_mode(trace, &mut *self.comm, &mut self.observer, self.mode))
+            .execute(trace, &mut *self.comm, &mut self.observer, self.mode))
     }
 
     /// The underlying system (for inspecting hierarchy or core state).

@@ -13,7 +13,7 @@ use crate::clock::{ClockDomain, Tick};
 use crate::config::CpuConfig;
 use crate::fabric::CommCosts;
 use crate::hierarchy::MemoryHierarchy;
-use crate::obs::{NullObserver, SimObserver};
+use crate::obs::SimObserver;
 use crate::Gshare;
 use hetmem_trace::{CacheLevel, Inst, PuKind, SpecialOp};
 use std::collections::VecDeque;
@@ -147,24 +147,15 @@ impl CpuRun<'_> {
         self.finish.max(self.last_retire)
     }
 
-    /// Issues one instruction, updating all shared memory-system state.
+    /// Issues one instruction, updating all shared memory-system state and
+    /// reporting it to `obs` ([`crate::NullObserver`] compiles the hooks away).
     ///
     /// # Panics
     ///
     /// Panics if called after [`CpuRun::done`], or on a communication event
     /// (those belong to communication segments, which the system executes
     /// directly).
-    pub fn step(&mut self, hier: &mut MemoryHierarchy) {
-        self.step_observed(hier, &mut NullObserver);
-    }
-
-    /// [`CpuRun::step`] with observability hooks. With [`NullObserver`] this
-    /// compiles down to `step` exactly.
-    ///
-    /// # Panics
-    ///
-    /// As [`CpuRun::step`].
-    pub fn step_observed<O: SimObserver>(&mut self, hier: &mut MemoryHierarchy, obs: &mut O) {
+    pub fn step<O: SimObserver>(&mut self, hier: &mut MemoryHierarchy, obs: &mut O) {
         let inst = self.insts[self.idx];
         self.idx += 1;
         // Issue-slot spacing: issue_width instructions per cycle.
@@ -239,22 +230,6 @@ impl CpuRun<'_> {
         self.finish = self.finish.max(retire);
     }
 
-    /// Runs batched inside an event-wheel wake window: steps while the next
-    /// issue slot is **at or before** `limit` (the CPU wins global-time ties
-    /// against the GPU, so the accurate interleave grants it the boundary
-    /// tick). Exactly reproduces the accurate loop's step sequence when
-    /// `limit` is the peer's frozen `now()`.
-    pub fn run_while_observed<O: SimObserver>(
-        &mut self,
-        hier: &mut MemoryHierarchy,
-        obs: &mut O,
-        limit: Tick,
-    ) {
-        while self.idx != self.insts.len() && self.next_issue <= limit {
-            self.step_observed(hier, obs);
-        }
-    }
-
     /// Skips up to `max` contiguous plain (non-special) instructions: the
     /// index advances without executing them, so no statistics, cache
     /// traffic, or issue slots are charged. Stops early at a
@@ -286,18 +261,9 @@ impl CpuRun<'_> {
 
     /// Runs the stream to completion without interleaving (sequential
     /// phases), returning the finish tick.
-    pub fn run_to_end(self, hier: &mut MemoryHierarchy) -> Tick {
-        self.run_to_end_observed(hier, &mut NullObserver)
-    }
-
-    /// [`CpuRun::run_to_end`] with observability hooks.
-    pub fn run_to_end_observed<O: SimObserver>(
-        mut self,
-        hier: &mut MemoryHierarchy,
-        obs: &mut O,
-    ) -> Tick {
+    pub fn run_to_end<O: SimObserver>(mut self, hier: &mut MemoryHierarchy, obs: &mut O) -> Tick {
         while !self.done() {
-            self.step_observed(hier, obs);
+            self.step(hier, obs);
         }
         self.finish_tick()
     }
@@ -307,6 +273,7 @@ impl CpuRun<'_> {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::obs::NullObserver;
 
     fn setup() -> (CpuCore, MemoryHierarchy) {
         let cfg = SystemConfig::baseline();
@@ -320,7 +287,9 @@ mod tests {
     fn alu_stream_runs_at_issue_width() {
         let (mut core, mut hier) = setup();
         let insts = vec![Inst::IntAlu; 4000];
-        let end = core.begin(&insts, 0).run_to_end(&mut hier);
+        let end = core
+            .begin(&insts, 0)
+            .run_to_end(&mut hier, &mut NullObserver);
         // 4000 instructions at 4/cycle = 1000 cycles ≈ 12000 ticks (plus a
         // final completion latency).
         let cycles = ClockDomain::CPU.ticks_to_cycles(end);
@@ -337,14 +306,18 @@ mod tests {
                 bytes: 8,
             })
             .collect();
-        let miss_end = core.begin(&miss_insts, 0).run_to_end(&mut hier);
+        let miss_end = core
+            .begin(&miss_insts, 0)
+            .run_to_end(&mut hier, &mut NullObserver);
 
         let (mut core2, mut hier2) = setup();
         // Same count of loads, all to one line: hits after the first.
         let hit_insts: Vec<Inst> = (0..4096)
             .map(|_| Inst::Load { addr: 64, bytes: 8 })
             .collect();
-        let hit_end = core2.begin(&hit_insts, 0).run_to_end(&mut hier2);
+        let hit_end = core2
+            .begin(&hit_insts, 0)
+            .run_to_end(&mut hier2, &mut NullObserver);
 
         assert!(
             miss_end > 2 * hit_end,
@@ -361,7 +334,9 @@ mod tests {
                 bytes: 8,
             })
             .collect();
-        let _ = core.begin(&insts, 0).run_to_end(&mut hier);
+        let _ = core
+            .begin(&insts, 0)
+            .run_to_end(&mut hier, &mut NullObserver);
         assert!(
             core.stats().rob_stall_ticks > 0,
             "2048 TLB-missing loads must pressure the ROB"
@@ -383,12 +358,14 @@ mod tests {
                 taken: (state >> 62) & 1 == 1,
             });
         }
-        let bad_end = core.begin(&bad, 0).run_to_end(&mut hier);
+        let bad_end = core.begin(&bad, 0).run_to_end(&mut hier, &mut NullObserver);
         let bad_mispredicts = core.stats().mispredictions;
 
         let (mut core2, mut hier2) = setup();
         let good = vec![Inst::Branch { taken: true }; 4000];
-        let good_end = core2.begin(&good, 0).run_to_end(&mut hier2);
+        let good_end = core2
+            .begin(&good, 0)
+            .run_to_end(&mut hier2, &mut NullObserver);
 
         assert!(bad_mispredicts > 1000);
         assert!(bad_end > good_end);
@@ -401,7 +378,9 @@ mod tests {
             Inst::Special(SpecialOp::Acquire { addr: 0, bytes: 64 }),
             Inst::IntAlu,
         ];
-        let end = core.begin(&insts, 0).run_to_end(&mut hier);
+        let end = core
+            .begin(&insts, 0)
+            .run_to_end(&mut hier, &mut NullObserver);
         // api-acq is 1000 cycles; the following instruction cannot finish
         // earlier.
         assert!(ClockDomain::CPU.ticks_to_cycles(end) >= 1000);
@@ -416,7 +395,9 @@ mod tests {
             addr: 0x3000_0000,
             bytes: 4096,
         })];
-        let _ = core.begin(&insts, 0).run_to_end(&mut hier);
+        let _ = core
+            .begin(&insts, 0)
+            .run_to_end(&mut hier, &mut NullObserver);
         assert!(hier.stats().llc.misses >= 64, "push fills 64 lines");
     }
 
@@ -431,7 +412,9 @@ mod tests {
             addr: 0,
         };
         let insts = vec![Inst::Comm(ev)];
-        let _ = core.begin(&insts, 0).run_to_end(&mut hier);
+        let _ = core
+            .begin(&insts, 0)
+            .run_to_end(&mut hier, &mut NullObserver);
     }
 
     #[test]
@@ -445,9 +428,9 @@ mod tests {
             Inst::IntAlu, // fast, must retire after the load
         ];
         let mut run = core.begin(&insts, 0);
-        run.step(&mut hier);
+        run.step(&mut hier, &mut NullObserver);
         let after_load = run.finish_tick();
-        run.step(&mut hier);
+        run.step(&mut hier, &mut NullObserver);
         assert!(run.finish_tick() >= after_load);
     }
 }

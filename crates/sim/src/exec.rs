@@ -6,15 +6,6 @@
 //! accuracy contract:
 //!
 //! * [`ExecMode::Accurate`] — the reference tick-every-component loop.
-//! * [`ExecMode::EventDriven`] — an event-wheel scheduler. Each component
-//!   registers the next global tick at which it can possibly act, and the
-//!   clock fast-forwards across the gap: the active core runs *batched*
-//!   inside its granted window instead of being re-arbitrated every step.
-//!   The interleave decisions are identical to the accurate loop's by
-//!   construction, so the mode is **cycle-exact** (bit-identical
-//!   [`crate::RunReport`]s and observer event streams — enforced by the
-//!   differential tests). Only the `fast_forwarded_ticks` accounting field
-//!   differs from zero.
 //! * [`ExecMode::Sampled`] — SMARTS-style sampled simulation: periodic
 //!   detailed windows of `detail_window` instructions alternate with
 //!   functional fast-forwarding over `warm_interval` instructions whose
@@ -47,8 +38,6 @@ pub enum ExecMode {
     /// Reference mode: arbitrate every component at every step.
     #[default]
     Accurate,
-    /// Event-wheel fast-forwarding; cycle-exact with [`ExecMode::Accurate`].
-    EventDriven,
     /// Sampled simulation: detailed windows + extrapolated warming.
     Sampled {
         /// Instructions functionally warmed (skipped in detail) between
@@ -71,9 +60,8 @@ impl ExecMode {
     }
 
     /// Parses a mode name as accepted by `--mode` and the serve schema:
-    /// `accurate`, `event-driven` (alias `event`), `sampled` (default
-    /// geometry), or `sampled:WARM:DETAIL` with explicit instruction
-    /// counts.
+    /// `accurate`, `sampled` (default geometry), or `sampled:WARM:DETAIL`
+    /// with explicit instruction counts.
     ///
     /// # Errors
     ///
@@ -82,7 +70,6 @@ impl ExecMode {
     pub fn parse(text: &str) -> Result<ExecMode, String> {
         match text {
             "accurate" => return Ok(ExecMode::Accurate),
-            "event-driven" | "event" => return Ok(ExecMode::EventDriven),
             "sampled" => return Ok(ExecMode::sampled_default()),
             _ => {}
         }
@@ -107,7 +94,7 @@ impl ExecMode {
             });
         }
         Err(format!(
-            "unknown mode {text:?} (accurate|event-driven|sampled[:WARM:DETAIL])"
+            "unknown mode {text:?} (accurate|sampled[:WARM:DETAIL])"
         ))
     }
 
@@ -116,7 +103,6 @@ impl ExecMode {
     pub fn label(&self) -> String {
         match *self {
             ExecMode::Accurate => "accurate".to_owned(),
-            ExecMode::EventDriven => "event-driven".to_owned(),
             ExecMode::Sampled {
                 warm_interval,
                 detail_window,
@@ -134,13 +120,6 @@ impl ExecMode {
             other => Some(other.label()),
         }
     }
-
-    /// Whether timing is exact (accurate and event-driven) rather than
-    /// extrapolated (sampled).
-    #[must_use]
-    pub fn is_exact(&self) -> bool {
-        !matches!(self, ExecMode::Sampled { .. })
-    }
 }
 
 impl std::fmt::Display for ExecMode {
@@ -156,8 +135,6 @@ mod tests {
     #[test]
     fn parse_accepts_canonical_and_alias_names() {
         assert_eq!(ExecMode::parse("accurate"), Ok(ExecMode::Accurate));
-        assert_eq!(ExecMode::parse("event-driven"), Ok(ExecMode::EventDriven));
-        assert_eq!(ExecMode::parse("event"), Ok(ExecMode::EventDriven));
         assert_eq!(ExecMode::parse("sampled"), Ok(ExecMode::sampled_default()));
         assert_eq!(
             ExecMode::parse("sampled:1000:100"),
@@ -188,7 +165,6 @@ mod tests {
     fn labels_round_trip_through_parse() {
         for mode in [
             ExecMode::Accurate,
-            ExecMode::EventDriven,
             ExecMode::sampled_default(),
             ExecMode::Sampled {
                 warm_interval: 9,
@@ -202,10 +178,6 @@ mod tests {
     #[test]
     fn only_accurate_has_no_cache_tag() {
         assert_eq!(ExecMode::Accurate.cache_tag(), None);
-        assert_eq!(
-            ExecMode::EventDriven.cache_tag().as_deref(),
-            Some("event-driven")
-        );
         assert_eq!(
             ExecMode::sampled_default().cache_tag().as_deref(),
             Some("sampled:1536:512")

@@ -12,7 +12,7 @@ use crate::clock::{ClockDomain, Tick};
 use crate::config::GpuConfig;
 use crate::fabric::CommCosts;
 use crate::hierarchy::MemoryHierarchy;
-use crate::obs::{NullObserver, SimObserver};
+use crate::obs::SimObserver;
 use hetmem_trace::{CacheLevel, Inst, PuKind, SpecialOp};
 
 /// Cycle-accounting statistics for the GPU core.
@@ -192,22 +192,13 @@ impl GpuRun<'_> {
             .fold(self.now, Tick::max)
     }
 
-    /// Executes one instruction.
+    /// Executes one instruction, reporting it to `obs`
+    /// ([`crate::NullObserver`] compiles the hooks away).
     ///
     /// # Panics
     ///
     /// Panics if called after [`GpuRun::done`], or on a communication event.
-    pub fn step(&mut self, hier: &mut MemoryHierarchy) {
-        self.step_observed(hier, &mut NullObserver);
-    }
-
-    /// [`GpuRun::step`] with observability hooks. With [`NullObserver`] this
-    /// compiles down to `step` exactly.
-    ///
-    /// # Panics
-    ///
-    /// As [`GpuRun::step`].
-    pub fn step_observed<O: SimObserver>(&mut self, hier: &mut MemoryHierarchy, obs: &mut O) {
+    pub fn step<O: SimObserver>(&mut self, hier: &mut MemoryHierarchy, obs: &mut O) {
         let inst = self.insts[self.idx];
         self.idx += 1;
         let tpc = self.tpc;
@@ -281,22 +272,6 @@ impl GpuRun<'_> {
         }
     }
 
-    /// Runs batched inside an event-wheel wake window: steps while the
-    /// core's time is **strictly before** `limit` (the CPU wins global-time
-    /// ties, so the GPU only owns ticks below the peer's `now()`). Exactly
-    /// reproduces the accurate loop's step sequence when `limit` is the
-    /// peer's frozen `now()`.
-    pub fn run_while_observed<O: SimObserver>(
-        &mut self,
-        hier: &mut MemoryHierarchy,
-        obs: &mut O,
-        limit: Tick,
-    ) {
-        while self.idx != self.insts.len() && self.now < limit {
-            self.step_observed(hier, obs);
-        }
-    }
-
     /// Skips up to `max` contiguous plain (non-special) instructions
     /// without executing them; stops early at a programming-model special.
     /// Returns the number skipped; the caller accounts for their time via
@@ -322,18 +297,9 @@ impl GpuRun<'_> {
     }
 
     /// Runs the stream to completion without interleaving.
-    pub fn run_to_end(self, hier: &mut MemoryHierarchy) -> Tick {
-        self.run_to_end_observed(hier, &mut NullObserver)
-    }
-
-    /// [`GpuRun::run_to_end`] with observability hooks.
-    pub fn run_to_end_observed<O: SimObserver>(
-        mut self,
-        hier: &mut MemoryHierarchy,
-        obs: &mut O,
-    ) -> Tick {
+    pub fn run_to_end<O: SimObserver>(mut self, hier: &mut MemoryHierarchy, obs: &mut O) -> Tick {
         while !self.done() {
-            self.step_observed(hier, obs);
+            self.step(hier, obs);
         }
         self.finish_tick()
     }
@@ -343,6 +309,7 @@ impl GpuRun<'_> {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::obs::NullObserver;
 
     fn setup() -> (GpuCore, MemoryHierarchy) {
         let cfg = SystemConfig::baseline();
@@ -356,7 +323,9 @@ mod tests {
     fn alu_throughput_is_one_per_cycle() {
         let (mut core, mut hier) = setup();
         let insts = vec![Inst::SimdAlu { lanes: 8 }; 1000];
-        let end = core.begin(&insts, 0).run_to_end(&mut hier);
+        let end = core
+            .begin(&insts, 0)
+            .run_to_end(&mut hier, &mut NullObserver);
         assert_eq!(ClockDomain::GPU.ticks_to_cycles(end), 1000);
     }
 
@@ -364,7 +333,9 @@ mod tests {
     fn every_branch_stalls() {
         let (mut core, mut hier) = setup();
         let insts = vec![Inst::Branch { taken: true }; 100];
-        let end = core.begin(&insts, 0).run_to_end(&mut hier);
+        let end = core
+            .begin(&insts, 0)
+            .run_to_end(&mut hier, &mut NullObserver);
         // 100 × (1 + 4 stall) cycles.
         assert_eq!(ClockDomain::GPU.ticks_to_cycles(end), 500);
         assert_eq!(core.stats().branch_stall_cycles, 400);
@@ -388,7 +359,9 @@ mod tests {
                 bytes: 32,
             },
         ];
-        let _ = core.begin(&insts, 0).run_to_end(&mut hier);
+        let _ = core
+            .begin(&insts, 0)
+            .run_to_end(&mut hier, &mut NullObserver);
         assert_eq!(core.stats().scratchpad_hits, 2);
         assert_eq!(core.stats().memory_loads, 0);
         assert_eq!(hier.stats().gpu_l1d.misses, 0);
@@ -404,7 +377,9 @@ mod tests {
                 bytes: 32,
             })
             .collect();
-        let end = core.begin(&insts, 0).run_to_end(&mut hier);
+        let end = core
+            .begin(&insts, 0)
+            .run_to_end(&mut hier, &mut NullObserver);
         // Even with 8 misses in flight, 256 strided misses cost far more
         // than 256 issue cycles.
         assert!(ClockDomain::GPU.ticks_to_cycles(end) > 256 * 4);
@@ -426,7 +401,9 @@ mod tests {
         };
         let mut wide = GpuCore::new(&cfg.gpu, CommCosts::paper());
         let mut hier1 = MemoryHierarchy::new(&cfg);
-        let wide_end = wide.begin(&make_insts(), 0).run_to_end(&mut hier1);
+        let wide_end = wide
+            .begin(&make_insts(), 0)
+            .run_to_end(&mut hier1, &mut NullObserver);
 
         let narrow_cfg = GpuConfig {
             max_outstanding_misses: 1,
@@ -434,7 +411,9 @@ mod tests {
         };
         let mut narrow = GpuCore::new(&narrow_cfg, CommCosts::paper());
         let mut hier2 = MemoryHierarchy::new(&cfg);
-        let narrow_end = narrow.begin(&make_insts(), 0).run_to_end(&mut hier2);
+        let narrow_end = narrow
+            .begin(&make_insts(), 0)
+            .run_to_end(&mut hier2, &mut NullObserver);
 
         assert!(
             wide_end * 2 < narrow_end,

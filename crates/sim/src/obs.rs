@@ -97,11 +97,10 @@ pub trait SimObserver {
         let _ = (pu, now);
     }
 
-    /// The engine crossed `ticks` of global time inside one granted
-    /// event-wheel wake window (or one extrapolated sampling skip) ending
-    /// at `now`, rather than under per-step arbitration. Only the fast
-    /// [`crate::ExecMode`]s raise this; it is an accounting tap, not a
-    /// [`SimEvent`], so event streams stay identical across modes.
+    /// The engine extrapolated `ticks` of global time across one sampling
+    /// skip ending at `now`, rather than simulating them step by step. Only
+    /// [`crate::ExecMode::Sampled`] raises this; it is an accounting tap,
+    /// not a [`SimEvent`].
     #[inline]
     fn on_fast_forward(&mut self, ticks: Tick, now: Tick) {
         let _ = (ticks, now);
@@ -246,10 +245,9 @@ pub struct EventCounts {
     pub dram_row_misses: u64,
     /// Coherence interventions.
     pub interventions: u64,
-    /// Ticks crossed inside event-wheel wake windows or sampling skips
-    /// rather than executed under per-step arbitration — distinct from
-    /// executed time so fast-mode observability stays truthful. Zero under
-    /// [`crate::ExecMode::Accurate`].
+    /// Ticks extrapolated across sampling skips rather than executed step
+    /// by step — distinct from executed time so sampled-mode observability
+    /// stays truthful. Zero under [`crate::ExecMode::Accurate`].
     pub fast_forward_ticks: u64,
 }
 

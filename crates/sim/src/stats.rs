@@ -19,11 +19,10 @@ pub struct RunReport {
     /// Ticks attributable to communication (transfers, ownership,
     /// page faults, and any un-hidden asynchronous copy tail).
     pub communication_ticks: Tick,
-    /// Ticks the engine crossed inside granted event-wheel wake windows or
-    /// extrapolated sampling skips, rather than under per-step global
-    /// arbitration. Always zero in [`crate::ExecMode::Accurate`]; purely
-    /// informational in `EventDriven` (timing is still cycle-exact);
-    /// counts genuinely estimated ticks in `Sampled`. Not part of
+    /// Ticks the engine extrapolated across sampling skips rather than
+    /// simulating them step by step. Always zero in
+    /// [`crate::ExecMode::Accurate`]; counts genuinely estimated ticks in
+    /// `Sampled`. Not part of
     /// [`RunReport::total_ticks`] — the phase ticks already include these
     /// spans.
     pub fast_forwarded_ticks: Tick,

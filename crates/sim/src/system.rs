@@ -110,33 +110,17 @@ impl System {
         &self.hierarchy
     }
 
-    /// Simulates a validated `trace` under `comm`, reporting every phase
-    /// transition, communication action, access, and DRAM request to `obs`.
+    /// Simulates a validated `trace` under `comm` in the given [`ExecMode`],
+    /// reporting every phase transition, communication action, access, and
+    /// DRAM request to `obs`.
     ///
     /// This is the engine behind [`crate::Simulation::run`], which performs
-    /// trace validation and error mapping; with [`NullObserver`] it compiles
-    /// down to the historical unobserved loop, tick for tick.
+    /// trace validation and error mapping; with [`crate::NullObserver`] the hooks
+    /// compile away. `Accurate` is the reference loop. `Sampled` alternates
+    /// detailed windows with functionally-warmed skips whose cost is
+    /// extrapolated from the measured ticks-per-instruction; its
+    /// microarchitectural counters cover only the detailed windows.
     pub fn execute<O: SimObserver>(
-        &mut self,
-        trace: &PhasedTrace,
-        comm: &mut dyn CommModel,
-        obs: &mut O,
-    ) -> RunReport {
-        self.execute_with_mode(trace, comm, obs, ExecMode::Accurate)
-    }
-
-    /// [`System::execute`] under an explicit [`ExecMode`].
-    ///
-    /// `Accurate` is the reference loop. `EventDriven` runs the same step
-    /// sequence through the event wheel — each core executes batched inside
-    /// wake windows bounded by its peer's frozen clock, reproducing the
-    /// accurate interleave decision-for-decision — so its reports and
-    /// observer streams are bit-identical except for the
-    /// `fast_forwarded_ticks` accounting. `Sampled` alternates detailed
-    /// windows with functionally-warmed skips whose cost is extrapolated
-    /// from the measured ticks-per-instruction; its microarchitectural
-    /// counters cover only the detailed windows.
-    pub fn execute_with_mode<O: SimObserver>(
         &mut self,
         trace: &PhasedTrace,
         comm: &mut dyn CommModel,
@@ -147,8 +131,7 @@ impl System {
         let mut seq_ticks: Tick = 0;
         let mut par_ticks: Tick = 0;
         let mut comm_ticks: Tick = 0;
-        // Ticks crossed inside granted wake windows (or extrapolated skips)
-        // rather than under per-step global arbitration.
+        // Ticks extrapolated across sampled skips rather than simulated.
         let mut ff_ticks: Tick = 0;
         // Completion time of outstanding asynchronous transfers the next
         // parallel segment's GPU work must wait for.
@@ -177,20 +160,10 @@ impl System {
                             ff_ticks += skipped;
                             end
                         }
-                        ExecMode::Accurate | ExecMode::EventDriven => {
-                            let end = self
-                                .cpu
-                                .begin(insts, now)
-                                .run_to_end_observed(&mut self.hierarchy, obs);
-                            if mode == ExecMode::EventDriven {
-                                // Every other component is parked past the
-                                // segment: the wheel grants the CPU one wake
-                                // window spanning it.
-                                ff_ticks += end - now;
-                                obs.on_fast_forward(end - now, end);
-                            }
-                            end
-                        }
+                        ExecMode::Accurate => self
+                            .cpu
+                            .begin(insts, now)
+                            .run_to_end(&mut self.hierarchy, obs),
                     };
                     seq_ticks += end - now;
                     now = end;
@@ -213,68 +186,6 @@ impl System {
                             now,
                             obs,
                         ),
-                        ExecMode::EventDriven => {
-                            // Event wheel: the core owed the next step runs
-                            // batched up to the peer's frozen clock (its
-                            // registered next-wake tick), instead of being
-                            // re-arbitrated every instruction. The CPU owns
-                            // ties, so its window is inclusive and the GPU's
-                            // exclusive — the step sequence is exactly the
-                            // accurate loop's.
-                            let mut cpu_run = self.cpu.begin(cpu_insts, now);
-                            let mut gpu_run = self.gpu.begin(gpu_insts, now);
-                            loop {
-                                match (cpu_run.done(), gpu_run.done()) {
-                                    (true, true) => break,
-                                    (false, true) => {
-                                        let from = cpu_run.now();
-                                        cpu_run.run_while_observed(
-                                            &mut self.hierarchy,
-                                            obs,
-                                            Tick::MAX,
-                                        );
-                                        let advance = cpu_run.now().saturating_sub(from);
-                                        ff_ticks += advance;
-                                        obs.on_fast_forward(advance, cpu_run.now());
-                                    }
-                                    (true, false) => {
-                                        let from = gpu_run.now();
-                                        gpu_run.run_while_observed(
-                                            &mut self.hierarchy,
-                                            obs,
-                                            Tick::MAX,
-                                        );
-                                        let advance = gpu_run.now().saturating_sub(from);
-                                        ff_ticks += advance;
-                                        obs.on_fast_forward(advance, gpu_run.now());
-                                    }
-                                    (false, false) => {
-                                        if cpu_run.now() <= gpu_run.now() {
-                                            let from = cpu_run.now();
-                                            cpu_run.run_while_observed(
-                                                &mut self.hierarchy,
-                                                obs,
-                                                gpu_run.now(),
-                                            );
-                                            let advance = cpu_run.now().saturating_sub(from);
-                                            ff_ticks += advance;
-                                            obs.on_fast_forward(advance, cpu_run.now());
-                                        } else {
-                                            let from = gpu_run.now();
-                                            gpu_run.run_while_observed(
-                                                &mut self.hierarchy,
-                                                obs,
-                                                cpu_run.now(),
-                                            );
-                                            let advance = gpu_run.now().saturating_sub(from);
-                                            ff_ticks += advance;
-                                            obs.on_fast_forward(advance, gpu_run.now());
-                                        }
-                                    }
-                                }
-                            }
-                            cpu_run.finish_tick().max(gpu_run.finish_tick()).max(now)
-                        }
                         ExecMode::Sampled {
                             warm_interval,
                             detail_window,
@@ -373,8 +284,7 @@ impl System {
 
 /// The reference parallel-phase loop: CPU and GPU runs interleaved by
 /// global time (CPU owns ties) so both cores contend for the same LLC/DRAM
-/// state in order. Shared by `Accurate` and by `Sampled` phases short
-/// enough that sampling would never engage.
+/// state in order.
 fn interleaved_parallel<O: SimObserver>(
     cpu: &mut CpuCore,
     gpu: &mut GpuCore,
@@ -390,16 +300,16 @@ fn interleaved_parallel<O: SimObserver>(
         match (cpu_run.done(), gpu_run.done()) {
             (true, true) => break,
             (false, true) => {
-                cpu_run.step_observed(hier, obs);
+                cpu_run.step(hier, obs);
             }
             (true, false) => {
-                gpu_run.step_observed(hier, obs);
+                gpu_run.step(hier, obs);
             }
             (false, false) => {
                 if cpu_run.now() <= gpu_run.now() {
-                    cpu_run.step_observed(hier, obs);
+                    cpu_run.step(hier, obs);
                 } else {
-                    gpu_run.step_observed(hier, obs);
+                    gpu_run.step(hier, obs);
                 }
             }
         }
@@ -441,11 +351,11 @@ fn sampled_cpu_stream<O: SimObserver>(
         let w = window.min(n - i);
         let head = if i + w < n && warm > 0 { w / 2 } else { 0 };
         for _ in 0..head {
-            run.step_observed(hier, obs);
+            run.step(hier, obs);
         }
         let measure_from = run.now();
         for _ in head..w {
-            run.step_observed(hier, obs);
+            run.step(hier, obs);
         }
         det_ticks += u128::from(run.now() - measure_from);
         det_insts += (w - head) as u128;
@@ -466,7 +376,7 @@ fn sampled_cpu_stream<O: SimObserver>(
             }
             if remaining > 0 {
                 // Stopped at a programming-model special: run it in detail.
-                run.step_observed(hier, obs);
+                run.step(hier, obs);
                 remaining -= 1;
                 i += 1;
             }
@@ -525,13 +435,13 @@ fn sampled_parallel<O: SimObserver>(
                 (true, true) => cpu_run.now() <= gpu_run.now(),
             };
             if step_cpu {
-                cpu_run.step_observed(hier, obs);
+                cpu_run.step(hier, obs);
                 c_steps += 1;
                 if c_steps == c_head {
                     c_from = cpu_run.now();
                 }
             } else {
-                gpu_run.step_observed(hier, obs);
+                gpu_run.step(hier, obs);
                 g_steps += 1;
                 if g_steps == g_head {
                     g_from = gpu_run.now();
@@ -562,7 +472,7 @@ fn sampled_parallel<O: SimObserver>(
                 ci += plain;
             }
             if remaining > 0 {
-                cpu_run.step_observed(hier, obs);
+                cpu_run.step(hier, obs);
                 remaining -= 1;
                 ci += 1;
             }
@@ -579,7 +489,7 @@ fn sampled_parallel<O: SimObserver>(
                 gi += plain;
             }
             if remaining > 0 {
-                gpu_run.step_observed(hier, obs);
+                gpu_run.step(hier, obs);
                 remaining -= 1;
                 gi += 1;
             }
@@ -736,7 +646,7 @@ mod tests {
         let real = Kernel::Reduction.generate(&KernelParams::scaled(8));
         let mut sys = System::with_costs(&SystemConfig::baseline(), CommCosts::paper());
         let mut comm = SynchronousFabric::new(FabricKind::PciExpress, CommCosts::paper());
-        let direct = sys.execute(&real, &mut comm, &mut NullObserver);
+        let direct = sys.execute(&real, &mut comm, &mut NullObserver, ExecMode::Accurate);
         assert_eq!(direct, run_over(&real, FabricKind::PciExpress));
     }
 

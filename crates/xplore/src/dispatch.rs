@@ -266,11 +266,11 @@ mod tests {
             &DispatchContext {
                 config: &config,
                 timeline_interval: Some(1_000_000),
-                mode: ExecMode::EventDriven,
+                mode: ExecMode::sampled_default(),
             },
         );
         let decoded = decode_part(&encoded).expect("decode");
-        assert_eq!(decoded.mode, ExecMode::EventDriven);
+        assert_eq!(decoded.mode, ExecMode::sampled_default());
         assert_eq!(decoded.timeline_interval, Some(1_000_000));
         assert_eq!(decoded.jobs.len(), 2);
         assert_eq!(decoded.jobs[1], jobs[3]);

@@ -799,32 +799,16 @@ mod tests {
     fn execution_mode_addresses_a_separate_cache_entry() {
         let jobs = small_spec().expand();
         let plain = content_key(&jobs[0], &cfg());
-        let wheel = content_key_with(&jobs[0], &cfg(), None, ExecMode::EventDriven);
-        assert_ne!(plain, wheel);
-        assert!(wheel.contains("mode=event-driven"), "{wheel}");
         let sampled = content_key_with(&jobs[0], &cfg(), None, ExecMode::sampled_default());
         assert_ne!(plain, sampled);
-        assert_ne!(wheel, sampled);
-    }
-
-    #[test]
-    fn event_driven_sweep_matches_accurate_reports() {
-        let config = cfg();
-        let spec = small_spec();
-        let accurate = run_sweep(&spec, &config, &SweepOptions::with_workers(2)).expect("runs");
-        let wheel_opts = SweepOptions::builder()
-            .workers(2)
-            .mode(ExecMode::EventDriven)
-            .build();
-        let wheel = run_sweep(&spec, &config, &wheel_opts).expect("runs");
-        assert_eq!(accurate.records.len(), wheel.records.len());
-        for (a, w) in accurate.records.iter().zip(&wheel.records) {
-            assert_eq!(a.mode, ExecMode::Accurate);
-            assert_eq!(w.mode, ExecMode::EventDriven);
-            let mut normalized = w.report.clone();
-            normalized.fast_forwarded_ticks = 0;
-            assert_eq!(a.report, normalized, "{}/{}", a.kernel, a.target);
-        }
+        assert!(sampled.contains("mode=sampled:1536:512"), "{sampled}");
+        let mode = ExecMode::Sampled {
+            warm_interval: 1_000,
+            detail_window: 100,
+        };
+        let narrow = content_key_with(&jobs[0], &cfg(), None, mode);
+        assert_ne!(plain, narrow);
+        assert_ne!(sampled, narrow);
     }
 
     #[test]

@@ -228,15 +228,14 @@ commands:
       [--timeline F.jsonl[:interval]] [--mode M]
                                 simulate a trace (cpu+gpu|lrb|gmac|fusion|ideal);
                                 --events/--timeline write observability JSONL;
-                                --mode M is accurate (default), event-driven
-                                (cycle-exact fast-forwarding), or
+                                --mode M is accurate (default) or
                                 sampled[:WARM:DETAIL] (SMARTS-style, <2%
                                 cycles error at scale >= 256)
   serve [--addr H:P] [--workers N] [--queue-depth D] [--cache-dir DIR]
         [--advertise H:P] [--join H:P] [--heartbeat-ms MS]
                                 HTTP simulation service: POST /v1/sim,
-                                /v1/sweep, /v1/check, /v1/fix; GET /healthz,
-                                /v1/health, /metrics, /v1/jobs/<id>;
+                                /v1/sweep, /v1/check, /v1/fix; GET /v1/health,
+                                /metrics, /v1/jobs/<id>;
                                 POST /v1/shutdown drains; --advertise or
                                 --join forms a multi-node fleet that shards
                                 and replicates the result cache
@@ -1611,11 +1610,17 @@ mod tests {
     #[test]
     fn mode_flag_parses_on_every_command_that_takes_it() {
         let Ok(Command::Sweep { mode, .. }) =
-            parse_args(&args(&["sweep", "--mode", "event-driven"]))
+            parse_args(&args(&["sweep", "--mode", "sampled:2048:256"]))
         else {
             panic!("sweep --mode must parse");
         };
-        assert_eq!(mode, ExecMode::EventDriven);
+        assert_eq!(
+            mode,
+            ExecMode::Sampled {
+                warm_interval: 2048,
+                detail_window: 256
+            }
+        );
 
         let Ok(Command::Sim { mode, .. }) = parse_args(&args(&[
             "sim",
@@ -1647,7 +1652,7 @@ mod tests {
         ]))
         .is_err());
         // Commands without an execution mode reject the flag outright.
-        assert!(parse_args(&args(&["fig", "5", "--mode", "event-driven"])).is_err());
+        assert!(parse_args(&args(&["fig", "5", "--mode", "sampled"])).is_err());
     }
 
     #[test]

@@ -130,6 +130,19 @@ fn unknown_flags_exit_nonzero_with_one_line_error_and_usage() {
 }
 
 #[test]
+fn removed_event_driven_mode_is_a_usage_error_naming_accurate() {
+    // A missing trace file is a runtime error (exit 1), so exit 2 shows the
+    // mode was rejected while parsing.
+    let out = hetmem(&["sim", "t.hmt", "fusion", "--mode", "event-driven"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    let first = err.lines().next().unwrap_or_default();
+    assert!(first.starts_with("hetmem: "), "{first}");
+    assert!(first.contains("accurate"), "{first}");
+    assert!(err.contains("usage: hetmem"), "{err}");
+}
+
+#[test]
 fn sweep_is_deterministic_across_worker_counts() {
     let serial = hetmem(&["sweep", "--scale", "512", "--jobs", "1", "--format", "json"]);
     let threaded = hetmem(&["sweep", "--scale", "512", "--jobs", "8", "--format", "json"]);

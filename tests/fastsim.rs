@@ -1,13 +1,11 @@
 //! The `ExecMode` accuracy contract, enforced end to end:
 //!
-//! * `EventDriven` must be **bit-identical** to `Accurate` — same
-//!   `RunReport` (modulo the informational `fast_forwarded_ticks` field,
-//!   which must be zero in accurate mode and non-zero under the wheel) and
-//!   the same typed observer event stream — across every paper kernel ×
-//!   memory model × scale, and across randomized traces.
 //! * `Sampled` must stay within the documented 2% total-cycles error bound
 //!   at scales ≥ 256.
 //! * Cached sweep artifacts must never alias across modes.
+//! * A recycled engine must be **bit-identical** to a fresh one — same
+//!   `RunReport` and the same typed observer event stream — for the paper
+//!   kernels and for randomized traces, communication segments included.
 
 use hetmem::core::{AddressSpace, IdealSpaceComm};
 use hetmem::sim::{CommCosts, EventTrace, ExecMode, RunReport, SimEvent, SimulationBuilder};
@@ -31,65 +29,50 @@ fn run_mode(trace: &PhasedTrace, space: AddressSpace, mode: ExecMode) -> (RunRep
     (report, sim.into_observer())
 }
 
-/// Asserts the full bit-identity contract between an accurate and an
-/// event-driven run of the same trace on the same model.
-fn assert_event_driven_exact(trace: &PhasedTrace, space: AddressSpace, context: &str) {
-    let (acc_report, acc_events) = run_mode(trace, space, ExecMode::Accurate);
-    let (ed_report, ed_events) = run_mode(trace, space, ExecMode::EventDriven);
+/// Runs `trace` under `mode` on an engine recycled from a sampled run of
+/// `dirty`, and asserts that its report and event stream match a fresh
+/// engine's.
+fn assert_recycled_matches_fresh(
+    dirty: &PhasedTrace,
+    trace: &PhasedTrace,
+    space: AddressSpace,
+    mode: ExecMode,
+    context: &str,
+) {
+    let comm = || IdealSpaceComm::new(space, CommCosts::paper());
+    let mut warm = SimulationBuilder::new()
+        .comm_model(comm())
+        .mode(ExecMode::sampled_default())
+        .build()
+        .expect("baseline config is valid");
+    warm.run(dirty).expect("well-formed trace");
+    let (used, _observer) = warm.into_parts();
+
+    let mut recycled_sim = SimulationBuilder::new()
+        .comm_model(comm())
+        .mode(mode)
+        .recycle(Some(used))
+        .observer(EventTrace::new())
+        .build()
+        .expect("baseline config is valid");
+    let recycled_report = recycled_sim.run(trace).expect("well-formed trace");
+    let recycled_events: Vec<SimEvent> = recycled_sim.into_observer().events().copied().collect();
+
+    let (fresh_report, fresh_events) = run_mode(trace, space, mode);
+    let fresh_stream: Vec<SimEvent> = fresh_events.events().copied().collect();
 
     assert_eq!(
-        acc_report.fast_forwarded_ticks, 0,
-        "{context}: accurate mode must not fast-forward"
+        fresh_report,
+        recycled_report,
+        "{context}: recycled engine diverged under {}",
+        mode.label()
     );
-    let mut normalized = ed_report.clone();
-    normalized.fast_forwarded_ticks = 0;
-    assert_eq!(acc_report, normalized, "{context}: reports diverged");
-
-    let acc_stream: Vec<SimEvent> = acc_events.events().copied().collect();
-    let ed_stream: Vec<SimEvent> = ed_events.events().copied().collect();
-    assert_eq!(acc_stream, ed_stream, "{context}: event streams diverged");
-
-    let mut ed_counts = ed_events.counts();
     assert_eq!(
-        ed_counts.fast_forward_ticks, ed_report.fast_forwarded_ticks,
-        "{context}: observer fast-forward accounting must match the report"
+        fresh_stream,
+        recycled_events,
+        "{context}: recycled event stream diverged under {}",
+        mode.label()
     );
-    ed_counts.fast_forward_ticks = 0;
-    assert_eq!(
-        acc_events.counts(),
-        ed_counts,
-        "{context}: event counts diverged"
-    );
-}
-
-#[test]
-fn event_driven_is_cycle_exact_across_kernels_models_and_scales() {
-    for kernel in Kernel::ALL {
-        for scale in [64u32, 256, 512] {
-            let trace = kernel.generate(&KernelParams::scaled(scale));
-            for space in AddressSpace::ALL {
-                assert_event_driven_exact(
-                    &trace,
-                    space,
-                    &format!("{kernel:?} on {space:?} at scale {scale}"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn event_driven_actually_fast_forwards() {
-    // The speedup mechanism must engage: every paper kernel has sequential
-    // and parallel work, so the wheel must grant non-trivial wake windows.
-    for kernel in Kernel::ALL {
-        let trace = kernel.generate(&KernelParams::scaled(256));
-        let (report, _) = run_mode(&trace, AddressSpace::Unified, ExecMode::EventDriven);
-        assert!(
-            report.fast_forwarded_ticks > 0,
-            "{kernel:?}: event-driven run never fast-forwarded"
-        );
-    }
 }
 
 #[test]
@@ -258,10 +241,12 @@ fn arb_trace(rng: &mut Rng) -> PhasedTrace {
 }
 
 #[test]
-fn random_traces_run_identically_under_the_event_wheel() {
+fn random_traces_run_identically_on_a_recycled_engine() {
     let mut rng = Rng::new(0xFA57_51B1);
     for case in 0..96 {
+        let dirty = arb_trace(&mut rng);
         let trace = arb_trace(&mut rng);
+        assert_eq!(dirty.validate(), Ok(()));
         assert_eq!(trace.validate(), Ok(()));
         let space = match case % 4 {
             0 => AddressSpace::Unified,
@@ -269,7 +254,13 @@ fn random_traces_run_identically_under_the_event_wheel() {
             2 => AddressSpace::Disjoint,
             _ => AddressSpace::Adsm,
         };
-        assert_event_driven_exact(&trace, space, &format!("random case {case} on {space:?}"));
+        assert_recycled_matches_fresh(
+            &dirty,
+            &trace,
+            space,
+            ExecMode::Accurate,
+            &format!("random case {case} on {space:?}"),
+        );
     }
 }
 
@@ -309,7 +300,6 @@ fn cache_keys_never_alias_across_modes() {
     };
     let config = hetmem::core::experiment::ExperimentConfig::paper();
     let accurate = content_key_with(&job, &config, None, ExecMode::Accurate);
-    let event = content_key_with(&job, &config, None, ExecMode::EventDriven);
     let sampled = content_key_with(&job, &config, None, ExecMode::sampled_default());
     let sampled_alt = content_key_with(
         &job,
@@ -320,9 +310,8 @@ fn cache_keys_never_alias_across_modes() {
             detail_window: 100,
         },
     );
-    assert_ne!(accurate, event);
     assert_ne!(accurate, sampled);
-    assert_ne!(event, sampled);
+    assert_ne!(accurate, sampled_alt);
     assert_ne!(sampled, sampled_alt, "sampled geometry must key the cache");
     // Accurate keys are unchanged from the pre-mode engine: the default
     // 3-argument key is the accurate key, so existing caches stay warm.
@@ -338,51 +327,13 @@ fn recycled_engine_is_observationally_identical_to_fresh() {
     let warm_trace = Kernel::MatrixMul.generate(&KernelParams::scaled(256));
     let trace = Kernel::Reduction.generate(&KernelParams::scaled(256));
 
-    for mode in [
-        ExecMode::Accurate,
-        ExecMode::EventDriven,
-        ExecMode::sampled_default(),
-    ] {
-        // Dirty a system with an unrelated run before recycling it.
-        let mut warm = SimulationBuilder::new()
-            .comm_model(IdealSpaceComm::new(
-                AddressSpace::Unified,
-                CommCosts::paper(),
-            ))
-            .mode(ExecMode::sampled_default())
-            .build()
-            .expect("baseline config is valid");
-        warm.run(&warm_trace).expect("well-formed trace");
-        let (used, _observer) = warm.into_parts();
-
-        let mut recycled_sim = SimulationBuilder::new()
-            .comm_model(IdealSpaceComm::new(
-                AddressSpace::Unified,
-                CommCosts::paper(),
-            ))
-            .mode(mode)
-            .recycle(Some(used))
-            .observer(EventTrace::new())
-            .build()
-            .expect("baseline config is valid");
-        let recycled_report = recycled_sim.run(&trace).expect("well-formed trace");
-        let recycled_events: Vec<SimEvent> =
-            recycled_sim.into_observer().events().copied().collect();
-
-        let (fresh_report, fresh_events) = run_mode(&trace, AddressSpace::Unified, mode);
-        let fresh_stream: Vec<SimEvent> = fresh_events.events().copied().collect();
-
-        assert_eq!(
-            fresh_report,
-            recycled_report,
-            "recycled engine diverged under {}",
-            mode.label()
-        );
-        assert_eq!(
-            fresh_stream,
-            recycled_events,
-            "recycled event stream diverged under {}",
-            mode.label()
+    for mode in [ExecMode::Accurate, ExecMode::sampled_default()] {
+        assert_recycled_matches_fresh(
+            &warm_trace,
+            &trace,
+            AddressSpace::Unified,
+            mode,
+            "reduction after matmul",
         );
     }
 }

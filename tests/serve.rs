@@ -91,7 +91,7 @@ fn healthz_metrics_and_routing_errors() {
     let server = start(2, 32, None);
     let addr = server.local_addr();
 
-    let health = send(addr, "GET", "/healthz", None);
+    let health = send(addr, "GET", "/v1/health", None);
     assert_eq!(health.status, 200);
     assert_eq!(health.header("content-type"), Some("application/json"));
     assert_eq!(
@@ -100,17 +100,28 @@ fn healthz_metrics_and_routing_errors() {
     );
 
     assert_eq!(send(addr, "GET", "/no-such-endpoint", None).status, 404);
+    // The pre-versioned liveness route is gone; only /v1/health answers.
+    assert_eq!(send(addr, "GET", "/healthz", None).status, 404);
     assert_eq!(send(addr, "GET", "/v1/sim", None).status, 405);
     let bad = send(addr, "POST", "/v1/sim", Some("{\"kernel\":\"nope\"}"));
     assert_eq!(bad.status, 400);
     assert!(bad.body.contains("error"), "{}", bad.body);
+    // A removed execution mode is a typed rejection naming what remains.
+    let removed = send(
+        addr,
+        "POST",
+        "/v1/sim",
+        Some("{\"kernel\":\"reduction\",\"system\":\"fusion\",\"mode\":\"event-driven\"}"),
+    );
+    assert_eq!(removed.status, 400);
+    assert!(removed.body.contains("accurate"), "{}", removed.body);
 
     let metrics = send(addr, "GET", "/metrics", None);
     assert_eq!(metrics.status, 200);
     let v = metrics.json();
-    // Four requests so far plus this one, which counts itself.
-    assert_eq!(counter(&v, "requests_total"), 5);
-    assert_eq!(counter(&v, "bad_requests"), 1);
+    // Six requests so far plus this one, which counts itself.
+    assert_eq!(counter(&v, "requests_total"), 7);
+    assert_eq!(counter(&v, "bad_requests"), 2);
     assert_eq!(counter(&v, "workers"), 2);
     assert!(v.get("latency").is_some());
     assert!(v.get("sim_events").is_some());
