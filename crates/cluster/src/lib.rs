@@ -12,14 +12,17 @@
 //!   JSON) carries join handshakes, heartbeats, forwarded requests,
 //!   replica pushes, and metrics fan-out between nodes;
 //! * [`ClusterNode`] — membership (gossip-lite heartbeats, missed-
-//!   window death detection, tombstones), request forwarding with
-//!   entry-side coalescing of identical in-flight requests, hot-entry
-//!   replication to the ring successor, and work stealing from
-//!   overloaded shards.
+//!   window death detection, tombstones), request forwarding, hot-entry
+//!   replication to the ring successor, and reactive stealing: a request
+//!   whose owner is busy, draining or dead runs on the entry node.
 //!
-//! The crate knows nothing about HTTP or the simulator: the serve
-//! layer injects [`Hooks`] (execute-locally, snapshot-metrics,
-//! queue-depth) and owns the routing policy built from [`Plan`].
+//! A forwarded request runs on its owner through the same code a local
+//! client hits, so identical requests coalesce in the owner's pool
+//! whichever node they entered by, and the owner's `{status, body}`
+//! reply is relayed as it is. The crate knows nothing about HTTP or the
+//! simulator: the serve layer injects [`Hooks`] (answer-locally,
+//! snapshot-metrics) and answers itself whenever
+//! [`ClusterNode::forward`] hands a request back.
 //!
 //! Everything rides on `std::net::TcpStream` — the build environment
 //! has no package registry, the same constraint the HTTP server and
@@ -33,9 +36,6 @@ pub mod proto;
 pub mod ring;
 pub mod sweep;
 
-pub use node::{
-    ClusterConfig, ClusterNode, ExecReply, Executor, ForwardFailure, Forwarded, Hooks, LoadProbe,
-    MetricsProvider, Plan,
-};
+pub use node::{ClusterConfig, ClusterNode, Executor, Hooks, MetricsProvider, Reply};
 pub use ring::{Ring, DEFAULT_VNODES};
 pub use sweep::{FleetDispatcher, NodeDispatcher};

@@ -1,26 +1,32 @@
-//! The cluster node: membership, routing, forwarding, replication,
-//! and work stealing.
+//! The cluster node: membership, routing, forwarding, and replication.
 //!
 //! A [`ClusterNode`] owns one extra TCP listener next to the HTTP
 //! server and two background threads:
 //!
 //! * the **listener** answers peer frames (join handshakes, heartbeats,
-//!   forwarded `execute` requests, scattered `sweep_part` batches,
-//!   replica pushes, metrics fan-out, peer-list queries, graceful
-//!   leaves), spawning one short-lived thread per connection;
+//!   forwarded `execute` requests — single `/v1/sim` and `/v1/check`
+//!   requests and scattered sweep parts alike — replica pushes, metrics
+//!   fan-out, peer-list queries, graceful leaves), spawning one
+//!   short-lived thread per connection;
 //! * the **heartbeat loop** pings every known peer each
-//!   [`ClusterConfig::heartbeat_ms`], piggybacking the local queue
-//!   depth and the full peer list (gossip-lite: any peer learned by one
-//!   node reaches the others within a round). A peer that misses three
-//!   consecutive windows is declared dead, tombstoned so gossip cannot
-//!   resurrect it, and removed from the ring — its keys rehash to the
-//!   survivors that hold their replicas.
+//!   [`ClusterConfig::heartbeat_ms`], piggybacking the full peer list
+//!   (gossip-lite: any peer learned by one node reaches the others
+//!   within a round). A peer that misses three consecutive windows is
+//!   declared dead, tombstoned so gossip cannot resurrect it, and
+//!   removed from the ring — its keys rehash to the survivors that hold
+//!   their replicas.
+//!
+//! An `execute` frame names a local endpoint and carries the request
+//! body; the owner answers one `reply` frame with the HTTP status and
+//! body its own request path produced. The entry node relays that reply
+//! as it is, unless the owner was busy (429), draining (503) or
+//! unreachable — then it runs the request itself.
 //!
 //! The node is deliberately ignorant of HTTP and of the simulator: the
-//! serve layer hands it three closures ([`Hooks`]) — run a request
-//! body against a local endpoint, snapshot the local metrics, and
-//! report the local queue depth. That keeps the dependency arrow
-//! pointing one way (serve → cluster) with no circular knowledge.
+//! serve layer hands it two closures ([`Hooks`]) — answer a request body
+//! on a local endpoint, and snapshot the local metrics. That keeps the
+//! dependency arrow pointing one way (serve → cluster) with no circular
+//! knowledge.
 
 use crate::proto::{self, read_frame, write_frame};
 use crate::ring::{Ring, DEFAULT_VNODES};
@@ -34,83 +40,31 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Runs one forwarded request against a local serve endpoint
-/// (`"/v1/sim"` or `"/v1/check"`) and reports how it went.
-pub type Executor = Arc<dyn Fn(&str, &str) -> ExecReply + Send + Sync>;
+/// Answers one request body on a local serve endpoint (`"/v1/sim"`,
+/// `"/v1/check"` or `"/v1/sweep-part"`) through the code a client of
+/// this node would hit, never forwarding it again.
+pub type Executor = Arc<dyn Fn(&str, &str) -> Reply + Send + Sync>;
 
 /// Snapshots the local `/metrics` document for cluster-wide fan-out.
 pub type MetricsProvider = Arc<dyn Fn() -> Json + Send + Sync>;
 
-/// Reports the local queue depth, used for steal decisions and
-/// heartbeat piggybacking.
-pub type LoadProbe = Arc<dyn Fn() -> u64 + Send + Sync>;
-
 /// The serve-layer callbacks a node needs to do its job.
 #[derive(Clone)]
 pub struct Hooks {
-    /// Executes a forwarded request locally.
+    /// Answers a forwarded request locally.
     pub executor: Executor,
     /// Snapshots local metrics.
     pub metrics: MetricsProvider,
-    /// Reports local queue depth.
-    pub load: LoadProbe,
 }
 
-/// The owner's answer to a forwarded `execute` frame.
+/// What an owner's local request path answered: the HTTP status and
+/// body, carried back to the entry node in one `reply` frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ExecReply {
-    /// The request ran (or was answered from cache); here is the exact
-    /// response body the owner's HTTP path would have produced.
-    Body(String),
-    /// The owner's queue is full — the entry node should run the job
-    /// itself (work stealing) rather than queue behind the hot shard.
-    Busy,
-    /// The owner is draining for shutdown.
-    Draining,
-    /// The owner accepted the job but the caller's deadline passed.
-    Timeout {
-        /// Milliseconds the job waited before the deadline fired.
-        waited_ms: u64,
-    },
-    /// The request itself was bad or the job failed.
-    Failed(String),
-}
-
-/// Where [`ClusterNode::plan`] says a request should run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Plan {
-    /// Execute on this node (it owns the key, the ring is trivial, or
-    /// the owner is overloaded and this node is stealing the work).
-    Local,
-    /// Forward to the ring owner at this cluster address.
-    Forward(String),
-}
-
-/// A forwarded request's terminal outcome, mirroring what the local
-/// path would have produced.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Forwarded {
-    /// The owner's response body, byte-identical to a local answer.
-    Body(String),
-    /// The owner timed the job out against the caller's deadline.
-    Timeout {
-        /// Milliseconds waited before the deadline fired.
-        waited_ms: u64,
-    },
-    /// The owner rejected or failed the request body itself.
-    Failed(String),
-}
-
-/// Why a forward did not produce an outcome. Every variant means the
-/// entry node should fall back to executing locally.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ForwardFailure {
-    /// The owner's admission queue is full.
-    Busy,
-    /// The owner is draining for shutdown.
-    Draining,
-    /// The owner could not be reached at all.
-    Unavailable(SimError),
+pub struct Reply {
+    /// The HTTP status code.
+    pub status: u16,
+    /// The response body, byte-identical to a local answer.
+    pub body: String,
 }
 
 /// Tunables for one cluster node.
@@ -131,9 +85,6 @@ pub struct ClusterConfig {
     /// Per-key access count at which the owner pushes the cached
     /// result to its ring successor.
     pub replicate_after: u64,
-    /// Queue depth at which a shard counts as overloaded: an idle
-    /// entry node runs the job itself instead of forwarding.
-    pub steal_queue_threshold: u64,
     /// Where to persist the last-known peer list on every membership
     /// change (`<cache-dir>/cluster-peers.json`, typically). A restarted
     /// node with no reachable `join` seed falls back to dialing these
@@ -151,7 +102,6 @@ impl Default for ClusterConfig {
             heartbeat_ms: 500,
             vnodes: DEFAULT_VNODES,
             replicate_after: 2,
-            steal_queue_threshold: 8,
             peers_path: None,
         }
     }
@@ -164,38 +114,6 @@ struct PeerState {
     http: String,
     /// When the peer last proved it was alive (heartbeat either way).
     last_seen: Instant,
-    /// The peer's queue depth from its last heartbeat.
-    queued: u64,
-}
-
-/// A slot that entry-side waiters for an in-flight forward block on.
-struct RemoteSlot {
-    done: Mutex<Option<Result<Forwarded, ForwardFailure>>>,
-    cv: Condvar,
-}
-
-impl RemoteSlot {
-    fn new() -> RemoteSlot {
-        RemoteSlot {
-            done: Mutex::new(None),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn fulfill(&self, outcome: Result<Forwarded, ForwardFailure>) {
-        *lock(&self.done) = Some(outcome);
-        self.cv.notify_all();
-    }
-
-    fn wait(&self) -> Result<Forwarded, ForwardFailure> {
-        let mut done = lock(&self.done);
-        loop {
-            if let Some(outcome) = done.clone() {
-                return outcome;
-            }
-            done = self.cv.wait(done).expect("cluster slot lock");
-        }
-    }
 }
 
 /// Recovers from a poisoned lock: every structure behind these locks is
@@ -208,8 +126,9 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// How long a forwarded `execute` may run before the entry node gives
-/// up on the owner. Matches the longest job the serve layer accepts.
+/// How long a forwarded `execute` (a single request or a whole sweep
+/// part) may run before the entry node gives up on the owner. Matches
+/// the longest job the serve layer accepts.
 const EXECUTE_READ_TIMEOUT: Duration = Duration::from_secs(600);
 /// Read timeout for short control frames (hello, replicate, metrics).
 const CONTROL_READ_TIMEOUT: Duration = Duration::from_secs(5);
@@ -231,9 +150,6 @@ pub struct ClusterNode {
     members: Mutex<HashMap<String, PeerState>>,
     tombstones: Mutex<HashMap<String, Instant>>,
     ring: Mutex<Ring>,
-    /// Entry-side coalescing: content key → slot shared by concurrent
-    /// forwards of the identical request.
-    inflight: Mutex<HashMap<String, Arc<RemoteSlot>>>,
     /// Per-key access counts, tracked only for keys this node owns.
     access: Mutex<HashMap<String, u64>>,
     /// Replicas pushed here by ring predecessors.
@@ -244,7 +160,6 @@ pub struct ClusterNode {
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     forwards_out: AtomicU64,
     forwards_in: AtomicU64,
-    remote_coalesced: AtomicU64,
     work_steals: AtomicU64,
     peer_failures: AtomicU64,
     peers_removed: AtomicU64,
@@ -288,7 +203,6 @@ impl ClusterNode {
             listen_addr,
             members: Mutex::new(HashMap::new()),
             tombstones: Mutex::new(HashMap::new()),
-            inflight: Mutex::new(HashMap::new()),
             access: Mutex::new(HashMap::new()),
             replicas: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
@@ -297,7 +211,6 @@ impl ClusterNode {
             threads: Mutex::new(Vec::new()),
             forwards_out: AtomicU64::new(0),
             forwards_in: AtomicU64::new(0),
-            remote_coalesced: AtomicU64::new(0),
             work_steals: AtomicU64::new(0),
             peer_failures: AtomicU64::new(0),
             peers_removed: AtomicU64::new(0),
@@ -384,112 +297,32 @@ impl ClusterNode {
         self.work_steals.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Decides where the request addressed by `key` should run.
+    /// Runs the request addressed by `key` on the key's ring owner and
+    /// returns the owner's reply, for the entry node to relay as it is.
+    /// Identical requests forwarded concurrently — from this node or any
+    /// other — coalesce in the owner's pool.
     ///
-    /// The ring owner runs it — unless the owner's last-heartbeat queue
-    /// depth is at [`ClusterConfig::steal_queue_threshold`] while this
-    /// node sits idle, in which case the work is stolen and run here.
-    #[must_use]
-    pub fn plan(&self, key: &str) -> Plan {
-        let owner = lock(&self.ring).owner(key).map(str::to_owned);
-        let Some(owner) = owner else {
-            return Plan::Local;
-        };
+    /// Returns `None` when the caller should run the request itself:
+    /// this node owns the key, or the owner answered 429 (queue full) or
+    /// 503 (draining), or could not be reached. The last three are the
+    /// reactive steal, counted in `work_steals`, which is also the
+    /// failover path that keeps the fleet answering within one heartbeat
+    /// interval of a node death.
+    pub fn forward(&self, key: &str, endpoint: &str, body: &str) -> Option<Reply> {
+        let owner = lock(&self.ring).owner(key)?.to_owned();
         if owner == self.self_addr {
-            return Plan::Local;
+            return None;
         }
-        let owner_queued = lock(&self.members).get(&owner).map(|p| p.queued);
-        if let Some(queued) = owner_queued {
-            if queued >= self.cfg.steal_queue_threshold
-                && (self.hooks.load)() < self.cfg.steal_queue_threshold
-            {
-                self.work_steals.fetch_add(1, Ordering::Relaxed);
-                return Plan::Local;
-            }
-        }
-        Plan::Forward(owner)
-    }
-
-    /// Forwards one request to its ring `owner`, coalescing with any
-    /// identical forward already in flight from this node: one
-    /// connection crosses the wire, every caller gets the outcome.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ForwardFailure`] when the owner rejected the job
-    /// (busy/draining) or could not be reached; the caller should then
-    /// run the job locally.
-    pub fn forward(
-        &self,
-        owner: &str,
-        endpoint: &str,
-        body: &str,
-        key: &str,
-    ) -> Result<Forwarded, ForwardFailure> {
-        let (slot, leader) = {
-            let mut inflight = lock(&self.inflight);
-            if let Some(slot) = inflight.get(key) {
-                (Arc::clone(slot), false)
-            } else {
-                let slot = Arc::new(RemoteSlot::new());
-                inflight.insert(key.to_owned(), Arc::clone(&slot));
-                (slot, true)
-            }
-        };
-        if !leader {
-            self.remote_coalesced.fetch_add(1, Ordering::Relaxed);
-            return slot.wait();
-        }
-        let outcome = self.forward_once(owner, endpoint, body, key);
-        lock(&self.inflight).remove(key);
-        slot.fulfill(outcome.clone());
-        outcome
-    }
-
-    fn forward_once(
-        &self,
-        owner: &str,
-        endpoint: &str,
-        body: &str,
-        key: &str,
-    ) -> Result<Forwarded, ForwardFailure> {
         self.forwards_out.fetch_add(1, Ordering::Relaxed);
-        let request = Json::obj(vec![
-            ("kind", Json::Str("execute".to_owned())),
-            ("endpoint", Json::Str(endpoint.to_owned())),
-            ("key", Json::Str(key.to_owned())),
-            ("body", Json::Str(body.to_owned())),
-        ]);
-        let reply = match proto::call(owner, &request, EXECUTE_READ_TIMEOUT) {
-            Ok(reply) => reply,
-            Err(err) => {
+        match execute(&owner, endpoint, body) {
+            Ok(reply) if !matches!(reply.status, 429 | 503) => return Some(reply),
+            Ok(_) => {}
+            Err(_) => {
                 self.peer_failures.fetch_add(1, Ordering::Relaxed);
-                return Err(ForwardFailure::Unavailable(err));
             }
-        };
-        match reply.get("kind").and_then(Json::as_str) {
-            Some("result") => match reply.get("body").and_then(Json::as_str) {
-                Some(body) => Ok(Forwarded::Body(body.to_owned())),
-                None => Err(ForwardFailure::Unavailable(SimError::PeerUnavailable {
-                    peer: owner.to_owned(),
-                })),
-            },
-            Some("busy") => Err(ForwardFailure::Busy),
-            Some("draining") => Err(ForwardFailure::Draining),
-            Some("timeout") => Ok(Forwarded::Timeout {
-                waited_ms: reply.get("waited_ms").and_then(Json::as_u64).unwrap_or(0),
-            }),
-            Some("error") => Ok(Forwarded::Failed(
-                reply
-                    .get("message")
-                    .and_then(Json::as_str)
-                    .unwrap_or("peer error")
-                    .to_owned(),
-            )),
-            _ => Err(ForwardFailure::Unavailable(SimError::PeerUnavailable {
-                peer: owner.to_owned(),
-            })),
         }
+        self.work_steals.fetch_add(1, Ordering::Relaxed);
+        None
     }
 
     /// Records one access to a key this node owns; at
@@ -543,12 +376,6 @@ impl ClusterNode {
         record
     }
 
-    /// Counts a job this node ran on the owner's behalf after the
-    /// owner rejected or dropped it — the reactive half of stealing.
-    pub fn note_steal(&self) {
-        self.work_steals.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Fans out to every live peer for its `/metrics` document.
     /// Unreachable peers are skipped (and counted as failures); the
     /// caller merges the survivors with its own snapshot.
@@ -578,17 +405,16 @@ impl ClusterNode {
     pub fn status_json(&self) -> Json {
         let peers: Vec<Json> = {
             let members = lock(&self.members);
-            let mut rows: Vec<(String, String, u64)> = members
+            let mut rows: Vec<(String, String)> = members
                 .iter()
-                .map(|(addr, p)| (addr.clone(), p.http.clone(), p.queued))
+                .map(|(addr, p)| (addr.clone(), p.http.clone()))
                 .collect();
             rows.sort();
             rows.into_iter()
-                .map(|(cluster, http, queued)| {
+                .map(|(cluster, http)| {
                     Json::obj(vec![
                         ("cluster", Json::Str(cluster)),
                         ("http", Json::Str(http)),
-                        ("queued", Json::UInt(queued)),
                     ])
                 })
                 .collect()
@@ -600,7 +426,6 @@ impl ClusterNode {
             ("peers", Json::Arr(peers)),
             ("forwards_out", count(&self.forwards_out)),
             ("forwards_in", count(&self.forwards_in)),
-            ("remote_coalesced", count(&self.remote_coalesced)),
             ("work_steals", count(&self.work_steals)),
             ("peer_failures", count(&self.peer_failures)),
             ("peers_removed", count(&self.peers_removed)),
@@ -683,7 +508,6 @@ impl ClusterNode {
                     PeerState {
                         http: http.to_owned(),
                         last_seen: now,
-                        queued: 0,
                     },
                 );
                 changed = true;
@@ -811,17 +635,14 @@ impl ClusterNode {
             ("kind", Json::Str("heartbeat".to_owned())),
             ("from", Json::Str(self.self_addr.clone())),
             ("http", Json::Str(self.cfg.http_addr.clone())),
-            ("queued", Json::UInt((self.hooks.load)())),
             ("peers", self.peer_list()),
         ]);
         for peer in &peers {
             self.heartbeats_sent.fetch_add(1, Ordering::Relaxed);
             match proto::call(peer, &request, HEARTBEAT_READ_TIMEOUT) {
                 Ok(reply) if reply.get("kind").and_then(Json::as_str) == Some("ack") => {
-                    let queued = reply.get("queued").and_then(Json::as_u64).unwrap_or(0);
                     if let Some(state) = lock(&self.members).get_mut(peer) {
                         state.last_seen = Instant::now();
-                        state.queued = queued;
                     }
                     if let Some(Json::Arr(gossiped)) = reply.get("peers") {
                         self.merge_peers(gossiped);
@@ -880,7 +701,6 @@ impl ClusterNode {
             Some("hello") => self.on_hello(&request),
             Some("heartbeat") => self.on_heartbeat(&request),
             Some("execute") => self.on_execute(&request),
-            Some("sweep_part") => self.on_sweep_part(&request),
             Some("peers") => Json::obj(vec![
                 ("kind", Json::Str("peers".to_owned())),
                 ("vnodes", Json::UInt(self.cfg.vnodes as u64)),
@@ -920,7 +740,6 @@ impl ClusterNode {
             PeerState {
                 http: http.to_owned(),
                 last_seen: Instant::now(),
-                queued: 0,
             },
         );
         self.rebuild_ring();
@@ -936,7 +755,6 @@ impl ClusterNode {
             request.get("http").and_then(Json::as_str),
         ) {
             if from != self.self_addr {
-                let queued = request.get("queued").and_then(Json::as_u64).unwrap_or(0);
                 // A direct heartbeat is proof of life, which overrides
                 // any tombstone (gossip, by contrast, never does).
                 lock(&self.tombstones).remove(from);
@@ -948,7 +766,6 @@ impl ClusterNode {
                         PeerState {
                             http: http.to_owned(),
                             last_seen: Instant::now(),
-                            queued,
                         },
                     );
                     known
@@ -963,60 +780,30 @@ impl ClusterNode {
         }
         Json::obj(vec![
             ("kind", Json::Str("ack".to_owned())),
-            ("queued", Json::UInt((self.hooks.load)())),
             ("peers", self.peer_list()),
         ])
     }
 
+    /// Owner side of forwarding and scatter-gather: answers the request
+    /// through the serve layer's local path and frames back its status
+    /// and body. A reply over the frame cap fails to send, which the
+    /// entry node treats like an unreachable owner and runs the request
+    /// itself.
     fn on_execute(&self, request: &Json) -> Json {
-        self.forwards_in.fetch_add(1, Ordering::Relaxed);
         let endpoint = request.get("endpoint").and_then(Json::as_str).unwrap_or("");
         let body = request.get("body").and_then(Json::as_str).unwrap_or("");
-        match (self.hooks.executor)(endpoint, body) {
-            ExecReply::Body(body) => Json::obj(vec![
-                ("kind", Json::Str("result".to_owned())),
-                ("body", Json::Str(body)),
-            ]),
-            ExecReply::Busy => Json::obj(vec![("kind", Json::Str("busy".to_owned()))]),
-            ExecReply::Draining => Json::obj(vec![("kind", Json::Str("draining".to_owned()))]),
-            ExecReply::Timeout { waited_ms } => Json::obj(vec![
-                ("kind", Json::Str("timeout".to_owned())),
-                ("waited_ms", Json::UInt(waited_ms)),
-            ]),
-            ExecReply::Failed(message) => error_frame(&message),
-        }
-    }
-
-    /// Owner-side half of a distributed sweep: execute one scattered
-    /// partition through the serve layer's `/v1/sweep-part` hook (which
-    /// runs it on the local engine + disk cache, off the request pool)
-    /// and frame the records back. Busy/draining/failed map to the
-    /// existing frame vocabulary — the entry node's engine reacts to
-    /// all of them the same way, by running the part locally.
-    fn on_sweep_part(&self, request: &Json) -> Json {
-        self.sweep_parts_in.fetch_add(1, Ordering::Relaxed);
-        let body = request.get("body").and_then(Json::as_str).unwrap_or("");
-        match (self.hooks.executor)("/v1/sweep-part", body) {
-            ExecReply::Body(body) => {
-                let reply = Json::obj(vec![
-                    ("kind", Json::Str("sweep_part_result".to_owned())),
-                    ("body", Json::Str(body)),
-                ]);
-                // JSON escaping can inflate the body, so bound the
-                // exact rendered frame, not the payload estimate.
-                if reply.render().len() > proto::MAX_FRAME_BYTES {
-                    return error_frame("sweep part result exceeds the frame cap");
-                }
-                reply
-            }
-            ExecReply::Busy => Json::obj(vec![("kind", Json::Str("busy".to_owned()))]),
-            ExecReply::Draining => Json::obj(vec![("kind", Json::Str("draining".to_owned()))]),
-            ExecReply::Timeout { waited_ms } => Json::obj(vec![
-                ("kind", Json::Str("timeout".to_owned())),
-                ("waited_ms", Json::UInt(waited_ms)),
-            ]),
-            ExecReply::Failed(message) => error_frame(&message),
-        }
+        let counter = if endpoint == SWEEP_PART {
+            &self.sweep_parts_in
+        } else {
+            &self.forwards_in
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let reply = (self.hooks.executor)(endpoint, body);
+        Json::obj(vec![
+            ("kind", Json::Str("reply".to_owned())),
+            ("status", Json::UInt(u64::from(reply.status))),
+            ("body", Json::Str(reply.body)),
+        ])
     }
 
     fn on_replicate(&self, request: &Json) -> Json {
@@ -1044,6 +831,38 @@ impl ClusterNode {
     }
 }
 
+/// The executor endpoint a scattered sweep part runs on.
+pub(crate) const SWEEP_PART: &str = "/v1/sweep-part";
+
+/// Sends one `execute` frame to `owner` and decodes its `reply` frame.
+///
+/// # Errors
+///
+/// Returns [`SimError::PeerUnavailable`] when the owner cannot be
+/// reached or answers anything but a well-formed reply.
+pub(crate) fn execute(owner: &str, endpoint: &str, body: &str) -> Result<Reply, SimError> {
+    let request = Json::obj(vec![
+        ("kind", Json::Str("execute".to_owned())),
+        ("endpoint", Json::Str(endpoint.to_owned())),
+        ("body", Json::Str(body.to_owned())),
+    ]);
+    let reply = proto::call(owner, &request, EXECUTE_READ_TIMEOUT)?;
+    let status = reply
+        .get("status")
+        .and_then(Json::as_u64)
+        .and_then(|s| u16::try_from(s).ok());
+    let kind = reply.get("kind").and_then(Json::as_str);
+    match (kind, status, reply.get("body")) {
+        (Some("reply"), Some(status), Some(Json::Str(body))) => Ok(Reply {
+            status,
+            body: body.clone(),
+        }),
+        _ => Err(SimError::PeerUnavailable {
+            peer: owner.to_owned(),
+        }),
+    }
+}
+
 fn error_frame(message: &str) -> Json {
     Json::obj(vec![
         ("kind", Json::Str("error".to_owned())),
@@ -1056,7 +875,6 @@ mod tests {
     use super::*;
     use hetmem_sim::{ExecMode, RunReport};
     use std::net::TcpListener;
-    use std::sync::atomic::AtomicU64;
 
     /// A throwaway HTTP listener that answers every request with a
     /// ready `/v1/health` body, standing in for the serve layer during
@@ -1084,19 +902,26 @@ mod tests {
         addr
     }
 
-    fn hooks(tag: &str, load: Arc<AtomicU64>) -> Hooks {
+    /// Stub hooks: the executor echoes its inputs under `tag`, except
+    /// that a `"busy"` body is refused with 429, as a full queue would be.
+    fn hooks(tag: &str) -> Hooks {
         let tag = tag.to_owned();
         Hooks {
-            executor: Arc::new(move |endpoint, body| {
-                ExecReply::Body(format!("{tag}:{endpoint}:{body}"))
+            executor: Arc::new(move |endpoint, body| match body {
+                "busy" => Reply {
+                    status: 429,
+                    body: String::new(),
+                },
+                _ => Reply {
+                    status: 200,
+                    body: format!("{tag}:{endpoint}:{body}"),
+                },
             }),
             metrics: Arc::new(|| Json::obj(vec![("requests_total", Json::UInt(1))])),
-            load: Arc::new(move || load.load(Ordering::Relaxed)),
         }
     }
 
-    fn two_nodes(heartbeat_ms: u64) -> (Arc<ClusterNode>, Arc<ClusterNode>, Arc<AtomicU64>) {
-        let load_a = Arc::new(AtomicU64::new(0));
+    fn two_nodes(heartbeat_ms: u64) -> (Arc<ClusterNode>, Arc<ClusterNode>) {
         let a = ClusterNode::start(
             ClusterConfig {
                 http_addr: health_stub(),
@@ -1104,7 +929,7 @@ mod tests {
                 replicate_after: 1,
                 ..ClusterConfig::default()
             },
-            hooks("a", Arc::clone(&load_a)),
+            hooks("a"),
         )
         .expect("start a");
         let b = ClusterNode::start(
@@ -1115,10 +940,10 @@ mod tests {
                 replicate_after: 1,
                 ..ClusterConfig::default()
             },
-            hooks("b", Arc::new(AtomicU64::new(0))),
+            hooks("b"),
         )
         .expect("start b");
-        (a, b, load_a)
+        (a, b)
     }
 
     /// A key the given node owns, found by trial.
@@ -1132,115 +957,55 @@ mod tests {
         panic!("no key owned by {}", node.self_addr());
     }
 
+    fn counter(node: &ClusterNode, name: &str) -> Option<u64> {
+        node.status_json().get(name).and_then(Json::as_u64)
+    }
+
     #[test]
     fn join_then_forward_runs_on_the_owner() {
-        let (a, b, _) = two_nodes(500);
+        let (a, b) = two_nodes(500);
         let ring = Ring::new(
             &[a.self_addr().to_owned(), b.self_addr().to_owned()],
             DEFAULT_VNODES,
         );
         let key = key_owned_by(&a, &ring);
-        assert_eq!(b.plan(&key), Plan::Forward(a.self_addr().to_owned()));
-        assert_eq!(a.plan(&key), Plan::Local);
-        let outcome = b
-            .forward(a.self_addr(), "/v1/sim", "{\"kernel\":\"stencil\"}", &key)
-            .expect("forward");
+        // The owner runs its own keys.
+        assert_eq!(a.forward(&key, "/v1/sim", "{}"), None);
+        assert_eq!(counter(&a, "forwards_out"), Some(0));
+        let reply = b.forward(&key, "/v1/sim", "{\"kernel\":\"stencil\"}");
         assert_eq!(
-            outcome,
-            Forwarded::Body("a:/v1/sim:{\"kernel\":\"stencil\"}".to_owned())
+            reply,
+            Some(Reply {
+                status: 200,
+                body: "a:/v1/sim:{\"kernel\":\"stencil\"}".to_owned(),
+            })
         );
-        let status = a.status_json();
-        assert_eq!(status.get("forwards_in").and_then(Json::as_u64), Some(1));
-        assert_eq!(
-            b.status_json().get("forwards_out").and_then(Json::as_u64),
-            Some(1)
-        );
+        assert_eq!(counter(&a, "forwards_in"), Some(1));
+        assert_eq!(counter(&b, "forwards_out"), Some(1));
+        assert_eq!(counter(&b, "work_steals"), Some(0));
+
+        // A busy owner hands the request back: the entry node runs it
+        // itself and counts the steal.
+        assert_eq!(b.forward(&key, "/v1/sim", "busy"), None);
+        assert_eq!(counter(&b, "work_steals"), Some(1));
+        // Sweep parts ride the same frame but count apart.
+        assert!(b.forward(&key, SWEEP_PART, "part").is_some());
+        assert_eq!(counter(&a, "sweep_parts_in"), Some(1));
+        assert_eq!(counter(&a, "forwards_in"), Some(2));
         b.shutdown();
         a.shutdown();
     }
 
     #[test]
-    fn concurrent_identical_forwards_coalesce() {
-        let slow = Arc::new(AtomicU64::new(0));
-        let slow_in_exec = Arc::clone(&slow);
-        let a = ClusterNode::start(
-            ClusterConfig {
-                http_addr: health_stub(),
-                ..ClusterConfig::default()
-            },
-            Hooks {
-                executor: Arc::new(move |_, _| {
-                    slow_in_exec.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_millis(200));
-                    ExecReply::Body("slow".to_owned())
-                }),
-                metrics: Arc::new(|| Json::obj(vec![])),
-                load: Arc::new(|| 0),
-            },
-        )
-        .expect("start a");
-        let b = ClusterNode::start(
-            ClusterConfig {
-                join: Some(a.self_addr().to_owned()),
-                http_addr: health_stub(),
-                ..ClusterConfig::default()
-            },
-            hooks("b", Arc::new(AtomicU64::new(0))),
-        )
-        .expect("start b");
-
-        let owner = a.self_addr().to_owned();
-        let results: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..3)
-                .map(|_| {
-                    let b = Arc::clone(&b);
-                    let owner = owner.clone();
-                    scope.spawn(move || b.forward(&owner, "/v1/sim", "{}", "same-key"))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("join"))
-                .collect()
-        });
-        for result in results {
-            assert_eq!(result.expect("forward"), Forwarded::Body("slow".to_owned()));
-        }
-        // One execution crossed the wire; the other callers coalesced.
-        assert_eq!(slow.load(Ordering::Relaxed), 1);
-        assert_eq!(
-            b.status_json()
-                .get("remote_coalesced")
-                .and_then(Json::as_u64),
-            Some(2)
-        );
-        b.shutdown();
-        a.shutdown();
-    }
-
-    #[test]
-    fn busy_owners_get_stolen_from_and_replicas_round_trip() {
-        let (a, b, load_a) = two_nodes(500);
+    fn hot_entries_replicate_to_the_ring_successor() {
+        let (a, b) = two_nodes(500);
         let ring = Ring::new(
             &[a.self_addr().to_owned(), b.self_addr().to_owned()],
             DEFAULT_VNODES,
         );
         let key = key_owned_by(&a, &ring);
 
-        // b has not heard a heartbeat carrying a's queue depth yet, so
-        // inject one by heartbeating manually: a reports itself deep.
-        load_a.store(64, Ordering::Relaxed);
-        b.heartbeat_round();
-        assert_eq!(b.plan(&key), Plan::Local, "deep owner queue should steal");
-        assert_eq!(
-            b.status_json().get("work_steals").and_then(Json::as_u64),
-            Some(1)
-        );
-        load_a.store(0, Ordering::Relaxed);
-        b.heartbeat_round();
-        assert_eq!(b.plan(&key), Plan::Forward(a.self_addr().to_owned()));
-
-        // Replication: a owns the key; its successor for the key is b.
+        // a owns the key; its successor for the key is b.
         let record = SweepRecord {
             id: 1,
             kind: "case-study".into(),
@@ -1257,18 +1022,10 @@ mod tests {
             timeline: None,
         };
         a.note_access(&key, &record); // replicate_after = 1 in two_nodes
-        assert_eq!(
-            b.status_json()
-                .get("replicas_stored")
-                .and_then(Json::as_u64),
-            Some(1)
-        );
+        assert_eq!(counter(&b, "replicas_stored"), Some(1));
         assert_eq!(b.replica_take(&key), Some(record));
         assert_eq!(b.replica_take(&key), None);
-        assert_eq!(
-            b.status_json().get("replica_hits").and_then(Json::as_u64),
-            Some(1)
-        );
+        assert_eq!(counter(&b, "replica_hits"), Some(1));
         // b never owned the key, so its own accesses do not replicate.
         b.shutdown();
         a.shutdown();
@@ -1276,14 +1033,13 @@ mod tests {
 
     #[test]
     fn dead_peers_are_buried_after_the_miss_window() {
-        let load = Arc::new(AtomicU64::new(0));
         let a = ClusterNode::start(
             ClusterConfig {
                 http_addr: health_stub(),
                 heartbeat_ms: 40,
                 ..ClusterConfig::default()
             },
-            hooks("a", Arc::clone(&load)),
+            hooks("a"),
         )
         .expect("start a");
         // Hand-deliver a hello from a "peer" whose cluster address was
@@ -1317,7 +1073,7 @@ mod tests {
 
     #[test]
     fn graceful_leave_removes_the_peer_immediately() {
-        let (a, b, _) = two_nodes(500);
+        let (a, b) = two_nodes(500);
         assert_eq!(lock(&a.ring).len(), 2);
         assert_eq!(lock(&b.ring).len(), 2);
         b.shutdown();
@@ -1342,7 +1098,7 @@ mod tests {
                 peers_path: Some(dir.join("a").join("cluster-peers.json")),
                 ..ClusterConfig::default()
             },
-            hooks("a", Arc::new(AtomicU64::new(0))),
+            hooks("a"),
         )
         .expect("start a");
         let b = ClusterNode::start(
@@ -1352,7 +1108,7 @@ mod tests {
                 peers_path: Some(pb.clone()),
                 ..ClusterConfig::default()
             },
-            hooks("b", Arc::new(AtomicU64::new(0))),
+            hooks("b"),
         )
         .expect("start b");
         // The join rebuilt both rings, so both peer files exist and
@@ -1375,7 +1131,7 @@ mod tests {
                 peers_path: Some(pb),
                 ..ClusterConfig::default()
             },
-            hooks("b2", Arc::new(AtomicU64::new(0))),
+            hooks("b2"),
         )
         .expect("rejoin via persisted peers");
         assert_eq!(lock(&b2.ring).len(), 2);

@@ -162,8 +162,8 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let sent = Json::obj(vec![
-            ("kind", Json::Str("heartbeat".to_owned())),
-            ("queued", Json::UInt(7)),
+            ("kind", Json::Str("reply".to_owned())),
+            ("status", Json::UInt(200)),
         ]);
         let expected = sent.clone();
         let echo = std::thread::spawn(move || {

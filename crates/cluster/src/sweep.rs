@@ -7,21 +7,23 @@
 //!
 //! * [`NodeDispatcher`] — used by a fleet member's own serve layer. It
 //!   keeps the entry node's share local (the engine runs unclaimed
-//!   indices on the local pool) and scatters every other owner's share
-//!   as `sweep_part` frames.
+//!   indices on the local pool) and scatters every other owner's share.
 //! * [`FleetDispatcher`] — used by a CLI or bench process that is *not*
 //!   a ring member. It learns the ring from any node's `peers` frame
 //!   and scatters **every** partition, so a laptop can drive a fleet.
 //!
+//! A part travels as an `execute` frame on the `/v1/sweep-part`
+//! endpoint and comes back as the owner's one `{status, body}` reply.
 //! Partitions are chunked so no frame can exceed the protocol's 4 MiB
-//! cap, and every failure mode — unreachable owner, draining owner,
-//! busy owner, oversized result, malformed records — surfaces as an
-//! error from [`JobDispatcher::execute`], which the engine answers by
-//! running the part on the local pool. Failover costs latency, never
-//! correctness: records land in their ordinal slots wherever they ran,
-//! so the merged output is byte-identical to a single-node run.
+//! cap, and every failure mode — unreachable owner, any non-200 status
+//! (busy, draining, failed), oversized result, malformed records —
+//! surfaces as an error from [`JobDispatcher::execute`], which the
+//! engine answers by running the part on the local pool. Failover
+//! costs latency, never correctness: records land in their ordinal
+//! slots wherever they ran, so the merged output is byte-identical to a
+//! single-node run.
 
-use crate::node::ClusterNode;
+use crate::node::{self, ClusterNode, SWEEP_PART};
 use crate::proto;
 use crate::ring::Ring;
 use hetmem_sim::SimError;
@@ -30,14 +32,8 @@ use hetmem_xplore::json::Json;
 use hetmem_xplore::ser::SweepRecord;
 use hetmem_xplore::{content_key_with, DispatchContext, Job, JobDispatcher, JobPart};
 use std::sync::{Arc, Weak};
-use std::time::Duration;
 
-/// How long the entry side waits for one scattered part to execute.
-/// Matches the forwarded-execute patience: a part is a batch of the
-/// same simulations.
-const PART_READ_TIMEOUT: Duration = Duration::from_secs(600);
-
-/// Most jobs one `sweep_part` frame carries. A job row is ~100 bytes
+/// Most jobs one scattered part carries. A job row is ~100 bytes
 /// and a result record a few KB, so 256 records stay far under the
 /// 4 MiB frame cap with an order of magnitude to spare.
 const MAX_PART_JOBS: usize = 256;
@@ -101,9 +97,9 @@ fn ring_parts(
 }
 
 /// One scatter: frame the part, call its owner, parse the records.
-/// Every rejection (busy, draining, error, timeout, garbage) collapses
-/// to [`SimError::PeerUnavailable`] — the engine's answer to all of
-/// them is the same local fallback.
+/// Every rejection (any non-200 status, or garbage) collapses to
+/// [`SimError::PeerUnavailable`] — the engine's answer to all of them
+/// is the same local fallback.
 fn call_part(
     owner: &str,
     jobs: &[Job],
@@ -113,22 +109,12 @@ fn call_part(
     let unavailable = || SimError::PeerUnavailable {
         peer: owner.to_owned(),
     };
-    let request = Json::obj(vec![
-        ("kind", Json::Str("sweep_part".to_owned())),
-        (
-            "body",
-            Json::Str(encode_part(jobs, &part.indices, ctx).render()),
-        ),
-    ]);
-    let reply = proto::call(owner, &request, PART_READ_TIMEOUT)?;
-    if reply.get("kind").and_then(Json::as_str) != Some("sweep_part_result") {
+    let body = encode_part(jobs, &part.indices, ctx).render();
+    let reply = node::execute(owner, SWEEP_PART, &body)?;
+    if reply.status != 200 {
         return Err(unavailable());
     }
-    let body = reply
-        .get("body")
-        .and_then(Json::as_str)
-        .ok_or_else(unavailable)?;
-    parse_part_records(body).map_err(|_| unavailable())
+    parse_part_records(&reply.body).map_err(|_| unavailable())
 }
 
 /// The fleet member's dispatcher: scatters every partition owned by a

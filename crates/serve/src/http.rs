@@ -8,11 +8,18 @@
 //! body, and rejects anything else with a typed [`HttpError`] the server
 //! maps to a 4xx response.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Read, Take, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
-/// Upper bound on header block size; larger requests are rejected.
+/// Upper bound on the request head (request line plus headers); larger
+/// requests are rejected.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
+
+/// Read and write timeout on every client connection: a client idle
+/// for this long mid-request (or not reading its response) is dropped,
+/// so it cannot hold a handler thread, or the drain, indefinitely.
+pub const CONN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Upper bound on request body size; larger requests are rejected.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
@@ -84,13 +91,12 @@ impl std::fmt::Display for HttpError {
 /// # Errors
 ///
 /// Returns [`HttpError`] on socket failure, a malformed request line or
-/// header, or an oversized header block / body.
+/// header, or an oversized request head / body.
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| HttpError::Io(e.to_string()))?;
+    // The request line and the headers share one byte budget, so a
+    // client that never sends a newline cannot grow a line unboundedly.
+    let mut head = BufReader::new(stream).take(MAX_HEADER_BYTES as u64);
+    let line = read_head_line(&mut head)?;
     if line.is_empty() {
         return Err(HttpError::Io("connection closed before request".into()));
     }
@@ -116,16 +122,8 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     };
 
     let mut headers = Vec::new();
-    let mut header_bytes = 0;
     loop {
-        let mut h = String::new();
-        reader
-            .read_line(&mut h)
-            .map_err(|e| HttpError::Io(e.to_string()))?;
-        header_bytes += h.len();
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(HttpError::BadRequest("header block too large".into()));
-        }
+        let h = read_head_line(&mut head)?;
         let h = h.trim_end_matches(['\r', '\n']);
         if h.is_empty() {
             break;
@@ -149,7 +147,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
         return Err(HttpError::TooLarge(content_length));
     }
     let mut body = vec![0u8; content_length];
-    reader
+    head.into_inner()
         .read_exact(&mut body)
         .map_err(|e| HttpError::Io(e.to_string()))?;
     let body = String::from_utf8(body)
@@ -162,6 +160,20 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
         headers,
         body,
     })
+}
+
+/// Reads one line of the request head, failing once the head as a
+/// whole outgrows [`MAX_HEADER_BYTES`].
+fn read_head_line(head: &mut Take<BufReader<&mut TcpStream>>) -> Result<String, HttpError> {
+    let mut line = String::new();
+    head.read_line(&mut line)
+        .map_err(|e| HttpError::Io(e.to_string()))?;
+    if head.limit() == 0 && !line.ends_with('\n') {
+        return Err(HttpError::BadRequest(format!(
+            "request head exceeds {MAX_HEADER_BYTES} bytes"
+        )));
+    }
+    Ok(line)
 }
 
 /// A response under construction.
@@ -297,6 +309,21 @@ mod tests {
         assert!(matches!(
             round_trip("POST / HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n"),
             Err(HttpError::TooLarge(_))
+        ));
+        // A request line with no end is cut off at the head budget, as
+        // an endless header block is.
+        let endless_line = format!("GET /{}", "a".repeat(MAX_HEADER_BYTES));
+        assert!(matches!(
+            round_trip(&endless_line),
+            Err(HttpError::BadRequest(_))
+        ));
+        let endless_headers = format!(
+            "GET / HTTP/1.1\r\n{}",
+            "x-pad: 0123456789abcdef\r\n".repeat(MAX_HEADER_BYTES / 16)
+        );
+        assert!(matches!(
+            round_trip(&endless_headers),
+            Err(HttpError::BadRequest(_))
         ));
     }
 

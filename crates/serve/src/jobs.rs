@@ -384,8 +384,8 @@ pub fn run_sweep_request(
 /// Unlike every HTTP job this does **not** run on the request pool: a
 /// part arrives while the entry node's own pool worker is already held
 /// by the sweep that scattered it, so routing parts through the pool
-/// could deadlock two entry nodes scattering at each other. The caller
-/// ([`execute_remote`](crate::server)) bounds concurrent parts instead.
+/// could deadlock two entry nodes scattering at each other. The server's
+/// cluster executor bounds concurrent parts instead.
 ///
 /// # Errors
 ///

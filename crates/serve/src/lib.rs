@@ -19,16 +19,19 @@
 //!   before a worker starts it is answered `504` with the typed
 //!   [`hetmem_sim::SimError::DeadlineExceeded`] message;
 //! * **graceful drain** — `POST /v1/shutdown` stops admission,
-//!   completes every accepted job, and then stops the workers;
+//!   completes every accepted job, and then stops the workers; a job
+//!   that panics answers `500` instead of killing its worker, and idle
+//!   client connections time out, so neither can wedge the drain;
 //! * **live metrics** — `GET /metrics` reports queue depth, worker
 //!   utilization, cache hit rate, latency histograms, and the aggregate
 //!   [`hetmem_sim::EventCounts`] folded in from live runs;
 //! * **clustering** — with `--advertise` / `--join`, several servers
 //!   form a fleet over [`hetmem_cluster`]: the content-key space is
 //!   sharded across a consistent-hash ring, requests are forwarded to
-//!   their owning node (and coalesced there), hot cache entries are
-//!   replicated to the ring successor, and `/metrics?cluster=1` merges
-//!   every member's counters.
+//!   their owning node, which answers them through the same local path
+//!   (and coalesces them there), the entry node relays the owner's
+//!   status and body, hot cache entries are replicated to the ring
+//!   successor, and `/metrics?cluster=1` merges every member's counters.
 //!
 //! ## Endpoints
 //!

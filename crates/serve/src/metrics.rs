@@ -89,6 +89,9 @@ pub struct Metrics {
     pub jobs_completed: AtomicU64,
     /// Jobs whose execution returned an error.
     pub jobs_failed: AtomicU64,
+    /// Jobs whose execution panicked; the worker caught the panic and
+    /// answered every waiter with a 500.
+    pub worker_panics: AtomicU64,
     /// Sim answers served straight from the content-addressed cache.
     pub cache_hits: AtomicU64,
     /// Sim answers that required a live simulation.
@@ -145,6 +148,7 @@ impl Metrics {
             ("coalesced_jobs", load(&self.coalesced_jobs)),
             ("jobs_completed", load(&self.jobs_completed)),
             ("jobs_failed", load(&self.jobs_failed)),
+            ("worker_panics", load(&self.worker_panics)),
             ("cache_hits", load(&self.cache_hits)),
             ("cache_misses", load(&self.cache_misses)),
             ("searches_completed", load(&self.searches_completed)),

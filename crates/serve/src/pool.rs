@@ -1,6 +1,6 @@
 //! The sharded worker pool: bounded per-shard queues, admission control,
-//! coalescing of identical in-flight jobs, per-job deadlines, and a
-//! graceful drain that finishes every accepted job.
+//! coalescing of identical in-flight jobs, per-job deadlines, panic
+//! containment, and a graceful drain that finishes every accepted job.
 //!
 //! The pool is generic over the job's result type and executes plain
 //! closures, which keeps it independently testable: the concurrency
@@ -17,7 +17,9 @@
 
 use crate::metrics::Metrics;
 use hetmem_core::hash::fnv1a;
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -27,6 +29,12 @@ use std::time::Instant;
 pub enum Outcome<R> {
     /// The job executed and produced a result.
     Done(R),
+    /// The job panicked while executing. The worker caught the panic and
+    /// stays up for the shard's next job.
+    Panicked {
+        /// The panic message, when the payload carried one.
+        message: String,
+    },
     /// The job's deadline expired while it waited in the queue; it was
     /// never executed.
     DeadlineExceeded {
@@ -311,15 +319,38 @@ fn worker_loop<R: Clone>(inner: &Inner<R>, index: usize) {
             continue;
         }
         inner.busy.fetch_add(1, Ordering::Relaxed);
-        let result = (job.work)();
+        // A panicking job must still fulfil its slot: every coalesced
+        // waiter would otherwise block forever on it.
+        let result = std::panic::catch_unwind(AssertUnwindSafe(job.work));
         inner.busy.fetch_sub(1, Ordering::Relaxed);
-        inner.metrics.bump(&inner.metrics.jobs_completed);
+        let outcome = match result {
+            Ok(result) => {
+                inner.metrics.bump(&inner.metrics.jobs_completed);
+                Outcome::Done(result)
+            }
+            Err(payload) => {
+                inner.metrics.bump(&inner.metrics.worker_panics);
+                Outcome::Panicked {
+                    message: panic_message(payload.as_ref()),
+                }
+            }
+        };
         // Remove the key before publishing the result: a submission that
         // misses the in-flight map starts a fresh (deterministic)
         // execution rather than waiting on a completed slot.
         inner.forget(&job.key);
-        job.slot.fulfill(Outcome::Done(result));
+        job.slot.fulfill(outcome);
     }
+}
+
+/// The message a panic was raised with (`panic!` payloads are a `&str`
+/// or a `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown panic payload".to_owned())
 }
 
 #[cfg(test)]
@@ -400,6 +431,41 @@ mod tests {
         assert_eq!(second.wait(), Outcome::Done(7));
         assert_eq!(executions.load(Ordering::SeqCst), 1);
         assert_eq!(metrics.coalesced_jobs.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_panicking_job_answers_every_waiter_and_the_worker_survives() {
+        let (pool, metrics) = pool(1, 4);
+        let started = Arc::new(Barrier::new(2));
+        let release = Arc::new(Barrier::new(2));
+        let job = {
+            let started = Arc::clone(&started);
+            let release = Arc::clone(&release);
+            move || -> u32 {
+                started.wait();
+                release.wait();
+                panic!("boom");
+            }
+        };
+        let first = pool.submit("bad", None, job).expect("admitted");
+        started.wait(); // the execution is live, key still in flight
+        let twin = pool.submit("bad", None, || 0).expect("coalesced");
+        assert!(twin.coalesced);
+        release.wait();
+        let panicked = Outcome::Panicked {
+            message: "boom".to_owned(),
+        };
+        assert_eq!(first.wait(), panicked);
+        assert_eq!(twin.wait(), panicked);
+        assert_eq!(metrics.worker_panics.load(Ordering::Relaxed), 1);
+        assert_eq!(metrics.jobs_completed.load(Ordering::Relaxed), 0);
+        // The shard's only worker is still up, the key was forgotten (a
+        // resubmission runs afresh), and `busy` was restored.
+        let next = pool.submit("bad", None, || 5).expect("admitted");
+        assert!(!next.coalesced);
+        assert_eq!(next.wait(), Outcome::Done(5));
+        assert_eq!(pool.busy(), 0);
+        pool.drain();
     }
 
     #[test]

@@ -14,19 +14,22 @@
 //! the HTTP listener: `/v1/sim` and `/v1/check` requests whose content
 //! key hashes to another node are forwarded there (so the fleet shards
 //! its result cache instead of duplicating it), and `/metrics?cluster=1`
-//! fans out and merges every member's counters.
+//! fans out and merges every member's counters. The owner answers a
+//! forwarded request through the same local path a client of its own
+//! hits ([`answer_locally`]); the entry node relays that answer as it
+//! is, or runs the request itself when the owner is busy, draining or
+//! unreachable.
 
-use crate::http::{query_flag, read_request, HttpError, Request, Response};
+use crate::http::{query_flag, read_request, HttpError, Request, Response, CONN_TIMEOUT};
 use crate::jobs::{
     parse_check_request, parse_fix_request, parse_search_request, parse_sim_request,
     parse_sweep_request, run_check_request, run_fix_request, run_search_request, run_sim,
-    run_sweep_part, run_sweep_request, search_progress_json, JobState, Registry,
+    run_sweep_part, run_sweep_request, search_progress_json, CheckRequest, JobState, Registry,
+    SimRequest,
 };
 use crate::metrics::{merge_metrics, Metrics};
 use crate::pool::{Outcome, Rejected, ShardedPool, Ticket};
-use hetmem_cluster::{
-    ClusterConfig, ClusterNode, ExecReply, ForwardFailure, Forwarded, Hooks, NodeDispatcher, Plan,
-};
+use hetmem_cluster::{ClusterConfig, ClusterNode, Hooks, NodeDispatcher, Reply};
 use hetmem_search::ProgressHook;
 use hetmem_sim::SimError;
 use hetmem_xplore::{DiskCache, JobDispatcher, Json};
@@ -96,10 +99,10 @@ struct State {
     /// for a standalone server.
     cluster: OnceLock<Arc<ClusterNode>>,
     /// Scattered sweep parts currently executing on this node. Parts
-    /// bypass the request pool (see [`execute_remote`]), so this
-    /// counter is their only admission control: at `pool.workers()`
-    /// concurrent parts the node answers Busy and the entry node runs
-    /// the partition itself.
+    /// bypass the request pool (see [`part_locally`]), so this counter
+    /// is their only admission control: at `pool.workers()` concurrent
+    /// parts the node answers 429 and the entry node runs the partition
+    /// itself.
     parts_active: AtomicUsize,
 }
 
@@ -111,6 +114,16 @@ impl State {
         )
     }
 
+    /// The `503` a draining node answers, counted as a drain rejection.
+    /// Draining is transient like a full queue: the client should retry
+    /// (against a peer, or here after a restart), so it carries
+    /// Retry-After exactly as the 429 path does.
+    fn draining_response(&self) -> Response {
+        self.metrics.bump(&self.metrics.drain_rejections);
+        Response::json(503, State::error_body("the service is draining"))
+            .with_header("retry-after", "1")
+    }
+
     /// Admits a job onto the pool and renders rejections.
     fn admit(
         &self,
@@ -119,14 +132,7 @@ impl State {
         work: impl FnOnce() -> JobResult + Send + 'static,
     ) -> Result<Ticket<JobResult>, Response> {
         if self.draining.load(Ordering::SeqCst) {
-            self.metrics.bump(&self.metrics.drain_rejections);
-            // Draining is transient like a full queue: the client should
-            // retry (against a peer, or here after a restart), so the
-            // 503 carries Retry-After exactly as the 429 path does.
-            return Err(
-                Response::json(503, State::error_body("the service is draining"))
-                    .with_header("retry-after", "1"),
-            );
+            return Err(self.draining_response());
         }
         let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
         self.pool.submit(key, deadline, work).map_err(|r| match r {
@@ -138,11 +144,7 @@ impl State {
                 )
                 .with_header("retry-after", "1")
             }
-            Rejected::Draining => {
-                self.metrics.bump(&self.metrics.drain_rejections);
-                Response::json(503, State::error_body("the service is draining"))
-                    .with_header("retry-after", "1")
-            }
+            Rejected::Draining => self.draining_response(),
         })
     }
 
@@ -153,6 +155,9 @@ impl State {
             Outcome::Done(Err(error)) => {
                 self.metrics.bump(&self.metrics.jobs_failed);
                 Response::json(500, State::error_body(&error))
+            }
+            Outcome::Panicked { message } => {
+                Response::json(500, State::error_body(&format!("job panicked: {message}")))
             }
             Outcome::DeadlineExceeded { waited_ms } => Response::json(
                 504,
@@ -170,121 +175,130 @@ impl State {
             ),
         }
     }
+
+    /// Renders the outcome of a job whose success body is JSONL.
+    fn render_jsonl(&self, outcome: Outcome<JobResult>) -> Response {
+        match outcome {
+            Outcome::Done(Ok(jsonl)) => Response {
+                status: 200,
+                headers: Vec::new(),
+                body: jsonl,
+                content_type: NDJSON,
+            },
+            other => self.render_outcome(other),
+        }
+    }
 }
 
-/// Runs a request forwarded by a peer against the local pool — the
-/// owner side of cluster forwarding. The job enters the pool under the
-/// same content key a local client would use, so identical requests
-/// arriving via different entry nodes coalesce here into one execution.
-fn execute_remote(state: &Arc<State>, endpoint: &str, body: &str) -> ExecReply {
+/// `Content-Type` of the JSONL endpoints' success bodies.
+const NDJSON: &str = "application/x-ndjson";
+
+/// Runs a sim request on this node's pool.
+fn sim_locally(state: &Arc<State>, sim: SimRequest, key: &str) -> Response {
+    let deadline = sim.deadline_ms;
+    let metrics = Arc::clone(&state.metrics);
+    let cache = state.cache.clone();
+    let cluster = state.cluster.get().cloned();
+    let work = move || run_sim(&sim, cache.as_deref(), cluster.as_deref(), &metrics);
+    match state.admit(key, deadline, work) {
+        Err(response) => response,
+        Ok(ticket) => state.render_outcome(ticket.wait()),
+    }
+}
+
+/// Runs a check request on this node's pool.
+fn check_locally(state: &Arc<State>, check: CheckRequest, key: &str) -> Response {
+    let deadline = check.deadline_ms;
+    let work = move || run_check_request(&check);
+    match state.admit(key, deadline, work) {
+        Err(response) => response,
+        Ok(ticket) => state.render_jsonl(ticket.wait()),
+    }
+}
+
+/// Runs one scattered sweep partition directly on the calling
+/// frame-handler thread, NOT on the request pool: the entry node's pool
+/// worker is already held by the sweep that scattered this part, so two
+/// entry nodes scattering at each other would deadlock in a circular
+/// wait if parts queued behind pool workers. `parts_active` bounds
+/// concurrency to the pool's width; beyond it the node answers 429 and
+/// the entry node runs the partition itself.
+fn part_locally(state: &Arc<State>, body: &str) -> Response {
     if state.draining.load(Ordering::SeqCst) {
-        state.metrics.bump(&state.metrics.drain_rejections);
-        return ExecReply::Draining;
+        return state.draining_response();
     }
-    if endpoint == "/v1/sweep-part" {
-        // Sweep parts run directly on the frame-handler thread, NOT on
-        // the request pool: the entry node's pool worker is already
-        // held by the sweep that scattered this part, so two entry
-        // nodes scattering at each other would deadlock in a circular
-        // wait if parts queued behind pool workers. The counter bounds
-        // concurrency to the pool's width; beyond it the entry node
-        // falls back to executing the partition locally.
-        let workers = usize::try_from(state.pool.workers()).unwrap_or(1).max(1);
-        if state.parts_active.fetch_add(1, Ordering::SeqCst) >= workers {
-            state.parts_active.fetch_sub(1, Ordering::SeqCst);
-            state.metrics.bump(&state.metrics.queue_rejections);
-            return ExecReply::Busy;
-        }
-        let outcome = run_sweep_part(body, state.cache_dir.clone(), workers, &state.metrics);
+    let workers = usize::try_from(state.pool.workers()).unwrap_or(1).max(1);
+    if state.parts_active.fetch_add(1, Ordering::SeqCst) >= workers {
         state.parts_active.fetch_sub(1, Ordering::SeqCst);
-        return match outcome {
-            Ok(body) => ExecReply::Body(body),
-            Err(error) => {
-                state.metrics.bump(&state.metrics.jobs_failed);
-                ExecReply::Failed(error)
-            }
-        };
+        state.metrics.bump(&state.metrics.queue_rejections);
+        return Response::json(
+            429,
+            State::error_body(&format!("sweep part slots full ({workers})")),
+        )
+        .with_header("retry-after", "1");
     }
-    let (key, deadline_ms, work): (String, Option<u64>, Box<dyn FnOnce() -> JobResult + Send>) =
-        match endpoint {
-            "/v1/sim" => match parse_sim_request(body) {
-                Err(message) => return ExecReply::Failed(message),
-                Ok(sim) => {
-                    let key = sim.content_key();
-                    let deadline = sim.deadline_ms;
-                    let metrics = Arc::clone(&state.metrics);
-                    let cache = state.cache.clone();
-                    let cluster = state.cluster.get().cloned();
-                    (
-                        key,
-                        deadline,
-                        Box::new(move || {
-                            run_sim(&sim, cache.as_deref(), cluster.as_deref(), &metrics)
-                        }),
-                    )
-                }
-            },
-            "/v1/check" => match parse_check_request(body) {
-                Err(message) => return ExecReply::Failed(message),
-                Ok(check) => {
-                    let key = check.coalesce_key();
-                    let deadline = check.deadline_ms;
-                    (key, deadline, Box::new(move || run_check_request(&check)))
-                }
-            },
-            _ => return ExecReply::Failed(format!("endpoint {endpoint} is not forwardable")),
-        };
-    let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    match state.pool.submit(&key, deadline, work) {
-        Err(Rejected::QueueFull { .. }) => {
-            state.metrics.bump(&state.metrics.queue_rejections);
-            ExecReply::Busy
+    let outcome = run_sweep_part(body, state.cache_dir.clone(), workers, &state.metrics);
+    state.parts_active.fetch_sub(1, Ordering::SeqCst);
+    match outcome {
+        Ok(body) => Response::json(200, body),
+        Err(error) => {
+            state.metrics.bump(&state.metrics.jobs_failed);
+            Response::json(500, State::error_body(&error))
         }
-        Err(Rejected::Draining) => {
-            state.metrics.bump(&state.metrics.drain_rejections);
-            ExecReply::Draining
-        }
-        Ok(ticket) => match ticket.wait() {
-            Outcome::Done(Ok(body)) => ExecReply::Body(body),
-            Outcome::Done(Err(error)) => {
-                state.metrics.bump(&state.metrics.jobs_failed);
-                ExecReply::Failed(error)
-            }
-            Outcome::DeadlineExceeded { waited_ms } => ExecReply::Timeout { waited_ms },
-        },
     }
 }
 
-/// The entry side of cluster forwarding: sends the request to its ring
-/// `owner` and renders the outcome. Returns `None` when the owner is
-/// busy, draining, or unreachable — the caller then runs the job
-/// locally (work stealing / failover), which keeps the fleet answering
-/// within one heartbeat interval of a node death.
-fn try_forward(
+/// Answers one request body on a local endpoint exactly as a client of
+/// this node would be answered, without forwarding it — the owner side
+/// of cluster forwarding and scatter-gather. Forwarded requests enter
+/// the pool under the same content key a local client would use, so
+/// identical requests arriving via different entry nodes coalesce here
+/// into one execution.
+fn answer_locally(state: &Arc<State>, endpoint: &str, body: &str) -> Response {
+    match endpoint {
+        "/v1/sim" => match parse_sim_request(body) {
+            Err(message) => bad_request(state, &message),
+            Ok(sim) => {
+                let key = sim.content_key();
+                sim_locally(state, sim, &key)
+            }
+        },
+        "/v1/check" => match parse_check_request(body) {
+            Err(message) => bad_request(state, &message),
+            Ok(check) => {
+                let key = check.coalesce_key();
+                check_locally(state, check, &key)
+            }
+        },
+        "/v1/sweep-part" => part_locally(state, body),
+        _ => Response::json(404, State::error_body("no such endpoint")),
+    }
+}
+
+/// The entry side of cluster forwarding. When another node owns `key`,
+/// runs the request there and relays the owner's answer as it is; a
+/// success body carries `content_type`, every other status is the JSON
+/// error shape the local path renders. Returns `None` when this node
+/// should answer itself: it is standalone or owns the key, or the owner
+/// was busy, draining or unreachable (the reactive steal).
+fn forward(
     state: &Arc<State>,
-    node: &ClusterNode,
-    owner: &str,
     endpoint: &str,
     body: &str,
     key: &str,
     content_type: &'static str,
 ) -> Option<Response> {
-    match node.forward(owner, endpoint, body, key) {
-        Ok(Forwarded::Body(body)) => Some(Response {
-            status: 200,
-            headers: Vec::new(),
-            body,
-            content_type,
-        }),
-        Ok(Forwarded::Timeout { waited_ms }) => {
-            Some(state.render_outcome(Outcome::DeadlineExceeded { waited_ms }))
-        }
-        Ok(Forwarded::Failed(message)) => Some(Response::json(500, State::error_body(&message))),
-        Err(ForwardFailure::Busy | ForwardFailure::Draining | ForwardFailure::Unavailable(_)) => {
-            node.note_steal();
-            None
-        }
-    }
+    let reply = state.cluster.get()?.forward(key, endpoint, body)?;
+    Some(Response {
+        content_type: if reply.status == 200 {
+            content_type
+        } else {
+            "application/json"
+        },
+        status: reply.status,
+        headers: Vec::new(),
+        body: reply.body,
+    })
 }
 
 /// The dispatcher a sweep/search job on this node scatters through:
@@ -320,11 +334,19 @@ fn start_cluster(
 ) -> Result<Arc<ClusterNode>, SimError> {
     let exec_state: Weak<State> = Arc::downgrade(state);
     let metrics_state: Weak<State> = Arc::downgrade(state);
-    let load_state: Weak<State> = Arc::downgrade(state);
     let hooks = Hooks {
         executor: Arc::new(move |endpoint, body| match exec_state.upgrade() {
-            Some(state) => execute_remote(&state, endpoint, body),
-            None => ExecReply::Draining,
+            Some(state) => {
+                let response = answer_locally(&state, endpoint, body);
+                Reply {
+                    status: response.status,
+                    body: response.body,
+                }
+            }
+            None => Reply {
+                status: 503,
+                body: State::error_body("the service is draining"),
+            },
         }),
         metrics: Arc::new(move || match metrics_state.upgrade() {
             Some(state) => {
@@ -339,10 +361,6 @@ fn start_cluster(
                 }
             }
             None => Json::obj(vec![]),
-        }),
-        load: Arc::new(move || match load_state.upgrade() {
-            Some(state) => state.pool.queued(),
-            None => u64::MAX,
         }),
     };
     ClusterNode::start(
@@ -435,65 +453,16 @@ fn route(state: &Arc<State>, req: &Request) -> Response {
             Err(message) => bad_request(state, &message),
             Ok(sim) => {
                 let key = sim.content_key();
-                if let Some(node) = state.cluster.get() {
-                    if let Plan::Forward(owner) = node.plan(&key) {
-                        if let Some(response) = try_forward(
-                            state,
-                            node,
-                            &owner,
-                            "/v1/sim",
-                            &req.body,
-                            &key,
-                            "application/json",
-                        ) {
-                            return response;
-                        }
-                    }
-                }
-                let deadline = sim.deadline_ms;
-                let metrics = Arc::clone(&state.metrics);
-                let cache = state.cache.clone();
-                let cluster = state.cluster.get().cloned();
-                let work = move || run_sim(&sim, cache.as_deref(), cluster.as_deref(), &metrics);
-                match state.admit(&key, deadline, work) {
-                    Err(response) => response,
-                    Ok(ticket) => state.render_outcome(ticket.wait()),
-                }
+                forward(state, "/v1/sim", &req.body, &key, "application/json")
+                    .unwrap_or_else(|| sim_locally(state, sim, &key))
             }
         },
         ("POST", "/v1/check") => match parse_check_request(&req.body) {
             Err(message) => bad_request(state, &message),
             Ok(check) => {
                 let key = check.coalesce_key();
-                if let Some(node) = state.cluster.get() {
-                    if let Plan::Forward(owner) = node.plan(&key) {
-                        if let Some(response) = try_forward(
-                            state,
-                            node,
-                            &owner,
-                            "/v1/check",
-                            &req.body,
-                            &key,
-                            "application/x-ndjson",
-                        ) {
-                            return response;
-                        }
-                    }
-                }
-                let deadline = check.deadline_ms;
-                let work = move || run_check_request(&check);
-                match state.admit(&key, deadline, work) {
-                    Err(response) => response,
-                    Ok(ticket) => match ticket.wait() {
-                        Outcome::Done(Ok(jsonl)) => Response {
-                            status: 200,
-                            headers: Vec::new(),
-                            body: jsonl,
-                            content_type: "application/x-ndjson",
-                        },
-                        other => state.render_outcome(other),
-                    },
-                }
+                forward(state, "/v1/check", &req.body, &key, NDJSON)
+                    .unwrap_or_else(|| check_locally(state, check, &key))
             }
         },
         ("POST", "/v1/fix") => match parse_fix_request(&req.body) {
@@ -505,15 +474,7 @@ fn route(state: &Arc<State>, req: &Request) -> Response {
                 let work = move || run_fix_request(&fix, &metrics);
                 match state.admit(&key, deadline, work) {
                     Err(response) => response,
-                    Ok(ticket) => match ticket.wait() {
-                        Outcome::Done(Ok(jsonl)) => Response {
-                            status: 200,
-                            headers: Vec::new(),
-                            body: jsonl,
-                            content_type: "application/x-ndjson",
-                        },
-                        other => state.render_outcome(other),
-                    },
+                    Ok(ticket) => state.render_jsonl(ticket.wait()),
                 }
             }
         },
@@ -653,6 +614,10 @@ fn submit_async(
                         }
                         Outcome::Done(Err(error)) => {
                             state.metrics.bump(&state.metrics.jobs_failed);
+                            state.registry.set(id, JobState::Failed { error });
+                        }
+                        Outcome::Panicked { message } => {
+                            let error = format!("job panicked: {message}");
                             state.registry.set(id, JobState::Failed { error });
                         }
                         Outcome::DeadlineExceeded { waited_ms } => {
@@ -862,6 +827,10 @@ fn spawn_handler(mut stream: TcpStream, state: Arc<State>) -> std::thread::JoinH
     std::thread::Builder::new()
         .name("hetmem-serve-conn".to_owned())
         .spawn(move || {
+            // An idle or stalled client must not pin this thread: the
+            // drain joins every handler before it can finish.
+            let _ = stream.set_read_timeout(Some(CONN_TIMEOUT));
+            let _ = stream.set_write_timeout(Some(CONN_TIMEOUT));
             let response = match read_request(&mut stream) {
                 Ok(request) => {
                     let response = handle(&state, &request);

@@ -24,8 +24,9 @@
 //!   with admission control, request coalescing, and live metrics.
 //! * [`cluster`] (`hetmem-cluster`) — the multi-node fleet layer behind
 //!   `hetmem serve --join`: consistent-hash sharding of the result-cache
-//!   key space, request forwarding with remote coalescing, successor
-//!   replication of hot entries, and heartbeat membership.
+//!   key space, request forwarding to the key's owner (which answers
+//!   through its own local request path), successor replication of hot
+//!   entries, and heartbeat membership.
 //!
 //! ## Quickstart
 //!

@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 
 struct Reply {
     status: u16,
+    content_type: String,
     body: String,
 }
 
@@ -47,8 +48,14 @@ fn send(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> Reply
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|code| code.parse().ok())
         .unwrap_or_else(|| panic!("status line in {head:?}"));
+    let content_type = head
+        .lines()
+        .find_map(|l| l.strip_prefix("content-type: "))
+        .unwrap_or_else(|| panic!("content-type in {head:?}"))
+        .to_owned();
     Reply {
         status,
+        content_type,
         body: body.to_owned(),
     }
 }
@@ -174,7 +181,30 @@ fn any_entry_node_answers_byte_identically() {
     for reply in &replies {
         assert_eq!(reply.status, 200, "{}", reply.body);
         assert_eq!(reply.body, replies[0].body, "check JSONL must be identical");
+        // Relayed answers keep the local path's content type.
+        assert_eq!(reply.content_type, "application/x-ndjson");
     }
+
+    // An expired deadline answers the local 504 shape from every entry
+    // node. The deadline is not part of the content key, so the sim's
+    // owner expires all three requests and the other two entry nodes
+    // relay its answer rather than running the job.
+    let late = sim.replace('}', ",\"deadline_ms\":0}");
+    for node in [&a, &b, &c] {
+        let reply = send(node.local_addr(), "POST", "/v1/sim", Some(&late));
+        assert_eq!(reply.status, 504, "{}", reply.body);
+        assert_eq!(reply.content_type, "application/json");
+        let v = reply.json();
+        let message = v.get("error").and_then(Json::as_str).expect("error field");
+        assert!(message.contains("deadline exceeded"), "{message}");
+        assert!(v.get("waited_ms").and_then(Json::as_u64).is_some());
+    }
+    let mut timeouts: Vec<u64> = [&a, &b, &c]
+        .iter()
+        .map(|node| node_counter(node.local_addr(), "deadline_timeouts"))
+        .collect();
+    timeouts.sort_unstable();
+    assert_eq!(timeouts, [0, 0, 3], "only the owner expires the job");
 
     // The merged view names every member and sums their counters.
     let v = send(a.local_addr(), "GET", "/metrics?cluster=1", None).json();
@@ -190,6 +220,11 @@ fn any_entry_node_answers_byte_identically() {
         "{}",
         merged.render()
     );
+    // Each key has one owner, so two of the three entries forwarded
+    // each of the three requests.
+    let forwarded = merged.get("cluster").expect("merged cluster block");
+    assert_eq!(counter(forwarded, "forwards_in"), 6, "{}", merged.render());
+    assert_eq!(counter(forwarded, "work_steals"), 0, "{}", merged.render());
 
     shutdown_all(vec![c, b, a]);
 }
@@ -294,23 +329,27 @@ fn remote_requests_coalesce_and_busy_owners_are_stolen_from() {
         v.get("status").and_then(Json::as_str) == Some("running")
     });
 
-    // Two identical a-owned requests arrive through different entry
-    // nodes; the second coalesces onto the first in a's queue.
+    // Three identical a-owned requests: two through the same entry node
+    // b, one through c. Entry nodes forward every one of them; the twins
+    // coalesce onto the first in a's queue.
     let same = owned[0].0.clone();
-    let via_b = {
-        let (addr, body) = (b.local_addr(), same.clone());
+    let spawn_sim = |addr: SocketAddr| {
+        let body = same.clone();
         std::thread::spawn(move || send(addr, "POST", "/v1/sim", Some(&body)))
     };
+    let via_b = spawn_sim(b.local_addr());
     wait_until("the first forwarded job to queue on a", || {
         node_counter(a.local_addr(), "queue_depth") >= 1
     });
-    let via_c = {
-        let (addr, body) = (c.local_addr(), same.clone());
-        std::thread::spawn(move || send(addr, "POST", "/v1/sim", Some(&body)))
-    };
-    wait_until("the owner to coalesce the twin", || {
+    let via_b_again = spawn_sim(b.local_addr());
+    wait_until("the owner to coalesce the same-entry twin", || {
         node_counter(a.local_addr(), "coalesced_jobs") >= 1
     });
+    let via_c = spawn_sim(c.local_addr());
+    wait_until("the owner to coalesce the other-entry twin", || {
+        node_counter(a.local_addr(), "coalesced_jobs") >= 2
+    });
+    assert_eq!(cluster_counter(b.local_addr(), "forwards_out"), 2);
 
     // Fill a's remaining queue slot, then forward a distinct a-owned
     // job: the owner answers busy, and the entry node runs it locally.
@@ -324,10 +363,14 @@ fn remote_requests_coalesce_and_busy_owners_are_stolen_from() {
     assert_eq!(cluster_counter(b.local_addr(), "work_steals"), 1);
 
     let first = via_b.join().expect("entry b reply");
-    let second = via_c.join().expect("entry c reply");
+    for twin in [via_b_again, via_c] {
+        let twin = twin.join().expect("twin reply");
+        assert_eq!(twin.status, 200, "{}", twin.body);
+        assert_eq!(twin.body, first.body);
+    }
     assert_eq!(first.status, 200, "{}", first.body);
-    assert_eq!(second.status, 200, "{}", second.body);
-    assert_eq!(first.body, second.body);
+    // One execution served all three.
+    assert_eq!(node_counter(a.local_addr(), "coalesced_jobs"), 2);
 
     shutdown_all(vec![c, b, a]);
 }

@@ -2,6 +2,7 @@
 //! in-process [`Server`] driven by raw `TcpStream` clients, plus the
 //! `hetmem` binary for the byte-identity and cross-process cache checks.
 
+use hetmem_serve::http::CONN_TIMEOUT;
 use hetmem_serve::{ServeOptions, Server};
 use hetmem_xplore::json::{parse, Json};
 use std::io::{Read as _, Write as _};
@@ -454,6 +455,32 @@ fn burst_is_rejected_jobs_coalesce_and_drain_completes_accepted_work() {
     assert_eq!(metrics.coalesced_jobs.load(Ordering::Relaxed), 1);
     assert_eq!(metrics.queue_rejections.load(Ordering::Relaxed), 1);
     assert_eq!(metrics.jobs_failed.load(Ordering::Relaxed), 0);
+}
+
+/// A client that connects and never sends a byte is dropped after the
+/// connection timeout, so it cannot hold `/v1/shutdown`'s drain open.
+#[test]
+fn an_idle_connection_cannot_hold_the_drain() {
+    let server = start(1, 4, None);
+    let addr = server.local_addr();
+    // Accepted before the shutdown request, so the drain must join its
+    // handler thread.
+    let mut idle = TcpStream::connect(addr).expect("idle client connects");
+    assert_eq!(send(addr, "POST", "/v1/shutdown", None).status, 200);
+    let (done, drained) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.wait();
+        let _ = done.send(());
+    });
+    let limit = CONN_TIMEOUT + std::time::Duration::from_secs(10);
+    assert!(
+        drained.recv_timeout(limit).is_ok(),
+        "an idle client held the drain past {limit:?}"
+    );
+    // The server hung up on the idle client without answering it.
+    let mut rest = Vec::new();
+    let _ = idle.read_to_end(&mut rest);
+    assert!(rest.is_empty(), "{}", String::from_utf8_lossy(&rest));
 }
 
 #[test]
