@@ -1,6 +1,5 @@
-//! Quantifies the fast simulation modes against the committed serve-path
-//! baseline — the snapshot committed as `BENCH_fastsim.json` at the repo
-//! root.
+//! Quantifies the sampled simulation mode against the accurate one — the
+//! snapshot committed as `BENCH_fastsim.json` at the repo root.
 //!
 //! Regenerate with:
 //!
@@ -19,15 +18,11 @@
 //! Three benchmark families:
 //!
 //! * `live_sim_scale512_*` — the service's live (cache-miss) request at
-//!   scale 512 per `ExecMode`, the exact path the committed
-//!   `BENCH_baseline.json` `live_sim_scale512` entry (mean 350 948 ns)
-//!   measured. `speedup_vs_baseline` divides that committed mean by the
-//!   fresh mean; the engine pool, not the mode, carries most of it, which
-//!   is the point — the redesign removed the per-request rebuild.
+//!   scale 512 per `ExecMode`.
 //! * `sweep_scale1024_*` — the full kernel × target grid at scale 1024
 //!   through `run_sweep` (one worker, no cache), reported per job.
 //!   `per_job_ns` is the best of the timed passes (noise on a shared host
-//!   is strictly one-sided) and feeds `speedup_vs_baseline`;
+//!   is strictly one-sided) and feeds `speedup_vs_accurate`;
 //!   `per_job_mean_ns` is also recorded.
 //! * `trace_matmul_scale8_*` — one big trace (~2.1 M instructions) where
 //!   the cycle loop, not setup, dominates. `speedup_vs_accurate` is the
@@ -43,11 +38,6 @@ use hetmem_sim::{CommCosts, ExecMode, SimulationBuilder};
 use hetmem_trace::kernels::{Kernel, KernelParams};
 use hetmem_xplore::{json, run_sweep, Json, SweepOptions, SweepSpec};
 use std::time::{Duration, Instant};
-
-/// The committed `BENCH_baseline.json` `live_sim_scale512` mean, used as
-/// the per-job reference when the file itself is not readable from the
-/// working directory.
-const BASELINE_LIVE_MEAN_NS: u64 = 350_948;
 
 /// Fraction of a committed ratio a fresh measurement must reach in
 /// `--check` mode (a >20 % regression fails).
@@ -120,27 +110,6 @@ fn ratio(numerator: u64, denominator: u64) -> f64 {
     }
 }
 
-/// The committed baseline's live mean, read from `BENCH_baseline.json`
-/// when running at the repo root so the reference updates with the file.
-fn baseline_live_mean_ns() -> u64 {
-    let Ok(text) = std::fs::read_to_string("BENCH_baseline.json") else {
-        return BASELINE_LIVE_MEAN_NS;
-    };
-    let Ok(doc) = json::parse(&text) else {
-        return BASELINE_LIVE_MEAN_NS;
-    };
-    doc.get("benches")
-        .and_then(|b| match b {
-            Json::Arr(items) => items
-                .iter()
-                .find(|i| i.get("name").and_then(Json::as_str) == Some("live_sim_scale512")),
-            _ => None,
-        })
-        .and_then(|b| b.get("mean_ns"))
-        .and_then(Json::as_u64)
-        .unwrap_or(BASELINE_LIVE_MEAN_NS)
-}
-
 /// Runs every benchmark family. `quick` trims warmup and sample counts to
 /// CI-friendly durations; ratios stay comparable because both sides of
 /// every guarded ratio shrink together.
@@ -151,7 +120,6 @@ fn run_benches(quick: bool) -> Vec<Json> {
 
     // Family 1: the serve live request path, per mode.
     let metrics = Metrics::default();
-    let reference = baseline_live_mean_ns();
     for (_, label) in MODES {
         let body = format!(
             "{{\"kernel\":\"reduction\",\"system\":\"fusion\",\"scale\":512,\"mode\":\"{label}\"}}"
@@ -162,10 +130,6 @@ fn run_benches(quick: bool) -> Vec<Json> {
         });
         let mut fields = vec![("name", Json::Str(format!("live_sim_scale512_{label}")))];
         fields.extend(timing_fields(&t));
-        fields.push((
-            "speedup_vs_baseline",
-            Json::Float(ratio(reference, t.mean_ns)),
-        ));
         benches.push(Json::obj(fields));
     }
 
@@ -191,10 +155,6 @@ fn run_benches(quick: bool) -> Vec<Json> {
             ("per_job_mean_ns", Json::UInt(per_job_mean)),
         ];
         fields.extend(timing_fields(&t));
-        fields.push((
-            "speedup_vs_baseline",
-            Json::Float(ratio(reference, per_job)),
-        ));
         if label != "accurate" {
             fields.push((
                 "speedup_vs_accurate",
@@ -258,14 +218,6 @@ fn render(benches: Vec<Json>) -> String {
                 }
                 .to_owned(),
             ),
-        ),
-        (
-            "reference",
-            Json::obj(vec![
-                ("bench", Json::Str("live_sim_scale512".to_owned())),
-                ("file", Json::Str("BENCH_baseline.json".to_owned())),
-                ("mean_ns", Json::UInt(baseline_live_mean_ns())),
-            ]),
         ),
         (
             "method",

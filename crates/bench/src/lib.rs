@@ -1,11 +1,10 @@
-//! Shared helpers for the table/figure harness binaries.
+//! Shared helpers for the study binaries.
 //!
-//! Every binary regenerates one table or figure of the paper; see
-//! `DESIGN.md`'s per-experiment index for the mapping. Binaries accept
+//! Each `study_*` binary runs one study beyond the paper's measurements;
+//! see `DESIGN.md`'s per-experiment index for the mapping. They accept
 //! `--scale N` to divide the workload (default: the paper's full-size
-//! traces, `N = 1`).
-
-pub mod harness;
+//! traces, `N = 1`). The paper's own tables and figures come from
+//! `hetmem tables` and `hetmem fig`.
 
 /// Parses `--scale N` from the process arguments, defaulting to `default`.
 ///

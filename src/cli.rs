@@ -26,7 +26,10 @@ use hetmem_core::report::{render_figure5, render_figure6, render_figure7, TextTa
 use hetmem_core::EvaluatedSystem;
 use hetmem_dsl::AddressSpace;
 use hetmem_search::{Objective, SearchConfig, SearchOptions, SearchSpace, Strategy};
-use hetmem_sim::{EventTrace, ExecMode, IntervalProfiler, Recorder, SimError, Simulation};
+use hetmem_sim::{
+    ClockDomain, CommCosts, EventTrace, ExecMode, FabricKind, IntervalProfiler, Recorder, SimError,
+    Simulation, SystemConfig,
+};
 use hetmem_trace::kernels::{Kernel, KernelParams};
 use hetmem_xplore::{
     parse_kernel, parse_space, parse_system, JobDispatcher, Json, OutputFormat, SweepOptions,
@@ -120,11 +123,6 @@ pub enum Command {
         /// Execution mode for the run.
         mode: ExecMode,
     },
-    /// Run the DSL static analyzer over a source file.
-    Lint {
-        /// Path to the `.hdsl` source.
-        path: String,
-    },
     /// Run the memory-model static verifier over built-in kernels or
     /// `.hdsl` files.
     Check {
@@ -207,7 +205,6 @@ commands:
                                 frontier; same seed + same spec gives a
                                 byte-identical JSON report
   loc <program.hdsl>            programmability (Table V row) of a DSL file
-  lint <program.hdsl>           static analysis of a DSL file
   check <kernel|file.hdsl ...|--all> [--model M] [--format json|table]
         [--deny warnings|notes]
                                 memory-model static verifier over the lowered
@@ -614,15 +611,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             expect_no_positionals(&positionals[1..], "loc")?;
             Ok(Command::Loc { path })
         }
-        "lint" => {
-            let (positionals, _) = split_flags(rest, &[])?;
-            let path = positionals
-                .first()
-                .map(|s| (*s).to_owned())
-                .ok_or_else(|| "lint needs a source path".to_owned())?;
-            expect_no_positionals(&positionals[1..], "lint")?;
-            Ok(Command::Lint { path })
-        }
         "check" => {
             // `--all` is a bare switch, unlike the value-taking flags
             // split_flags handles, so strip it first.
@@ -861,8 +849,10 @@ pub fn execute(command: &Command) -> Result<(), SimError> {
         Command::Help => println!("{USAGE}"),
         Command::Tables => {
             print_catalog();
-            print_loc_table();
+            print_config();
             print_characteristics();
+            print_comm_params();
+            print_loc_table();
         }
         Command::Catalog => print_catalog(),
         Command::Fig {
@@ -927,22 +917,6 @@ pub fn execute(command: &Command) -> Result<(), SimError> {
                     model.abbrev(),
                     hetmem_dsl::lower(&program, model).comm_overhead_lines()
                 );
-            }
-        }
-        Command::Lint { path } => {
-            let program = load_program(path)?;
-            let lints = hetmem_dsl::program_lints(&program);
-            if lints.is_empty() {
-                println!("{}: no findings", program.name);
-            } else {
-                for lint in &lints {
-                    println!("{lint}");
-                }
-                let warnings = lints
-                    .iter()
-                    .filter(|l| l.severity == hetmem_dsl::Severity::Warning)
-                    .count();
-                println!("{} finding(s), {} warning(s)", lints.len(), warnings);
             }
         }
         Command::Check {
@@ -1248,16 +1222,166 @@ fn load_program(path: &str) -> Result<hetmem_dsl::Program, SimError> {
 }
 
 fn print_catalog() {
-    let mut table = TextTable::new(&["scheme", "address space", "connection", "consistency"]);
+    let mut table = TextTable::new(&[
+        "scheme",
+        "address space",
+        "connection",
+        "coherence",
+        "shared data",
+        "consistency",
+        "synchronization",
+        "locality",
+    ]);
     for e in hetmem_core::catalog() {
         table.row(vec![
             e.name.to_owned(),
             e.space.to_string(),
             e.connection.to_string(),
+            e.coherence.to_owned(),
+            e.shared_data.to_owned(),
             e.consistency.to_string(),
+            e.synchronization.to_owned(),
+            e.locality.to_owned(),
         ]);
     }
-    println!("Table I:\n{}", table.render());
+    println!(
+        "Table I: summary of heterogeneous computing memory systems\n{}",
+        table.render()
+    );
+}
+
+fn print_config() {
+    let c = SystemConfig::baseline();
+    println!("Table II: baseline system configuration");
+    println!(
+        "CPU: 1 core, {:.1} GHz, out-of-order, gshare",
+        ClockDomain::CPU.frequency_hz() as f64 / 1e9
+    );
+    println!(
+        "  issue width {}, ROB {} entries, mispredict penalty {} cycles",
+        c.cpu.issue_width, c.cpu.rob_entries, c.cpu.mispredict_penalty
+    );
+    println!(
+        "  L1D: {}-way {} KB ({}-cycle)   L2: {}-way {} KB ({}-cycle)",
+        c.cpu.l1d.associativity,
+        c.cpu.l1d.capacity_bytes / 1024,
+        c.cpu.l1d.latency_cycles,
+        c.cpu.l2.associativity,
+        c.cpu.l2.capacity_bytes / 1024,
+        c.cpu.l2.latency_cycles
+    );
+    println!(
+        "GPU: 1 core, {:.1} GHz, in-order, {}-wide SIMD, stall on branch ({} cycles)",
+        ClockDomain::GPU.frequency_hz() as f64 / 1e9,
+        c.gpu.simd_width,
+        c.gpu.branch_stall_cycles
+    );
+    println!(
+        "  L1D: {}-way {} KB ({}-cycle)   scratchpad: {} KB s/w managed ({}-cycle)",
+        c.gpu.l1d.associativity,
+        c.gpu.l1d.capacity_bytes / 1024,
+        c.gpu.l1d.latency_cycles,
+        c.gpu.scratchpad_bytes / 1024,
+        c.gpu.scratchpad_latency
+    );
+    println!(
+        "L3: {}-way {} MB total ({} tiles, {}-cycle), ring-bus network ({} cycles/hop)",
+        c.llc.tile.associativity,
+        u64::from(c.llc.tiles) * c.llc.tile.capacity_bytes / (1024 * 1024),
+        c.llc.tiles,
+        c.llc.tile.latency_cycles,
+        c.noc.hop_cycles
+    );
+    println!(
+        "DRAM: DDR3-1333, {} controllers, {:?} scheduling, {} banks/channel, {} KB rows",
+        c.dram.channels,
+        c.dram.policy,
+        c.dram.banks_per_channel,
+        c.dram.row_bytes / 1024
+    );
+    println!(
+        "MMU: {} KB CPU pages / {} KB GPU pages, {}-entry TLBs, {}-cycle walks\n",
+        c.mmu.cpu_page_bytes / 1024,
+        c.mmu.gpu_page_bytes / 1024,
+        c.mmu.tlb_entries,
+        c.mmu.walk_cycles
+    );
+}
+
+/// Table III, measured from each kernel's full-scale generated trace.
+fn print_characteristics() {
+    let mut table = TextTable::new(&["kernel", "CPU", "GPU", "serial", "comms", "initial B"]);
+    for k in Kernel::ALL {
+        let c = k.generate(&KernelParams::full()).characteristics();
+        table.row(vec![
+            k.name().to_owned(),
+            c.cpu_instructions.to_string(),
+            c.gpu_instructions.to_string(),
+            c.serial_instructions.to_string(),
+            c.communications.to_string(),
+            c.initial_transfer_bytes.to_string(),
+        ]);
+    }
+    println!(
+        "Table III: benchmark characteristics (measured from generated traces)\n{}",
+        table.render()
+    );
+}
+
+/// Table IV, followed by what its parameters cost end to end on each
+/// fabric for the reduction kernel's 320 512-byte input.
+fn print_comm_params() {
+    let c = CommCosts::paper();
+    let mut table = TextTable::new(&["name", "description", "system", "latency (CPU cycles)"]);
+    for (name, description, system, latency) in [
+        (
+            "api-pci",
+            "mem copy using PCI-E",
+            "CPU+GPU, GMAC",
+            format!("{}+trans_rate", c.api_pci_cycles),
+        ),
+        (
+            "api-acq",
+            "acquire action",
+            "LRB",
+            c.api_acq_cycles.to_string(),
+        ),
+        (
+            "api-tr",
+            "data transfer",
+            "LRB",
+            c.api_tr_cycles.to_string(),
+        ),
+        ("lib-pf", "page fault", "LRB", c.lib_pf_cycles.to_string()),
+    ] {
+        table.row(vec![
+            name.into(),
+            description.into(),
+            system.into(),
+            latency,
+        ]);
+    }
+    println!(
+        "Table IV: parameters of modeling communication overhead\n{}",
+        table.render()
+    );
+    println!(
+        "trans_rate = {} GB/s (PCI-E 2.0)\n",
+        c.pci_bytes_per_sec as f64 / 1e9
+    );
+    let mut derived = TextTable::new(&["fabric", "ticks", "microseconds"]);
+    for f in FabricKind::ALL {
+        let ticks = f.transfer_ticks(320_512, &c);
+        derived.row(vec![
+            f.to_string(),
+            ticks.to_string(),
+            format!("{:.2}", hetmem_sim::ticks_to_ns(ticks) / 1000.0),
+        ]);
+    }
+    println!(
+        "Derived transfer costs (320512 B, the reduction input)\n{}",
+        derived.render()
+    );
 }
 
 fn print_loc_table() {
@@ -1272,23 +1396,10 @@ fn print_loc_table() {
             row.adsm.to_string(),
         ]);
     }
-    println!("Table V:\n{}", table.render());
-}
-
-fn print_characteristics() {
-    let mut table = TextTable::new(&["kernel", "CPU", "GPU", "serial", "comms", "initial B"]);
-    for k in Kernel::ALL {
-        let c = k.paper_characteristics();
-        table.row(vec![
-            k.name().to_owned(),
-            c.cpu_instructions.to_string(),
-            c.gpu_instructions.to_string(),
-            c.serial_instructions.to_string(),
-            c.communications.to_string(),
-            c.initial_transfer_bytes.to_string(),
-        ]);
-    }
-    println!("Table III:\n{}", table.render());
+    println!(
+        "Table V: source lines to handle data communication\n{}",
+        table.render()
+    );
 }
 
 #[cfg(test)]
@@ -1372,12 +1483,6 @@ mod tests {
         assert_eq!(
             parse_args(&args(&["loc", "p.hdsl"])),
             Ok(Command::Loc {
-                path: "p.hdsl".into()
-            })
-        );
-        assert_eq!(
-            parse_args(&args(&["lint", "p.hdsl"])),
-            Ok(Command::Lint {
                 path: "p.hdsl".into()
             })
         );

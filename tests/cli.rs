@@ -29,9 +29,41 @@ fn help_lists_all_commands() {
 
 #[test]
 fn unknown_command_fails_with_usage() {
-    let out = hetmem(&["frobnicate"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+    // `check` runs the program lints (HM0001–HM0004) before its per-model
+    // checks, so there is no separate `lint` command.
+    for argv in [vec!["frobnicate"], vec!["lint", "p.hdsl"]] {
+        let out = hetmem(&argv);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage"),
+            "{argv:?}"
+        );
+    }
+}
+
+#[test]
+fn tables_prints_all_five_in_order_and_catalog_is_table_i() {
+    let out = hetmem(&["tables"]);
+    assert!(out.status.success());
+    let text = stdout(&out);
+    let mut from = 0;
+    for heading in [
+        "Table I:",
+        "Table II:",
+        "Table III:",
+        "Table IV:",
+        "Table V:",
+    ] {
+        let at = text[from..]
+            .find(heading)
+            .unwrap_or_else(|| panic!("{heading} missing after byte {from}:\n{text}"));
+        from += at + heading.len();
+    }
+    let table_i = &text[..text.find("Table II:").expect("Table II present")];
+    let catalog = hetmem(&["catalog"]);
+    assert!(catalog.status.success());
+    assert!(table_i.starts_with("Table I:"), "{table_i}");
+    assert_eq!(stdout(&catalog), table_i);
 }
 
 #[test]
