@@ -23,10 +23,12 @@
 //! [`SimError::InvalidConfig`] instead of panicking mid-run, and malformed
 //! or empty traces surface at [`Simulation::run`] as typed errors.
 
-use crate::config::SystemConfig;
+use crate::cache::MAX_ASSOCIATIVITY;
+use crate::config::{NocTopology, SystemConfig};
 use crate::error::SimError;
 use crate::exec::ExecMode;
 use crate::fabric::{CommCosts, CommModel, FabricKind, SynchronousFabric};
+use crate::noc::RING_STOPS;
 use crate::obs::{NullObserver, SimObserver};
 use crate::stats::RunReport;
 use crate::system::System;
@@ -195,6 +197,25 @@ fn validate_cache(name: &str, cache: &crate::config::CacheConfig) -> Result<(), 
             cache.capacity_bytes
         ));
     }
+    // The cache indexes sets and lines by shifting and masking.
+    if !cache.line_bytes.is_power_of_two() {
+        return invalid(format!(
+            "{name}: line size {} is not a power of two",
+            cache.line_bytes
+        ));
+    }
+    if !cache.sets().is_power_of_two() {
+        return invalid(format!(
+            "{name}: set count {} is not a power of two",
+            cache.sets()
+        ));
+    }
+    if cache.associativity > MAX_ASSOCIATIVITY {
+        return invalid(format!(
+            "{name}: associativity {} exceeds {MAX_ASSOCIATIVITY}",
+            cache.associativity
+        ));
+    }
     Ok(())
 }
 
@@ -206,6 +227,9 @@ fn validate_config(config: &SystemConfig) -> Result<(), SimError> {
     validate_cache("llc.tile", &config.llc.tile)?;
     if config.llc.tiles == 0 {
         return invalid("llc: zero tiles");
+    }
+    if config.noc.topology == NocTopology::Ring && config.llc.tiles > RING_STOPS - 2 {
+        return invalid("llc: the ring has stops for only 4 tiles");
     }
     if config.cpu.issue_width == 0 || config.cpu.rob_entries == 0 {
         return invalid("cpu: zero issue width or ROB entries");
@@ -343,6 +367,64 @@ mod tests {
             Err(SimError::InvalidConfig(msg)) => assert!(msg.contains("cpu.l1d"), "{msg}"),
             other => panic!("expected InvalidConfig, got {other:?}"),
         }
+    }
+
+    fn rejected_with(cfg: SystemConfig) -> String {
+        match Simulation::builder().config(cfg).build() {
+            Err(SimError::InvalidConfig(msg)) => msg,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn non_power_of_two_set_count_is_rejected() {
+        let mut cfg = SystemConfig::baseline();
+        // 48 KiB / (8 ways × 64 B) = 96 sets.
+        cfg.cpu.l1d.capacity_bytes = 48 * 1024;
+        let msg = rejected_with(cfg);
+        assert!(
+            msg.contains("cpu.l1d") && msg.contains("set count 96"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn non_power_of_two_line_size_is_rejected() {
+        let mut cfg = SystemConfig::baseline();
+        // 8 ways × 48 B × 64 sets: a whole number of set rows.
+        cfg.gpu.l1d.line_bytes = 48;
+        cfg.gpu.l1d.capacity_bytes = 8 * 48 * 64;
+        let msg = rejected_with(cfg);
+        assert!(
+            msg.contains("gpu.l1d") && msg.contains("line size 48"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn associativity_beyond_the_way_hint_is_rejected() {
+        let mut cfg = SystemConfig::baseline();
+        cfg.llc.tile.associativity = 512;
+        cfg.llc.tile.capacity_bytes = 512 * 64 * 64;
+        let msg = rejected_with(cfg);
+        assert!(msg.contains("llc.tile") && msg.contains("512"), "{msg}");
+        // The largest supported associativity still builds.
+        cfg.llc.tile.associativity = MAX_ASSOCIATIVITY;
+        cfg.llc.tile.capacity_bytes = u64::from(MAX_ASSOCIATIVITY) * 64 * 64;
+        assert!(Simulation::builder().config(cfg).build().is_ok());
+    }
+
+    #[test]
+    fn more_llc_tiles_than_ring_stops_are_rejected() {
+        let mut cfg = SystemConfig::baseline();
+        cfg.llc.tiles = 5;
+        assert!(rejected_with(cfg).contains("llc"));
+        // Crossbar and bus place no tile on a ring stop.
+        cfg.noc.topology = NocTopology::Crossbar;
+        let trace = hetmem_trace::kernels::Kernel::Reduction
+            .generate(&hetmem_trace::kernels::KernelParams::scaled(512));
+        let mut sim = Simulation::builder().config(cfg).build().expect("valid");
+        assert!(sim.run(&trace).is_ok());
     }
 
     #[test]

@@ -41,6 +41,9 @@ pub struct Lookup {
     pub bypassed: bool,
 }
 
+/// Largest supported associativity: a set's way hint is one byte.
+pub(crate) const MAX_ASSOCIATIVITY: u32 = 1 << u8::BITS;
+
 /// Per-line flag bits packed into one byte (see the SoA layout on [`Cache`]).
 const VALID: u8 = 1 << 0;
 const DIRTY: u8 = 1 << 1;
@@ -81,15 +84,25 @@ impl CacheStats {
 /// construction is a handful of zeroed (lazily mapped) allocations instead
 /// of one heap allocation per set — building the paper's 8 MB LLC costs
 /// microseconds, which keeps per-job engine construction off the profile of
-/// large sweeps. Hit scans also touch only the contiguous tag/flag words of
-/// one set instead of striding through padded line structs.
+/// large sweeps. Hit scans also touch only the contiguous tag words of one
+/// set instead of striding through padded line structs, and read a line's
+/// flags only once its tag matches.
+///
+/// Each set also remembers the way it last hit or filled, and a lookup
+/// tries that way before scanning: consecutive accesses to one line (a
+/// stride smaller than the line) then cost one tag compare. The hint is
+/// verified like any other way, so a stale hint after [`Cache::reset`] or
+/// an invalidation only costs the scan it would have saved.
 #[derive(Clone, Debug)]
 pub struct Cache {
     tags: Vec<u64>,
     last_use: Vec<u64>,
     flags: Vec<u8>,
+    /// Per-set way of the most recent hit or fill.
+    hints: Vec<u8>,
     assoc: usize,
-    line_bytes: u64,
+    line_shift: u32,
+    set_bits: u32,
     set_mask: u64,
     /// When false, the locality bit is ignored and replacement is plain LRU
     /// (the ablation configuration).
@@ -105,8 +118,8 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate or the set count is not a power
-    /// of two.
+    /// Panics if the geometry is degenerate, the set count or line size is
+    /// not a power of two, or the associativity exceeds 256.
     #[must_use]
     pub fn new(config: &CacheConfig) -> Cache {
         Cache::with_locality(config, true)
@@ -114,6 +127,10 @@ impl Cache {
 
     /// Builds a cache, choosing whether replacement honours the locality bit
     /// (§II-B5) or treats all blocks uniformly (plain LRU).
+    ///
+    /// # Panics
+    ///
+    /// As [`Cache::new`].
     #[must_use]
     pub fn with_locality(config: &CacheConfig, honor_locality: bool) -> Cache {
         let sets = config.sets();
@@ -121,14 +138,26 @@ impl Cache {
             sets.is_power_of_two(),
             "set count must be a power of two, got {sets}"
         );
+        assert!(
+            config.line_bytes.is_power_of_two(),
+            "line size must be a power of two, got {}",
+            config.line_bytes
+        );
+        assert!(
+            config.associativity <= MAX_ASSOCIATIVITY,
+            "associativity {} exceeds {MAX_ASSOCIATIVITY}",
+            config.associativity
+        );
         let assoc = config.associativity as usize;
         let total = sets as usize * assoc;
         Cache {
             tags: vec![0; total],
             last_use: vec![0; total],
             flags: vec![0; total],
+            hints: vec![0; sets as usize],
             assoc,
-            line_bytes: u64::from(config.line_bytes),
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_bits: sets.trailing_zeros(),
             set_mask: sets - 1,
             honor_locality,
             // Constraint (2) of §II-B5: the explicitly managed region must
@@ -140,17 +169,29 @@ impl Cache {
     }
 
     fn set_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.line_bytes;
-        (
-            (line & self.set_mask) as usize,
-            line >> self.set_mask.count_ones(),
-        )
+        let line = addr >> self.line_shift;
+        ((line & self.set_mask) as usize, line >> self.set_bits)
+    }
+
+    /// The way of `set` holding `tag` as a valid line, trying the set's
+    /// hint first.
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let base = set * self.assoc;
+        let tags = &self.tags[base..base + self.assoc];
+        let flags = &self.flags[base..base + self.assoc];
+        let hint = usize::from(self.hints[set]);
+        if tags[hint] == tag && flags[hint] & VALID != 0 {
+            return Some(hint);
+        }
+        tags.iter()
+            .zip(flags)
+            .position(|(&t, &f)| t == tag && f & VALID != 0)
     }
 
     /// Line size in bytes.
     #[must_use]
     pub fn line_bytes(&self) -> u64 {
-        self.line_bytes
+        1 << self.line_shift
     }
 
     /// Returns the cache to its power-on state: every line invalid, clock
@@ -158,7 +199,8 @@ impl Cache {
     /// tag and LRU words of invalid lines are never read — so resetting the
     /// paper's 2 MB LLC tile touches 32 KiB, not half a megabyte. This is
     /// what makes engine recycling (one simulation reused across sweep jobs)
-    /// an order of magnitude cheaper than rebuilding.
+    /// an order of magnitude cheaper than rebuilding. The way hints are
+    /// left as they are: they are verified before use.
     pub fn reset(&mut self) {
         self.flags.fill(0);
         self.clock = 0;
@@ -175,8 +217,7 @@ impl Cache {
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        let base = set * self.assoc;
-        (0..self.assoc).any(|w| self.flags[base + w] & VALID != 0 && self.tags[base + w] == tag)
+        self.find(set, tag).is_some()
     }
 
     /// Performs an access; on a miss the line is filled with the given
@@ -188,11 +229,13 @@ impl Cache {
         let max_explicit = self.max_explicit_ways;
         let (set_idx, tag) = self.set_and_tag(addr);
         let base = set_idx * self.assoc;
+        let found = self.find(set_idx, tag);
         let tags = &mut self.tags[base..base + self.assoc];
         let flags = &mut self.flags[base..base + self.assoc];
         let last_use = &mut self.last_use[base..base + self.assoc];
 
-        if let Some(idx) = (0..tags.len()).find(|&w| flags[w] & VALID != 0 && tags[w] == tag) {
+        if let Some(idx) = found {
+            self.hints[set_idx] = idx as u8;
             last_use[idx] = clock;
             if write {
                 flags[idx] |= DIRTY;
@@ -273,16 +316,16 @@ impl Cache {
             if dirty {
                 self.stats.writebacks += 1;
             }
-            let set_bits = self.set_mask.count_ones();
-            let line = (tags[victim] << set_bits) | set_idx as u64;
+            let line = (tags[victim] << self.set_bits) | set_idx as u64;
             Some(Evicted {
-                addr: line * self.line_bytes,
+                addr: line << self.line_shift,
                 dirty,
             })
         } else {
             None
         };
 
+        self.hints[set_idx] = victim as u8;
         tags[victim] = tag;
         last_use[victim] = clock;
         flags[victim] = VALID
@@ -306,10 +349,10 @@ impl Cache {
         if bytes == 0 {
             return 0;
         }
-        let first = addr / self.line_bytes;
-        let last = (addr + bytes - 1) / self.line_bytes;
+        let first = addr >> self.line_shift;
+        let last = (addr + bytes - 1) >> self.line_shift;
         for line in first..=last {
-            let _ = self.access(line * self.line_bytes, false, Placement::Explicit);
+            let _ = self.access(line << self.line_shift, false, Placement::Explicit);
         }
         last - first + 1
     }
@@ -318,14 +361,9 @@ impl Cache {
     /// (and therefore needs a write-back by the coherence protocol).
     pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
         let (set, tag) = self.set_and_tag(addr);
-        let base = set * self.assoc;
-        for w in base..base + self.assoc {
-            if self.flags[w] & VALID != 0 && self.tags[w] == tag {
-                self.flags[w] &= !VALID;
-                return Some(self.flags[w] & DIRTY != 0);
-            }
-        }
-        None
+        let w = set * self.assoc + self.find(set, tag)?;
+        self.flags[w] &= !VALID;
+        Some(self.flags[w] & DIRTY != 0)
     }
 
     /// Number of valid lines currently held with each placement.

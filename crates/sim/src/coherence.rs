@@ -9,7 +9,8 @@
 //! to the requester.
 
 use hetmem_trace::PuKind;
-use std::collections::HashMap;
+use std::collections::{hash_map, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Per-PU state of a line in the directory.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -109,10 +110,36 @@ impl Entry {
     }
 }
 
+/// Hashes a line number with one folded multiply: the 128-bit product of
+/// the key and an odd constant, high half XORed into low half, so every key
+/// bit reaches the bucket bits and the tag bits alike. The directory is
+/// consulted on every write hit and every private-cache miss, and its keys
+/// come from the simulated program, so SipHash's flood resistance buys
+/// nothing there.
+#[derive(Clone, Copy, Debug, Default)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let product = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product >> 64) as u64 ^ product as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The MSI directory.
 #[derive(Clone, Debug, Default)]
 pub struct Directory {
-    lines: HashMap<u64, Entry>,
+    lines: HashMap<u64, Entry, BuildHasherDefault<LineHasher>>,
     stats: CoherenceStats,
 }
 
@@ -183,10 +210,11 @@ impl Directory {
 
     /// Records that `pu` dropped `line` from its private caches (eviction).
     pub fn on_evict(&mut self, pu: PuKind, line: u64) {
-        if let Some(entry) = self.lines.get_mut(&line) {
+        if let hash_map::Entry::Occupied(mut slot) = self.lines.entry(line) {
+            let entry = slot.get_mut();
             entry.set(pu, LineState::Invalid);
             if entry.cpu == LineState::Invalid && entry.gpu == LineState::Invalid {
-                self.lines.remove(&line);
+                slot.remove();
             }
         }
     }

@@ -30,15 +30,21 @@ impl TlbStats {
 }
 
 /// A fully-associative, LRU translation look-aside buffer.
+///
+/// Pages and their recency stamps live in parallel vectors, and the two
+/// most recently used slots are checked before the associative scan: a
+/// streaming kernel keeps landing on the page it just used, and matrix
+/// multiply alternates between an A-row page and a B-column page, so the
+/// common case is one or two compares. A hint is only a slot index; it is
+/// verified against the page it names, so flushing never has to clear it.
 #[derive(Clone, Debug)]
 pub struct Tlb {
-    entries: Vec<(u64, u64)>, // (page number, last use)
-    /// Index of the most recently hit entry — checked first, since nearly
-    /// every access in a streaming kernel lands on the same page as the
-    /// previous one, turning the associative scan into one compare.
-    mru: usize,
+    pages: Vec<u64>,
+    last_use: Vec<u64>,
+    /// Slots of the most and second-most recent translations.
+    hints: [usize; 2],
     capacity: usize,
-    page_bytes: u64,
+    page_shift: u32,
     clock: u64,
     stats: TlbStats,
 }
@@ -57,10 +63,11 @@ impl Tlb {
             "page size must be a power of two"
         );
         Tlb {
-            entries: Vec::with_capacity(entries as usize),
-            mru: 0,
+            pages: Vec::with_capacity(entries as usize),
+            last_use: Vec::with_capacity(entries as usize),
+            hints: [0; 2],
             capacity: entries as usize,
-            page_bytes,
+            page_shift: page_bytes.trailing_zeros(),
             clock: 0,
             stats: TlbStats::default(),
         }
@@ -68,8 +75,7 @@ impl Tlb {
 
     /// Empties the TLB and zeroes its clock and counters (power-on state).
     pub fn reset(&mut self) {
-        self.entries.clear();
-        self.mru = 0;
+        self.flush();
         self.clock = 0;
         self.stats = TlbStats::default();
     }
@@ -78,41 +84,51 @@ impl Tlb {
     /// walk is required (the entry is filled either way).
     pub fn translate(&mut self, addr: u64) -> bool {
         self.clock += 1;
-        let page = addr / self.page_bytes;
-        if let Some(slot) = self.entries.get_mut(self.mru) {
-            if slot.0 == page {
-                slot.1 = self.clock;
+        let page = addr >> self.page_shift;
+        let [first, second] = self.hints;
+        let slot = if self.pages.get(first) == Some(&page) {
+            Some(first)
+        } else if self.pages.get(second) == Some(&page) {
+            Some(second)
+        } else {
+            self.pages.iter().position(|&p| p == page)
+        };
+        let (slot, hit) = match slot {
+            Some(slot) => {
                 self.stats.hits += 1;
-                return true;
+                (slot, true)
             }
+            None if self.pages.len() < self.capacity => {
+                self.stats.misses += 1;
+                self.pages.push(page);
+                self.last_use.push(0);
+                (self.pages.len() - 1, false)
+            }
+            None => {
+                self.stats.misses += 1;
+                // Recency stamps are distinct, so the victim is unique.
+                let (lru, _) = self
+                    .last_use
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, &t)| t)
+                    .expect("capacity > 0");
+                self.pages[lru] = page;
+                (lru, false)
+            }
+        };
+        self.last_use[slot] = self.clock;
+        if slot != first {
+            self.hints = [slot, first];
         }
-        if let Some(idx) = self.entries.iter().position(|(p, _)| *p == page) {
-            self.entries[idx].1 = self.clock;
-            self.mru = idx;
-            self.stats.hits += 1;
-            return true;
-        }
-        self.stats.misses += 1;
-        if self.entries.len() == self.capacity {
-            let lru = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, t))| *t)
-                .map(|(i, _)| i)
-                .expect("capacity > 0");
-            self.entries.swap_remove(lru);
-        }
-        self.entries.push((page, self.clock));
-        self.mru = self.entries.len() - 1;
-        false
+        hit
     }
 
     /// Drops all cached translations (e.g. on an ownership transfer that
     /// remaps the shared window).
     pub fn flush(&mut self) {
-        self.entries.clear();
-        self.mru = 0;
+        self.pages.clear();
+        self.last_use.clear();
     }
 
     /// Accumulated statistics.

@@ -213,19 +213,16 @@ impl PhasedTrace {
                 }
                 Phase::Parallel => {}
                 Phase::Communication => {
-                    let host = seg.stream(PuKind::Cpu);
+                    // Both counts are kept by the streams: no rescan.
+                    let ops = |s: &TraceStream| s.comm_count() + s.class_count(InstClass::Special);
+                    let (host, device) = (seg.stream(PuKind::Cpu), seg.stream(PuKind::Gpu));
                     // Ownership-only segments (e.g. the partially shared
                     // space's acquire/release with no bulk transfer) are
                     // legal: at least one comm event *or* special operation.
-                    if host.comm_count() == 0 && host.class_count(InstClass::Special) == 0 {
+                    if ops(host) == 0 {
                         return Err(TraceShapeError::EmptyCommunication { segment: idx });
                     }
-                    let plain = host
-                        .iter()
-                        .chain(seg.stream(PuKind::Gpu).iter())
-                        .filter(|i| !matches!(i.class(), InstClass::Comm | InstClass::Special))
-                        .count();
-                    if plain != 0 {
+                    if host.len() + device.len() != ops(host) + ops(device) {
                         return Err(TraceShapeError::ComputeInCommunication { segment: idx });
                     }
                 }

@@ -10,6 +10,26 @@ use crate::inst::{Inst, InstClass};
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceStream {
     insts: Vec<Inst>,
+    tally: Tally,
+}
+
+/// Counts of the two instruction classes the phase-shape rules ask about,
+/// kept by every append so validating a trace costs O(segments), not a
+/// rescan of millions of instructions.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Tally {
+    comm: usize,
+    special: usize,
+}
+
+impl Tally {
+    fn add(&mut self, inst: &Inst) {
+        match inst {
+            Inst::Comm(_) => self.comm += 1,
+            Inst::Special(_) => self.special += 1,
+            _ => {}
+        }
+    }
 }
 
 impl TraceStream {
@@ -24,6 +44,7 @@ impl TraceStream {
     pub fn with_capacity(cap: usize) -> TraceStream {
         TraceStream {
             insts: Vec::with_capacity(cap),
+            tally: Tally::default(),
         }
     }
 
@@ -41,6 +62,7 @@ impl TraceStream {
 
     /// Appends one instruction.
     pub fn push(&mut self, inst: Inst) {
+        self.tally.add(&inst);
         self.insts.push(inst);
     }
 
@@ -64,7 +86,11 @@ impl TraceStream {
     /// ```
     #[must_use]
     pub fn class_count(&self, class: InstClass) -> usize {
-        self.insts.iter().filter(|i| i.class() == class).count()
+        match class {
+            InstClass::Comm => self.tally.comm,
+            InstClass::Special => self.tally.special,
+            _ => self.insts.iter().filter(|i| i.class() == class).count(),
+        }
     }
 
     /// Total bytes moved by the communication events in this stream.
@@ -80,21 +106,23 @@ impl TraceStream {
     /// Number of communication events in this stream.
     #[must_use]
     pub fn comm_count(&self) -> usize {
-        self.class_count(InstClass::Comm)
+        self.tally.comm
     }
 }
 
 impl FromIterator<Inst> for TraceStream {
     fn from_iter<T: IntoIterator<Item = Inst>>(iter: T) -> TraceStream {
-        TraceStream {
-            insts: iter.into_iter().collect(),
-        }
+        let mut stream = TraceStream::new();
+        stream.extend(iter);
+        stream
     }
 }
 
 impl Extend<Inst> for TraceStream {
     fn extend<T: IntoIterator<Item = Inst>>(&mut self, iter: T) {
-        self.insts.extend(iter);
+        let tally = &mut self.tally;
+        self.insts
+            .extend(iter.into_iter().inspect(|inst| tally.add(inst)));
     }
 }
 
@@ -153,5 +181,24 @@ mod tests {
         let s: TraceStream = [ev(100), Inst::IntAlu, ev(28)].into_iter().collect();
         assert_eq!(s.comm_count(), 2);
         assert_eq!(s.comm_bytes(), 128);
+    }
+
+    #[test]
+    fn kept_counts_follow_every_kind_of_append() {
+        let special = Inst::Special(crate::inst::SpecialOp::Release {
+            addr: 0x40,
+            bytes: 64,
+        });
+        let comm = Inst::Comm(CommEvent {
+            direction: TransferDirection::DeviceToHost,
+            bytes: 8,
+            kind: CommKind::ResultReturn,
+            addr: 0,
+        });
+        let mut s: TraceStream = [comm, Inst::IntAlu, special].into_iter().collect();
+        s.push(special);
+        s.extend([Inst::FpAlu, comm, comm]);
+        assert_eq!(s.comm_count(), 3);
+        assert_eq!(s.class_count(InstClass::Special), 2);
     }
 }

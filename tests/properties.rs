@@ -1,6 +1,7 @@
 //! Property-based tests on the core data structures and invariants of the
-//! stack: caches, DRAM timing, TLBs, the branch predictor, the ownership
-//! protocol, trace generation, and the lowering passes.
+//! stack: caches, DRAM timing, TLBs, the coherence directory, the branch
+//! predictor, the ownership protocol, trace generation, and the lowering
+//! passes.
 //!
 //! The generators run on a small in-repo xorshift harness (the container
 //! has no registry access, so `proptest` is not available); seeds are fixed
@@ -9,12 +10,16 @@
 use hetmem::core::consistency::{enumerate_outcomes, ConsistencyModel, Op};
 use hetmem::core::OwnershipTracker;
 use hetmem::dsl::{generate_trace, lower, AddressSpace, BufId, Buffer, Program, Step, Target};
-use hetmem::sim::{Cache, CacheConfig, Dram, DramConfig, Gshare, Placement, Tlb};
+use hetmem::sim::{
+    Cache, CacheConfig, CacheStats, Directory, Dram, DramConfig, Evicted, Gshare, Intervention,
+    LineState, Lookup, Placement, Tlb,
+};
 use hetmem::trace::kernels::{Kernel, KernelParams};
 use hetmem::trace::{
     parse_trace, write_trace, CommEvent, CommKind, Inst, Phase, PhaseSegment, PhasedTrace, PuKind,
     SpecialOp, TraceStream, TransferDirection,
 };
+use std::collections::BTreeMap;
 
 /// Deterministic xorshift64* generator — the harness behind every property.
 struct Rng(u64);
@@ -195,6 +200,387 @@ fn tlb_repeat_hits() {
         }
         for &p in &pages {
             assert!(t.translate(p * 4096), "resident page must hit");
+        }
+    }
+}
+
+// ---------- differential: TLB, cache and directory vs naive models ----------
+//
+// Each fast structure in the memory hierarchy is driven with the same
+// seeded operation sequence as a deliberately naive reference written
+// here, and every observable result (hit, evicted line, bypass,
+// intervention, counters) must agree step for step.
+
+/// Fully-associative LRU TLB as a plain `Vec` scan.
+struct RefTlb {
+    entries: Vec<(u64, u64)>, // (page, last use)
+    capacity: usize,
+    page_bytes: u64,
+    clock: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl RefTlb {
+    fn translate(&mut self, addr: u64) -> bool {
+        self.clock += 1;
+        let page = addr / self.page_bytes;
+        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == page) {
+            e.1 = self.clock;
+            self.hits += 1;
+            return true;
+        }
+        self.misses += 1;
+        if self.entries.len() == self.capacity {
+            let oldest = (0..self.entries.len())
+                .min_by_key(|&i| self.entries[i].1)
+                .expect("non-empty");
+            self.entries.remove(oldest);
+        }
+        self.entries.push((page, self.clock));
+        false
+    }
+}
+
+#[test]
+fn tlb_matches_a_vec_scan_lru() {
+    let mut rng = Rng::new(0x071B_D1FF);
+    for _ in 0..CASES {
+        let capacity = rng.range(1, 17);
+        let page_bytes = 1u64 << rng.range(6, 14);
+        let mut fast = Tlb::new(u32::try_from(capacity).expect("small"), page_bytes);
+        let mut naive = RefTlb {
+            entries: Vec::new(),
+            capacity: usize::try_from(capacity).expect("small"),
+            page_bytes,
+            clock: 0,
+            hits: 0,
+            misses: 0,
+        };
+        // A working set a little larger than the TLB, with runs of
+        // alternating pages, keeps hits, hint misses and evictions all
+        // frequent.
+        let span = capacity + rng.range(1, 8);
+        let ops = rng.vec(1, 400, |r| (r.range(0, 64), r.range(0, span), r.next_u64()));
+        for (step, &(op, page, offset)) in ops.iter().enumerate() {
+            match op {
+                0 => {
+                    fast.flush();
+                    naive.entries.clear();
+                }
+                1 => {
+                    fast.reset();
+                    naive = RefTlb {
+                        entries: Vec::new(),
+                        clock: 0,
+                        hits: 0,
+                        misses: 0,
+                        ..naive
+                    };
+                }
+                _ => {
+                    let addr = page * page_bytes + offset % page_bytes;
+                    assert_eq!(
+                        fast.translate(addr),
+                        naive.translate(addr),
+                        "step {step}: page {page}"
+                    );
+                }
+            }
+            let s = fast.stats();
+            assert_eq!(
+                (s.hits, s.misses),
+                (naive.hits, naive.misses),
+                "step {step}"
+            );
+        }
+    }
+}
+
+#[derive(Clone, Copy)]
+struct RefLine {
+    line: u64,
+    dirty: bool,
+    explicit: bool,
+    last_use: u64,
+}
+
+/// Set-associative cache as one `Vec` of resident lines per set, with the
+/// §II-B5 rules spelled out: implicit fills never displace explicit lines,
+/// and explicit lines (by fill or by upgrade) stay below the set size.
+struct RefCache {
+    sets: Vec<Vec<RefLine>>,
+    assoc: usize,
+    line_bytes: u64,
+    honor: bool,
+    clock: u64,
+    stats: CacheStats,
+}
+
+impl RefCache {
+    fn new(cfg: &CacheConfig, honor: bool) -> RefCache {
+        RefCache {
+            sets: vec![Vec::new(); usize::try_from(cfg.sets()).expect("small")],
+            assoc: cfg.associativity as usize,
+            line_bytes: u64::from(cfg.line_bytes),
+            honor,
+            clock: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn explicit_cap(&self) -> usize {
+        self.assoc.saturating_sub(1).max(1)
+    }
+
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line = addr / self.line_bytes;
+        ((line % self.sets.len() as u64) as usize, line)
+    }
+
+    fn access(&mut self, addr: u64, write: bool, placement: Placement) -> Lookup {
+        self.clock += 1;
+        let clock = self.clock;
+        let (honor, cap, assoc, line_bytes) =
+            (self.honor, self.explicit_cap(), self.assoc, self.line_bytes);
+        let (set_idx, line) = self.locate(addr);
+        let set = &mut self.sets[set_idx];
+        let explicit_except = |set: &[RefLine], skip: Option<usize>| {
+            (0..set.len())
+                .filter(|&i| Some(i) != skip && set[i].explicit)
+                .count()
+        };
+        if let Some(i) = set.iter().position(|l| l.line == line) {
+            set[i].last_use = clock;
+            set[i].dirty |= write;
+            if placement == Placement::Explicit
+                && !set[i].explicit
+                && (!honor || explicit_except(set, Some(i)) < cap)
+            {
+                set[i].explicit = true;
+            }
+            self.stats.hits += 1;
+            return Lookup {
+                hit: true,
+                evicted: None,
+                bypassed: false,
+            };
+        }
+        self.stats.misses += 1;
+        let victim = if set.len() < assoc {
+            None
+        } else {
+            let candidate = (0..set.len())
+                .filter(|&i| !honor || placement == Placement::Explicit || !set[i].explicit)
+                .min_by_key(|&i| set[i].last_use);
+            let Some(i) = candidate else {
+                self.stats.bypasses += 1;
+                return Lookup {
+                    hit: false,
+                    evicted: None,
+                    bypassed: true,
+                };
+            };
+            Some(i)
+        };
+        let explicit =
+            placement == Placement::Explicit && !(honor && explicit_except(set, victim) >= cap);
+        let evicted = victim.map(|i| {
+            let old = set.remove(i);
+            self.stats.evictions += 1;
+            if old.dirty {
+                self.stats.writebacks += 1;
+            }
+            Evicted {
+                addr: old.line * line_bytes,
+                dirty: old.dirty,
+            }
+        });
+        set.push(RefLine {
+            line,
+            dirty: write,
+            explicit,
+            last_use: clock,
+        });
+        Lookup {
+            hit: false,
+            evicted,
+            bypassed: false,
+        }
+    }
+
+    fn invalidate(&mut self, addr: u64) -> Option<bool> {
+        let (set_idx, line) = self.locate(addr);
+        let set = &mut self.sets[set_idx];
+        let i = set.iter().position(|l| l.line == line)?;
+        Some(set.remove(i).dirty)
+    }
+
+    fn contains(&self, addr: u64) -> bool {
+        let (set_idx, line) = self.locate(addr);
+        self.sets[set_idx].iter().any(|l| l.line == line)
+    }
+
+    fn occupancy(&self) -> (u64, u64) {
+        let lines = self.sets.iter().flatten();
+        let explicit = lines.clone().filter(|l| l.explicit).count() as u64;
+        (lines.count() as u64 - explicit, explicit)
+    }
+}
+
+#[test]
+fn cache_matches_a_per_set_vec_lru_with_the_explicit_cap() {
+    let mut rng = Rng::new(0xCAC4_ED1F);
+    for case in 0..CASES * 2 {
+        let assoc = rng.pick(&[1u32, 2, 3, 4, 8]);
+        let sets = 1u64 << rng.range(0, 4);
+        let line_bytes = rng.pick(&[16u32, 64]);
+        let cfg = CacheConfig {
+            capacity_bytes: sets * u64::from(assoc) * u64::from(line_bytes),
+            associativity: assoc,
+            line_bytes,
+            latency_cycles: 1,
+        };
+        let honor = case % 2 == 0;
+        let mut fast = Cache::with_locality(&cfg, honor);
+        let mut naive = RefCache::new(&cfg, honor);
+        // Lines drawn from a few times the cache's capacity, so sets fill,
+        // evict, bypass and re-hit.
+        let lines = sets * u64::from(assoc) * rng.range(2, 5);
+        let explicit_bias = rng.range(1, 5);
+        let ops = rng.vec(1, 600, |r| {
+            (
+                r.range(0, 64),
+                r.range(0, lines),
+                r.bool(),
+                r.range(0, 8) < explicit_bias,
+            )
+        });
+        for (step, &(op, line, write, explicit)) in ops.iter().enumerate() {
+            let addr = line * u64::from(line_bytes) + u64::from(line_bytes) / 2;
+            match op {
+                0 => {
+                    fast.reset();
+                    naive = RefCache::new(&cfg, honor);
+                }
+                1..=4 => assert_eq!(
+                    fast.invalidate(addr),
+                    naive.invalidate(addr),
+                    "case {case} step {step}"
+                ),
+                5..=7 => assert_eq!(fast.contains(addr), naive.contains(addr)),
+                _ => {
+                    let placement = if explicit {
+                        Placement::Explicit
+                    } else {
+                        Placement::Implicit
+                    };
+                    assert_eq!(
+                        fast.access(addr, write, placement),
+                        naive.access(addr, write, placement),
+                        "case {case} step {step}: line {line} {placement:?}"
+                    );
+                }
+            }
+            assert_eq!(fast.stats(), naive.stats, "case {case} step {step}");
+        }
+        assert_eq!(fast.occupancy(), naive.occupancy(), "case {case}");
+    }
+}
+
+/// The MSI directory as an ordered map of per-PU states.
+#[derive(Default)]
+struct RefDirectory {
+    lines: BTreeMap<u64, [LineState; 2]>,
+    invalidations: u64,
+    peer_writebacks: u64,
+}
+
+fn pu_index(pu: PuKind) -> usize {
+    match pu {
+        PuKind::Cpu => 0,
+        PuKind::Gpu => 1,
+    }
+}
+
+impl RefDirectory {
+    fn on_access(&mut self, pu: PuKind, line: u64, write: bool) -> Intervention {
+        let states = self.lines.entry(line).or_insert([LineState::Invalid; 2]);
+        let peer = pu_index(pu.peer());
+        let action = Intervention {
+            invalidate_peer: states[peer] == LineState::Modified
+                || (write && states[peer] == LineState::Shared),
+            writeback_from_peer: states[peer] == LineState::Modified,
+        };
+        if action.invalidate_peer {
+            states[peer] = LineState::Invalid;
+            self.invalidations += 1;
+        }
+        if action.writeback_from_peer {
+            self.peer_writebacks += 1;
+        }
+        states[pu_index(pu)] = if write {
+            LineState::Modified
+        } else {
+            LineState::Shared
+        };
+        action
+    }
+
+    fn on_evict(&mut self, pu: PuKind, line: u64) {
+        if let Some(states) = self.lines.get_mut(&line) {
+            states[pu_index(pu)] = LineState::Invalid;
+            if *states == [LineState::Invalid; 2] {
+                self.lines.remove(&line);
+            }
+        }
+    }
+
+    fn state(&self, pu: PuKind, line: u64) -> LineState {
+        self.lines
+            .get(&line)
+            .map_or(LineState::Invalid, |s| s[pu_index(pu)])
+    }
+}
+
+#[test]
+fn directory_matches_a_btreemap() {
+    let mut rng = Rng::new(0x00D1_2EC7);
+    for _ in 0..CASES {
+        let mut fast = Directory::new();
+        let mut naive = RefDirectory::default();
+        // Dense low lines plus line numbers that differ only in high bits,
+        // which a weak line hash would pile into one bucket.
+        let hot = rng.range(1, 64);
+        let ops = rng.vec(1, 800, |r| {
+            let line = r.range(0, hot) | if r.bool() { r.range(0, 4) << 40 } else { 0 };
+            (r.range(0, 32), r.bool(), line, r.bool())
+        });
+        for (step, &(op, gpu, line, write)) in ops.iter().enumerate() {
+            let pu = if gpu { PuKind::Gpu } else { PuKind::Cpu };
+            match op {
+                0 => {
+                    fast.reset();
+                    naive = RefDirectory::default();
+                }
+                1..=10 => {
+                    fast.on_evict(pu, line);
+                    naive.on_evict(pu, line);
+                }
+                _ => assert_eq!(
+                    fast.on_access(pu, line, write),
+                    naive.on_access(pu, line, write),
+                    "step {step}: {pu:?} line {line:#x} write {write}"
+                ),
+            }
+            assert_eq!(fast.state(pu, line), naive.state(pu, line), "step {step}");
+            assert_eq!(fast.tracked_lines(), naive.lines.len(), "step {step}");
+            let s = fast.stats();
+            assert_eq!(
+                (s.invalidations, s.peer_writebacks),
+                (naive.invalidations, naive.peer_writebacks),
+                "step {step}"
+            );
         }
     }
 }
