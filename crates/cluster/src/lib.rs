@@ -3,18 +3,18 @@
 //! The serve layer answers design-space queries (`/v1/sim`,
 //! `/v1/check`, sweeps) whose results are content-addressed and
 //! memoized; this crate turns a set of such servers into one fleet
-//! with a **sharded, replicated result cache**:
+//! with a **sharded result cache**:
 //!
 //! * [`Ring`] — a consistent-hash ring with virtual nodes partitions
 //!   the content-key space, so every job has exactly one owner and
 //!   membership changes move only the dead node's keys;
 //! * [`proto`] — a std-only wire protocol (4-byte length prefix +
 //!   JSON) carries join handshakes, heartbeats, forwarded requests,
-//!   replica pushes, and metrics fan-out between nodes;
+//!   and metrics fan-out between nodes;
 //! * [`ClusterNode`] — membership (gossip-lite heartbeats, missed-
-//!   window death detection, tombstones), request forwarding, hot-entry
-//!   replication to the ring successor, and reactive stealing: a request
-//!   whose owner is busy, draining or dead runs on the entry node.
+//!   window death detection, tombstones), request forwarding, and
+//!   reactive stealing: a request whose owner is busy, draining or dead
+//!   runs on the entry node.
 //!
 //! A forwarded request runs on its owner through the same code a local
 //! client hits, so identical requests coalesce in the owner's pool
@@ -37,5 +37,5 @@ pub mod ring;
 pub mod sweep;
 
 pub use node::{ClusterConfig, ClusterNode, Executor, Hooks, MetricsProvider, Reply};
-pub use ring::{Ring, DEFAULT_VNODES};
+pub use ring::{Ring, VNODES};
 pub use sweep::{FleetDispatcher, NodeDispatcher};

@@ -1,20 +1,20 @@
-//! The cluster node: membership, routing, forwarding, and replication.
+//! The cluster node: membership, routing, and forwarding.
 //!
 //! A [`ClusterNode`] owns one extra TCP listener next to the HTTP
 //! server and two background threads:
 //!
 //! * the **listener** answers peer frames (join handshakes, heartbeats,
 //!   forwarded `execute` requests — single `/v1/sim` and `/v1/check`
-//!   requests and scattered sweep parts alike — replica pushes, metrics
-//!   fan-out, peer-list queries, graceful leaves), spawning one
+//!   requests and scattered sweep parts alike — metrics fan-out,
+//!   peer-list queries, graceful leaves), spawning one
 //!   short-lived thread per connection;
 //! * the **heartbeat loop** pings every known peer each
 //!   [`ClusterConfig::heartbeat_ms`], piggybacking the full peer list
 //!   (gossip-lite: any peer learned by one node reaches the others
 //!   within a round). A peer that misses three consecutive windows is
 //!   declared dead, tombstoned so gossip cannot resurrect it, and
-//!   removed from the ring — its keys rehash to the survivors that hold
-//!   their replicas.
+//!   removed from the ring — only its keys rehash, each to the next
+//!   surviving node on the ring.
 //!
 //! An `execute` frame names a local endpoint and carries the request
 //! body; the owner answers one `reply` frame with the HTTP status and
@@ -29,10 +29,9 @@
 //! knowledge.
 
 use crate::proto::{self, read_frame, write_frame};
-use crate::ring::{Ring, DEFAULT_VNODES};
+use crate::ring::Ring;
 use hetmem_sim::SimError;
 use hetmem_xplore::json::Json;
-use hetmem_xplore::ser::SweepRecord;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -80,11 +79,6 @@ pub struct ClusterConfig {
     pub http_addr: String,
     /// Heartbeat period. A peer missing `3 *` this window is dead.
     pub heartbeat_ms: u64,
-    /// Virtual nodes per member on the hash ring.
-    pub vnodes: usize,
-    /// Per-key access count at which the owner pushes the cached
-    /// result to its ring successor.
-    pub replicate_after: u64,
     /// Where to persist the last-known peer list on every membership
     /// change (`<cache-dir>/cluster-peers.json`, typically). A restarted
     /// node with no reachable `join` seed falls back to dialing these
@@ -100,8 +94,6 @@ impl Default for ClusterConfig {
             join: None,
             http_addr: "127.0.0.1:0".to_owned(),
             heartbeat_ms: 500,
-            vnodes: DEFAULT_VNODES,
-            replicate_after: 2,
             peers_path: None,
         }
     }
@@ -130,7 +122,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// part) may run before the entry node gives up on the owner. Matches
 /// the longest job the serve layer accepts.
 const EXECUTE_READ_TIMEOUT: Duration = Duration::from_secs(600);
-/// Read timeout for short control frames (hello, replicate, metrics).
+/// Read timeout for short control frames (hello, metrics).
 const CONTROL_READ_TIMEOUT: Duration = Duration::from_secs(5);
 /// Read timeout for heartbeats — a slow peer is a dead peer.
 const HEARTBEAT_READ_TIMEOUT: Duration = Duration::from_secs(2);
@@ -150,10 +142,6 @@ pub struct ClusterNode {
     members: Mutex<HashMap<String, PeerState>>,
     tombstones: Mutex<HashMap<String, Instant>>,
     ring: Mutex<Ring>,
-    /// Per-key access counts, tracked only for keys this node owns.
-    access: Mutex<HashMap<String, u64>>,
-    /// Replicas pushed here by ring predecessors.
-    replicas: Mutex<HashMap<String, SweepRecord>>,
     draining: AtomicBool,
     stop: Mutex<bool>,
     stop_cv: Condvar,
@@ -163,9 +151,6 @@ pub struct ClusterNode {
     work_steals: AtomicU64,
     peer_failures: AtomicU64,
     peers_removed: AtomicU64,
-    replications_out: AtomicU64,
-    replicas_stored: AtomicU64,
-    replica_hits: AtomicU64,
     heartbeats_sent: AtomicU64,
     sweep_parts_in: AtomicU64,
     sweep_parts_out: AtomicU64,
@@ -196,15 +181,13 @@ impl ClusterNode {
             .map_err(|e| SimError::Io(format!("cluster listener address: {e}")))?;
         let self_addr = listen_addr.to_string();
         let node = Arc::new(ClusterNode {
-            ring: Mutex::new(Ring::new(std::slice::from_ref(&self_addr), cfg.vnodes)),
+            ring: Mutex::new(Ring::new(std::slice::from_ref(&self_addr))),
             cfg,
             hooks,
             self_addr,
             listen_addr,
             members: Mutex::new(HashMap::new()),
             tombstones: Mutex::new(HashMap::new()),
-            access: Mutex::new(HashMap::new()),
-            replicas: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
             stop: Mutex::new(false),
             stop_cv: Condvar::new(),
@@ -214,9 +197,6 @@ impl ClusterNode {
             work_steals: AtomicU64::new(0),
             peer_failures: AtomicU64::new(0),
             peers_removed: AtomicU64::new(0),
-            replications_out: AtomicU64::new(0),
-            replicas_stored: AtomicU64::new(0),
-            replica_hits: AtomicU64::new(0),
             heartbeats_sent: AtomicU64::new(0),
             sweep_parts_in: AtomicU64::new(0),
             sweep_parts_out: AtomicU64::new(0),
@@ -325,57 +305,6 @@ impl ClusterNode {
         None
     }
 
-    /// Records one access to a key this node owns; at
-    /// [`ClusterConfig::replicate_after`] accesses the cached `record`
-    /// is pushed to the key's ring successor, so the entry survives
-    /// this node's death already warm.
-    pub fn note_access(&self, key: &str, record: &SweepRecord) {
-        let owns = lock(&self.ring).owner(key) == Some(self.self_addr.as_str());
-        if !owns {
-            return;
-        }
-        let count = {
-            let mut access = lock(&self.access);
-            let count = access.entry(key.to_owned()).or_insert(0);
-            *count += 1;
-            *count
-        };
-        if count != self.cfg.replicate_after {
-            return;
-        }
-        let successor = lock(&self.ring)
-            .owners(key, 2)
-            .get(1)
-            .map(|s| (*s).to_owned());
-        let Some(successor) = successor else {
-            return;
-        };
-        let request = Json::obj(vec![
-            ("kind", Json::Str("replicate".to_owned())),
-            ("key", Json::Str(key.to_owned())),
-            ("record", record.to_json()),
-        ]);
-        match proto::call(&successor, &request, CONTROL_READ_TIMEOUT) {
-            Ok(_) => {
-                self.replications_out.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.peer_failures.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Takes the replica stored under `key`, if a ring predecessor
-    /// pushed one here. The caller promotes it into its local disk
-    /// cache, so removal is correct: the next lookup hits that cache.
-    pub fn replica_take(&self, key: &str) -> Option<SweepRecord> {
-        let record = lock(&self.replicas).remove(key);
-        if record.is_some() {
-            self.replica_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        record
-    }
-
     /// Fans out to every live peer for its `/metrics` document.
     /// Unreachable peers are skipped (and counted as failures); the
     /// caller merges the survivors with its own snapshot.
@@ -429,9 +358,6 @@ impl ClusterNode {
             ("work_steals", count(&self.work_steals)),
             ("peer_failures", count(&self.peer_failures)),
             ("peers_removed", count(&self.peers_removed)),
-            ("replications_out", count(&self.replications_out)),
-            ("replicas_stored", count(&self.replicas_stored)),
-            ("replica_hits", count(&self.replica_hits)),
             ("heartbeats_sent", count(&self.heartbeats_sent)),
             ("sweep_parts_in", count(&self.sweep_parts_in)),
             ("sweep_parts_out", count(&self.sweep_parts_out)),
@@ -532,7 +458,7 @@ impl ClusterNode {
     fn rebuild_ring(&self) {
         let mut nodes: Vec<String> = lock(&self.members).keys().cloned().collect();
         nodes.push(self.self_addr.clone());
-        let ring = Ring::new(&nodes, self.cfg.vnodes);
+        let ring = Ring::new(&nodes);
         *lock(&self.ring) = ring;
         self.persist_peers();
     }
@@ -703,10 +629,8 @@ impl ClusterNode {
             Some("execute") => self.on_execute(&request),
             Some("peers") => Json::obj(vec![
                 ("kind", Json::Str("peers".to_owned())),
-                ("vnodes", Json::UInt(self.cfg.vnodes as u64)),
                 ("peers", self.peer_list()),
             ]),
-            Some("replicate") => self.on_replicate(&request),
             Some("metrics") => Json::obj(vec![
                 ("kind", Json::Str("metrics".to_owned())),
                 ("body", (self.hooks.metrics)()),
@@ -806,23 +730,6 @@ impl ClusterNode {
         ])
     }
 
-    fn on_replicate(&self, request: &Json) -> Json {
-        let Some(key) = request.get("key").and_then(Json::as_str) else {
-            return error_frame("replicate without a key");
-        };
-        let Some(record) = request.get("record") else {
-            return error_frame("replicate without a record");
-        };
-        match SweepRecord::from_json(record) {
-            Ok(record) => {
-                lock(&self.replicas).insert(key.to_owned(), record);
-                self.replicas_stored.fetch_add(1, Ordering::Relaxed);
-                Json::obj(vec![("kind", Json::Str("ack".to_owned()))])
-            }
-            Err(err) => error_frame(&format!("bad replica record: {err}")),
-        }
-    }
-
     fn on_leave(&self, request: &Json) -> Json {
         if let Some(from) = request.get("from").and_then(Json::as_str) {
             self.remove_peer(from);
@@ -873,7 +780,6 @@ fn error_frame(message: &str) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetmem_sim::{ExecMode, RunReport};
     use std::net::TcpListener;
 
     /// A throwaway HTTP listener that answers every request with a
@@ -926,7 +832,6 @@ mod tests {
             ClusterConfig {
                 http_addr: health_stub(),
                 heartbeat_ms,
-                replicate_after: 1,
                 ..ClusterConfig::default()
             },
             hooks("a"),
@@ -937,7 +842,6 @@ mod tests {
                 join: Some(a.self_addr().to_owned()),
                 http_addr: health_stub(),
                 heartbeat_ms,
-                replicate_after: 1,
                 ..ClusterConfig::default()
             },
             hooks("b"),
@@ -964,10 +868,7 @@ mod tests {
     #[test]
     fn join_then_forward_runs_on_the_owner() {
         let (a, b) = two_nodes(500);
-        let ring = Ring::new(
-            &[a.self_addr().to_owned(), b.self_addr().to_owned()],
-            DEFAULT_VNODES,
-        );
+        let ring = Ring::new(&[a.self_addr().to_owned(), b.self_addr().to_owned()]);
         let key = key_owned_by(&a, &ring);
         // The owner runs its own keys.
         assert_eq!(a.forward(&key, "/v1/sim", "{}"), None);
@@ -992,41 +893,6 @@ mod tests {
         assert!(b.forward(&key, SWEEP_PART, "part").is_some());
         assert_eq!(counter(&a, "sweep_parts_in"), Some(1));
         assert_eq!(counter(&a, "forwards_in"), Some(2));
-        b.shutdown();
-        a.shutdown();
-    }
-
-    #[test]
-    fn hot_entries_replicate_to_the_ring_successor() {
-        let (a, b) = two_nodes(500);
-        let ring = Ring::new(
-            &[a.self_addr().to_owned(), b.self_addr().to_owned()],
-            DEFAULT_VNODES,
-        );
-        let key = key_owned_by(&a, &ring);
-
-        // a owns the key; its successor for the key is b.
-        let record = SweepRecord {
-            id: 1,
-            kind: "case-study".into(),
-            kernel: "reduction".into(),
-            target: "Fusion".into(),
-            scale: 64,
-            design_point: "p".into(),
-            mode: ExecMode::Accurate,
-            report: RunReport {
-                kernel: "reduction".into(),
-                parallel_ticks: 7,
-                ..RunReport::default()
-            },
-            timeline: None,
-        };
-        a.note_access(&key, &record); // replicate_after = 1 in two_nodes
-        assert_eq!(counter(&b, "replicas_stored"), Some(1));
-        assert_eq!(b.replica_take(&key), Some(record));
-        assert_eq!(b.replica_take(&key), None);
-        assert_eq!(counter(&b, "replica_hits"), Some(1));
-        // b never owned the key, so its own accesses do not replicate.
         b.shutdown();
         a.shutdown();
     }

@@ -20,8 +20,8 @@ use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs as _};
 use std::time::Duration;
 
-/// Upper bound on one frame's JSON payload. Replicated sweep records
-/// and metrics snapshots are a few KB; the bound only exists so a
+/// Upper bound on one frame's JSON payload. Sweep-part records and
+/// metrics snapshots are a few KB each; the bound only exists so a
 /// garbage length prefix cannot allocate unbounded memory.
 pub const MAX_FRAME_BYTES: usize = 4 * 1024 * 1024;
 

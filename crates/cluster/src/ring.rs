@@ -1,8 +1,8 @@
 //! The consistent-hash ring that partitions the content-addressed job
 //! key space across cluster nodes.
 //!
-//! Each node is placed on a 64-bit ring at `vnodes` positions (the
-//! mixed digest of `"addr#i"` for `i` in `0..vnodes`); a key is owned
+//! Each node is placed on a 64-bit ring at [`VNODES`] positions (the
+//! mixed digest of `"addr#i"` for `i` in `0..VNODES`); a key is owned
 //! by the node whose virtual node is the first at or clockwise after
 //! the key's own mixed digest — see [`position`] for why the raw
 //! FNV-1a digest is finalized before placement.
@@ -22,7 +22,7 @@ use hetmem_core::hash::fnv1a;
 /// Virtual nodes per member. 32 keeps the largest/smallest ownership
 /// arc within a small factor for the fleet sizes the service targets
 /// while keeping ring rebuilds trivially cheap.
-pub const DEFAULT_VNODES: usize = 32;
+pub const VNODES: usize = 32;
 
 /// A key or virtual node's position on the 64-bit ring.
 ///
@@ -54,17 +54,17 @@ pub struct Ring {
 }
 
 impl Ring {
-    /// Builds a ring over `nodes` with `vnodes` virtual nodes each.
+    /// Builds a ring over `nodes` with [`VNODES`] virtual nodes each.
     /// Duplicate addresses are collapsed; node order does not matter —
     /// two rings over the same set are identical.
     #[must_use]
-    pub fn new(nodes: &[String], vnodes: usize) -> Ring {
+    pub fn new(nodes: &[String]) -> Ring {
         let mut unique: Vec<String> = nodes.to_vec();
         unique.sort();
         unique.dedup();
-        let mut points = Vec::with_capacity(unique.len() * vnodes);
+        let mut points = Vec::with_capacity(unique.len() * VNODES);
         for (index, node) in unique.iter().enumerate() {
-            for v in 0..vnodes {
+            for v in 0..VNODES {
                 points.push((position(format!("{node}#{v}").as_bytes()), index));
             }
         }
@@ -95,39 +95,15 @@ impl Ring {
         &self.nodes
     }
 
-    /// The first `n` *distinct* nodes at or clockwise after `key`'s
-    /// position: the owner first, then its ring successors (the
-    /// replication targets). Returns fewer than `n` when the ring has
-    /// fewer nodes.
-    #[must_use]
-    pub fn owners(&self, key: &str, n: usize) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::with_capacity(n.min(self.nodes.len()));
-        if self.points.is_empty() || n == 0 {
-            return out;
-        }
-        let position = position(key.as_bytes());
-        let start = self
-            .points
-            .partition_point(|&(p, _)| p < position)
-            .checked_rem(self.points.len())
-            .unwrap_or(0);
-        for step in 0..self.points.len() {
-            let (_, index) = self.points[(start + step) % self.points.len()];
-            let node = self.nodes[index].as_str();
-            if !out.contains(&node) {
-                out.push(node);
-                if out.len() == n {
-                    break;
-                }
-            }
-        }
-        out
-    }
-
-    /// The node that owns `key`, if the ring is non-empty.
+    /// The node that owns `key`: the node of the first virtual point at
+    /// or clockwise after the key's position, wrapping past the top of
+    /// the ring. `None` when the ring is empty.
     #[must_use]
     pub fn owner(&self, key: &str) -> Option<&str> {
-        self.owners(key, 1).first().copied()
+        let position = position(key.as_bytes());
+        let at = self.points.partition_point(|&(p, _)| p < position);
+        let &(_, index) = self.points.get(at).or_else(|| self.points.first())?;
+        Some(&self.nodes[index])
     }
 }
 
@@ -141,10 +117,10 @@ mod tests {
 
     #[test]
     fn ownership_is_deterministic_and_order_independent() {
-        let forward = Ring::new(&addrs(3), DEFAULT_VNODES);
+        let forward = Ring::new(&addrs(3));
         let mut reversed = addrs(3);
         reversed.reverse();
-        let backward = Ring::new(&reversed, DEFAULT_VNODES);
+        let backward = Ring::new(&reversed);
         for i in 0..200 {
             let key = format!("key-{i}");
             assert_eq!(forward.owner(&key), backward.owner(&key));
@@ -153,7 +129,7 @@ mod tests {
 
     #[test]
     fn every_node_owns_a_share() {
-        let ring = Ring::new(&addrs(3), DEFAULT_VNODES);
+        let ring = Ring::new(&addrs(3));
         let mut counts = [0usize; 3];
         for i in 0..600 {
             let owner = ring.owner(&format!("key-{i}")).expect("owner");
@@ -167,9 +143,9 @@ mod tests {
 
     #[test]
     fn removing_a_node_moves_only_its_keys() {
-        let full = Ring::new(&addrs(3), DEFAULT_VNODES);
+        let full = Ring::new(&addrs(3));
         let survivors: Vec<String> = addrs(3).into_iter().take(2).collect();
-        let reduced = Ring::new(&survivors, DEFAULT_VNODES);
+        let reduced = Ring::new(&survivors);
         let dead = &addrs(3)[2];
         let mut moved = 0;
         for i in 0..400 {
@@ -178,9 +154,6 @@ mod tests {
             let after = reduced.owner(&key).expect("owner").to_owned();
             if before == *dead {
                 moved += 1;
-                // Keys of the dead node land on its per-key successor —
-                // exactly where the replica was pushed.
-                assert_eq!(Some(after.as_str()), full.owners(&key, 2).get(1).copied());
             } else {
                 assert_eq!(before, after, "stable key {key} moved");
             }
@@ -189,16 +162,7 @@ mod tests {
     }
 
     #[test]
-    fn successors_are_distinct_from_owners() {
-        let ring = Ring::new(&addrs(3), DEFAULT_VNODES);
-        for i in 0..100 {
-            let owners = ring.owners(&format!("key-{i}"), 2);
-            assert_eq!(owners.len(), 2);
-            assert_ne!(owners[0], owners[1]);
-        }
-        // A single-node ring has no successor to replicate to.
-        let solo = Ring::new(&addrs(1), DEFAULT_VNODES);
-        assert_eq!(solo.owners("key", 2).len(), 1);
-        assert!(Ring::new(&[], DEFAULT_VNODES).owner("key").is_none());
+    fn an_empty_ring_owns_nothing() {
+        assert!(Ring::new(&[]).owner("key").is_none());
     }
 }

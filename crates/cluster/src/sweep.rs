@@ -192,12 +192,6 @@ impl FleetDispatcher {
         if reply.get("kind").and_then(Json::as_str) != Some("peers") {
             return Err(unavailable());
         }
-        let vnodes = reply
-            .get("vnodes")
-            .and_then(Json::as_u64)
-            .and_then(|n| usize::try_from(n).ok())
-            .filter(|&n| n > 0)
-            .ok_or_else(unavailable)?;
         let Some(Json::Arr(peers)) = reply.get("peers") else {
             return Err(unavailable());
         };
@@ -210,7 +204,7 @@ impl FleetDispatcher {
             return Err(unavailable());
         }
         Ok(FleetDispatcher {
-            ring: Ring::new(&members, vnodes),
+            ring: Ring::new(&members),
             nodes: members.len(),
         })
     }
@@ -256,14 +250,11 @@ mod tests {
     fn ring_parts_cover_every_job_exactly_once() {
         let jobs = SweepSpec::full(512).expand();
         let config = ExperimentConfig::paper();
-        let ring = Ring::new(
-            &[
-                "10.0.0.1:1".to_owned(),
-                "10.0.0.2:1".to_owned(),
-                "10.0.0.3:1".to_owned(),
-            ],
-            32,
-        );
+        let ring = Ring::new(&[
+            "10.0.0.1:1".to_owned(),
+            "10.0.0.2:1".to_owned(),
+            "10.0.0.3:1".to_owned(),
+        ]);
         let parts = ring_parts(&jobs, &ctx(&config), &ring, None);
         let mut seen = vec![false; jobs.len()];
         for part in &parts {
@@ -282,7 +273,7 @@ mod tests {
         let jobs = SweepSpec::full(512).expand();
         let config = ExperimentConfig::paper();
         let nodes = ["10.0.0.1:1".to_owned(), "10.0.0.2:1".to_owned()];
-        let ring = Ring::new(&nodes, 32);
+        let ring = Ring::new(&nodes);
         let parts = ring_parts(&jobs, &ctx(&config), &ring, Some("10.0.0.1:1"));
         assert!(!parts.is_empty());
         assert!(parts.iter().all(|p| p.owner == "10.0.0.2:1"));
@@ -295,7 +286,7 @@ mod tests {
         let jobs = SweepSpec::full(512).expand();
         let mut config = ExperimentConfig::paper();
         config.costs.api_acq_cycles += 1;
-        let ring = Ring::new(&["10.0.0.1:1".to_owned()], 32);
+        let ring = Ring::new(&["10.0.0.1:1".to_owned()]);
         assert!(ring_parts(&jobs, &ctx(&config), &ring, None).is_empty());
 
         let config = ExperimentConfig::paper();

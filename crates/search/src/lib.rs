@@ -12,9 +12,8 @@
 //! * [`pareto_indices`] / [`dominates`] — exact frontier extraction with
 //!   deterministic (input-order) dominance ordering; the single source of
 //!   truth the examples and benches also call.
-//! * [`Strategy`] — pluggable optimizers: seeded random baseline,
-//!   successive halving over scale-fidelity rungs, and a seeded
-//!   evolutionary mutation scheme.
+//! * [`Strategy`] — pluggable optimizers: a seeded random baseline and
+//!   successive halving over scale-fidelity rungs.
 //! * [`run_search`] — the budgeted driver executing batches through
 //!   [`hetmem_xplore::run_jobs`], so the content-addressed cache makes
 //!   warm restarts free; budget counts jobs *submitted*, so the

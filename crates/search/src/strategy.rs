@@ -7,7 +7,7 @@
 //! byte-reproducible — no wall-clock, thread order, or host entropy
 //! reaches a decision.
 //!
-//! Three strategies ship:
+//! Two strategies ship:
 //!
 //! * **random** — the honesty baseline: a seeded shuffle of the candidate
 //!   space, consumed in order.
@@ -16,9 +16,6 @@
 //!   and only the least-dominated half advances to each costlier rung.
 //!   With a single scale it degenerates to a deterministic front-to-back
 //!   screen of the target axis.
-//! * **evolve** — a seeded (μ+λ) mutation scheme: the current Pareto
-//!   frontier breeds neighbours by ±1 steps along the target and scale
-//!   axes, topped up with unexplored random candidates.
 
 use crate::frontier::dominates;
 use crate::rng::SearchRng;
@@ -31,13 +28,11 @@ pub enum Strategy {
     Random,
     /// Successive halving over scale rungs.
     Halving,
-    /// Seeded evolutionary mutation of the frontier.
-    Evolve,
 }
 
 impl Strategy {
     /// Every strategy, in canonical order.
-    pub const ALL: [Strategy; 3] = [Strategy::Random, Strategy::Halving, Strategy::Evolve];
+    pub const ALL: [Strategy; 2] = [Strategy::Random, Strategy::Halving];
 
     /// Canonical lower-case name (the CLI/JSON spelling).
     #[must_use]
@@ -45,7 +40,6 @@ impl Strategy {
         match self {
             Strategy::Random => "random",
             Strategy::Halving => "halving",
-            Strategy::Evolve => "evolve",
         }
     }
 
@@ -58,10 +52,7 @@ impl Strategy {
         match s.trim().to_ascii_lowercase().as_str() {
             "random" | "rand" => Ok(Strategy::Random),
             "halving" | "sha" | "successive-halving" => Ok(Strategy::Halving),
-            "evolve" | "evolutionary" | "mutate" => Ok(Strategy::Evolve),
-            other => Err(format!(
-                "unknown strategy {other:?} (random|halving|evolve)"
-            )),
+            other => Err(format!("unknown strategy {other:?} (random|halving)")),
         }
     }
 
@@ -71,7 +62,6 @@ impl Strategy {
         match self {
             Strategy::Random => Box::new(RandomSearch::new(seed, space)),
             Strategy::Halving => Box::new(SuccessiveHalving::new(space)),
-            Strategy::Evolve => Box::new(Evolutionary::new(seed, space)),
         }
     }
 }
@@ -88,8 +78,6 @@ pub struct SearchState<'a> {
     pub space: &'a SearchSpace,
     /// Per-candidate objective vectors; `None` = not yet evaluated.
     pub evaluated: &'a [Option<Vec<f64>>],
-    /// Candidate indices currently on the Pareto frontier.
-    pub frontier: &'a [usize],
 }
 
 impl SearchState<'_> {
@@ -219,93 +207,6 @@ impl Optimizer for SuccessiveHalving {
     }
 }
 
-/// Seeded (μ+λ) evolutionary mutation over the (target, scale) grid.
-struct Evolutionary {
-    rng: SearchRng,
-    /// Deterministic fallback order for exploration top-ups.
-    explore: Vec<usize>,
-    cursor: usize,
-    seeded: bool,
-}
-
-impl Evolutionary {
-    /// Initial population size (clamped to the space).
-    const POPULATION: usize = 4;
-
-    fn new(seed: u64, space: &SearchSpace) -> Evolutionary {
-        let mut explore: Vec<usize> = (0..space.len()).collect();
-        let mut rng = SearchRng::new(seed);
-        rng.shuffle(&mut explore);
-        Evolutionary {
-            rng,
-            explore,
-            cursor: 0,
-            seeded: false,
-        }
-    }
-
-    /// One ±1 step along the target or scale axis, wrapping at the edges.
-    fn mutate(&mut self, state: &SearchState<'_>, candidate: usize) -> usize {
-        let space = state.space;
-        let (mut t, mut s) = space.coords(candidate);
-        let step_target = space.scales.len() == 1 || self.rng.gen_range(2) == 0;
-        if step_target {
-            let n = space.targets.len();
-            t = if self.rng.gen_range(2) == 0 {
-                (t + 1) % n
-            } else {
-                (t + n - 1) % n
-            };
-        } else {
-            let n = space.scales.len();
-            s = if self.rng.gen_range(2) == 0 {
-                (s + 1) % n
-            } else {
-                (s + n - 1) % n
-            };
-        }
-        space.index_of(t, s)
-    }
-
-    fn top_up(&mut self, state: &SearchState<'_>, batch: &mut Vec<usize>, max: usize) {
-        while batch.len() < max && self.cursor < self.explore.len() {
-            let candidate = self.explore[self.cursor];
-            self.cursor += 1;
-            if !state.is_evaluated(candidate) && !batch.contains(&candidate) {
-                batch.push(candidate);
-            }
-        }
-    }
-}
-
-impl Optimizer for Evolutionary {
-    fn propose(&mut self, state: &SearchState<'_>, max: usize) -> Vec<usize> {
-        let mut batch = Vec::new();
-        if !self.seeded {
-            self.seeded = true;
-            let want = Self::POPULATION.min(state.space.len()).min(max.max(1));
-            self.top_up(state, &mut batch, want);
-            return batch;
-        }
-        // Breed from the frontier in its deterministic order; each parent
-        // gets a few mutation attempts to find unexplored ground.
-        for &parent in state.frontier {
-            if batch.len() >= max {
-                break;
-            }
-            for _ in 0..4 {
-                let child = self.mutate(state, parent);
-                if !state.is_evaluated(child) && !batch.contains(&child) {
-                    batch.push(child);
-                    break;
-                }
-            }
-        }
-        self.top_up(state, &mut batch, max);
-        batch
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,16 +217,8 @@ mod tests {
         s
     }
 
-    fn state<'a>(
-        space: &'a SearchSpace,
-        evaluated: &'a [Option<Vec<f64>>],
-        frontier: &'a [usize],
-    ) -> SearchState<'a> {
-        SearchState {
-            space,
-            evaluated,
-            frontier,
-        }
+    fn state<'a>(space: &'a SearchSpace, evaluated: &'a [Option<Vec<f64>>]) -> SearchState<'a> {
+        SearchState { space, evaluated }
     }
 
     #[test]
@@ -335,6 +228,12 @@ mod tests {
         }
         assert_eq!(Strategy::parse("SHA"), Ok(Strategy::Halving));
         assert!(Strategy::parse("bayes").is_err());
+        // The deleted evolutionary strategy is unknown under every alias,
+        // and the message names the strategies that remain.
+        for removed in ["evolve", "evolutionary", "mutate"] {
+            let err = Strategy::parse(removed).expect_err(removed);
+            assert!(err.contains("random|halving"), "{err}");
+        }
     }
 
     #[test]
@@ -344,7 +243,7 @@ mod tests {
         let mut opt = RandomSearch::new(9, &space);
         let mut seen = Vec::new();
         loop {
-            let batch = opt.propose(&state(&space, &evaluated, &[]), 5);
+            let batch = opt.propose(&state(&space, &evaluated), 5);
             if batch.is_empty() {
                 break;
             }
@@ -362,7 +261,7 @@ mod tests {
         let mut evaluated: Vec<Option<Vec<f64>>> = vec![None; space.len()];
         let mut opt = SuccessiveHalving::new(&space);
 
-        let first = opt.propose(&state(&space, &evaluated, &[]), usize::MAX);
+        let first = opt.propose(&state(&space, &evaluated), usize::MAX);
         assert_eq!(first.len(), space.targets.len());
         for &c in &first {
             assert_eq!(space.scale(c), 64, "cheapest rung first");
@@ -372,30 +271,12 @@ mod tests {
             let (t, _) = space.coords(c);
             evaluated[c] = Some(vec![t as f64]);
         }
-        let second = opt.propose(&state(&space, &evaluated, &[]), usize::MAX);
+        let second = opt.propose(&state(&space, &evaluated), usize::MAX);
         assert_eq!(second.len(), space.targets.len().div_ceil(2));
         for &c in &second {
             assert_eq!(space.scale(c), 16, "promoted rung is costlier");
             let (t, _) = space.coords(c);
             assert!(t < space.targets.len().div_ceil(2), "best half promoted");
-        }
-    }
-
-    #[test]
-    fn evolve_seeds_then_mutates_near_the_frontier() {
-        let space = space();
-        let mut evaluated: Vec<Option<Vec<f64>>> = vec![None; space.len()];
-        let mut opt = Evolutionary::new(3, &space);
-        let seedlings = opt.propose(&state(&space, &evaluated, &[]), usize::MAX);
-        assert_eq!(seedlings.len(), Evolutionary::POPULATION);
-        for &c in &seedlings {
-            evaluated[c] = Some(vec![c as f64]);
-        }
-        let frontier = [seedlings[0]];
-        let next = opt.propose(&state(&space, &evaluated, &frontier), 3);
-        assert!(!next.is_empty());
-        for &c in &next {
-            assert!(evaluated[c].is_none(), "never re-proposes evaluated points");
         }
     }
 
@@ -407,8 +288,8 @@ mod tests {
             let mut a = strategy.build(5, &space);
             let mut b = strategy.build(5, &space);
             assert_eq!(
-                a.propose(&state(&space, &evaluated, &[]), 4),
-                b.propose(&state(&space, &evaluated, &[]), 4),
+                a.propose(&state(&space, &evaluated), 4),
+                b.propose(&state(&space, &evaluated), 4),
                 "{strategy}"
             );
         }

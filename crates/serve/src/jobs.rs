@@ -155,12 +155,13 @@ impl SimRequest {
 }
 
 /// Executes one sim request: answered from `cache` when the content key
-/// is present, from a replica a cluster predecessor pushed here
-/// otherwise, and simulated live (with event counts folded into
-/// `metrics`) as the last resort. When the node owns the key on the
-/// cluster ring, the access is counted toward hot-entry replication.
-/// Returns the response body — the CLI's JSON object plus trailing
-/// newline.
+/// is present, and otherwise simulated live (with event counts folded
+/// into `metrics`) and written back to `cache`. Returns the response
+/// body — the CLI's JSON object plus trailing newline.
+///
+/// The answer depends only on the request and the cache, so the
+/// cluster argument is ignored; it stays in the signature for existing
+/// callers, which pass `None`.
 ///
 /// # Errors
 ///
@@ -169,7 +170,7 @@ impl SimRequest {
 pub fn run_sim(
     req: &SimRequest,
     cache: Option<&DiskCache>,
-    cluster: Option<&ClusterNode>,
+    _cluster: Option<&ClusterNode>,
     metrics: &Metrics,
 ) -> Result<String, String> {
     let (job, config) = req.job();
@@ -179,46 +180,28 @@ pub fn run_sim(
             metrics.bump(&metrics.cache_hits);
             record
         }
-        None => match cluster.and_then(|node| node.replica_take(&key)) {
-            Some(record) => {
-                // A predecessor replicated this entry here before dying
-                // (or before the ring rehashed the key to this node).
-                // Promote it into the local disk cache so the next
-                // lookup is an ordinary hit.
-                metrics.bump(&metrics.cache_hits);
-                if let Some(c) = cache {
-                    if let Err(e) = c.put(&key, &record) {
-                        eprintln!("warning: cache write failed: {e}");
-                    }
+        None => {
+            metrics.bump(&metrics.cache_misses);
+            let trace = hetmem_xplore::job_trace(&job);
+            // A single-slot ring: the exact totals survive eviction,
+            // and the service only keeps the totals.
+            let (record, events) = execute_job_observed(
+                &job,
+                &config,
+                &trace,
+                EventTrace::with_capacity(1),
+                req.mode,
+            )
+            .map_err(|e| e.to_string())?;
+            metrics.absorb_events(events.counts());
+            if let Some(c) = cache {
+                if let Err(e) = c.put(&key, &record) {
+                    eprintln!("warning: cache write failed: {e}");
                 }
-                record
             }
-            None => {
-                metrics.bump(&metrics.cache_misses);
-                let trace = hetmem_xplore::job_trace(&job);
-                // A single-slot ring: the exact totals survive eviction,
-                // and the service only keeps the totals.
-                let (record, events) = execute_job_observed(
-                    &job,
-                    &config,
-                    &trace,
-                    EventTrace::with_capacity(1),
-                    req.mode,
-                )
-                .map_err(|e| e.to_string())?;
-                metrics.absorb_events(events.counts());
-                if let Some(c) = cache {
-                    if let Err(e) = c.put(&key, &record) {
-                        eprintln!("warning: cache write failed: {e}");
-                    }
-                }
-                record
-            }
-        },
+            record
+        }
     };
-    if let Some(node) = cluster {
-        node.note_access(&key, &record);
-    }
     let value = Json::obj(vec![
         ("system", Json::Str(record.target.clone())),
         ("total_ticks", Json::UInt(record.report.total_ticks())),
@@ -1033,13 +1016,13 @@ mod tests {
         let req = parse_search_request(
             "{\"kernels\":[\"reduction\"],\"systems\":[\"fusion\",\"cuda\"],\"spaces\":[],\
              \"scales\":[512],\"budget\":2,\"seed\":9,\"objectives\":[\"perf\",\"hw\"],\
-             \"strategy\":\"evolve\",\"deadline_ms\":50}",
+             \"strategy\":\"random\",\"deadline_ms\":50}",
         )
         .expect("parses");
         assert_eq!(req.config.space.len(), 2);
         assert_eq!(req.config.budget, 2);
         assert_eq!(req.config.seed, 9);
-        assert_eq!(req.config.strategy, Strategy::Evolve);
+        assert_eq!(req.config.strategy, Strategy::Random);
         assert_eq!(
             req.config.objectives,
             vec![Objective::Cycles, Objective::Hw]
@@ -1051,6 +1034,8 @@ mod tests {
         assert!(parse_search_request("{\"objectives\":[\"hw\",\"hw\"]}").is_err());
         assert!(parse_search_request("{\"objectives\":[\"speed\"]}").is_err());
         assert!(parse_search_request("{\"strategy\":\"bayes\"}").is_err());
+        let removed = parse_search_request("{\"strategy\":\"evolve\"}").expect_err("removed");
+        assert!(removed.contains("random|halving"), "{removed}");
         assert!(parse_search_request("{\"systems\":[],\"spaces\":[]}").is_err());
     }
 

@@ -30,8 +30,8 @@
 //!   sharded across a consistent-hash ring, requests are forwarded to
 //!   their owning node, which answers them through the same local path
 //!   (and coalesces them there), the entry node relays the owner's
-//!   status and body, hot cache entries are replicated to the ring
-//!   successor, and `/metrics?cluster=1` merges every member's counters.
+//!   status and body, and `/metrics?cluster=1` merges every member's
+//!   counters.
 //!
 //! ## Endpoints
 //!

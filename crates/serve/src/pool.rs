@@ -345,7 +345,7 @@ fn worker_loop<R: Clone>(inner: &Inner<R>, index: usize) {
 
 /// The message a panic was raised with (`panic!` payloads are a `&str`
 /// or a `String`).
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_owned())

@@ -28,12 +28,13 @@ use crate::jobs::{
     SimRequest,
 };
 use crate::metrics::{merge_metrics, Metrics};
-use crate::pool::{Outcome, Rejected, ShardedPool, Ticket};
+use crate::pool::{panic_message, Outcome, Rejected, ShardedPool, Ticket};
 use hetmem_cluster::{ClusterConfig, ClusterNode, Hooks, NodeDispatcher, Reply};
 use hetmem_search::ProgressHook;
 use hetmem_sim::SimError;
 use hetmem_xplore::{DiskCache, JobDispatcher, Json};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
@@ -61,9 +62,6 @@ pub struct ServeOptions {
     pub join: Option<String>,
     /// Cluster heartbeat period in milliseconds.
     pub heartbeat_ms: u64,
-    /// Accesses to an owned cache entry before it is replicated to the
-    /// ring successor.
-    pub replicate_after: u64,
 }
 
 impl Default for ServeOptions {
@@ -76,7 +74,6 @@ impl Default for ServeOptions {
             advertise: None,
             join: None,
             heartbeat_ms: 500,
-            replicate_after: 2,
         }
     }
 }
@@ -198,8 +195,7 @@ fn sim_locally(state: &Arc<State>, sim: SimRequest, key: &str) -> Response {
     let deadline = sim.deadline_ms;
     let metrics = Arc::clone(&state.metrics);
     let cache = state.cache.clone();
-    let cluster = state.cluster.get().cloned();
-    let work = move || run_sim(&sim, cache.as_deref(), cluster.as_deref(), &metrics);
+    let work = move || run_sim(&sim, cache.as_deref(), None, &metrics);
     match state.admit(key, deadline, work) {
         Err(response) => response,
         Ok(ticket) => state.render_outcome(ticket.wait()),
@@ -224,6 +220,17 @@ fn check_locally(state: &Arc<State>, check: CheckRequest, key: &str) -> Response
 /// concurrency to the pool's width; beyond it the node answers 429 and
 /// the entry node runs the partition itself.
 fn part_locally(state: &Arc<State>, body: &str) -> Response {
+    run_part(state, |workers| {
+        run_sweep_part(body, state.cache_dir.clone(), workers, &state.metrics)
+    })
+}
+
+/// Runs `work` (handed the part's worker count) in one of the
+/// `parts_active` slots. A panicking part is caught the way a pool
+/// worker catches a job — a typed 500, counted in `worker_panics` — so
+/// its slot is always released; a leaked slot is never reclaimed, and
+/// after `workers` leaks the node would answer 429 to every part.
+fn run_part(state: &State, work: impl FnOnce(usize) -> JobResult) -> Response {
     if state.draining.load(Ordering::SeqCst) {
         return state.draining_response();
     }
@@ -237,15 +244,18 @@ fn part_locally(state: &Arc<State>, body: &str) -> Response {
         )
         .with_header("retry-after", "1");
     }
-    let outcome = run_sweep_part(body, state.cache_dir.clone(), workers, &state.metrics);
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| work(workers)));
     state.parts_active.fetch_sub(1, Ordering::SeqCst);
-    match outcome {
-        Ok(body) => Response::json(200, body),
-        Err(error) => {
-            state.metrics.bump(&state.metrics.jobs_failed);
-            Response::json(500, State::error_body(&error))
+    let outcome = match result {
+        Ok(result) => Outcome::Done(result),
+        Err(payload) => {
+            state.metrics.bump(&state.metrics.worker_panics);
+            Outcome::Panicked {
+                message: panic_message(payload.as_ref()),
+            }
         }
-    }
+    };
+    state.render_outcome(outcome)
 }
 
 /// Answers one request body on a local endpoint exactly as a client of
@@ -369,12 +379,10 @@ fn start_cluster(
             join: opts.join.clone(),
             http_addr: http_addr.to_string(),
             heartbeat_ms: opts.heartbeat_ms.max(1),
-            replicate_after: opts.replicate_after.max(1),
             peers_path: opts
                 .cache_dir
                 .as_ref()
                 .map(|dir| dir.join("cluster-peers.json")),
-            ..ClusterConfig::default()
         },
         hooks,
     )
@@ -873,18 +881,23 @@ mod tests {
         assert!(opts.advertise.is_none());
         assert!(opts.join.is_none());
         assert_eq!(opts.heartbeat_ms, 500);
-        assert_eq!(opts.replicate_after, 2);
     }
 
     fn draining_state() -> Arc<State> {
+        let state = state_with_workers(1);
+        state.draining.store(true, Ordering::SeqCst);
+        state
+    }
+
+    fn state_with_workers(workers: usize) -> Arc<State> {
         let metrics = Arc::new(Metrics::default());
         Arc::new(State {
-            pool: ShardedPool::start(1, 1, Arc::clone(&metrics)),
+            pool: ShardedPool::start(workers, 1, Arc::clone(&metrics)),
             registry: Registry::default(),
             metrics,
             cache: None,
             cache_dir: None,
-            draining: AtomicBool::new(true),
+            draining: AtomicBool::new(false),
             cancel: Arc::new(AtomicBool::new(false)),
             waiters: Mutex::new(Vec::new()),
             cluster: OnceLock::new(),
@@ -895,8 +908,7 @@ mod tests {
     #[test]
     fn finished_connection_threads_are_reaped_and_drain_completes() {
         use std::io::{Read as _, Write as _};
-        let state = draining_state();
-        state.draining.store(false, Ordering::SeqCst);
+        let state = state_with_workers(1);
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let accept_state = Arc::clone(&state);
@@ -972,6 +984,55 @@ mod tests {
                 .contains(&("retry-after".to_owned(), "1".to_owned())),
             "the drain 503 must carry Retry-After like the 429 path"
         );
+        state.pool.drain();
+    }
+
+    #[test]
+    fn a_panicking_sweep_part_releases_its_slot() {
+        use std::sync::Barrier;
+        let workers = 2;
+        let state = state_with_workers(workers);
+        // More panics than slots: each one must hand its slot back.
+        for _ in 0..=workers {
+            let response = run_part(&state, |_| panic!("part blew up"));
+            assert_eq!(response.status, 500);
+            assert!(
+                response.body.contains("job panicked: part blew up"),
+                "{}",
+                response.body
+            );
+        }
+        let panics = state.metrics.worker_panics.load(Ordering::Relaxed);
+        assert_eq!(panics, workers as u64 + 1);
+        assert_eq!(state.parts_active.load(Ordering::SeqCst), 0);
+
+        // The node still admits `workers` concurrent parts, and no more.
+        let entered = Arc::new(Barrier::new(workers + 1));
+        let release = Arc::new(Barrier::new(workers + 1));
+        let parts: Vec<_> = (0..workers)
+            .map(|_| {
+                let (state, entered, release) = (
+                    Arc::clone(&state),
+                    Arc::clone(&entered),
+                    Arc::clone(&release),
+                );
+                std::thread::spawn(move || {
+                    run_part(&state, |_| {
+                        entered.wait();
+                        release.wait();
+                        Ok("{}\n".to_owned())
+                    })
+                    .status
+                })
+            })
+            .collect();
+        entered.wait();
+        assert_eq!(run_part(&state, |_| Ok(String::new())).status, 429);
+        release.wait();
+        for part in parts {
+            assert_eq!(part.join().expect("part thread"), 200);
+        }
+        assert_eq!(state.parts_active.load(Ordering::SeqCst), 0);
         state.pool.drain();
     }
 }

@@ -42,7 +42,6 @@ fn main() {
         workers: 2,
         cache_dir: Some(cache_root.join(format!("node-{i}"))),
         heartbeat_ms: 100,
-        replicate_after: 1,
         ..ServeOptions::default()
     };
 

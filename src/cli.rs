@@ -195,7 +195,7 @@ commands:
                                 covers every kernel x system x space at scale 1;
                                 --join scatters jobs across a serve fleet)
   search [--budget N] [--seed S] [--objectives cycles,energy,loc,hw,saved]
-         [--strategy random|halving|evolve] [--kernel K] [--system S]
+         [--strategy random|halving] [--kernel K] [--system S]
          [--space A] [--scale N] [--jobs N] [--cache-dir D]
          [--format json|table] [--mode M] [--join H:P]
                                 guided multi-objective design-space search:
@@ -235,7 +235,7 @@ commands:
                                 /metrics, /v1/jobs/<id>;
                                 POST /v1/shutdown drains; --advertise or
                                 --join forms a multi-node fleet that shards
-                                and replicates the result cache
+                                the result cache
                                 (/metrics?cluster=1 merges the fleet)
   catalog                       the Table I survey
   help                          this message";
@@ -1011,7 +1011,6 @@ pub fn execute(command: &Command) -> Result<(), SimError> {
                 advertise: advertise.clone(),
                 join: join.clone(),
                 heartbeat_ms: *heartbeat_ms,
-                ..hetmem_serve::ServeOptions::default()
             })?;
             // The resolved addresses on stdout first, so scripts binding
             // port 0 can discover the ephemeral ports.
@@ -1693,7 +1692,7 @@ mod tests {
             "--objectives",
             "perf,hw",
             "--strategy",
-            "evolve",
+            "random",
             "--system",
             "fusion,ideal",
             "--scale",
@@ -1706,7 +1705,7 @@ mod tests {
         assert_eq!(config.budget, 20);
         assert_eq!(config.seed, 9);
         assert_eq!(config.objectives, vec![Objective::Cycles, Objective::Hw]);
-        assert_eq!(config.strategy, Strategy::Evolve);
+        assert_eq!(config.strategy, Strategy::Random);
         assert_eq!(config.space.targets.len(), 2);
         assert_eq!(config.space.scales, vec![64]);
         assert_eq!(format, OutputFormat::Json);
@@ -1777,6 +1776,11 @@ mod tests {
         assert!(parse_args(&args(&["search", "--objectives", "speed"])).is_err());
         assert!(parse_args(&args(&["search", "--objectives", "hw,hw"])).is_err());
         assert!(parse_args(&args(&["search", "--strategy", "bayes"])).is_err());
+        for removed in ["evolve", "evolutionary", "mutate"] {
+            let err = parse_args(&args(&["search", "--strategy", removed]))
+                .expect_err("the evolutionary strategy was removed");
+            assert!(err.contains("random|halving"), "{err}");
+        }
         assert!(parse_args(&args(&["search", "--bogus", "1"])).is_err());
         assert!(parse_args(&args(&["search", "extra"])).is_err());
     }

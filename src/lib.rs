@@ -25,8 +25,8 @@
 //! * [`cluster`] (`hetmem-cluster`) — the multi-node fleet layer behind
 //!   `hetmem serve --join`: consistent-hash sharding of the result-cache
 //!   key space, request forwarding to the key's owner (which answers
-//!   through its own local request path), successor replication of hot
-//!   entries, and heartbeat membership.
+//!   through its own local request path), scatter-gather sweeps, and
+//!   heartbeat membership.
 //!
 //! ## Quickstart
 //!

@@ -175,6 +175,19 @@ fn removed_event_driven_mode_is_a_usage_error_naming_accurate() {
 }
 
 #[test]
+fn removed_evolve_strategy_is_a_usage_error_naming_the_survivors() {
+    for removed in ["evolve", "evolutionary", "mutate"] {
+        let out = hetmem(&["search", "--strategy", removed]);
+        assert_eq!(out.status.code(), Some(2), "{removed}");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        let first = err.lines().next().unwrap_or_default();
+        assert!(first.starts_with("hetmem: "), "{first}");
+        assert!(first.contains("random|halving"), "{first}");
+        assert!(err.contains("usage: hetmem"), "{err}");
+    }
+}
+
+#[test]
 fn sweep_is_deterministic_across_worker_counts() {
     let serial = hetmem(&["sweep", "--scale", "512", "--jobs", "1", "--format", "json"]);
     let threaded = hetmem(&["sweep", "--scale", "512", "--jobs", "8", "--format", "json"]);

@@ -4,7 +4,7 @@
 //! drives the fleet through plain HTTP, exactly as a client would, and
 //! proves the cross-node behaviour through the metric counters.
 
-use hetmem_cluster::{Ring, DEFAULT_VNODES};
+use hetmem_cluster::Ring;
 use hetmem_serve::{parse_sim_request, ServeOptions, Server};
 use hetmem_xplore::json::{parse, Json};
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
@@ -229,10 +229,10 @@ fn any_entry_node_answers_byte_identically() {
     shutdown_all(vec![c, b, a]);
 }
 
-// ---------- cross-node cache hits and hot-key replication ----------
+// ---------- cross-node cache hits ----------
 
 #[test]
-fn cache_hits_cross_nodes_and_hot_keys_replicate() {
+fn cache_hits_cross_nodes() {
     let dirs: Vec<std::path::PathBuf> = (0..3)
         .map(|i| {
             let dir = std::env::temp_dir()
@@ -243,7 +243,6 @@ fn cache_hits_cross_nodes_and_hot_keys_replicate() {
         .collect();
     let with_cache = |i: usize| ServeOptions {
         cache_dir: Some(dirs[i].clone()),
-        replicate_after: 1,
         ..options()
     };
     let a = seed_node(with_cache(0));
@@ -255,27 +254,18 @@ fn cache_hits_cross_nodes_and_hot_keys_replicate() {
         .iter()
         .map(|node| node.cluster_addr().expect("clustered").to_string())
         .collect();
-    let ring = Ring::new(&addrs, DEFAULT_VNODES);
+    let ring = Ring::new(&addrs);
     let owned = sim_bodies_owned_by(&ring, &addrs[0], 1);
-    let (body, key) = &owned[0];
-    let successor = ring.owners(key, 2)[1].to_owned();
-    let successor_http = if successor == addrs[1] {
-        b.local_addr()
-    } else {
-        c.local_addr()
-    };
+    let (body, _) = &owned[0];
 
     // First request enters through b, is forwarded to its owner a,
-    // misses a's cache, executes there, and (replicate_after = 1)
-    // pushes the fresh entry to the ring successor.
+    // misses a's cache, and executes there.
     let first = send(b.local_addr(), "POST", "/v1/sim", Some(body));
     assert_eq!(first.status, 200, "{}", first.body);
     assert_eq!(node_counter(a.local_addr(), "cache_misses"), 1);
     assert_eq!(node_counter(a.local_addr(), "cache_hits"), 0);
     assert!(cluster_counter(b.local_addr(), "forwards_out") >= 1);
     assert!(cluster_counter(a.local_addr(), "forwards_in") >= 1);
-    assert_eq!(cluster_counter(a.local_addr(), "replications_out"), 1);
-    assert_eq!(cluster_counter(successor_http, "replicas_stored"), 1);
 
     // Second request enters through c: the owner answers it from its
     // disk cache — a counter-proven cross-node cache hit, and the body
@@ -310,7 +300,7 @@ fn remote_requests_coalesce_and_busy_owners_are_stolen_from() {
         .iter()
         .map(|node| node.cluster_addr().expect("clustered").to_string())
         .collect();
-    let ring = Ring::new(&addrs, DEFAULT_VNODES);
+    let ring = Ring::new(&addrs);
     let owned = sim_bodies_owned_by(&ring, &addrs[0], 2);
 
     // Occupy a's single worker with a heavy local sweep (sweeps are
@@ -419,7 +409,7 @@ fn fleet_survives_a_killed_node() {
         b.cluster_addr().expect("clustered").to_string(),
         child_cluster.clone(),
     ];
-    let ring = Ring::new(&addrs, DEFAULT_VNODES);
+    let ring = Ring::new(&addrs);
     let owned = sim_bodies_owned_by(&ring, &child_cluster, 1);
 
     child.kill().expect("kill child");

@@ -1,13 +1,15 @@
 //! Property-based tests on the core data structures and invariants of the
 //! stack: caches, DRAM timing, TLBs, the coherence directory, the branch
-//! predictor, the ownership protocol, trace generation, and the lowering
-//! passes.
+//! predictor, the ownership protocol, trace generation, the lowering
+//! passes, and the cluster's consistent-hash ring.
 //!
 //! The generators run on a small in-repo xorshift harness (the container
 //! has no registry access, so `proptest` is not available); seeds are fixed
 //! so every run explores the same deterministic case set.
 
+use hetmem::cluster::{Ring, VNODES};
 use hetmem::core::consistency::{enumerate_outcomes, ConsistencyModel, Op};
+use hetmem::core::hash::fnv1a;
 use hetmem::core::OwnershipTracker;
 use hetmem::dsl::{generate_trace, lower, AddressSpace, BufId, Buffer, Program, Step, Target};
 use hetmem::sim::{
@@ -583,6 +585,65 @@ fn directory_matches_a_btreemap() {
             );
         }
     }
+}
+
+// ---------- differential: the hash ring vs a scan over every virtual point ----------
+
+/// Ring placement, restated: FNV-1a finalized by splitmix64.
+fn ring_position(bytes: &[u8]) -> u64 {
+    let mut x = fnv1a(bytes);
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^= x >> 31;
+    x
+}
+
+/// The owner by brute force: the smallest `(position, node)` virtual
+/// point at or after the key, else (wrapping) the smallest point of all.
+/// Nodes are ranked in sorted address order, as the ring ranks them.
+fn scan_owner(members: &[String], key: &str) -> Option<(String, bool)> {
+    let mut nodes = members.to_vec();
+    nodes.sort();
+    nodes.dedup();
+    let points: Vec<(u64, usize)> = nodes
+        .iter()
+        .enumerate()
+        .flat_map(|(i, node)| {
+            (0..VNODES).map(move |v| (ring_position(format!("{node}#{v}").as_bytes()), i))
+        })
+        .collect();
+    let at = ring_position(key.as_bytes());
+    let after = points.iter().filter(|&&(p, _)| p >= at).min();
+    let wrapped = after.is_none();
+    let &(_, i) = after.or_else(|| points.iter().min())?;
+    Some((nodes[i].clone(), wrapped))
+}
+
+#[test]
+fn ring_owner_matches_a_scan_over_every_virtual_point() {
+    let mut rng = Rng::new(0x2196_0B0E);
+    let mut wraps = 0;
+    for _ in 0..CASES {
+        // Small address pools make duplicate members likely.
+        let hosts = rng.range(1, 4);
+        let members = rng.vec(0, 9, |r| {
+            format!("10.0.0.{}:{}", r.range(1, hosts + 1), 7000 + r.range(0, 4))
+        });
+        let ring = Ring::new(&members);
+        for k in 0..64 {
+            let key = format!("{:016x}-{k}", rng.next_u64());
+            let expected = scan_owner(&members, &key);
+            wraps += usize::from(expected.as_ref().is_some_and(|&(_, w)| w));
+            assert_eq!(
+                ring.owner(&key),
+                expected.as_ref().map(|(node, _)| node.as_str()),
+                "members {members:?} key {key}"
+            );
+        }
+    }
+    assert!(wraps > 0, "no key wrapped past the top of the ring");
 }
 
 // ---------- branch predictor ----------

@@ -1,11 +1,14 @@
 //! End-to-end tests of the guided design-space search: fixed-seed
 //! reproducibility (byte-identical JSON), frontier exactness against
 //! brute force, warm-cache restarts issuing zero simulator executions,
-//! and the budget contract — the reference frontier point is reached in
-//! at most a quarter of the exhaustive sweep's simulator executions.
+//! the budget contract — the reference frontier point is reached in at
+//! most a quarter of the exhaustive sweep's simulator executions — and
+//! successive halving's edge over the seeded random baseline.
 
+use hetmem::cli::{parse_args, Command};
 use hetmem_search::{
-    dominates, run_search, Objective, SearchConfig, SearchOptions, SearchSpace, Strategy,
+    dominates, run_search, Objective, SearchConfig, SearchOptions, SearchResult, SearchSpace,
+    Strategy,
 };
 use std::path::PathBuf;
 
@@ -90,7 +93,7 @@ fn cli_search_output_is_reproducible() {
 
 #[test]
 fn exhausted_search_finds_the_brute_force_frontier() {
-    for strategy in [Strategy::Random, Strategy::Halving, Strategy::Evolve] {
+    for strategy in Strategy::ALL {
         let cfg = config(strategy, usize::MAX, 3);
         let result = run_search(&cfg, SearchOptions::with_workers(2)).expect("search");
         assert_eq!(
@@ -204,5 +207,72 @@ fn quarter_budget_reaches_a_true_frontier_point() {
         frontier.contains(&"CPU+GPU@512"),
         "the reference frontier point must be found within budget: {frontier:?}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------- halving pays for itself ----------
+
+/// The space `hetmem search --scale 256,512` explores: 9 targets at two
+/// scales, 18 candidates, 108 exhaustive jobs.
+fn two_rung_config() -> SearchConfig {
+    let argv: Vec<String> = ["search", "--scale", "256,512"]
+        .iter()
+        .map(|s| (*s).to_owned())
+        .collect();
+    match parse_args(&argv) {
+        Ok(Command::Search { config, .. }) => config,
+        other => panic!("search must parse: {other:?}"),
+    }
+}
+
+/// At budgets of a quarter and a half of the exhaustive sweep,
+/// successive halving evaluates more points of the true Pareto frontier
+/// than the seeded random baseline does under ANY of seeds 0-9. Every
+/// run shares one cache, which the exhaustive pass fills first.
+#[test]
+fn halving_beats_every_random_seed_on_true_frontier_hits() {
+    let dir = temp_cache("edge");
+    let run = |strategy: Strategy, budget: usize, seed: u64| {
+        let cfg = SearchConfig {
+            strategy,
+            budget,
+            seed,
+            ..two_rung_config()
+        };
+        let opts = SearchOptions {
+            workers: 2,
+            cache_dir: Some(dir.clone()),
+            ..SearchOptions::default()
+        };
+        run_search(&cfg, opts).expect("search")
+    };
+
+    let exhaustive = run(Strategy::Random, usize::MAX, 0);
+    assert_eq!(exhaustive.evals.len(), 18);
+    let truth: Vec<usize> = exhaustive
+        .frontier
+        .iter()
+        .map(|&i| exhaustive.evals[i].candidate)
+        .collect();
+    // A true-frontier point is non-dominated in every evaluated subset
+    // that contains it, so evaluating it is finding it.
+    let hits = |r: &SearchResult| {
+        r.evals
+            .iter()
+            .filter(|e| truth.contains(&e.candidate))
+            .count()
+    };
+
+    for budget in [27, 54] {
+        let halving = hits(&run(Strategy::Halving, budget, 0));
+        let random: Vec<usize> = (0..10)
+            .map(|seed| hits(&run(Strategy::Random, budget, seed)))
+            .collect();
+        let best_random = random.iter().copied().max().unwrap_or(0);
+        assert!(
+            halving > best_random,
+            "budget {budget}: halving found {halving}, random up to {best_random} ({random:?})"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

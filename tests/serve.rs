@@ -361,6 +361,15 @@ fn search_endpoint_runs_async_and_reports_the_frontier() {
         send(addr, "POST", "/v1/search", Some("{\"budget\":0}")).status,
         400
     );
+    // A removed strategy is a typed rejection naming what remains.
+    let removed = send(
+        addr,
+        "POST",
+        "/v1/search",
+        Some("{\"strategy\":\"evolve\"}"),
+    );
+    assert_eq!(removed.status, 400);
+    assert!(removed.body.contains("random|halving"), "{}", removed.body);
     assert_eq!(send(addr, "GET", "/v1/search", None).status, 405);
 
     let v = send(addr, "GET", "/metrics", None).json();
