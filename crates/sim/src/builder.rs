@@ -31,7 +31,7 @@ use crate::fabric::{CommCosts, CommModel, FabricKind, SynchronousFabric};
 use crate::noc::RING_STOPS;
 use crate::obs::{NullObserver, SimObserver};
 use crate::stats::RunReport;
-use crate::system::System;
+use crate::system::{Compute, ComputeLog, System};
 use hetmem_trace::PhasedTrace;
 
 enum CommChoice {
@@ -277,12 +277,7 @@ impl<O: SimObserver> Simulation<O> {
     /// [`SimError::MalformedTrace`] if the trace violates the phased-trace
     /// shape invariants; [`SimError::EmptyTrace`] if it has no segments.
     pub fn run(&mut self, trace: &PhasedTrace) -> Result<RunReport, SimError> {
-        trace
-            .validate()
-            .map_err(|e| SimError::MalformedTrace(e.to_string()))?;
-        if trace.segments().is_empty() {
-            return Err(SimError::EmptyTrace);
-        }
+        check_trace(trace)?;
         Ok(self
             .system
             .execute(trace, &mut *self.comm, &mut self.observer, self.mode))
@@ -323,6 +318,105 @@ impl<O: SimObserver> Simulation<O> {
     #[must_use]
     pub fn into_parts(self) -> (System, O) {
         (self.system, self.observer)
+    }
+}
+
+fn check_trace(trace: &PhasedTrace) -> Result<(), SimError> {
+    trace
+        .validate()
+        .map_err(|e| SimError::MalformedTrace(e.to_string()))?;
+    if trace.segments().is_empty() {
+        return Err(SimError::EmptyTrace);
+    }
+    Ok(())
+}
+
+/// One member's result from [`Simulation::run_group`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct GroupRun {
+    /// Exactly what a freshly built simulation's [`Simulation::run`]
+    /// reports under this member's communication model.
+    pub report: RunReport,
+    /// Whether the member's compute segments were replayed from the
+    /// leader's timeline. `false` for the leader, and for a member that
+    /// failed the quiescence guard and was simulated in full.
+    pub replayed: bool,
+}
+
+impl Simulation<NullObserver> {
+    /// Simulates `trace` under this simulation's communication model (the
+    /// group's *leader*) and then under each model `others` builds,
+    /// returning the leader's run first and then one run per model, in
+    /// order.
+    ///
+    /// Communication segments never touch the memory hierarchy, so the
+    /// members differ only in when each compute segment starts. The leader
+    /// records its compute timeline and every other member replays it,
+    /// running only its communication live, as long as each compute
+    /// segment starts *quiescent* in both runs: no DRAM bank, DRAM bus or
+    /// NoC bus busy past the start (see
+    /// [`crate::MemoryHierarchy::timing_horizon`]). Such a segment evolves
+    /// identically at any start, shifted in time. A member that fails the
+    /// guard is simulated in full, from the power-on state, under a second
+    /// model its factory builds. Every member starts from the power-on
+    /// state, so each report equals a freshly built simulation's
+    /// [`Simulation::run`] under that model. `others` is pulled one member
+    /// at a time, so a caller can stop the group early.
+    ///
+    /// # Errors
+    ///
+    /// The same as [`Simulation::run`], before any member runs.
+    pub fn run_group<F>(
+        &mut self,
+        trace: &PhasedTrace,
+        others: impl IntoIterator<Item = F>,
+    ) -> Result<Vec<GroupRun>, SimError>
+    where
+        F: Fn() -> Box<dyn CommModel>,
+    {
+        check_trace(trace)?;
+        let mode = self.mode;
+        let mut log = ComputeLog::default();
+        self.system.reset();
+        let report = self
+            .system
+            .run_segments(
+                trace,
+                &mut *self.comm,
+                &mut NullObserver,
+                mode,
+                Compute::Live(Some(&mut log)),
+            )
+            .expect("a live run replays nothing, so it never abandons");
+        let mut runs = vec![GroupRun {
+            report,
+            replayed: false,
+        }];
+        for model in others {
+            let replay = self.system.run_segments(
+                trace,
+                &mut *model(),
+                &mut NullObserver,
+                mode,
+                Compute::Replay(&log),
+            );
+            runs.push(match replay {
+                Some(report) => GroupRun {
+                    report,
+                    replayed: true,
+                },
+                None => {
+                    self.system.reset();
+                    GroupRun {
+                        report: self
+                            .system
+                            .execute(trace, &mut *model(), &mut NullObserver, mode),
+                        replayed: false,
+                    }
+                }
+            });
+        }
+        Ok(runs)
     }
 }
 

@@ -106,6 +106,18 @@ impl Dram {
         self.stats
     }
 
+    /// The latest tick any bank or channel bus is busy until. A request
+    /// arriving at or after it sees an idle DRAM, so its timing depends
+    /// only on the open rows, not on when earlier requests ran.
+    #[must_use]
+    pub(crate) fn horizon(&self) -> Tick {
+        self.channels
+            .iter()
+            .flat_map(|ch| ch.banks.iter().map(|b| b.free_at).chain([ch.bus_free_at]))
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Closes every row, frees every bus, and zeroes the counters
     /// (power-on state).
     pub fn reset(&mut self) {

@@ -263,6 +263,18 @@ pub trait CommModel {
     }
 }
 
+/// A boxed model plans exactly like the model it holds, so callers that pick
+/// a model at run time can hand it to [`crate::SimulationBuilder::comm_model`].
+impl<M: CommModel + ?Sized> CommModel for Box<M> {
+    fn plan(&mut self, event: &CommEvent) -> CommAction {
+        (**self).plan(event)
+    }
+
+    fn cost_class(&self, event: &CommEvent) -> CommCostClass {
+        (**self).cost_class(event)
+    }
+}
+
 /// The simplest model: every event is a synchronous transfer over one
 /// fabric. This is the CPU+GPU (CUDA) disjoint-memory behaviour when used
 /// with [`FabricKind::PciExpress`].

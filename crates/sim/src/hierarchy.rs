@@ -140,6 +140,15 @@ impl MemoryHierarchy {
         self.prefetches = 0;
     }
 
+    /// The latest tick any DRAM bank, DRAM channel bus or NoC bus medium is
+    /// busy until — the only hierarchy state that depends on absolute time.
+    /// A compute segment starting at or after it evolves exactly as it
+    /// would at any later start, shifted in time.
+    #[must_use]
+    pub fn timing_horizon(&self) -> Tick {
+        self.dram.horizon().max(self.ring.horizon())
+    }
+
     /// The LLC tile an address interleaves to.
     #[must_use]
     pub fn tile_of(&self, addr: u64) -> u32 {

@@ -72,7 +72,7 @@ mod system;
 mod tlb;
 
 pub use bpred::Gshare;
-pub use builder::{Simulation, SimulationBuilder};
+pub use builder::{GroupRun, Simulation, SimulationBuilder};
 pub use cache::{Cache, CacheStats, Evicted, Lookup, Placement};
 pub use clock::{ticks_to_ns, ClockDomain, Tick, TICKS_PER_SECOND};
 pub use coherence::{CoherenceStats, Directory, Intervention, InterventionKind, LineState};

@@ -43,6 +43,13 @@ impl Interconnect {
         }
     }
 
+    /// The tick the shared bus medium is busy until (always 0 for the ring
+    /// and crossbar, whose traversals never wait).
+    #[must_use]
+    pub(crate) fn horizon(&self) -> Tick {
+        self.bus_free_at
+    }
+
     /// Frees the bus and zeroes the counters (power-on state).
     pub fn reset(&mut self) {
         self.bus_free_at = 0;

@@ -15,14 +15,14 @@
 
 use crate::clock::Tick;
 use crate::config::SystemConfig;
-use crate::cpu::CpuCore;
+use crate::cpu::{CpuCore, CpuStats};
 use crate::exec::ExecMode;
 use crate::fabric::{CommAction, CommCosts, CommModel};
-use crate::gpu::GpuCore;
-use crate::hierarchy::MemoryHierarchy;
+use crate::gpu::{GpuCore, GpuStats};
+use crate::hierarchy::{HierarchyStats, MemoryHierarchy};
 use crate::obs::SimObserver;
 use crate::stats::RunReport;
-use hetmem_trace::{Inst, Phase, PhasedTrace, PuKind};
+use hetmem_trace::{Inst, Phase, PhaseSegment, PhasedTrace, PuKind};
 
 /// A complete simulated heterogeneous system.
 #[derive(Debug)]
@@ -127,6 +127,24 @@ impl System {
         obs: &mut O,
         mode: ExecMode,
     ) -> RunReport {
+        self.run_segments(trace, comm, obs, mode, Compute::Live(None))
+            .expect("a live run replays nothing, so it never abandons")
+    }
+
+    /// The segment loop behind [`System::execute`] and
+    /// [`crate::Simulation::run_group`]. Communication segments always run
+    /// live under `comm`; `compute` says where the compute segments come
+    /// from. Returns `None` only when a replay meets a compute segment
+    /// that would not start quiescent (see [`ComputeSpan`]); the system
+    /// is then untouched by the replay but `comm` has planned some events.
+    pub(crate) fn run_segments<O: SimObserver>(
+        &mut self,
+        trace: &PhasedTrace,
+        comm: &mut dyn CommModel,
+        obs: &mut O,
+        mode: ExecMode,
+        mut compute: Compute<'_>,
+    ) -> Option<RunReport> {
         let mut now: Tick = 0;
         let mut seq_ticks: Tick = 0;
         let mut par_ticks: Tick = 0;
@@ -136,91 +154,60 @@ impl System {
         // Completion time of outstanding asynchronous transfers the next
         // parallel segment's GPU work must wait for.
         let mut dma_ready: Tick = 0;
+        // Compute segments seen so far, and the latest tick the hierarchy
+        // is busy until after the last one (replays track it from the log).
+        let mut spans = 0usize;
+        let mut horizon: Tick = 0;
 
         for (index, segment) in trace.segments().iter().enumerate() {
             let seg_start = now;
             obs.on_phase_start(index, segment.phase(), now);
             match segment.phase() {
-                Phase::Sequential => {
-                    let insts = segment.stream(PuKind::Cpu).as_slice();
-                    let end = match mode {
-                        ExecMode::Sampled {
-                            warm_interval,
-                            detail_window,
-                        } => {
-                            let (end, skipped) = sampled_cpu_stream(
-                                &mut self.cpu,
-                                &mut self.hierarchy,
-                                insts,
-                                now,
-                                warm_interval,
-                                detail_window,
-                                obs,
-                            );
-                            ff_ticks += skipped;
-                            end
+                Phase::Sequential | Phase::Parallel => {
+                    let span = match &mut compute {
+                        Compute::Live(log) => {
+                            let quiescent = self.hierarchy.timing_horizon() <= now;
+                            let (end, fast_forwarded) =
+                                self.compute_segment(segment, now, mode, obs);
+                            let span = ComputeSpan {
+                                quiescent,
+                                ticks: end - now,
+                                fast_forwarded,
+                                tail: self.hierarchy.timing_horizon().saturating_sub(now),
+                            };
+                            if let Some(log) = log {
+                                log.spans.push(span);
+                            }
+                            span
                         }
-                        ExecMode::Accurate => self
-                            .cpu
-                            .begin(insts, now)
-                            .run_to_end(&mut self.hierarchy, obs),
+                        Compute::Replay(log) => match log.spans.get(spans) {
+                            Some(&span) if span.quiescent && horizon <= now => span,
+                            _ => return None,
+                        },
                     };
-                    seq_ticks += end - now;
-                    now = end;
-                }
-                Phase::Parallel => {
-                    let cpu_insts = segment.stream(PuKind::Cpu).as_slice();
-                    let gpu_insts = segment.stream(PuKind::Gpu).as_slice();
-                    // Asynchronous copies stream their data during kernel
-                    // execution (GMAC's on-demand/rolling transfer): both
-                    // cores start immediately, and only the portion of the
-                    // transfer that outlives the computation is charged to
-                    // communication below.
-                    let compute_end = match mode {
-                        ExecMode::Accurate => interleaved_parallel(
-                            &mut self.cpu,
-                            &mut self.gpu,
-                            &mut self.hierarchy,
-                            cpu_insts,
-                            gpu_insts,
-                            now,
-                            obs,
-                        ),
-                        ExecMode::Sampled {
-                            warm_interval,
-                            detail_window,
-                        } => {
-                            // Paired sampling: detailed windows interleave
-                            // both cores by global time (full contention
-                            // fidelity), then both streams skip together so
-                            // the clocks never diverge. A phase where both
-                            // streams fit one window is exact.
-                            let (end, skipped) = sampled_parallel(
-                                &mut self.cpu,
-                                &mut self.gpu,
-                                &mut self.hierarchy,
-                                cpu_insts,
-                                gpu_insts,
-                                now,
-                                warm_interval,
-                                detail_window,
-                                obs,
-                            );
-                            ff_ticks += skipped;
-                            end
-                        }
-                    };
-                    par_ticks += compute_end - now;
-                    // A background transfer that outlives the computation
-                    // delays the segment's completion; that tail is
-                    // communication time.
-                    if dma_ready > compute_end {
-                        comm_ticks += dma_ready - compute_end;
-                        now = dma_ready;
-                    } else {
+                    spans += 1;
+                    horizon = now + span.tail;
+                    ff_ticks += span.fast_forwarded;
+                    let compute_end = now + span.ticks;
+                    if segment.phase() == Phase::Sequential {
+                        seq_ticks += span.ticks;
                         now = compute_end;
+                    } else {
+                        par_ticks += span.ticks;
+                        // Asynchronous copies stream their data during
+                        // kernel execution (GMAC's on-demand/rolling
+                        // transfer), so both cores started immediately. A
+                        // transfer that outlives the computation delays the
+                        // segment's completion; that tail is communication
+                        // time.
+                        if dma_ready > compute_end {
+                            comm_ticks += dma_ready - compute_end;
+                            now = dma_ready;
+                        } else {
+                            now = compute_end;
+                        }
+                        dma_ready = 0;
                     }
-                    dma_ready = 0;
                 }
                 Phase::Communication => {
                     for inst in segment.stream(PuKind::Cpu).iter() {
@@ -269,17 +256,143 @@ impl System {
         }
         obs.on_run_end(now);
 
-        RunReport {
+        let (hierarchy, cpu, gpu) = match compute {
+            Compute::Live(log) => {
+                let stats = (self.hierarchy.stats(), self.cpu.stats(), self.gpu.stats());
+                if let Some(log) = log {
+                    log.stats = stats;
+                }
+                stats
+            }
+            Compute::Replay(log) => log.stats,
+        };
+        Some(RunReport {
             kernel: trace.name().to_owned(),
             sequential_ticks: seq_ticks,
             parallel_ticks: par_ticks,
             communication_ticks: comm_ticks,
             fast_forwarded_ticks: ff_ticks,
-            hierarchy: self.hierarchy.stats(),
-            cpu: self.cpu.stats(),
-            gpu: self.gpu.stats(),
+            hierarchy,
+            cpu,
+            gpu,
+        })
+    }
+
+    /// Simulates one sequential or parallel segment starting at `start`,
+    /// returning its end tick and the ticks extrapolated across sampled
+    /// skips.
+    fn compute_segment<O: SimObserver>(
+        &mut self,
+        segment: &PhaseSegment,
+        start: Tick,
+        mode: ExecMode,
+        obs: &mut O,
+    ) -> (Tick, Tick) {
+        let cpu_insts = segment.stream(PuKind::Cpu).as_slice();
+        let gpu_insts = segment.stream(PuKind::Gpu).as_slice();
+        match (segment.phase(), mode) {
+            (Phase::Sequential, ExecMode::Accurate) => (
+                self.cpu
+                    .begin(cpu_insts, start)
+                    .run_to_end(&mut self.hierarchy, obs),
+                0,
+            ),
+            (
+                Phase::Sequential,
+                ExecMode::Sampled {
+                    warm_interval,
+                    detail_window,
+                },
+            ) => sampled_cpu_stream(
+                &mut self.cpu,
+                &mut self.hierarchy,
+                cpu_insts,
+                start,
+                warm_interval,
+                detail_window,
+                obs,
+            ),
+            (Phase::Parallel, ExecMode::Accurate) => (
+                interleaved_parallel(
+                    &mut self.cpu,
+                    &mut self.gpu,
+                    &mut self.hierarchy,
+                    cpu_insts,
+                    gpu_insts,
+                    start,
+                    obs,
+                ),
+                0,
+            ),
+            // Paired sampling: detailed windows interleave both cores by
+            // global time (full contention fidelity), then both streams
+            // skip together so the clocks never diverge. A phase where both
+            // streams fit one window is exact.
+            (
+                Phase::Parallel,
+                ExecMode::Sampled {
+                    warm_interval,
+                    detail_window,
+                },
+            ) => sampled_parallel(
+                &mut self.cpu,
+                &mut self.gpu,
+                &mut self.hierarchy,
+                cpu_insts,
+                gpu_insts,
+                start,
+                warm_interval,
+                detail_window,
+                obs,
+            ),
+            (Phase::Communication, _) => {
+                unreachable!("communication segments are not compute segments")
+            }
         }
     }
+}
+
+/// Where [`System::run_segments`] takes its compute segments from.
+pub(crate) enum Compute<'a> {
+    /// Simulate them, recording the timeline into the log if one is given.
+    Live(Option<&'a mut ComputeLog>),
+    /// Replay a timeline a live run of the same trace recorded on a system
+    /// of the same configuration and mode.
+    Replay(&'a ComputeLog),
+}
+
+/// One compute segment of a recorded run.
+///
+/// Communication never touches the memory hierarchy, so runs of one trace
+/// under different communication models differ only in when each compute
+/// segment starts. The only hierarchy state that depends on absolute time
+/// is the busy-until tick of each DRAM bank, DRAM bus and NoC bus
+/// ([`MemoryHierarchy::timing_horizon`]); core state is relative to the
+/// segment start. A segment that starts *quiescent* — every busy-until
+/// tick at or before its start — therefore evolves identically at any
+/// start, shifted in time.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ComputeSpan {
+    /// Whether the recorded run started this segment quiescent.
+    quiescent: bool,
+    /// Start-to-end duration.
+    ticks: Tick,
+    /// Ticks extrapolated across sampled skips.
+    fast_forwarded: Tick,
+    /// How far past the segment's start the hierarchy stayed busy (0 when
+    /// it went idle by the start): posted DRAM writes can outlive the
+    /// compute. A replay starting the segment at `s` is busy until exactly
+    /// `s + tail`, so the next compute segment is quiescent iff it starts
+    /// no earlier.
+    tail: Tick,
+}
+
+/// The compute timeline of one live run: its compute segments in order and
+/// the final counters, which a replay reports unchanged.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ComputeLog {
+    spans: Vec<ComputeSpan>,
+    stats: (HierarchyStats, CpuStats, GpuStats),
 }
 
 /// The reference parallel-phase loop: CPU and GPU runs interleaved by

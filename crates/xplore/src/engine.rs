@@ -1,12 +1,13 @@
 //! The sweep executor: a `std::thread` worker pool over a shared job
 //! queue, with optional content-addressed result caching.
 //!
-//! Jobs are independent single-threaded simulations, so they shard
-//! perfectly; the pool pulls indices from an atomic cursor and results are
-//! written back into per-job slots, making the collected output identical
-//! for any worker count. Generated traces are shared across jobs of the
-//! same (kernel, scale) through a small in-memory store so a five-system
-//! case-study row pays trace generation once, not five times.
+//! The pool's unit of work is the set of jobs of one (kernel, scale). They
+//! share one generated trace (kept in a small in-memory store) and differ
+//! only in the communication model, so an unobserved unit simulates the
+//! trace's compute once and replays it for the other models
+//! ([`Simulation::run_group`]). Workers pull units from an atomic cursor
+//! and results are written back into per-job slots, making the collected
+//! output identical for any worker count.
 
 use crate::cache::DiskCache;
 use crate::dispatch::{DispatchContext, JobDispatcher, JobPart};
@@ -15,14 +16,15 @@ use crate::spec::{Job, JobKind, SweepSpec};
 use hetmem_core::experiment::{CaseStudyRun, ExperimentConfig, SpaceRun};
 use hetmem_core::IdealSpaceComm;
 use hetmem_sim::{
-    ExecMode, IntervalProfiler, NullObserver, SimError, SimObserver, Simulation, System,
+    CommModel, ExecMode, IntervalProfiler, NullObserver, RunReport, SimError, SimObserver,
+    Simulation, System,
 };
 use hetmem_trace::kernels::KernelParams;
 use hetmem_trace::PhasedTrace;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -169,8 +171,11 @@ pub struct SweepStats {
     pub workers: usize,
     /// Jobs answered from the cache.
     pub cache_hits: u64,
-    /// Jobs simulated live.
+    /// Jobs computed live (simulated or replayed).
     pub cache_misses: u64,
+    /// Live jobs whose compute was replayed from another job of the same
+    /// (kernel, scale) rather than simulated; see [`run_jobs`].
+    pub replayed: u64,
     /// Wall-clock duration of the whole sweep.
     pub wall: Duration,
 }
@@ -179,12 +184,13 @@ impl std::fmt::Display for SweepStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} jobs on {} workers in {:.2} s ({} cache hits, {} misses)",
+            "{} jobs on {} workers in {:.2} s ({} cache hits, {} misses, {} replayed)",
             self.jobs,
             self.workers,
             self.wall.as_secs_f64(),
             self.cache_hits,
-            self.cache_misses
+            self.cache_misses,
+            self.replayed
         )
     }
 }
@@ -312,21 +318,76 @@ pub fn execute_job_observed<O: SimObserver>(
     observer: O,
     mode: ExecMode,
 ) -> Result<(SweepRecord, O), SimError> {
-    let builder = Simulation::builder()
+    let mut sim = Simulation::builder()
         .config(config.system)
         .costs(config.costs)
         .mode(mode)
         .recycle(take_pooled_engine(config))
-        .observer(observer);
-    let mut sim = match job.kind {
-        JobKind::CaseStudy { system } => builder.comm_model(system.comm_model(config.costs)),
-        JobKind::AddressSpace { space } => {
-            builder.comm_model(IdealSpaceComm::new(space, config.costs))
-        }
-    }
-    .build()?;
+        .observer(observer)
+        .comm_model(comm_model(job, config))
+        .build()?;
     let report = sim.run(trace)?;
-    let record = SweepRecord {
+    let (system, observer) = sim.into_parts();
+    return_pooled_engine(system);
+    Ok((job_record(job, mode, report), observer))
+}
+
+/// Simulates `group` — jobs of one (kernel, scale), sharing `trace` —
+/// unobserved under `mode`. The first job's compute is simulated once and
+/// every other job replays it under its own communication model (see
+/// [`Simulation::run_group`]); the records equal [`execute_job`]'s. Checks
+/// `cancelled` before each job after the first and stops there. Returns the
+/// results of the jobs that ran, in order, and how many were replayed.
+fn execute_group(
+    group: &[&Job],
+    config: &ExperimentConfig,
+    trace: &PhasedTrace,
+    mode: ExecMode,
+    cancelled: &dyn Fn() -> bool,
+) -> (Vec<Result<SweepRecord, SimError>>, u64) {
+    let (leader, others) = group.split_first().expect("a group has a leader");
+    let runs = Simulation::builder()
+        .config(config.system)
+        .costs(config.costs)
+        .mode(mode)
+        .recycle(take_pooled_engine(config))
+        .comm_model(comm_model(leader, config))
+        .build()
+        .and_then(|mut sim| {
+            let members = others
+                .iter()
+                .take_while(|_| !cancelled())
+                .map(|job| move || comm_model(job, config));
+            let runs = sim.run_group(trace, members);
+            return_pooled_engine(sim.into_parts().0);
+            runs
+        });
+    match runs {
+        Ok(runs) => {
+            let replayed = runs.iter().filter(|run| run.replayed).count() as u64;
+            let records = group
+                .iter()
+                .zip(runs)
+                .map(|(job, run)| Ok(job_record(job, mode, run.report)))
+                .collect();
+            (records, replayed)
+        }
+        // Every job of the group shares the configuration and the trace,
+        // so each would have failed the same way.
+        Err(e) => (vec![Err(e); group.len()], 0),
+    }
+}
+
+/// The communication model `job` evaluates.
+fn comm_model(job: &Job, config: &ExperimentConfig) -> Box<dyn CommModel> {
+    match job.kind {
+        JobKind::CaseStudy { system } => Box::new(system.comm_model(config.costs)),
+        JobKind::AddressSpace { space } => Box::new(IdealSpaceComm::new(space, config.costs)),
+    }
+}
+
+fn job_record(job: &Job, mode: ExecMode, report: RunReport) -> SweepRecord {
+    SweepRecord {
         id: job.id,
         kind: job.kind_name().to_owned(),
         kernel: job.kernel.name().to_owned(),
@@ -336,10 +397,7 @@ pub fn execute_job_observed<O: SimObserver>(
         mode,
         report,
         timeline: None,
-    };
-    let (system, observer) = sim.into_parts();
-    return_pooled_engine(system);
-    Ok((record, observer))
+    }
 }
 
 /// Engines this worker thread has finished with, kept for recycling.
@@ -390,6 +448,13 @@ pub fn run_sweep(
 /// Runs `jobs` on the worker pool. The returned records are sorted by job
 /// ordinal and are bit-identical for any worker count and any cache state.
 ///
+/// Unless a timeline is requested, the cache misses of one (kernel, scale)
+/// run as one group: the first is simulated and the others replay its
+/// compute timeline under their own communication models, falling back to
+/// a full simulation where a replay would not be exact (see
+/// [`Simulation::run_group`]). Every record equals [`execute_job`]'s, and
+/// each one counts as a cache miss and is stored in the cache.
+///
 /// # Errors
 ///
 /// Returns [`SimError`] when the cache directory cannot be opened, the
@@ -421,41 +486,77 @@ pub fn run_jobs(
     .min(jobs.len().max(1));
 
     let traces = TraceStore::global();
-    let run_one = |job: &Job| -> Result<SweepRecord, SimError> {
+    let cancelled = || {
+        opts.cancel
+            .as_deref()
+            .is_some_and(|c| c.load(Ordering::Relaxed))
+    };
+    let replayed = AtomicU64::new(0);
+    // Runs the jobs at `unit` (all of one (kernel, scale)), handing each
+    // (index, record) pair to `sink` as it finishes.
+    let run_unit = |unit: &[usize], sink: &mut dyn FnMut(usize, Result<SweepRecord, SimError>)| {
         let cache = cache.as_ref();
-        // The content key Debug-formats the full hardware and cost
-        // configuration — skip it entirely on uncached sweeps, where it
-        // would otherwise rival the simulation itself on small per-job
-        // traces.
-        let key = cache.map(|_| content_key_with(job, config, opts.timeline_interval, opts.mode));
-        if let Some(mut cached) = cache.and_then(|c| c.get(key.as_deref().expect("keyed"))) {
-            // Ordinals belong to this sweep, not the cache entry (a
-            // differently-filtered sweep may have stored it).
-            cached.id = job.id;
-            return Ok(cached);
-        }
-        let trace = traces.get(job);
-        let result = match opts.timeline_interval {
-            Some(interval) => execute_job_observed(
-                job,
-                config,
-                &trace,
-                IntervalProfiler::new(interval),
-                opts.mode,
-            )
-            .map(|(mut record, profiler)| {
-                record.timeline = Some(profiler.summary());
-                record
-            }),
-            None => execute_job_observed(job, config, &trace, NullObserver, opts.mode)
-                .map(|(record, _)| record),
-        };
-        if let (Ok(record), Some(c)) = (&result, cache) {
-            if let Err(e) = c.put(key.as_deref().expect("keyed"), record) {
-                eprintln!("warning: cache write failed: {e}");
+        let mut misses: Vec<(usize, Option<String>)> = Vec::new();
+        for &index in unit {
+            if cancelled() {
+                return;
+            }
+            let job = &jobs[index];
+            // The content key Debug-formats the full hardware and cost
+            // configuration — skip it entirely on uncached sweeps, where it
+            // would otherwise rival the simulation itself on small per-job
+            // traces.
+            let key =
+                cache.map(|_| content_key_with(job, config, opts.timeline_interval, opts.mode));
+            match cache.zip(key.as_deref()).and_then(|(c, key)| c.get(key)) {
+                Some(mut cached) => {
+                    // Ordinals belong to this sweep, not the cache entry (a
+                    // differently-filtered sweep may have stored it).
+                    cached.id = job.id;
+                    sink(index, Ok(cached));
+                }
+                None => misses.push((index, key)),
             }
         }
-        result
+        let Some(&(first, _)) = misses.first() else {
+            return;
+        };
+        let trace = traces.get(&jobs[first]);
+        let mut finish = |(index, key): &(usize, Option<String>), result| {
+            if let (Ok(record), Some(c), Some(key)) = (&result, cache, key) {
+                if let Err(e) = c.put(key, record) {
+                    eprintln!("warning: cache write failed: {e}");
+                }
+            }
+            sink(*index, result);
+        };
+        match opts.timeline_interval {
+            // An observed job needs its own timeline, so it runs in full.
+            Some(interval) => {
+                for miss in &misses {
+                    let result = execute_job_observed(
+                        &jobs[miss.0],
+                        config,
+                        &trace,
+                        IntervalProfiler::new(interval),
+                        opts.mode,
+                    )
+                    .map(|(mut record, profiler)| {
+                        record.timeline = Some(profiler.summary());
+                        record
+                    });
+                    finish(miss, result);
+                }
+            }
+            None => {
+                let group: Vec<&Job> = misses.iter().map(|&(index, _)| &jobs[index]).collect();
+                let (results, n) = execute_group(&group, config, &trace, opts.mode, &cancelled);
+                replayed.fetch_add(n, Ordering::Relaxed);
+                for (miss, result) in misses.iter().zip(results) {
+                    finish(miss, result);
+                }
+            }
+        }
     };
     let done = AtomicUsize::new(0);
     let progress = |record: &Result<SweepRecord, SimError>| {
@@ -476,41 +577,62 @@ pub fn run_jobs(
         }
     };
 
-    // Executes `indices` on up to `workers` local threads, handing each
-    // finished (index, record) pair to `sink` on the calling thread.
-    // Single-worker batches (the service's per-shard path, benches, and
-    // `--jobs 1`) run inline: no spawn, no channel, and — because the
-    // engine pool is thread-local — recycled engines survive from one
-    // sweep to the next.
+    // Splits `indices` into work units: unobserved jobs of one (kernel,
+    // scale) form one unit, which simulates its compute once; an observed
+    // job is a unit of its own. Units run longest first, estimated from the
+    // kernel's Table III instruction count over the scale, so the biggest
+    // simulation does not start last and leave the other workers idle.
+    let units = |indices: &[usize]| -> Vec<Vec<usize>> {
+        let mut units: Vec<Vec<usize>> = Vec::new();
+        let mut unit_of = HashMap::new();
+        for &index in indices {
+            let job = &jobs[index];
+            let slot = match opts.timeline_interval {
+                None => *unit_of
+                    .entry((job.kernel.name(), job.scale))
+                    .or_insert(units.len()),
+                Some(_) => units.len(),
+            };
+            if slot == units.len() {
+                units.push(Vec::new());
+            }
+            units[slot].push(index);
+        }
+        units.sort_by_cached_key(|unit| {
+            let job = &jobs[unit[0]];
+            let insts = job.kernel.paper_characteristics().total_instructions();
+            std::cmp::Reverse(insts / job.scale.max(1) as usize)
+        });
+        units
+    };
+
+    // Executes `indices` on up to `workers` local threads, one unit at a
+    // time, handing each finished (index, record) pair to `sink` on the
+    // calling thread. Single-worker batches (the service's per-shard path,
+    // benches, and `--jobs 1`) run inline: no spawn, no channel, and —
+    // because the engine pool is thread-local — recycled engines survive
+    // from one sweep to the next.
     let run_local =
         |indices: &[usize], sink: &mut dyn FnMut(usize, Result<SweepRecord, SimError>)| {
-            let cancel = opts.cancel.as_deref();
-            if workers.min(indices.len().max(1)) <= 1 {
-                for &index in indices {
-                    if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-                        break;
-                    }
-                    sink(index, run_one(&jobs[index]));
+            let units = units(indices);
+            if workers.min(units.len()) <= 1 {
+                for unit in &units {
+                    run_unit(unit, sink);
                 }
                 return;
             }
             let cursor = AtomicUsize::new(0);
             let (tx, rx) = mpsc::channel::<(usize, Result<SweepRecord, SimError>)>();
             std::thread::scope(|scope| {
-                for _ in 0..workers.min(indices.len()) {
+                for _ in 0..workers.min(units.len()) {
                     let tx = tx.clone();
-                    let cursor = &cursor;
-                    let run_one = &run_one;
-                    scope.spawn(move || loop {
-                        if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
-                            break;
-                        }
-                        let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&index) = indices.get(slot) else {
-                            break;
-                        };
-                        if tx.send((index, run_one(&jobs[index]))).is_err() {
-                            break;
+                    let (cursor, units, run_unit) = (&cursor, &units, &run_unit);
+                    scope.spawn(move || {
+                        // The receiver drains until every worker is done,
+                        // so a send cannot fail.
+                        let mut send = |index, record| drop(tx.send((index, record)));
+                        while let Some(unit) = units.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                            run_unit(unit, &mut send);
                         }
                     });
                 }
@@ -639,6 +761,7 @@ pub fn run_jobs(
             workers,
             cache_hits,
             cache_misses,
+            replayed: replayed.into_inner(),
             wall: start.elapsed(),
         },
     })

@@ -251,8 +251,11 @@ fn sweep_warm_cache_hits_everything_and_is_byte_identical() {
         cold_stats.contains("0 cache hits, 9 misses"),
         "{cold_stats}"
     );
+    // One kernel at one scale: the first job simulates the compute and the
+    // other eight replay it under their own communication models.
+    assert!(cold_stats.contains("9 misses, 8 replayed"), "{cold_stats}");
     assert!(
-        warm_stats.contains("9 cache hits, 0 misses"),
+        warm_stats.contains("9 cache hits, 0 misses, 0 replayed"),
         "{warm_stats}"
     );
     let _ = std::fs::remove_dir_all(&dir);

@@ -6,6 +6,7 @@ use hetmem::core::experiment::{run_case_studies, run_case_study, ExperimentConfi
 use hetmem::core::hash::fnv1a;
 use hetmem::core::EvaluatedSystem;
 use hetmem::dsl::{generate_trace, lower, programs, AddressSpace};
+use hetmem::sim::ExecMode;
 use hetmem::trace::kernels::{Kernel, KernelParams};
 use hetmem::xplore::{run_jobs, to_jsonl, SweepOptions, SweepSpec};
 
@@ -62,14 +63,48 @@ fn lowering_and_codegen_are_deterministic() {
 /// Any change to a simulated number, counter or record field moves it.
 const FULL_GRID_SCALE_64_DIGEST: u64 = 0x2ac5_5b66_9fe1_0429;
 
+/// The 378-record accurate grid over scales 8, 16, …, 512, recorded before
+/// sweeps shared each trace's compute between communication models.
+const GRID_SCALES_8_TO_512_DIGEST: u64 = 0x9f6e_f962_281a_3697;
+
+/// The scale-64 grid under the default sampled mode, recorded at the same
+/// point.
+const SAMPLED_GRID_SCALE_64_DIGEST: u64 = 0x4fea_3d77_5641_116f;
+
+fn grid_digest(scales: Vec<u32>, mode: ExecMode) -> u64 {
+    let jobs = SweepSpec {
+        scales,
+        ..SweepSpec::full(1)
+    }
+    .expand();
+    let opts = SweepOptions::builder().workers(2).mode(mode).build();
+    let out = run_jobs(&jobs, &ExperimentConfig::paper(), &opts).expect("paper grid runs");
+    fnv1a(to_jsonl(&out.records).as_bytes())
+}
+
 #[test]
 fn full_grid_records_match_the_pinned_digest() {
-    let jobs = SweepSpec::full(64).expand();
-    let opts = SweepOptions::builder().workers(2).build();
-    let out = run_jobs(&jobs, &ExperimentConfig::paper(), &opts).expect("paper grid runs");
-    let digest = fnv1a(to_jsonl(&out.records).as_bytes());
+    let digest = grid_digest(vec![64], ExecMode::Accurate);
     assert_eq!(
         digest, FULL_GRID_SCALE_64_DIGEST,
+        "grid records digest to {digest:#018x}"
+    );
+}
+
+#[test]
+fn multi_scale_grid_records_match_the_pinned_digest() {
+    let digest = grid_digest(vec![8, 16, 32, 64, 128, 256, 512], ExecMode::Accurate);
+    assert_eq!(
+        digest, GRID_SCALES_8_TO_512_DIGEST,
+        "grid records digest to {digest:#018x}"
+    );
+}
+
+#[test]
+fn sampled_grid_records_match_the_pinned_digest() {
+    let digest = grid_digest(vec![64], ExecMode::sampled_default());
+    assert_eq!(
+        digest, SAMPLED_GRID_SCALE_64_DIGEST,
         "grid records digest to {digest:#018x}"
     );
 }

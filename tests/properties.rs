@@ -11,15 +11,17 @@ use hetmem::cluster::{Ring, VNODES};
 use hetmem::core::consistency::{enumerate_outcomes, ConsistencyModel, Op};
 use hetmem::core::hash::fnv1a;
 use hetmem::core::OwnershipTracker;
+use hetmem::core::{EvaluatedSystem, IdealSpaceComm};
 use hetmem::dsl::{generate_trace, lower, AddressSpace, BufId, Buffer, Program, Step, Target};
 use hetmem::sim::{
-    Cache, CacheConfig, CacheStats, Directory, Dram, DramConfig, Evicted, Gshare, Intervention,
-    LineState, Lookup, Placement, Tlb,
+    Cache, CacheConfig, CacheStats, CommAction, CommCosts, CommModel, Directory, Dram, DramConfig,
+    Evicted, ExecMode, FabricKind, Gshare, Intervention, LineState, Lookup, Placement, Simulation,
+    SystemConfig, Tlb,
 };
 use hetmem::trace::kernels::{Kernel, KernelParams};
 use hetmem::trace::{
-    parse_trace, write_trace, CommEvent, CommKind, Inst, Phase, PhaseSegment, PhasedTrace, PuKind,
-    SpecialOp, TraceStream, TransferDirection,
+    parse_trace, write_trace, CacheLevel, CommEvent, CommKind, Inst, Phase, PhaseSegment,
+    PhasedTrace, PuKind, SpecialOp, TraceStream, TransferDirection,
 };
 use std::collections::BTreeMap;
 
@@ -919,6 +921,252 @@ fn random_traces_round_trip_through_hmt() {
         let decoded = parse_trace(&text).expect("own output must parse");
         assert_eq!(decoded, trace);
     }
+}
+
+// ---------- grouped runs: a replayed compute timeline is exact ----------
+
+/// Every transfer is a background copy over PCI-E behind a short setup.
+struct Background;
+
+impl CommModel for Background {
+    fn plan(&mut self, event: &CommEvent) -> CommAction {
+        CommAction::Asynchronous {
+            setup: 1_000,
+            transfer: FabricKind::PciExpress.transfer_ticks(event.bytes, &CommCosts::paper()),
+        }
+    }
+}
+
+/// Every transfer is a synchronous copy that takes no time.
+struct Free;
+
+impl CommModel for Free {
+    fn plan(&mut self, _: &CommEvent) -> CommAction {
+        CommAction::Synchronous { ticks: 0 }
+    }
+}
+
+type ModelFactory = Box<dyn Fn() -> Box<dyn CommModel>>;
+
+/// The models a sweep groups — the five evaluated systems and the four
+/// address spaces — plus an asynchronous and a zero-cost one.
+fn group_models() -> Vec<ModelFactory> {
+    let costs = CommCosts::paper();
+    let mut models: Vec<ModelFactory> = Vec::new();
+    for system in EvaluatedSystem::ALL {
+        models.push(Box::new(move || Box::new(system.comm_model(costs))));
+    }
+    for space in AddressSpace::ALL {
+        models.push(Box::new(move || {
+            Box::new(IdealSpaceComm::new(space, costs))
+        }));
+    }
+    models.push(Box::new(|| Box::new(Background)));
+    models.push(Box::new(|| Box::new(Free)));
+    models
+}
+
+/// Runs `models` on `trace` as one group and asserts that every member's
+/// report equals a fresh simulation's under the same model. Returns which
+/// members were replayed.
+fn assert_group_matches_per_job(
+    trace: &PhasedTrace,
+    config: SystemConfig,
+    mode: ExecMode,
+    models: &[&ModelFactory],
+    what: &str,
+) -> Vec<bool> {
+    let build = |model: &ModelFactory| {
+        Simulation::builder()
+            .config(config)
+            .mode(mode)
+            .comm_model(model())
+            .build()
+            .expect("valid config")
+    };
+    let runs = build(models[0])
+        .run_group(trace, models[1..].iter().map(|model| move || model()))
+        .expect("well-formed trace");
+    assert_eq!(runs.len(), models.len(), "{what}");
+    for (i, (model, run)) in models.iter().zip(&runs).enumerate() {
+        let alone = build(model).run(trace).expect("well-formed trace");
+        assert_eq!(run.report, alone, "{what}: member {i}");
+    }
+    assert!(!runs[0].replayed, "{what}: the leader is simulated");
+    runs.iter().map(|run| run.replayed).collect()
+}
+
+/// A compute instruction, now and then a programming-model special (an LLC
+/// push among them, which moves hierarchy state inside compute).
+fn arb_group_compute_inst(rng: &mut Rng) -> Inst {
+    match rng.range(0, 16) {
+        0 => arb_special_inst(rng),
+        1 => Inst::Special(SpecialOp::Push {
+            level: CacheLevel::SharedLlc,
+            addr: rng.range(0, 1 << 32),
+            bytes: rng.range(1, 4096),
+        }),
+        _ => arb_compute_inst(rng),
+    }
+}
+
+fn arb_group_trace(rng: &mut Rng) -> PhasedTrace {
+    let mut t = PhasedTrace::new("group");
+    for _ in 0..rng.usize_range(1, 8) {
+        let segment = match rng.range(0, 3) {
+            0 => PhaseSegment::new(
+                Phase::Sequential,
+                rng.vec(1, 80, arb_group_compute_inst).into_iter().collect(),
+                TraceStream::new(),
+            ),
+            1 => PhaseSegment::new(
+                Phase::Parallel,
+                rng.vec(0, 80, arb_group_compute_inst).into_iter().collect(),
+                rng.vec(0, 80, arb_group_compute_inst).into_iter().collect(),
+            ),
+            _ => PhaseSegment::new(
+                Phase::Communication,
+                rng.vec(1, 4, |r| {
+                    if r.range(0, 4) == 0 {
+                        arb_special_inst(r)
+                    } else {
+                        arb_comm_inst(r)
+                    }
+                })
+                .into_iter()
+                .collect(),
+                TraceStream::new(),
+            ),
+        };
+        t.push_segment(segment);
+    }
+    t
+}
+
+/// `config` with 512 B–1 KB two-way caches: a short store stream evicts
+/// dirty lines all the way out of the LLC.
+fn tiny_caches(mut config: SystemConfig) -> SystemConfig {
+    let l1d = config.cpu.l1d;
+    let tiny = |capacity_bytes| CacheConfig {
+        capacity_bytes,
+        associativity: 2,
+        ..l1d
+    };
+    config.cpu.l1d = tiny(512);
+    config.cpu.l2 = tiny(1024);
+    config.gpu.l1d = tiny(512);
+    config.llc.tile = tiny(1024);
+    config
+}
+
+#[test]
+fn grouped_runs_equal_per_job_runs_for_random_traces() {
+    let models = group_models();
+    let mut rng = Rng::new(0x6A0F);
+    let (mut replayed, mut simulated) = (0, 0);
+    for case in 0..24 {
+        let trace = arb_group_trace(&mut rng);
+        // Rotate the leader so every model leads some group.
+        let lead = case % models.len();
+        let order: Vec<&ModelFactory> = models[lead..].iter().chain(&models[..lead]).collect();
+        for mode in [ExecMode::Accurate, ExecMode::sampled_default()] {
+            for (degree, tiny) in [(0, false), (4, false), (0, true), (4, true)] {
+                let mut config = SystemConfig::baseline();
+                config.cpu.l2_prefetch_degree = degree;
+                if tiny {
+                    config = tiny_caches(config);
+                }
+                let what = format!("case {case}, {mode:?}, degree {degree}, tiny caches {tiny}");
+                let members = assert_group_matches_per_job(&trace, config, mode, &order, &what);
+                for &r in &members[1..] {
+                    if r {
+                        replayed += 1;
+                    } else {
+                        simulated += 1;
+                    }
+                }
+            }
+        }
+    }
+    // Both paths must have been exercised for the equality to mean much.
+    assert!(
+        replayed > 0 && simulated > 0,
+        "{replayed} replayed, {simulated} simulated"
+    );
+}
+
+#[test]
+fn a_busy_dram_at_a_compute_start_forces_a_full_simulation() {
+    // Tiny caches, so a store stream evicts dirty lines all the way out of
+    // the LLC: posted DRAM writes keep the channels busy long after the
+    // write-buffered stores retire.
+    let config = tiny_caches(SystemConfig::baseline());
+    let stores: TraceStream = (0..1024u64)
+        .map(|i| Inst::Store {
+            addr: 0x100_0000 + i * 64,
+            bytes: 8,
+        })
+        .collect();
+    let loads: TraceStream = (0..64u64)
+        .map(|i| Inst::Load {
+            addr: 0x800_0000 + i * 64,
+            bytes: 8,
+        })
+        .collect();
+    let copy: TraceStream = [Inst::Comm(CommEvent {
+        direction: TransferDirection::DeviceToHost,
+        bytes: 1 << 20,
+        kind: CommKind::Intermediate,
+        addr: 0x100_0000,
+    })]
+    .into_iter()
+    .collect();
+    let mut trace = PhasedTrace::new("posted-writes");
+    trace.push_segment(PhaseSegment::new(
+        Phase::Sequential,
+        stores,
+        TraceStream::new(),
+    ));
+    trace.push_segment(PhaseSegment::new(
+        Phase::Communication,
+        copy,
+        TraceStream::new(),
+    ));
+    trace.push_segment(PhaseSegment::new(
+        Phase::Sequential,
+        loads,
+        TraceStream::new(),
+    ));
+    let costs = CommCosts::paper();
+    // The leader's PCI-E copy outlasts the posted writes, so its loads
+    // start on idle DRAM; the elided copy starts them on busy channels.
+    let pcie: ModelFactory =
+        Box::new(move || Box::new(EvaluatedSystem::CpuGpuCuda.comm_model(costs)));
+    let elided: ModelFactory =
+        Box::new(move || Box::new(EvaluatedSystem::IdealHetero.comm_model(costs)));
+    let members = assert_group_matches_per_job(
+        &trace,
+        config,
+        ExecMode::Accurate,
+        &[&pcie, &elided],
+        "posted writes",
+    );
+    assert_eq!(members, [false, false], "the elided member must fall back");
+    // The fallback is not a formality: the busy channels change the loads'
+    // timing, which a replay of the leader's timeline would have missed.
+    let alone = |model: &ModelFactory| {
+        Simulation::builder()
+            .config(config)
+            .comm_model(model())
+            .build()
+            .expect("valid config")
+            .run(&trace)
+            .expect("well-formed trace")
+    };
+    assert_ne!(
+        alone(&pcie).sequential_ticks,
+        alone(&elided).sequential_ticks
+    );
 }
 
 // ---------- consistency: weak is always a relaxation ----------
