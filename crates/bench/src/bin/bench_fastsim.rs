@@ -50,13 +50,7 @@ const GUARD_MIN_RATIO: f64 = 1.5;
 /// The engine modes under test, with the labels used in bench names.
 const MODES: [(ExecMode, &str); 2] = [
     (ExecMode::Accurate, "accurate"),
-    (
-        ExecMode::Sampled {
-            warm_interval: hetmem_sim::DEFAULT_WARM_INTERVAL,
-            detail_window: hetmem_sim::DEFAULT_DETAIL_WINDOW,
-        },
-        "sampled",
-    ),
+    (ExecMode::Sampled, "sampled"),
 ];
 
 struct Timing {

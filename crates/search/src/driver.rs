@@ -412,7 +412,7 @@ impl SearchResult {
         ];
         // Accurate reports stay byte-identical to pre-mode reports.
         if self.config.mode != ExecMode::Accurate {
-            search_pairs.push(("mode", Json::Str(self.config.mode.label())));
+            search_pairs.push(("mode", Json::Str(self.config.mode.label().to_owned())));
         }
         let search = Json::obj(search_pairs);
         let space_obj = Json::obj(vec![

@@ -46,9 +46,9 @@ fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, String> {
     }
 }
 
-/// Parses the shared optional `"mode"` field (`"accurate"`, `"sampled"`,
-/// or `"sampled:WARM:DETAIL"`), defaulting to accurate — the same
-/// vocabulary as the CLI's `--mode` flag.
+/// Parses the shared optional `"mode"` field (`"accurate"`, or
+/// `"sampled"` also under its label `"sampled:1536:512"`), defaulting to
+/// accurate — the same vocabulary as the CLI's `--mode` flag.
 fn opt_mode(v: &Json) -> Result<ExecMode, String> {
     match v.get("mode") {
         None => Ok(ExecMode::Accurate),
@@ -914,15 +914,12 @@ mod tests {
             .expect("parses");
         assert_ne!(a.coalesce_key(), b.coalesce_key());
         let c = parse_search_request("{\"seed\":1}").expect("parses");
-        let d = parse_search_request("{\"seed\":1,\"mode\":\"sampled:1000:100\"}").expect("parses");
-        assert_eq!(
-            d.config.mode,
-            ExecMode::Sampled {
-                warm_interval: 1000,
-                detail_window: 100,
-            }
-        );
+        let d = parse_search_request("{\"seed\":1,\"mode\":\"sampled:1536:512\"}").expect("parses");
+        assert_eq!(d.config.mode, ExecMode::Sampled);
         assert_ne!(c.coalesce_key(), d.coalesce_key());
+        let err = parse_search_request("{\"seed\":1,\"mode\":\"sampled:1000:100\"}")
+            .expect_err("a foreign geometry");
+        assert!(err.contains("accurate|sampled"), "{err}");
     }
 
     #[test]

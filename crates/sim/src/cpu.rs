@@ -259,9 +259,10 @@ impl CpuRun<'_> {
         self.finish = self.finish.max(self.last_retire).max(self.next_issue);
     }
 
-    /// Runs the stream to completion without interleaving (sequential
-    /// phases), returning the finish tick.
-    pub fn run_to_end<O: SimObserver>(mut self, hier: &mut MemoryHierarchy, obs: &mut O) -> Tick {
+    /// Runs the stream to completion on its own, returning the finish
+    /// tick (the system drives runs through its compute loop instead).
+    #[cfg(test)]
+    fn run_to_end<O: SimObserver>(mut self, hier: &mut MemoryHierarchy, obs: &mut O) -> Tick {
         while !self.done() {
             self.step(hier, obs);
         }

@@ -7,29 +7,35 @@
 //!
 //! * [`ExecMode::Accurate`] — the reference tick-every-component loop.
 //! * [`ExecMode::Sampled`] — SMARTS-style sampled simulation: periodic
-//!   detailed windows of `detail_window` instructions alternate with
-//!   functional fast-forwarding over `warm_interval` instructions whose
-//!   cost is extrapolated from the measured ticks-per-instruction so far.
-//!   Programming-model special operations inside skipped spans are still
-//!   executed in detail (they mutate scratchpad/LLC mappings and
-//!   serialize). Timing is approximate: the tolerance test pins the error
-//!   at <2% of total cycles for scales ≥ 256.
+//!   detailed windows of 512 instructions alternate with functional
+//!   fast-forwarding over 1 536 instructions whose cost is extrapolated
+//!   from the measured ticks-per-instruction so far. Programming-model
+//!   special operations inside skipped spans are still executed in detail
+//!   (they mutate scratchpad/LLC mappings and serialize). Timing is
+//!   approximate: the tolerance test pins the error at <2% of total cycles
+//!   for scales ≥ 256.
 //!
-//! The mode travels with the experiment identity: sweep cache keys, sweep
-//! and search records, and the serve request schema all carry it, so
-//! artifacts produced under different modes never alias.
+//! Both modes run the same compute loop; accurate is its case of one
+//! unbounded detailed window. The mode travels with the experiment
+//! identity: sweep cache keys, sweep and search records, and the serve
+//! request schema all carry it, so artifacts produced under different modes
+//! never alias.
 
-/// Default detailed-window length (instructions) for [`ExecMode::Sampled`].
-pub const DEFAULT_DETAIL_WINDOW: u64 = 512;
+/// Instructions each core simulates in full detail per sampled window.
+const DETAIL_WINDOW: usize = 512;
 
-/// Default functional-warming span (instructions) between detailed windows
-/// for [`ExecMode::Sampled`]: 3 parts warming to 1 part detail. Chosen
-/// empirically over the paper grid — against longer warm spans it both
-/// tightens worst-case error (0.5-0.6% at scales 256-512, ~3.6% at scale
-/// 64, versus >200% at scale 64 for 15:1) and speeds up mixed sweeps,
-/// because the post-skip cold-cache transient a detail window must absorb
-/// grows with the span it skipped.
-pub const DEFAULT_WARM_INTERVAL: u64 = 1_536;
+/// Instructions each core skips between sampled windows: 3 parts warming
+/// to 1 part detail. Chosen empirically over the paper grid — against
+/// longer warm spans it both tightens worst-case error (0.5-0.6% at scales
+/// 256-512, ~3.6% at scale 64, versus >200% at scale 64 for 15:1) and
+/// speeds up mixed sweeps, because the post-skip cold-cache transient a
+/// detail window must absorb grows with the span it skipped.
+const WARM_INTERVAL: usize = 1_536;
+
+/// The sampled mode's canonical label: `sampled:WARM:DETAIL`. Records,
+/// cache keys and cluster frames written before the geometry became fixed
+/// carry it, so it stays the label.
+const SAMPLED_LABEL: &str = "sampled:1536:512";
 
 /// How the engine executes a trace. See the [module docs](self) for the
 /// accuracy contract of each mode.
@@ -39,74 +45,41 @@ pub enum ExecMode {
     #[default]
     Accurate,
     /// Sampled simulation: detailed windows + extrapolated warming.
-    Sampled {
-        /// Instructions functionally warmed (skipped in detail) between
-        /// detailed windows.
-        warm_interval: u64,
-        /// Instructions simulated in full detail per window.
-        detail_window: u64,
-    },
+    Sampled,
 }
 
 impl ExecMode {
-    /// The sampled mode with the default window geometry
-    /// ([`DEFAULT_WARM_INTERVAL`] / [`DEFAULT_DETAIL_WINDOW`]).
+    /// The sampled mode.
     #[must_use]
     pub fn sampled_default() -> ExecMode {
-        ExecMode::Sampled {
-            warm_interval: DEFAULT_WARM_INTERVAL,
-            detail_window: DEFAULT_DETAIL_WINDOW,
-        }
+        ExecMode::Sampled
     }
 
     /// Parses a mode name as accepted by `--mode` and the serve schema:
-    /// `accurate`, `sampled` (default geometry), or `sampled:WARM:DETAIL`
-    /// with explicit instruction counts.
+    /// `accurate`, or `sampled` (also under its label `sampled:1536:512`).
     ///
     /// # Errors
     ///
-    /// Returns a one-line diagnostic for unknown names or malformed
-    /// `sampled:` geometry (both counts must be positive integers).
+    /// Returns a one-line diagnostic naming `accurate|sampled` for any
+    /// other name, including a `sampled:` label with another geometry.
     pub fn parse(text: &str) -> Result<ExecMode, String> {
         match text {
-            "accurate" => return Ok(ExecMode::Accurate),
-            "sampled" => return Ok(ExecMode::sampled_default()),
-            _ => {}
+            "accurate" => Ok(ExecMode::Accurate),
+            "sampled" | SAMPLED_LABEL => Ok(ExecMode::Sampled),
+            _ if text.starts_with("sampled:") => Err(format!(
+                "mode {text:?}: the sampling geometry is fixed at {SAMPLED_LABEL} \
+                 (accurate|sampled)"
+            )),
+            _ => Err(format!("unknown mode {text:?} (accurate|sampled)")),
         }
-        if let Some(rest) = text.strip_prefix("sampled:") {
-            let mut parts = rest.splitn(2, ':');
-            let warm = parts.next().unwrap_or("");
-            let detail = parts.next().ok_or_else(|| {
-                format!("mode {text:?} is missing the detail window (sampled:WARM:DETAIL)")
-            })?;
-            let warm_interval: u64 = warm
-                .parse()
-                .map_err(|_| format!("bad warm interval {warm:?} in mode {text:?}"))?;
-            let detail_window: u64 = detail
-                .parse()
-                .map_err(|_| format!("bad detail window {detail:?} in mode {text:?}"))?;
-            if warm_interval == 0 || detail_window == 0 {
-                return Err(format!("mode {text:?}: window sizes must be positive"));
-            }
-            return Ok(ExecMode::Sampled {
-                warm_interval,
-                detail_window,
-            });
-        }
-        Err(format!(
-            "unknown mode {text:?} (accurate|sampled[:WARM:DETAIL])"
-        ))
     }
 
     /// Canonical machine-readable label, parseable by [`ExecMode::parse`].
     #[must_use]
-    pub fn label(&self) -> String {
-        match *self {
-            ExecMode::Accurate => "accurate".to_owned(),
-            ExecMode::Sampled {
-                warm_interval,
-                detail_window,
-            } => format!("sampled:{warm_interval}:{detail_window}"),
+    pub fn label(&self) -> &'static str {
+        match self {
+            ExecMode::Accurate => "accurate",
+            ExecMode::Sampled => SAMPLED_LABEL,
         }
     }
 
@@ -114,17 +87,27 @@ impl ExecMode {
     /// [`ExecMode::Accurate`] (preserving every pre-mode cache key and
     /// serialized record byte-for-byte), the label otherwise.
     #[must_use]
-    pub fn cache_tag(&self) -> Option<String> {
+    pub fn cache_tag(&self) -> Option<&'static str> {
         match self {
             ExecMode::Accurate => None,
             other => Some(other.label()),
+        }
+    }
+
+    /// The compute loop's geometry in this mode, as `(warm, window)`:
+    /// instructions each core skips between detailed windows, and each
+    /// window's length per core. Accurate is one unbounded window.
+    pub(crate) fn windows(self) -> (usize, usize) {
+        match self {
+            ExecMode::Accurate => (0, usize::MAX),
+            ExecMode::Sampled => (WARM_INTERVAL, DETAIL_WINDOW),
         }
     }
 }
 
 impl std::fmt::Display for ExecMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.label())
+        f.write_str(self.label())
     }
 }
 
@@ -135,14 +118,8 @@ mod tests {
     #[test]
     fn parse_accepts_canonical_and_alias_names() {
         assert_eq!(ExecMode::parse("accurate"), Ok(ExecMode::Accurate));
-        assert_eq!(ExecMode::parse("sampled"), Ok(ExecMode::sampled_default()));
-        assert_eq!(
-            ExecMode::parse("sampled:1000:100"),
-            Ok(ExecMode::Sampled {
-                warm_interval: 1000,
-                detail_window: 100,
-            })
-        );
+        assert_eq!(ExecMode::parse("sampled"), Ok(ExecMode::Sampled));
+        assert_eq!(ExecMode::parse("sampled:1536:512"), Ok(ExecMode::Sampled));
     }
 
     #[test]
@@ -156,31 +133,32 @@ mod tests {
             "sampled:100:0",
             "sampled:x:y",
             "sampled:100:100:100",
+            "sampled:1000:100",
+            "sampled:1536:512:1",
         ] {
-            assert!(ExecMode::parse(bad).is_err(), "{bad:?} must not parse");
+            let err = ExecMode::parse(bad).expect_err(bad);
+            assert!(err.contains("accurate|sampled"), "{bad:?}: {err}");
         }
     }
 
     #[test]
     fn labels_round_trip_through_parse() {
-        for mode in [
-            ExecMode::Accurate,
-            ExecMode::sampled_default(),
-            ExecMode::Sampled {
-                warm_interval: 9,
-                detail_window: 3,
-            },
-        ] {
-            assert_eq!(ExecMode::parse(&mode.label()), Ok(mode));
+        for mode in [ExecMode::Accurate, ExecMode::Sampled] {
+            assert_eq!(ExecMode::parse(mode.label()), Ok(mode));
         }
+    }
+
+    #[test]
+    fn the_sampled_label_spells_the_geometry() {
+        assert_eq!(
+            SAMPLED_LABEL,
+            format!("sampled:{WARM_INTERVAL}:{DETAIL_WINDOW}")
+        );
     }
 
     #[test]
     fn only_accurate_has_no_cache_tag() {
         assert_eq!(ExecMode::Accurate.cache_tag(), None);
-        assert_eq!(
-            ExecMode::sampled_default().cache_tag().as_deref(),
-            Some("sampled:1536:512")
-        );
+        assert_eq!(ExecMode::Sampled.cache_tag(), Some("sampled:1536:512"));
     }
 }

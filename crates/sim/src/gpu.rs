@@ -297,7 +297,8 @@ impl GpuRun<'_> {
     }
 
     /// Runs the stream to completion without interleaving.
-    pub fn run_to_end<O: SimObserver>(mut self, hier: &mut MemoryHierarchy, obs: &mut O) -> Tick {
+    #[cfg(test)]
+    fn run_to_end<O: SimObserver>(mut self, hier: &mut MemoryHierarchy, obs: &mut O) -> Tick {
         while !self.done() {
             self.step(hier, obs);
         }

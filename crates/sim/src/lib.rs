@@ -84,7 +84,7 @@ pub use cpu::{CpuCore, CpuRun, CpuStats};
 pub use dram::{Dram, DramResponse, DramStats};
 pub use energy::{estimate_energy, CommTraffic, EnergyBreakdown, EnergyParams};
 pub use error::SimError;
-pub use exec::{ExecMode, DEFAULT_DETAIL_WINDOW, DEFAULT_WARM_INTERVAL};
+pub use exec::ExecMode;
 pub use fabric::{CommAction, CommCostClass, CommCosts, CommModel, FabricKind, SynchronousFabric};
 pub use gpu::{GpuCore, GpuRun, GpuStats, Scratchpad};
 pub use hierarchy::{AccessResult, HierarchyStats, MemoryHierarchy, ServiceLevel};

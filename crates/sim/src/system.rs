@@ -15,10 +15,10 @@
 
 use crate::clock::Tick;
 use crate::config::SystemConfig;
-use crate::cpu::{CpuCore, CpuStats};
+use crate::cpu::{CpuCore, CpuRun, CpuStats};
 use crate::exec::ExecMode;
 use crate::fabric::{CommAction, CommCosts, CommModel};
-use crate::gpu::{GpuCore, GpuStats};
+use crate::gpu::{GpuCore, GpuRun, GpuStats};
 use crate::hierarchy::{HierarchyStats, MemoryHierarchy};
 use crate::obs::SimObserver;
 use crate::stats::RunReport;
@@ -116,10 +116,11 @@ impl System {
     ///
     /// This is the engine behind [`crate::Simulation::run`], which performs
     /// trace validation and error mapping; with [`crate::NullObserver`] the hooks
-    /// compile away. `Accurate` is the reference loop. `Sampled` alternates
-    /// detailed windows with functionally-warmed skips whose cost is
-    /// extrapolated from the measured ticks-per-instruction; its
-    /// microarchitectural counters cover only the detailed windows.
+    /// compile away. Both modes run the one compute loop: `Accurate` as a
+    /// single detailed window, `Sampled` alternating detailed windows with
+    /// functionally-warmed skips whose cost is extrapolated from the
+    /// measured ticks-per-instruction; its microarchitectural counters
+    /// cover only the detailed windows.
     pub fn execute<O: SimObserver>(
         &mut self,
         trace: &PhasedTrace,
@@ -280,7 +281,17 @@ impl System {
 
     /// Simulates one sequential or parallel segment starting at `start`,
     /// returning its end tick and the ticks extrapolated across sampled
-    /// skips.
+    /// skips. This is the one compute loop, SMARTS-style: each detailed
+    /// window interleaves the two cores by global time (the CPU owns ties)
+    /// until each has stepped `window` instructions or run out of stream,
+    /// so contention for the shared LLC and DRAM is exact within it. Both
+    /// cores then skip `warm` instructions together, each at its own
+    /// measured ticks-per-instruction, so neither clock rewinds against the
+    /// time-stateful hierarchy. Each run spans the whole segment — skips
+    /// advance its index and clock in place — so window boundaries pay no
+    /// pipeline drain. [`ExecMode::Accurate`] is one unbounded window; a
+    /// segment whose streams fit one window is exact in either mode. A
+    /// sequential segment's GPU stream is empty.
     fn compute_segment<O: SimObserver>(
         &mut self,
         segment: &PhaseSegment,
@@ -288,67 +299,34 @@ impl System {
         mode: ExecMode,
         obs: &mut O,
     ) -> (Tick, Tick) {
+        let (warm, window) = mode.windows();
         let cpu_insts = segment.stream(PuKind::Cpu).as_slice();
         let gpu_insts = segment.stream(PuKind::Gpu).as_slice();
-        match (segment.phase(), mode) {
-            (Phase::Sequential, ExecMode::Accurate) => (
-                self.cpu
-                    .begin(cpu_insts, start)
-                    .run_to_end(&mut self.hierarchy, obs),
-                0,
-            ),
-            (
-                Phase::Sequential,
-                ExecMode::Sampled {
-                    warm_interval,
-                    detail_window,
-                },
-            ) => sampled_cpu_stream(
-                &mut self.cpu,
-                &mut self.hierarchy,
-                cpu_insts,
-                start,
-                warm_interval,
-                detail_window,
-                obs,
-            ),
-            (Phase::Parallel, ExecMode::Accurate) => (
-                interleaved_parallel(
-                    &mut self.cpu,
-                    &mut self.gpu,
-                    &mut self.hierarchy,
-                    cpu_insts,
-                    gpu_insts,
-                    start,
-                    obs,
-                ),
-                0,
-            ),
-            // Paired sampling: detailed windows interleave both cores by
-            // global time (full contention fidelity), then both streams
-            // skip together so the clocks never diverge. A phase where both
-            // streams fit one window is exact.
-            (
-                Phase::Parallel,
-                ExecMode::Sampled {
-                    warm_interval,
-                    detail_window,
-                },
-            ) => sampled_parallel(
-                &mut self.cpu,
-                &mut self.gpu,
-                &mut self.hierarchy,
-                cpu_insts,
-                gpu_insts,
-                start,
-                warm_interval,
-                detail_window,
-                obs,
-            ),
-            (Phase::Communication, _) => {
-                unreachable!("communication segments are not compute segments")
+        let mut cpu = Lane::new(self.cpu.begin(cpu_insts, start), cpu_insts.len());
+        let mut gpu = Lane::new(self.gpu.begin(gpu_insts, start), gpu_insts.len());
+        let hier = &mut self.hierarchy;
+        let mut skipped: Tick = 0;
+        while cpu.left > 0 || gpu.left > 0 {
+            cpu.open(window);
+            gpu.open(window);
+            loop {
+                let step_cpu = match (cpu.steps < cpu.target, gpu.steps < gpu.target) {
+                    (false, false) => break,
+                    (c, g) => c && (!g || cpu.run.now() <= gpu.run.now()),
+                };
+                if step_cpu {
+                    cpu.step(hier, obs);
+                } else {
+                    gpu.step(hier, obs);
+                }
             }
+            cpu.close();
+            gpu.close();
+            skipped += cpu.skip(warm, hier, obs);
+            skipped += gpu.skip(warm, hier, obs);
         }
+        let end = cpu.run.finish_tick().max(gpu.run.finish_tick());
+        (end.max(start), skipped)
     }
 }
 
@@ -395,224 +373,122 @@ pub(crate) struct ComputeLog {
     stats: (HierarchyStats, CpuStats, GpuStats),
 }
 
-/// The reference parallel-phase loop: CPU and GPU runs interleaved by
-/// global time (CPU owns ties) so both cores contend for the same LLC/DRAM
-/// state in order.
-fn interleaved_parallel<O: SimObserver>(
-    cpu: &mut CpuCore,
-    gpu: &mut GpuCore,
-    hier: &mut MemoryHierarchy,
-    cpu_insts: &[Inst],
-    gpu_insts: &[Inst],
-    now: Tick,
-    obs: &mut O,
-) -> Tick {
-    let mut cpu_run = cpu.begin(cpu_insts, now);
-    let mut gpu_run = gpu.begin(gpu_insts, now);
-    loop {
-        match (cpu_run.done(), gpu_run.done()) {
-            (true, true) => break,
-            (false, true) => {
-                cpu_run.step(hier, obs);
-            }
-            (true, false) => {
-                gpu_run.step(hier, obs);
-            }
-            (false, false) => {
-                if cpu_run.now() <= gpu_run.now() {
-                    cpu_run.step(hier, obs);
-                } else {
-                    gpu_run.step(hier, obs);
-                }
-            }
-        }
-    }
-    cpu_run.finish_tick().max(gpu_run.finish_tick()).max(now)
+/// One core's run through a compute segment, with the window bookkeeping
+/// and the measured rate its skips extrapolate from.
+struct Lane<R> {
+    run: R,
+    /// Instructions neither stepped nor skipped yet.
+    left: usize,
+    /// Steps this window takes, its warm-up head, and steps taken so far.
+    target: usize,
+    head: usize,
+    steps: usize,
+    /// The run's clock where this window's measurement starts.
+    from: Tick,
+    /// Instructions and ticks measured over every window so far.
+    insts: u128,
+    ticks: u128,
 }
 
-/// SMARTS-style sampling of one CPU instruction stream: detailed windows of
-/// `window` instructions alternate with skips of `warm` instructions whose
-/// duration is extrapolated from the measured detailed ticks-per-
-/// instruction. The whole stream executes as ONE [`CpuCore::begin`] run —
-/// skips advance the run's index and clock in place — so no pipeline-drain
-/// penalty is paid at window boundaries, and the measured ratio is the
-/// steady-state issue throughput (`now()` deltas, drain excluded). The
-/// front half of each detailed window is a warm-up that absorbs cold
-/// cache/predictor state; only the back half feeds the ratio. Programming-
-/// model specials inside skipped spans still execute in detail (they
-/// mutate scratchpad/LLC mappings and serialize); plain skipped
-/// instructions are neither executed nor counted in the core's statistics.
-/// Returns `(end tick, extrapolated ticks)`.
-fn sampled_cpu_stream<O: SimObserver>(
-    cpu: &mut CpuCore,
-    hier: &mut MemoryHierarchy,
-    insts: &[Inst],
-    start: Tick,
-    warm: u64,
-    window: u64,
-    obs: &mut O,
-) -> (Tick, Tick) {
-    let window = usize::try_from(window.max(1)).unwrap_or(usize::MAX);
-    let warm = usize::try_from(warm).unwrap_or(usize::MAX);
-    let n = insts.len();
-    let mut run = cpu.begin(insts, start);
-    let mut i = 0usize;
-    let mut det_insts: u128 = 0;
-    let mut det_ticks: u128 = 0;
-    let mut skipped: Tick = 0;
-    while i < n {
-        let w = window.min(n - i);
-        let head = if i + w < n && warm > 0 { w / 2 } else { 0 };
-        for _ in 0..head {
-            run.step(hier, obs);
-        }
-        let measure_from = run.now();
-        for _ in head..w {
-            run.step(hier, obs);
-        }
-        det_ticks += u128::from(run.now() - measure_from);
-        det_insts += (w - head) as u128;
-        i += w;
-        if i >= n || warm == 0 {
-            continue;
-        }
-        let mut remaining = warm.min(n - i);
-        while remaining > 0 {
-            let plain = run.skip_plain(remaining);
-            if plain > 0 {
-                let est = ((plain as u128 * det_ticks) / det_insts.max(1)) as Tick;
-                run.advance_clock(est);
-                skipped += est;
-                obs.on_fast_forward(est, run.now());
-                remaining -= plain;
-                i += plain;
-            }
-            if remaining > 0 {
-                // Stopped at a programming-model special: run it in detail.
-                run.step(hier, obs);
-                remaining -= 1;
-                i += 1;
-            }
+impl<R: CoreRun> Lane<R> {
+    fn new(run: R, len: usize) -> Lane<R> {
+        Lane {
+            run,
+            left: len,
+            target: 0,
+            head: 0,
+            steps: 0,
+            from: 0,
+            insts: 0,
+            ticks: 0,
         }
     }
-    (run.finish_tick().max(start), skipped)
+
+    fn open(&mut self, window: usize) {
+        self.target = window.min(self.left);
+        // Only the back half of a window feeds the rate: the front half
+        // absorbs the cold-cache transient after a skip (skipped loads
+        // never warmed the hierarchy).
+        self.head = self.target / 2;
+        self.steps = 0;
+        self.from = self.run.now();
+    }
+
+    fn step<O: SimObserver>(&mut self, hier: &mut MemoryHierarchy, obs: &mut O) {
+        self.run.step(hier, obs);
+        self.steps += 1;
+        if self.steps == self.head {
+            self.from = self.run.now();
+        }
+    }
+
+    fn close(&mut self) {
+        self.insts += (self.steps - self.head) as u128;
+        self.ticks += u128::from(self.run.now() - self.from);
+        self.left -= self.steps;
+    }
+
+    /// Skips up to `warm` instructions: plain spans are charged the
+    /// measured rate without executing; a programming-model special stops
+    /// the span and runs in detail (it mutates scratchpad/LLC mappings and
+    /// serializes). Returns the extrapolated ticks.
+    fn skip<O: SimObserver>(
+        &mut self,
+        warm: usize,
+        hier: &mut MemoryHierarchy,
+        obs: &mut O,
+    ) -> Tick {
+        let mut remaining = warm.min(self.left);
+        self.left -= remaining;
+        let mut skipped: Tick = 0;
+        while remaining > 0 {
+            let plain = self.run.skip_plain(remaining);
+            if plain > 0 {
+                let est = ((plain as u128 * self.ticks) / self.insts.max(1)) as Tick;
+                self.run.advance_clock(est);
+                skipped += est;
+                obs.on_fast_forward(est, self.run.now());
+                remaining -= plain;
+            }
+            if remaining > 0 {
+                self.run.step(hier, obs);
+                remaining -= 1;
+            }
+        }
+        skipped
+    }
 }
 
-/// Paired SMARTS sampling of a parallel phase. Detailed windows run both
-/// cores through the reference global-time interleave (CPU owns ties), so
-/// contention and ordering against the shared LLC/DRAM are exactly the
-/// accurate loop's within every window. Both streams then skip together —
-/// each side extrapolates from its own measured ticks-per-instruction — so
-/// neither clock ever rewinds against the time-stateful hierarchy. A phase
-/// where both streams fit a single window executes exactly. Returns
-/// `(phase end tick, extrapolated ticks)`.
-#[allow(clippy::too_many_arguments)]
-fn sampled_parallel<O: SimObserver>(
-    cpu: &mut CpuCore,
-    gpu: &mut GpuCore,
-    hier: &mut MemoryHierarchy,
-    cpu_insts: &[Inst],
-    gpu_insts: &[Inst],
-    start: Tick,
-    warm: u64,
-    window: u64,
-    obs: &mut O,
-) -> (Tick, Tick) {
-    let window = usize::try_from(window.max(1)).unwrap_or(usize::MAX);
-    let warm = usize::try_from(warm).unwrap_or(usize::MAX);
-    let (cn, gn) = (cpu_insts.len(), gpu_insts.len());
-    let mut cpu_run = cpu.begin(cpu_insts, start);
-    let mut gpu_run = gpu.begin(gpu_insts, start);
-    let (mut ci, mut gi) = (0usize, 0usize);
-    let (mut c_insts, mut c_ticks): (u128, u128) = (0, 0);
-    let (mut g_insts, mut g_ticks): (u128, u128) = (0, 0);
-    let mut skipped: Tick = 0;
-    while ci < cn || gi < gn {
-        // Detailed window: interleave by global time until each side has
-        // stepped `window` instructions or run out of stream.
-        let c_target = window.min(cn - ci);
-        let g_target = window.min(gn - gi);
-        // Only the back half of each side's window feeds its ratio: the
-        // front half absorbs post-skip cold-cache transients (skipped
-        // loads never warmed the hierarchy), like the sequential sampler.
-        let (c_head, g_head) = (c_target / 2, g_target / 2);
-        let (mut c_from, mut g_from) = (cpu_run.now(), gpu_run.now());
-        let (mut c_steps, mut g_steps) = (0usize, 0usize);
-        loop {
-            let c_eligible = c_steps < c_target;
-            let g_eligible = g_steps < g_target;
-            let step_cpu = match (c_eligible, g_eligible) {
-                (false, false) => break,
-                (true, false) => true,
-                (false, true) => false,
-                (true, true) => cpu_run.now() <= gpu_run.now(),
-            };
-            if step_cpu {
-                cpu_run.step(hier, obs);
-                c_steps += 1;
-                if c_steps == c_head {
-                    c_from = cpu_run.now();
-                }
-            } else {
-                gpu_run.step(hier, obs);
-                g_steps += 1;
-                if g_steps == g_head {
-                    g_from = gpu_run.now();
-                }
-            }
-        }
-        c_insts += (c_steps - c_head.min(c_steps)) as u128;
-        c_ticks += u128::from(cpu_run.now().saturating_sub(c_from));
-        g_insts += (g_steps - g_head.min(g_steps)) as u128;
-        g_ticks += u128::from(gpu_run.now().saturating_sub(g_from));
-        ci += c_steps;
-        gi += g_steps;
-        if (ci >= cn && gi >= gn) || warm == 0 {
-            continue;
-        }
-        // Skip phase, both sides together: plain spans extrapolate from the
-        // owning core's measured rate, programming-model specials run in
-        // detail.
-        let mut remaining = warm.min(cn - ci);
-        while remaining > 0 {
-            let plain = cpu_run.skip_plain(remaining);
-            if plain > 0 {
-                let est = ((plain as u128 * c_ticks) / c_insts.max(1)) as Tick;
-                cpu_run.advance_clock(est);
-                skipped += est;
-                obs.on_fast_forward(est, cpu_run.now());
-                remaining -= plain;
-                ci += plain;
-            }
-            if remaining > 0 {
-                cpu_run.step(hier, obs);
-                remaining -= 1;
-                ci += 1;
-            }
-        }
-        let mut remaining = warm.min(gn - gi);
-        while remaining > 0 {
-            let plain = gpu_run.skip_plain(remaining);
-            if plain > 0 {
-                let est = ((plain as u128 * g_ticks) / g_insts.max(1)) as Tick;
-                gpu_run.advance_clock(est);
-                skipped += est;
-                obs.on_fast_forward(est, gpu_run.now());
-                remaining -= plain;
-                gi += plain;
-            }
-            if remaining > 0 {
-                gpu_run.step(hier, obs);
-                remaining -= 1;
-                gi += 1;
-            }
-        }
-    }
-    (
-        cpu_run.finish_tick().max(gpu_run.finish_tick()).max(start),
-        skipped,
-    )
+/// What the compute loop needs of a core's run; see [`CpuRun`] and
+/// [`GpuRun`] for the semantics.
+trait CoreRun {
+    fn step<O: SimObserver>(&mut self, hier: &mut MemoryHierarchy, obs: &mut O);
+    fn now(&self) -> Tick;
+    fn skip_plain(&mut self, max: usize) -> usize;
+    fn advance_clock(&mut self, ticks: Tick);
 }
+
+/// Implements [`CoreRun`] by forwarding to each run's inherent methods.
+macro_rules! forward_core_run {
+    ($($run:ident),*) => {$(
+        impl CoreRun for $run<'_> {
+            fn step<O: SimObserver>(&mut self, hier: &mut MemoryHierarchy, obs: &mut O) {
+                $run::step(self, hier, obs);
+            }
+            fn now(&self) -> Tick {
+                $run::now(self)
+            }
+            fn skip_plain(&mut self, max: usize) -> usize {
+                $run::skip_plain(self, max)
+            }
+            fn advance_clock(&mut self, ticks: Tick) {
+                $run::advance_clock(self, ticks);
+            }
+        }
+    )*};
+}
+
+forward_core_run!(CpuRun, GpuRun);
 
 #[cfg(test)]
 mod tests {

@@ -106,7 +106,7 @@ pub fn encode_part(jobs: &[Job], indices: &[usize], ctx: &DispatchContext<'_>) -
     let tag = wire_config_tag(ctx.config).expect("config must have a wire tag");
     let mut pairs = vec![("config", Json::Str(tag.to_owned()))];
     if ctx.mode != ExecMode::Accurate {
-        pairs.push(("mode", Json::Str(ctx.mode.label())));
+        pairs.push(("mode", Json::Str(ctx.mode.label().to_owned())));
     }
     if let Some(interval) = ctx.timeline_interval {
         pairs.push(("timeline", Json::UInt(interval)));
@@ -274,6 +274,32 @@ mod tests {
         assert_eq!(decoded.timeline_interval, Some(1_000_000));
         assert_eq!(decoded.jobs.len(), 2);
         assert_eq!(decoded.jobs[1], jobs[3]);
+        assert!(
+            encoded.render().contains("\"mode\":\"sampled:1536:512\""),
+            "{}",
+            encoded.render()
+        );
+    }
+
+    #[test]
+    fn a_part_with_a_foreign_sampling_geometry_does_not_decode() {
+        let jobs = SweepSpec::full(64).expand();
+        let config = ExperimentConfig::paper();
+        let encoded = encode_part(
+            &jobs,
+            &[0],
+            &DispatchContext {
+                config: &config,
+                timeline_interval: None,
+                mode: ExecMode::Sampled,
+            },
+        )
+        .render()
+        .replace("sampled:1536:512", "sampled:1000:100");
+        let Err(err) = decode_part(&crate::json::parse(&encoded).expect("parses")) else {
+            panic!("a foreign geometry must not decode");
+        };
+        assert!(err.contains("accurate|sampled"), "{err}");
     }
 
     #[test]

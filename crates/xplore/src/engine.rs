@@ -21,6 +21,7 @@ use hetmem_sim::{
 };
 use hetmem_trace::kernels::KernelParams;
 use hetmem_trace::PhasedTrace;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -167,7 +168,8 @@ impl SweepOptionsBuilder {
 pub struct SweepStats {
     /// Jobs executed (including cache hits).
     pub jobs: usize,
-    /// Worker threads used.
+    /// Threads the local pool ran: at most one per (kernel, scale) work
+    /// unit, and 0 when every job ran remotely.
     pub workers: usize,
     /// Jobs answered from the cache.
     pub cache_hits: u64,
@@ -482,8 +484,7 @@ pub fn run_jobs(
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     } else {
         opts.workers
-    }
-    .min(jobs.len().max(1));
+    };
 
     let traces = TraceStore::global();
     let cancelled = || {
@@ -606,6 +607,9 @@ pub fn run_jobs(
         units
     };
 
+    // The most threads any local batch ran, for the stats.
+    let threads = Cell::new(0);
+
     // Executes `indices` on up to `workers` local threads, one unit at a
     // time, handing each finished (index, record) pair to `sink` on the
     // calling thread. Single-worker batches (the service's per-shard path,
@@ -615,7 +619,9 @@ pub fn run_jobs(
     let run_local =
         |indices: &[usize], sink: &mut dyn FnMut(usize, Result<SweepRecord, SimError>)| {
             let units = units(indices);
-            if workers.min(units.len()) <= 1 {
+            let n = workers.min(units.len());
+            threads.set(threads.get().max(n));
+            if n <= 1 {
                 for unit in &units {
                     run_unit(unit, sink);
                 }
@@ -624,7 +630,7 @@ pub fn run_jobs(
             let cursor = AtomicUsize::new(0);
             let (tx, rx) = mpsc::channel::<(usize, Result<SweepRecord, SimError>)>();
             std::thread::scope(|scope| {
-                for _ in 0..workers.min(units.len()) {
+                for _ in 0..n {
                     let tx = tx.clone();
                     let (cursor, units, run_unit) = (&cursor, &units, &run_unit);
                     scope.spawn(move || {
@@ -758,7 +764,7 @@ pub fn run_jobs(
         records,
         stats: SweepStats {
             jobs: jobs.len(),
-            workers,
+            workers: threads.get(),
             cache_hits,
             cache_misses,
             replayed: replayed.into_inner(),
@@ -890,6 +896,8 @@ mod tests {
         let many = run_sweep(&spec, &config, &SweepOptions::with_workers(8)).expect("runs");
         assert_eq!(one.records, many.records);
         assert_eq!(one.stats.workers, 1);
+        // Two kernels at one scale make two work units: two threads.
+        assert_eq!(many.stats.workers, 2);
     }
 
     #[test]
@@ -925,13 +933,6 @@ mod tests {
         let sampled = content_key_with(&jobs[0], &cfg(), None, ExecMode::sampled_default());
         assert_ne!(plain, sampled);
         assert!(sampled.contains("mode=sampled:1536:512"), "{sampled}");
-        let mode = ExecMode::Sampled {
-            warm_interval: 1_000,
-            detail_window: 100,
-        };
-        let narrow = content_key_with(&jobs[0], &cfg(), None, mode);
-        assert_ne!(plain, narrow);
-        assert_ne!(sampled, narrow);
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl SweepRecord {
             ("report", report_to_json(&self.report)),
         ];
         if self.mode != ExecMode::Accurate {
-            pairs.push(("mode", Json::Str(self.mode.label())));
+            pairs.push(("mode", Json::Str(self.mode.label().to_owned())));
         }
         if let Some(t) = &self.timeline {
             pairs.push(("timeline", timeline_to_json(t)));
@@ -458,14 +458,11 @@ mod tests {
         assert_eq!(old.mode, ExecMode::Accurate);
         assert_eq!(old.report.fast_forwarded_ticks, 0);
 
-        record.mode = ExecMode::Sampled {
-            warm_interval: 7000,
-            detail_window: 250,
-        };
+        record.mode = ExecMode::Sampled;
         record.report.fast_forwarded_ticks = 12_345;
         let sampled = record.to_json().render();
         assert!(
-            sampled.contains("\"mode\":\"sampled:7000:250\""),
+            sampled.contains("\"mode\":\"sampled:1536:512\""),
             "{sampled}"
         );
         assert!(
@@ -474,6 +471,20 @@ mod tests {
         );
         let back = SweepRecord::from_json(&parse(&sampled).expect("parses")).expect("decodes");
         assert_eq!(back, record);
+    }
+
+    #[test]
+    fn a_record_with_a_foreign_sampling_geometry_is_a_field_error() {
+        let mut record = sample_record();
+        record.mode = ExecMode::Sampled;
+        let foreign = record
+            .to_json()
+            .render()
+            .replace("sampled:1536:512", "sampled:1000:100");
+        let err = SweepRecord::from_json(&parse(&foreign).expect("parses"))
+            .expect_err("a foreign geometry must not decode");
+        assert!(err.message.starts_with("field \"mode\""), "{}", err.message);
+        assert!(err.message.contains("accurate|sampled"), "{}", err.message);
     }
 
     #[test]

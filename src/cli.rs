@@ -225,9 +225,9 @@ commands:
       [--timeline F.jsonl[:interval]] [--mode M]
                                 simulate a trace (cpu+gpu|lrb|gmac|fusion|ideal);
                                 --events/--timeline write observability JSONL;
-                                --mode M is accurate (default) or
-                                sampled[:WARM:DETAIL] (SMARTS-style, <2%
-                                cycles error at scale >= 256)
+                                --mode M is accurate (default) or sampled
+                                (SMARTS-style, <2% cycles error at
+                                scale >= 256)
   serve [--addr H:P] [--workers N] [--queue-depth D] [--cache-dir DIR]
         [--advertise H:P] [--join H:P] [--heartbeat-ms MS]
                                 HTTP simulation service: POST /v1/sim,
@@ -1713,35 +1713,23 @@ mod tests {
 
     #[test]
     fn mode_flag_parses_on_every_command_that_takes_it() {
-        let Ok(Command::Sweep { mode, .. }) =
-            parse_args(&args(&["sweep", "--mode", "sampled:2048:256"]))
+        let Ok(Command::Sweep { mode, .. }) = parse_args(&args(&["sweep", "--mode", "sampled"]))
         else {
             panic!("sweep --mode must parse");
         };
-        assert_eq!(
-            mode,
-            ExecMode::Sampled {
-                warm_interval: 2048,
-                detail_window: 256
-            }
-        );
+        assert_eq!(mode, ExecMode::Sampled);
 
         let Ok(Command::Sim { mode, .. }) = parse_args(&args(&[
             "sim",
             "t.hmt",
             "fusion",
             "--mode",
-            "sampled:1000:100",
+            "sampled:1536:512",
         ])) else {
-            panic!("sim --mode sampled must parse");
+            panic!("sim --mode sampled:1536:512 must parse");
         };
-        assert_eq!(
-            mode,
-            ExecMode::Sampled {
-                warm_interval: 1000,
-                detail_window: 100
-            }
-        );
+        assert_eq!(mode, ExecMode::Sampled);
+        assert!(parse_args(&args(&["sweep", "--mode", "sampled:2048:256"])).is_err());
 
         let Ok(Command::Search { config, .. }) =
             parse_args(&args(&["search", "--mode", "sampled"]))

@@ -175,6 +175,41 @@ fn removed_event_driven_mode_is_a_usage_error_naming_accurate() {
 }
 
 #[test]
+fn a_foreign_sampling_geometry_is_a_usage_error_and_the_label_round_trips() {
+    for command in [
+        vec!["sim", "t.hmt", "fusion"],
+        vec!["sweep", "--scale", "512"],
+        vec!["search", "--scale", "512"],
+    ] {
+        let out = hetmem(&[command.as_slice(), &["--mode", "sampled:2048:256"]].concat());
+        assert_eq!(out.status.code(), Some(2), "{command:?}");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        let first = err.lines().next().unwrap_or_default();
+        assert!(first.starts_with("hetmem: "), "{first}");
+        assert!(first.contains("accurate|sampled"), "{first}");
+    }
+
+    let dir = std::env::temp_dir().join(format!("hetmem-cli-label-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("r.hmt");
+    let trace = hetmem(&["trace", "reduction", "--scale", "64"]);
+    assert!(trace.status.success());
+    std::fs::write(&path, &trace.stdout).expect("trace written");
+    let path = path.to_str().expect("utf-8 path");
+    let sim = |mode: &str| hetmem(&["sim", path, "fusion", "--mode", mode, "--format", "json"]);
+    let (short, labelled) = (sim("sampled"), sim("sampled:1536:512"));
+    assert!(labelled.status.success());
+    assert_eq!(short.stdout, labelled.stdout);
+    // The label ran the sampler: it skipped, which accurate never does.
+    assert!(
+        !stdout(&labelled).contains("\"fast_forwarded_ticks\":0,"),
+        "{}",
+        stdout(&labelled)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn removed_evolve_strategy_is_a_usage_error_naming_the_survivors() {
     for removed in ["evolve", "evolutionary", "mutate"] {
         let out = hetmem(&["search", "--strategy", removed]);

@@ -71,6 +71,10 @@ const GRID_SCALES_8_TO_512_DIGEST: u64 = 0x9f6e_f962_281a_3697;
 /// point.
 const SAMPLED_GRID_SCALE_64_DIGEST: u64 = 0x4fea_3d77_5641_116f;
 
+/// The 378-record grid over scales 8, 16, …, 512 under the default sampled
+/// mode, recorded before the four compute-segment loops became one.
+const SAMPLED_GRID_SCALES_8_TO_512_DIGEST: u64 = 0x3f50_2ecc_63ed_0897;
+
 fn grid_digest(scales: Vec<u32>, mode: ExecMode) -> u64 {
     let jobs = SweepSpec {
         scales,
@@ -105,6 +109,18 @@ fn sampled_grid_records_match_the_pinned_digest() {
     let digest = grid_digest(vec![64], ExecMode::sampled_default());
     assert_eq!(
         digest, SAMPLED_GRID_SCALE_64_DIGEST,
+        "grid records digest to {digest:#018x}"
+    );
+}
+
+#[test]
+fn sampled_multi_scale_grid_records_match_the_pinned_digest() {
+    let digest = grid_digest(
+        vec![8, 16, 32, 64, 128, 256, 512],
+        ExecMode::sampled_default(),
+    );
+    assert_eq!(
+        digest, SAMPLED_GRID_SCALES_8_TO_512_DIGEST,
         "grid records digest to {digest:#018x}"
     );
 }

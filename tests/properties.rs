@@ -1011,18 +1011,30 @@ fn arb_group_compute_inst(rng: &mut Rng) -> Inst {
 }
 
 fn arb_group_trace(rng: &mut Rng) -> PhasedTrace {
+    arb_phased_trace(rng, 80)
+}
+
+/// A random phased trace whose compute streams hold fewer than `max_len`
+/// instructions each.
+fn arb_phased_trace(rng: &mut Rng, max_len: usize) -> PhasedTrace {
     let mut t = PhasedTrace::new("group");
     for _ in 0..rng.usize_range(1, 8) {
         let segment = match rng.range(0, 3) {
             0 => PhaseSegment::new(
                 Phase::Sequential,
-                rng.vec(1, 80, arb_group_compute_inst).into_iter().collect(),
+                rng.vec(1, max_len, arb_group_compute_inst)
+                    .into_iter()
+                    .collect(),
                 TraceStream::new(),
             ),
             1 => PhaseSegment::new(
                 Phase::Parallel,
-                rng.vec(0, 80, arb_group_compute_inst).into_iter().collect(),
-                rng.vec(0, 80, arb_group_compute_inst).into_iter().collect(),
+                rng.vec(0, max_len, arb_group_compute_inst)
+                    .into_iter()
+                    .collect(),
+                rng.vec(0, max_len, arb_group_compute_inst)
+                    .into_iter()
+                    .collect(),
             ),
             _ => PhaseSegment::new(
                 Phase::Communication,
@@ -1092,6 +1104,45 @@ fn grouped_runs_equal_per_job_runs_for_random_traces() {
     assert!(
         replayed > 0 && simulated > 0,
         "{replayed} replayed, {simulated} simulated"
+    );
+}
+
+/// FNV-1a digest of the per-job reports below, recorded before the four
+/// compute-segment loops (accurate sequential, accurate parallel, sampled
+/// sequential, sampled parallel) became one windowed loop.
+const RANDOM_TRACE_REPORTS_DIGEST: u64 = 0x2e49_a66f_12ae_3bf6;
+
+#[test]
+fn per_job_reports_over_random_traces_match_the_pinned_digest() {
+    // The group test's 24 traces, then 4 whose streams run to 4 000
+    // instructions: long enough for the default sampled geometry to skip,
+    // and, with a special or LLC push every 16 instructions or so, to skip
+    // across them.
+    let models = group_models();
+    let mut rng = Rng::new(0x6A0F);
+    let mut text = String::new();
+    let mut fast_forwarded = 0;
+    for case in 0..28 {
+        let trace = arb_phased_trace(&mut rng, if case < 24 { 80 } else { 4_000 });
+        for mode in [ExecMode::Accurate, ExecMode::sampled_default()] {
+            for model in &models {
+                let report = Simulation::builder()
+                    .mode(mode)
+                    .comm_model(model())
+                    .build()
+                    .expect("valid config")
+                    .run(&trace)
+                    .expect("well-formed trace");
+                fast_forwarded += report.fast_forwarded_ticks;
+                text.push_str(&format!("{report:?}\n"));
+            }
+        }
+    }
+    assert!(fast_forwarded > 0, "no sampled run skipped");
+    let digest = fnv1a(text.as_bytes());
+    assert_eq!(
+        digest, RANDOM_TRACE_REPORTS_DIGEST,
+        "reports digest to {digest:#018x}"
     );
 }
 

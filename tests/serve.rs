@@ -132,6 +132,60 @@ fn healthz_metrics_and_routing_errors() {
 }
 
 #[test]
+fn a_foreign_sampling_geometry_is_a_400_and_the_sampled_label_round_trips() {
+    let server = start(2, 32, None);
+    let addr = server.local_addr();
+    let sim = |mode: &str| {
+        send(
+            addr,
+            "POST",
+            "/v1/sim",
+            Some(&format!(
+                "{{\"kernel\":\"reduction\",\"system\":\"fusion\",\"scale\":64,\"mode\":\"{mode}\"}}"
+            )),
+        )
+    };
+    let foreign = sim("sampled:1000:100");
+    assert_eq!(foreign.status, 400);
+    assert!(
+        foreign.body.contains("accurate|sampled"),
+        "{}",
+        foreign.body
+    );
+    let search = |mode: &str| {
+        send(
+            addr,
+            "POST",
+            "/v1/search",
+            Some(&format!(
+                "{{\"kernels\":[\"reduction\"],\"systems\":[\"fusion\"],\"spaces\":[],\
+                 \"scales\":[512],\"budget\":1,\"seed\":7,\"mode\":\"{mode}\"}}"
+            )),
+        )
+    };
+    let foreign = search("sampled:1000:100");
+    assert_eq!(foreign.status, 400);
+    assert!(
+        foreign.body.contains("accurate|sampled"),
+        "{}",
+        foreign.body
+    );
+
+    // The label still names the one sampled mode.
+    let labelled = sim("sampled:1536:512");
+    assert_eq!(labelled.status, 200);
+    assert_eq!(labelled.body, sim("sampled").body);
+    assert!(
+        !labelled.body.contains("\"fast_forwarded_ticks\":0,"),
+        "{}",
+        labelled.body
+    );
+    assert_eq!(search("sampled:1536:512").status, 202);
+    server.shutdown();
+    server.wait();
+}
+
+#[test]
 fn v1_health_reports_live_and_ready() {
     let server = start(1, 8, None);
     let health = send(server.local_addr(), "GET", "/v1/health", None);
