@@ -4,8 +4,8 @@
 //! Each node is placed on a 64-bit ring at [`VNODES`] positions (the
 //! mixed digest of `"addr#i"` for `i` in `0..VNODES`); a key is owned
 //! by the node whose virtual node is the first at or clockwise after
-//! the key's own mixed digest — see [`position`] for why the raw
-//! FNV-1a digest is finalized before placement.
+//! the key's own mixed digest — the private `position` function says
+//! why the raw FNV-1a digest is finalized before placement.
 //! Virtual nodes smooth the partition (with one point per
 //! node, a 3-node ring routinely gives one node most of the space) and,
 //! crucially, make membership changes *minimal*: when a node dies, only

@@ -38,10 +38,6 @@ use std::sync::{Arc, Weak};
 /// 4 MiB frame cap with an order of magnitude to spare.
 const MAX_PART_JOBS: usize = 256;
 
-/// Part size when a timeline is requested: timeline summaries fatten
-/// each record, so chunks shrink accordingly.
-const MAX_PART_JOBS_TIMELINE: usize = 32;
-
 /// Splits `jobs` into per-owner parts by content-key ring ownership,
 /// chunked under the frame cap. Owners appear in first-claimed order;
 /// indices within a part ascend (both matter for determinism of the
@@ -58,15 +54,10 @@ fn ring_parts(
     if wire_config_tag(ctx.config).is_none() {
         return Vec::new();
     }
-    let cap = if ctx.timeline_interval.is_some() {
-        MAX_PART_JOBS_TIMELINE
-    } else {
-        MAX_PART_JOBS
-    };
     let mut owners: Vec<String> = Vec::new();
     let mut shares: Vec<Vec<usize>> = Vec::new();
     for (index, job) in jobs.iter().enumerate() {
-        let key = content_key_with(job, ctx.config, ctx.timeline_interval, ctx.mode);
+        let key = content_key_with(job, ctx.config, None, ctx.mode);
         let Some(owner) = ring.owner(&key) else {
             continue;
         };
@@ -86,7 +77,7 @@ fn ring_parts(
         .zip(shares)
         .flat_map(|(owner, indices)| {
             indices
-                .chunks(cap)
+                .chunks(MAX_PART_JOBS)
                 .map(|chunk| JobPart {
                     owner: owner.clone(),
                     indices: chunk.to_vec(),
@@ -289,17 +280,20 @@ mod tests {
         let ring = Ring::new(&["10.0.0.1:1".to_owned()]);
         assert!(ring_parts(&jobs, &ctx(&config), &ring, None).is_empty());
 
+        // Seven scales make 378 jobs, more than one part carries, so the
+        // one owner's share splits into capped chunks covering every job.
+        let jobs = SweepSpec {
+            scales: vec![8, 16, 32, 64, 128, 256, 512],
+            ..SweepSpec::full(512)
+        }
+        .expand();
+        assert!(jobs.len() > MAX_PART_JOBS, "{} jobs", jobs.len());
         let config = ExperimentConfig::paper();
-        let timeline = DispatchContext {
-            config: &config,
-            timeline_interval: Some(1_000_000),
-            mode: ExecMode::Accurate,
-        };
-        let parts = ring_parts(&jobs, &timeline, &ring, None);
-        assert!(parts.len() >= 2, "timeline sweeps chunk finer");
-        assert!(parts
-            .iter()
-            .all(|p| p.indices.len() <= MAX_PART_JOBS_TIMELINE));
+        let parts = ring_parts(&jobs, &ctx(&config), &ring, None);
+        assert!(parts.len() >= 2, "{} parts", parts.len());
+        assert!(parts.iter().all(|p| p.indices.len() <= MAX_PART_JOBS));
+        let claimed: usize = parts.iter().map(|p| p.indices.len()).sum();
+        assert_eq!(claimed, jobs.len());
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!
 //! [`pareto_frontier`] then reports which evaluated systems are
 //! efficiency-optimal: no other point is at least as good on every axis and
-//! better on one.
+//! better on one. Its dominance test, [`dominates`] over objective vectors,
+//! is the workspace's one implementation: `hetmem-search` re-exports it and
+//! [`pareto_indices`] for its guided search.
 
 use crate::design_space::{CoherenceOption, DesignPoint};
 use crate::experiment::{run_case_studies, ExperimentConfig};
@@ -95,18 +97,51 @@ pub struct Evaluation {
 }
 
 impl Evaluation {
-    /// Whether `self` dominates `other`: at least as good on every axis and
-    /// strictly better on at least one (all axes minimized).
-    #[must_use]
-    pub fn dominates(&self, other: &Evaluation) -> bool {
-        let le = self.perf_ticks <= other.perf_ticks
-            && self.hardware_cost <= other.hardware_cost
-            && self.programmer_burden <= other.programmer_burden;
-        let lt = self.perf_ticks < other.perf_ticks
-            || self.hardware_cost < other.hardware_cost
-            || self.programmer_burden < other.programmer_burden;
-        le && lt
+    /// The three minimized axes as one objective vector.
+    fn objectives(&self) -> Vec<f64> {
+        vec![
+            self.perf_ticks,
+            f64::from(self.hardware_cost),
+            self.programmer_burden,
+        ]
     }
+}
+
+/// Whether objective vector `a` dominates `b`: at least as good on every
+/// axis and strictly better on at least one (all axes minimized).
+///
+/// # Panics
+///
+/// Panics if the vectors disagree on length — callers compare points from
+/// one objective space.
+#[must_use]
+pub fn dominates(a: &[f64], b: &[f64]) -> bool {
+    assert_eq!(a.len(), b.len(), "objective vectors must align");
+    let mut strictly = false;
+    for (x, y) in a.iter().zip(b) {
+        if x > y {
+            return false;
+        }
+        if x < y {
+            strictly = true;
+        }
+    }
+    strictly
+}
+
+/// Indices of the Pareto-optimal points (no other point dominates them),
+/// in input order. Duplicate points are all kept: neither dominates the
+/// other.
+#[must_use]
+pub fn pareto_indices(points: &[Vec<f64>]) -> Vec<usize> {
+    (0..points.len())
+        .filter(|&i| {
+            !points
+                .iter()
+                .enumerate()
+                .any(|(j, p)| j != i && dominates(p, &points[i]))
+        })
+        .collect()
 }
 
 /// The canonical [`DesignPoint`] for an evaluated system (used for the
@@ -164,14 +199,8 @@ pub fn evaluate_systems(config: &ExperimentConfig) -> Vec<Evaluation> {
 /// them), in input order.
 #[must_use]
 pub fn pareto_frontier(evals: &[Evaluation]) -> Vec<usize> {
-    (0..evals.len())
-        .filter(|&i| {
-            !evals
-                .iter()
-                .enumerate()
-                .any(|(j, e)| j != i && e.dominates(&evals[i]))
-        })
-        .collect()
+    let points: Vec<Vec<f64>> = evals.iter().map(Evaluation::objectives).collect();
+    pareto_indices(&points)
 }
 
 /// One system × kernel energy estimate.
@@ -271,19 +300,36 @@ mod tests {
 
     #[test]
     fn dominance_is_irreflexive_and_antisymmetric() {
-        let a = Evaluation {
-            system: EvaluatedSystem::CpuGpuCuda,
-            perf_ticks: 100.0,
-            hardware_cost: 5,
-            programmer_burden: 7.0,
-        };
-        let b = Evaluation {
-            perf_ticks: 90.0,
-            ..a.clone()
-        };
-        assert!(!a.dominates(&a));
-        assert!(b.dominates(&a));
-        assert!(!a.dominates(&b));
+        let a = [100.0, 5.0, 7.0];
+        let b = [90.0, 5.0, 7.0];
+        assert!(!dominates(&a, &a));
+        assert!(dominates(&b, &a));
+        assert!(!dominates(&a, &b));
+    }
+
+    #[test]
+    fn dominance_requires_strict_improvement() {
+        assert!(dominates(&[1.0, 2.0], &[1.0, 3.0]));
+        assert!(!dominates(&[1.0, 2.0], &[1.0, 2.0]));
+        assert!(!dominates(&[1.0, 4.0], &[2.0, 3.0]));
+    }
+
+    #[test]
+    fn frontier_keeps_input_order_and_duplicates() {
+        let points = vec![
+            vec![1.0, 3.0],
+            vec![3.0, 1.0],
+            vec![2.0, 2.0],
+            vec![3.0, 3.0], // dominated by the previous point
+            vec![1.0, 3.0], // duplicate of the first: kept
+        ];
+        assert_eq!(pareto_indices(&points), vec![0, 1, 2, 4]);
+    }
+
+    #[test]
+    fn empty_and_singleton_spaces() {
+        assert!(pareto_indices(&[]).is_empty());
+        assert_eq!(pareto_indices(&[vec![5.0]]), vec![0]);
     }
 
     #[test]
@@ -295,7 +341,7 @@ mod tests {
             for (j, e) in evals.iter().enumerate() {
                 if j != i {
                     assert!(
-                        !e.dominates(&evals[i]),
+                        !dominates(&e.objectives(), &evals[i].objectives()),
                         "{} dominated by {}",
                         evals[i].system,
                         e.system
@@ -307,7 +353,9 @@ mod tests {
         for i in 0..evals.len() {
             if !frontier.contains(&i) {
                 assert!(
-                    evals.iter().any(|e| e.dominates(&evals[i])),
+                    evals
+                        .iter()
+                        .any(|e| dominates(&e.objectives(), &evals[i].objectives())),
                     "{}",
                     evals[i].system
                 );

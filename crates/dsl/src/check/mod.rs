@@ -12,7 +12,7 @@
 //!   up) — stale reads, missing transfer-backs, redundant transfers,
 //!   untagged shared data, ownership/lifetime violations, CPU–GPU races.
 //! - [`program_lints`] runs the model-independent program-level lints
-//!   (HM0001–HM0004), subsuming the old [`crate::analyze`] pass.
+//!   (HM0001–HM0004), subsuming the old `analyze` pass.
 //! - [`check`] combines both into a [`CheckReport`].
 //! - [`run_oracle`] executes the lowered program concretely and reports
 //!   the stale reads that *actually happen* — the differential test

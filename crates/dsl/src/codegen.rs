@@ -20,43 +20,23 @@ use hetmem_trace::{
 };
 use std::collections::HashMap;
 
-/// Tuning knobs for trace synthesis.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CodegenOptions {
-    /// One dynamic instruction is synthesized per this many bytes of kernel
-    /// argument footprint.
-    pub bytes_per_inst: u64,
-    /// Bytes uploaded per kernel launch whose arguments ride along
-    /// (e.g. k-means centroids).
-    pub arg_upload_bytes: u64,
-}
+/// One dynamic instruction is synthesized per this many bytes of kernel
+/// argument footprint.
+const BYTES_PER_INST: u64 = 4;
 
-impl Default for CodegenOptions {
-    fn default() -> CodegenOptions {
-        CodegenOptions {
-            bytes_per_inst: 4,
-            arg_upload_bytes: 2_048,
-        }
-    }
-}
-
-/// Generates a trace from `lowered` with default options.
-#[must_use]
-pub fn generate_trace(lowered: &Lowered) -> PhasedTrace {
-    generate_trace_with(lowered, &CodegenOptions::default())
-}
+/// Bytes uploaded per kernel launch whose arguments ride along (e.g.
+/// k-means centroids).
+const ARG_UPLOAD_BYTES: u64 = 2_048;
 
 /// Generates a trace from `lowered`.
 ///
 /// # Panics
 ///
-/// Panics if `opts.bytes_per_inst` is zero or loop heads/tails in the
-/// lowered statement list are unbalanced (a lowering bug, not user input).
+/// Panics if loop heads/tails in the lowered statement list are unbalanced
+/// (a lowering bug, not user input).
 #[must_use]
-pub fn generate_trace_with(lowered: &Lowered, opts: &CodegenOptions) -> PhasedTrace {
-    assert!(opts.bytes_per_inst > 0, "bytes_per_inst must be non-zero");
+pub fn generate_trace(lowered: &Lowered) -> PhasedTrace {
     let mut gen = Codegen {
-        opts: *opts,
         model: lowered.model,
         trace: PhasedTrace::new(format!("{}/{}", lowered.program_name, lowered.model)),
         pending_comm: TraceStream::new(),
@@ -113,7 +93,6 @@ fn expand_loops(stmts: &[Stmt]) -> Vec<(&Stmt, u32)> {
 }
 
 struct Codegen {
-    opts: CodegenOptions,
     model: crate::model::AddressSpace,
     trace: PhasedTrace,
     pending_comm: TraceStream,
@@ -168,7 +147,7 @@ impl Codegen {
 
     /// Synthesizes a compute/memory stream over `[base, base+footprint)`.
     fn synth_kernel(&self, target: Target, base: u64, footprint: u64) -> TraceStream {
-        let count = (footprint / self.opts.bytes_per_inst).max(16) as usize;
+        let count = (footprint / BYTES_PER_INST).max(16) as usize;
         let footprint = footprint.max(64);
         let mut s = TraceStream::with_capacity(count);
         let (stride, access): (u64, u8) = match target {
@@ -315,7 +294,7 @@ impl Codegen {
                         {
                             self.comm_event(
                                 TransferDirection::HostToDevice,
-                                self.opts.arg_upload_bytes,
+                                ARG_UPLOAD_BYTES,
                                 base,
                             );
                         }
@@ -450,18 +429,5 @@ mod tests {
     fn codegen_is_deterministic() {
         let l = lower(&programs::convolution(), AddressSpace::Adsm);
         assert_eq!(generate_trace(&l), generate_trace(&l));
-    }
-
-    #[test]
-    #[should_panic(expected = "bytes_per_inst")]
-    fn zero_bytes_per_inst_rejected() {
-        let l = lower(&programs::reduction(), AddressSpace::Unified);
-        let _ = generate_trace_with(
-            &l,
-            &CodegenOptions {
-                bytes_per_inst: 0,
-                arg_upload_bytes: 0,
-            },
-        );
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! The paper's central claim is that the memory model dictates which
 //! communication a program must perform. The static verifier in
-//! [`crate::check`] can already *prove* a transfer redundant (HM0103) or
-//! missing (HM0101/HM0102); this module acts on those proofs: it rewrites
-//! a lowered program to the *minimal sufficient* communication set the
-//! abstract interpreter can certify.
+//! [`crate::check`](mod@crate::check) can already *prove* a transfer
+//! redundant (HM0103) or missing (HM0101/HM0102); this module acts on
+//! those proofs: it rewrites a lowered program to the *minimal
+//! sufficient* communication set the abstract interpreter can certify.
 //!
 //! The pass iterates two phases to a fixpoint:
 //!

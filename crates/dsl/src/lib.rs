@@ -16,10 +16,10 @@
 //! * [`generate_trace`] — expands a lowered program into a simulatable
 //!   [`hetmem_trace::PhasedTrace`].
 //! * [`render`] — pretty-prints the lowered source, Figure 2/3-style.
-//! * [`check`] — memory-model-aware static verifier over lowered
+//! * [`check`](mod@check) — memory-model-aware static verifier over lowered
 //!   programs (stale reads, missing transfers, ownership violations),
 //!   differentially validated by a concrete [`run_oracle`] interpreter.
-//! * [`fix`] — checker-driven communication optimizer: rewrites a
+//! * [`fix`](mod@fix) — checker-driven communication optimizer: rewrites a
 //!   lowering to the minimal communication set the checker can prove
 //!   sufficient, deleting provably-redundant transfers and inserting the
 //!   transfers needed to clear errors.
@@ -57,7 +57,7 @@ pub use check::{
     check, check_lowered, program_lints, run_oracle, CheckReport, Code, Diagnostic, OracleReport,
     Severity,
 };
-pub use codegen::{generate_trace, generate_trace_with, CodegenOptions};
+pub use codegen::generate_trace;
 pub use fix::{diff_lines, fix, fix_lowered, FixEdit, FixReport};
 pub use loc::{kernel_overhead, loc_table, paper_loc_table, LocRow};
 pub use lower::{lower, Lowered};

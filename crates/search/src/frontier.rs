@@ -1,71 +1,11 @@
-//! Exact Pareto-frontier extraction with deterministic ordering.
-//!
-//! This is the single source of truth for dominance in the workspace: the
-//! search driver, the `pareto_frontier` example, and the bench study all
-//! filter through here. `hetmem-core` keeps its own three-axis
-//! [`hetmem_core::pareto_frontier`] for the paper's fixed metric triple;
-//! [`evaluation_frontier`] routes those same points through the generic
-//! engine (a parity test in the crate pins the two to identical answers —
-//! core cannot depend on this crate, so the duplication is checked, not
-//! removed).
+//! The evaluated-systems frontier table. Dominance itself lives in
+//! [`hetmem_core::metrics`] ([`dominates`](crate::dominates) and
+//! [`pareto_indices`](crate::pareto_indices), re-exported by this crate),
+//! so the search driver, the `pareto_frontier` example and the bench
+//! study all filter through one implementation.
 
 use hetmem_core::report::TextTable;
-use hetmem_core::Evaluation;
-
-/// Whether objective vector `a` dominates `b`: at least as good on every
-/// axis and strictly better on at least one (all axes minimized).
-///
-/// # Panics
-///
-/// Panics if the vectors disagree on length — callers compare points from
-/// one objective space.
-#[must_use]
-pub fn dominates(a: &[f64], b: &[f64]) -> bool {
-    assert_eq!(a.len(), b.len(), "objective vectors must align");
-    let mut strictly = false;
-    for (x, y) in a.iter().zip(b) {
-        if x > y {
-            return false;
-        }
-        if x < y {
-            strictly = true;
-        }
-    }
-    strictly
-}
-
-/// Indices of the Pareto-optimal points (no other point dominates them),
-/// in input order — the deterministic dominance ordering the search
-/// contract pins. Duplicate points are all kept: neither dominates the
-/// other.
-#[must_use]
-pub fn pareto_indices(points: &[Vec<f64>]) -> Vec<usize> {
-    (0..points.len())
-        .filter(|&i| {
-            !points
-                .iter()
-                .enumerate()
-                .any(|(j, p)| j != i && dominates(p, &points[i]))
-        })
-        .collect()
-}
-
-/// Routes `hetmem-core`'s three-axis [`Evaluation`]s through the generic
-/// frontier engine. Matches [`hetmem_core::pareto_frontier`] exactly.
-#[must_use]
-pub fn evaluation_frontier(evals: &[Evaluation]) -> Vec<usize> {
-    let points: Vec<Vec<f64>> = evals
-        .iter()
-        .map(|e| {
-            vec![
-                e.perf_ticks,
-                f64::from(e.hardware_cost),
-                e.programmer_burden,
-            ]
-        })
-        .collect();
-    pareto_indices(&points)
-}
+use hetmem_core::{pareto_frontier, Evaluation};
 
 /// Renders the evaluated-systems frontier as the shared text table the
 /// `pareto_frontier` example and the `study_pareto` bench bin both print
@@ -73,7 +13,7 @@ pub fn evaluation_frontier(evals: &[Evaluation]) -> Vec<usize> {
 /// Table V burden, and a frontier marker).
 #[must_use]
 pub fn system_frontier_table(evals: &[Evaluation]) -> String {
-    let frontier = evaluation_frontier(evals);
+    let frontier = pareto_frontier(evals);
     let mut table = TextTable::new(&[
         "system",
         "perf geomean (µs)",
@@ -98,41 +38,6 @@ mod tests {
     use super::*;
     use hetmem_core::experiment::ExperimentConfig;
     use hetmem_core::{evaluate_systems, EvaluatedSystem};
-
-    #[test]
-    fn dominance_requires_strict_improvement() {
-        assert!(dominates(&[1.0, 2.0], &[1.0, 3.0]));
-        assert!(!dominates(&[1.0, 2.0], &[1.0, 2.0]));
-        assert!(!dominates(&[1.0, 4.0], &[2.0, 3.0]));
-    }
-
-    #[test]
-    fn frontier_keeps_input_order_and_duplicates() {
-        let points = vec![
-            vec![1.0, 3.0],
-            vec![3.0, 1.0],
-            vec![2.0, 2.0],
-            vec![3.0, 3.0], // dominated by the previous point
-            vec![1.0, 3.0], // duplicate of the first: kept
-        ];
-        assert_eq!(pareto_indices(&points), vec![0, 1, 2, 4]);
-    }
-
-    #[test]
-    fn empty_and_singleton_spaces() {
-        assert!(pareto_indices(&[]).is_empty());
-        assert_eq!(pareto_indices(&[vec![5.0]]), vec![0]);
-    }
-
-    #[test]
-    fn generic_engine_matches_core_frontier() {
-        let evals = evaluate_systems(&ExperimentConfig::scaled(256));
-        assert_eq!(
-            evaluation_frontier(&evals),
-            hetmem_core::pareto_frontier(&evals),
-            "generic dominance must agree with hetmem-core's fixed triple"
-        );
-    }
 
     #[test]
     fn table_marks_the_cheapest_system() {

@@ -10,8 +10,9 @@
 //!   LoC metric (via the DSL lowering), and the abstract hardware-cost
 //!   score.
 //! * [`pareto_indices`] / [`dominates`] — exact frontier extraction with
-//!   deterministic (input-order) dominance ordering; the single source of
-//!   truth the examples and benches also call.
+//!   deterministic (input-order) dominance ordering, re-exported from
+//!   [`hetmem_core::metrics`], the workspace's one dominance
+//!   implementation.
 //! * [`Strategy`] — pluggable optimizers: a seeded random baseline and
 //!   successive halving over scale-fidelity rungs.
 //! * [`run_search`] — the budgeted driver executing batches through
@@ -53,7 +54,8 @@ pub use driver::{
     run_search, score, CandidateEval, ProgressHook, RoundLog, SearchConfig, SearchOptions,
     SearchProgress, SearchResult, SearchStats,
 };
-pub use frontier::{dominates, evaluation_frontier, pareto_indices, system_frontier_table};
+pub use frontier::system_frontier_table;
+pub use hetmem_core::metrics::{dominates, pareto_indices};
 pub use hetmem_xplore::Json;
 pub use objective::Objective;
 pub use rng::SearchRng;

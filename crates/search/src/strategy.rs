@@ -17,7 +17,7 @@
 //!   With a single scale it degenerates to a deterministic front-to-back
 //!   screen of the target axis.
 
-use crate::frontier::dominates;
+use crate::dominates;
 use crate::rng::SearchRng;
 use crate::space::SearchSpace;
 

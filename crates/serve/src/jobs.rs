@@ -383,7 +383,6 @@ pub fn run_sweep_part(
     let opts = SweepOptions::builder()
         .workers(workers.max(1))
         .cache_dir(cache_dir)
-        .timeline_interval(part.timeline_interval)
         .mode(part.mode)
         .build();
     let out = run_jobs(&part.jobs, &part.config, &opts).map_err(|e| e.to_string())?;

@@ -16,7 +16,7 @@
 //! its result cache instead of duplicating it), and `/metrics?cluster=1`
 //! fans out and merges every member's counters. The owner answers a
 //! forwarded request through the same local path a client of its own
-//! hits ([`answer_locally`]); the entry node relays that answer as it
+//! hits (`answer_locally`); the entry node relays that answer as it
 //! is, or runs the request itself when the owner is busy, draining or
 //! unreachable.
 
@@ -634,7 +634,15 @@ fn submit_async(
                     }
                 })
                 .expect("spawn waiter");
-            state.waiters.lock().expect("waiters lock").push(waiter);
+            let mut waiters = state.waiters.lock().expect("waiters lock");
+            // Reap finished waiters now, as `accept_connections` reaps
+            // handlers: an unjoined thread keeps its stack mapped, so
+            // keeping every handle until drain leaks one per async job.
+            for finished in waiters.extract_if(.., |waiter| waiter.is_finished()) {
+                let _ = finished.join();
+            }
+            waiters.push(waiter);
+            drop(waiters);
             Response::json(
                 202,
                 format!(
@@ -944,6 +952,42 @@ mod tests {
             headers: Vec::new(),
             body: String::new(),
         }
+    }
+
+    #[test]
+    fn finished_async_waiters_are_reaped_and_drain_completes() {
+        let state = state_with_workers(1);
+        let sweeps = 200;
+        for _ in 0..sweeps {
+            let submit = Request {
+                method: "POST".to_owned(),
+                path: "/v1/sweep".to_owned(),
+                query: None,
+                headers: Vec::new(),
+                body: "{\"kernels\":[\"reduction\"],\"systems\":[\"fusion\"],\
+                       \"spaces\":[],\"scales\":[1024]}"
+                    .to_owned(),
+            };
+            let accepted = route(&state, &submit);
+            assert_eq!(accepted.status, 202, "{}", accepted.body);
+            let id = hetmem_xplore::json::parse(&accepted.body)
+                .ok()
+                .and_then(|v| v.get("job").and_then(Json::as_u64))
+                .expect("a job id");
+            let poll = get(&format!("/v1/jobs/{id}"));
+            while !route(&state, &poll).body.contains("\"status\":\"done\"") {
+                std::thread::yield_now();
+            }
+        }
+        // Sequential jobs leave at most a few waiters unfinished at any
+        // submit; every finished one was reaped along the way.
+        let retained = state.waiters.lock().expect("waiters lock").len();
+        assert!(
+            retained <= 8,
+            "{retained} of {sweeps} waiter handles retained"
+        );
+        drain(&state, Vec::new());
+        assert!(state.waiters.lock().expect("waiters lock").is_empty());
     }
 
     #[test]

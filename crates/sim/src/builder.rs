@@ -125,7 +125,7 @@ impl<O: SimObserver> SimulationBuilder<O> {
     }
 
     /// Offers a [`System`] from a finished simulation (see
-    /// [`Simulation::into_system`]) for reuse. If it was built from exactly
+    /// [`Simulation::into_parts`]) for reuse. If it was built from exactly
     /// the configuration, costs, and LLC-locality setting this builder
     /// holds, [`SimulationBuilder::build`] resets it to the power-on state
     /// instead of constructing a new one — skipping the cache-array
@@ -299,11 +299,6 @@ impl<O: SimObserver> Simulation<O> {
     #[must_use]
     pub fn observer(&self) -> &O {
         &self.observer
-    }
-
-    /// Mutable access to the attached observer.
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.observer
     }
 
     /// Consumes the simulation, returning the observer and its recordings.

@@ -29,12 +29,6 @@ pub struct DramStats {
 }
 
 impl DramStats {
-    /// Total requests serviced (reads plus writes).
-    #[must_use]
-    pub fn total_requests(&self) -> u64 {
-        self.reads + self.writes
-    }
-
     /// Row-hit rate in `[0, 1]`; zero with no traffic.
     #[must_use]
     pub fn row_hit_rate(&self) -> f64 {

@@ -37,14 +37,18 @@ const WARM_INTERVAL: usize = 1_536;
 /// carry it, so it stays the label.
 const SAMPLED_LABEL: &str = "sampled:1536:512";
 
-/// How the engine executes a trace. See the [module docs](self) for the
-/// accuracy contract of each mode.
+/// How the engine executes a trace. Each variant states its accuracy
+/// contract.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// Reference mode: arbitrate every component at every step.
     #[default]
     Accurate,
-    /// Sampled simulation: detailed windows + extrapolated warming.
+    /// Sampled simulation: detailed windows of 512 instructions alternate
+    /// with fast-forwarding over 1 536 instructions whose cost is
+    /// extrapolated. Special operations inside skipped spans still run in
+    /// detail. Total cycles stay within 2% of [`ExecMode::Accurate`] at
+    /// scales ≥ 256.
     Sampled,
 }
 

@@ -27,7 +27,7 @@ use std::collections::VecDeque;
 /// Default capacity of an [`EventTrace`] ring buffer.
 pub const DEFAULT_EVENT_CAPACITY: usize = 65_536;
 
-/// Default gap (in ticks) that ends a miss burst: two shared-level accesses
+/// The gap (in ticks) that ends a miss burst: two shared-level accesses
 /// further apart than this are reported as separate bursts.
 pub const DEFAULT_BURST_GAP: Tick = 100_000;
 
@@ -290,7 +290,6 @@ pub struct EventTrace {
     dropped: u64,
     counts: EventCounts,
     burst: Option<Burst>,
-    burst_gap: Tick,
 }
 
 impl Default for EventTrace {
@@ -315,15 +314,7 @@ impl EventTrace {
             dropped: 0,
             counts: EventCounts::default(),
             burst: None,
-            burst_gap: DEFAULT_BURST_GAP,
         }
-    }
-
-    /// Sets the burst-closing gap (ticks between shared-level accesses).
-    #[must_use]
-    pub fn with_burst_gap(mut self, gap: Tick) -> EventTrace {
-        self.burst_gap = gap.max(1);
-        self
     }
 
     /// Events currently retained, oldest first.
@@ -444,7 +435,7 @@ impl SimObserver for EventTrace {
             Some(b)
                 if b.pu == pu
                     && b.level == level
-                    && now.saturating_sub(b.last) <= self.burst_gap =>
+                    && now.saturating_sub(b.last) <= DEFAULT_BURST_GAP =>
             {
                 b.count += 1;
                 b.last = now;

@@ -73,13 +73,6 @@ impl System {
         self.config == *config && self.costs == *costs && self.llc_locality == llc_locality
     }
 
-    /// Builds a system whose LLC ignores the explicit-locality bit (the
-    /// hybrid-locality ablation).
-    #[must_use]
-    pub fn without_llc_locality(config: &SystemConfig) -> System {
-        System::with_costs_and_locality(config, CommCosts::paper(), false)
-    }
-
     /// The system configuration.
     #[must_use]
     pub fn config(&self) -> &SystemConfig {

@@ -9,7 +9,6 @@
 use crate::inst::{Addr, CommEvent, Inst};
 use crate::phase::{Phase, PhaseSegment, PhasedTrace};
 use crate::stream::TraceStream;
-use crate::PuKind;
 
 /// A tiny deterministic PRNG (SplitMix64) used for branch outcomes and
 /// irregular address streams.
@@ -421,12 +420,6 @@ impl TraceBuilder {
             panic!("generator produced a malformed trace: {e}");
         }
         self.trace
-    }
-
-    /// Total instructions per PU accumulated so far.
-    #[must_use]
-    pub fn built_len(&self, pu: PuKind) -> usize {
-        self.trace.pu_len(pu)
     }
 }
 

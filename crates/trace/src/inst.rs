@@ -284,18 +284,6 @@ impl Inst {
         }
     }
 
-    /// Whether this instruction accesses memory through the cache hierarchy.
-    #[must_use]
-    pub fn is_mem(&self) -> bool {
-        matches!(self, Inst::Load { .. } | Inst::Store { .. })
-    }
-
-    /// Whether this is a conditional branch.
-    #[must_use]
-    pub fn is_branch(&self) -> bool {
-        matches!(self, Inst::Branch { .. })
-    }
-
     /// The communication event carried by this instruction, if any.
     #[must_use]
     pub fn comm_event(&self) -> Option<&CommEvent> {

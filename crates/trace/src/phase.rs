@@ -76,14 +76,6 @@ impl PhaseSegment {
         }
     }
 
-    /// Mutable access to the stream executed by `pu`.
-    pub fn stream_mut(&mut self, pu: PuKind) -> &mut TraceStream {
-        match pu {
-            PuKind::Cpu => &mut self.cpu,
-            PuKind::Gpu => &mut self.gpu,
-        }
-    }
-
     /// Total instructions across both PUs in this segment.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -124,12 +116,6 @@ impl PhasedTrace {
     #[must_use]
     pub fn segments(&self) -> &[PhaseSegment] {
         &self.segments
-    }
-
-    /// Mutable access to the segments (used by lowering passes that rewrite
-    /// communication events into model-specific operations).
-    pub fn segments_mut(&mut self) -> &mut [PhaseSegment] {
-        &mut self.segments
     }
 
     /// Appends a segment.

@@ -26,12 +26,14 @@ use hetmem_core::experiment::ExperimentConfig;
 use hetmem_sim::{ExecMode, SimError};
 
 /// Everything a dispatcher needs to route and ship one sweep's jobs:
-/// the hardware/cost configuration and the knobs that are part of each
-/// job's content key.
+/// the hardware/cost configuration and the execution mode, which are
+/// part of each job's content key.
 pub struct DispatchContext<'a> {
     /// The hardware/cost configuration every job runs under.
     pub config: &'a ExperimentConfig,
-    /// The sweep's timeline request (part of the content key).
+    /// Ignored: no sweep embeds a timeline in its records, so neither
+    /// routing nor the wire reads this. It stays for existing callers,
+    /// which set it to `None`.
     pub timeline_interval: Option<u64>,
     /// The sweep's execution mode.
     pub mode: ExecMode,
@@ -92,7 +94,7 @@ pub fn wire_config_tag(config: &ExperimentConfig) -> Option<&'static str> {
 }
 
 /// Renders the part addressed by `indices` into the wire object:
-/// `{"config": tag, "mode"?: label, "timeline"?: N, "jobs": [...]}`.
+/// `{"config": tag, "mode"?: label, "jobs": [...]}`.
 /// Jobs carry their sweep ordinals, so remote cache hits are re-labeled
 /// exactly as local ones are.
 ///
@@ -107,9 +109,6 @@ pub fn encode_part(jobs: &[Job], indices: &[usize], ctx: &DispatchContext<'_>) -
     let mut pairs = vec![("config", Json::Str(tag.to_owned()))];
     if ctx.mode != ExecMode::Accurate {
         pairs.push(("mode", Json::Str(ctx.mode.label().to_owned())));
-    }
-    if let Some(interval) = ctx.timeline_interval {
-        pairs.push(("timeline", Json::UInt(interval)));
     }
     let rows = indices
         .iter()
@@ -132,8 +131,6 @@ pub fn encode_part(jobs: &[Job], indices: &[usize], ctx: &DispatchContext<'_>) -
 pub struct PartRequest {
     /// The reconstructed jobs, carrying their original sweep ordinals.
     pub jobs: Vec<Job>,
-    /// The sweep's timeline request.
-    pub timeline_interval: Option<u64>,
     /// The sweep's execution mode.
     pub mode: ExecMode,
     /// The hardware/cost configuration named by the part's config tag.
@@ -156,7 +153,6 @@ pub fn decode_part(value: &Json) -> Result<PartRequest, String> {
         Some(label) => ExecMode::parse(label).map_err(|e| format!("bad part mode: {e}"))?,
         None => ExecMode::Accurate,
     };
-    let timeline_interval = value.get("timeline").and_then(Json::as_u64);
     let Some(Json::Arr(rows)) = value.get("jobs") else {
         return Err("part without a jobs array".to_owned());
     };
@@ -197,12 +193,7 @@ pub fn decode_part(value: &Json) -> Result<PartRequest, String> {
             scale,
         });
     }
-    Ok(PartRequest {
-        jobs,
-        timeline_interval,
-        mode,
-        config,
-    })
+    Ok(PartRequest { jobs, mode, config })
 }
 
 /// Renders a part's result body: `{"records": [...]}` through
@@ -253,11 +244,10 @@ mod tests {
         let decoded = decode_part(&encoded).expect("decode");
         assert_eq!(decoded.jobs, jobs, "jobs must reconstruct exactly");
         assert_eq!(decoded.mode, ExecMode::Accurate);
-        assert_eq!(decoded.timeline_interval, None);
     }
 
     #[test]
-    fn mode_and_timeline_ride_along() {
+    fn the_mode_rides_along_and_the_timeline_stays_off_the_wire() {
         let jobs = SweepSpec::full(64).expand();
         let config = ExperimentConfig::paper();
         let encoded = encode_part(
@@ -271,14 +261,11 @@ mod tests {
         );
         let decoded = decode_part(&encoded).expect("decode");
         assert_eq!(decoded.mode, ExecMode::sampled_default());
-        assert_eq!(decoded.timeline_interval, Some(1_000_000));
         assert_eq!(decoded.jobs.len(), 2);
         assert_eq!(decoded.jobs[1], jobs[3]);
-        assert!(
-            encoded.render().contains("\"mode\":\"sampled:1536:512\""),
-            "{}",
-            encoded.render()
-        );
+        let wire = encoded.render();
+        assert!(wire.contains("\"mode\":\"sampled:1536:512\""), "{wire}");
+        assert!(!wire.contains("timeline"), "{wire}");
     }
 
     #[test]

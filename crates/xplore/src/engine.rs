@@ -3,11 +3,11 @@
 //!
 //! The pool's unit of work is the set of jobs of one (kernel, scale). They
 //! share one generated trace (kept in a small in-memory store) and differ
-//! only in the communication model, so an unobserved unit simulates the
-//! trace's compute once and replays it for the other models
-//! ([`Simulation::run_group`]). Workers pull units from an atomic cursor
-//! and results are written back into per-job slots, making the collected
-//! output identical for any worker count.
+//! only in the communication model, so a unit simulates the trace's compute
+//! once and replays it for the other models ([`Simulation::run_group`]).
+//! Workers pull units from an atomic cursor and results are written back
+//! into per-job slots, making the collected output identical for any
+//! worker count.
 
 use crate::cache::DiskCache;
 use crate::dispatch::{DispatchContext, JobDispatcher, JobPart};
@@ -16,8 +16,7 @@ use crate::spec::{Job, JobKind, SweepSpec};
 use hetmem_core::experiment::{CaseStudyRun, ExperimentConfig, SpaceRun};
 use hetmem_core::IdealSpaceComm;
 use hetmem_sim::{
-    CommModel, ExecMode, IntervalProfiler, NullObserver, RunReport, SimError, SimObserver,
-    Simulation, System,
+    CommModel, ExecMode, NullObserver, RunReport, SimError, SimObserver, Simulation, System,
 };
 use hetmem_trace::kernels::KernelParams;
 use hetmem_trace::PhasedTrace;
@@ -38,10 +37,6 @@ pub struct SweepOptions {
     pub cache_dir: Option<PathBuf>,
     /// Emit a live progress line on stderr.
     pub progress: bool,
-    /// Attach an [`IntervalProfiler`] with this window size to every job and
-    /// embed its [`hetmem_sim::TimelineSummary`] in the records. `None` (the
-    /// default) simulates unobserved and leaves cache keys untouched.
-    pub timeline_interval: Option<u64>,
     /// Cooperative cancellation: when the flag is set, workers stop
     /// pulling jobs (the one each is simulating still finishes) and the
     /// sweep returns [`SimError::Cancelled`]. Long-lived callers — the
@@ -66,7 +61,6 @@ impl std::fmt::Debug for SweepOptions {
             .field("workers", &self.workers)
             .field("cache_dir", &self.cache_dir)
             .field("progress", &self.progress)
-            .field("timeline_interval", &self.timeline_interval)
             .field("cancel", &self.cancel)
             .field("mode", &self.mode)
             .field("dispatcher", &self.dispatcher.as_ref().map(|_| ".."))
@@ -123,14 +117,6 @@ impl SweepOptionsBuilder {
     #[must_use]
     pub fn progress(mut self, on: bool) -> SweepOptionsBuilder {
         self.opts.progress = on;
-        self
-    }
-
-    /// Attaches an [`IntervalProfiler`] with this window to every job;
-    /// `None` (the default) simulates unobserved.
-    #[must_use]
-    pub fn timeline_interval(mut self, interval: Option<u64>) -> SweepOptionsBuilder {
-        self.opts.timeline_interval = interval;
         self
     }
 
@@ -258,18 +244,20 @@ pub fn content_key(job: &Job, config: &ExperimentConfig) -> String {
     content_key_with(job, config, None, ExecMode::Accurate)
 }
 
-/// [`content_key`] extended with the sweep's observability request and
-/// execution mode. With `timeline_interval == None` and
+/// [`content_key`] extended with the execution mode. Under
 /// [`ExecMode::Accurate`] the key is byte-identical to [`content_key`], so
-/// default sweeps keep hitting entries written before either knob existed; a
-/// requested timeline or a non-accurate mode changes the record's content
-/// and therefore addresses a separate entry. Sampled geometry is part of the
-/// mode tag, so different window shapes never alias either.
+/// default sweeps keep hitting entries written before modes existed; a
+/// sampled run changes the record's content and therefore addresses a
+/// separate entry.
+///
+/// `_timeline_interval` is ignored: no sweep embeds a timeline in its
+/// records, so none can change a key. It stays in the signature for
+/// existing callers, which pass `None`.
 #[must_use]
 pub fn content_key_with(
     job: &Job,
     config: &ExperimentConfig,
-    timeline_interval: Option<u64>,
+    _timeline_interval: Option<u64>,
     mode: ExecMode,
 ) -> String {
     use std::fmt::Write as _;
@@ -280,9 +268,6 @@ pub fn content_key_with(
         config.system,
         config.costs,
     );
-    if let Some(interval) = timeline_interval {
-        let _ = write!(key, " | timeline={interval}");
-    }
     if let Some(tag) = mode.cache_tag() {
         let _ = write!(key, " | mode={tag}");
     }
@@ -306,8 +291,7 @@ pub fn execute_job(
 
 /// Simulates one job with `observer` attached under `mode`, returning the
 /// record and the filled observer. The record's `timeline` field is left
-/// `None`; callers that want a summary embedded extract it from the observer
-/// (as [`run_jobs`] does for [`SweepOptions::timeline_interval`]).
+/// `None`.
 ///
 /// # Errors
 ///
@@ -335,8 +319,8 @@ pub fn execute_job_observed<O: SimObserver>(
 }
 
 /// Simulates `group` — jobs of one (kernel, scale), sharing `trace` —
-/// unobserved under `mode`. The first job's compute is simulated once and
-/// every other job replays it under its own communication model (see
+/// under `mode`. The first job's compute is simulated once and every other
+/// job replays it under its own communication model (see
 /// [`Simulation::run_group`]); the records equal [`execute_job`]'s. Checks
 /// `cancelled` before each job after the first and stops there. Returns the
 /// results of the jobs that ran, in order, and how many were replayed.
@@ -450,11 +434,10 @@ pub fn run_sweep(
 /// Runs `jobs` on the worker pool. The returned records are sorted by job
 /// ordinal and are bit-identical for any worker count and any cache state.
 ///
-/// Unless a timeline is requested, the cache misses of one (kernel, scale)
-/// run as one group: the first is simulated and the others replay its
-/// compute timeline under their own communication models, falling back to
-/// a full simulation where a replay would not be exact (see
-/// [`Simulation::run_group`]). Every record equals [`execute_job`]'s, and
+/// The cache misses of one (kernel, scale) run as one group: the first is
+/// simulated and the others replay its compute timeline under their own
+/// communication models, falling back to a full simulation where a replay
+/// would not be exact (see [`Simulation::run_group`]). Every record equals [`execute_job`]'s, and
 /// each one counts as a cache miss and is stored in the cache.
 ///
 /// # Errors
@@ -507,8 +490,7 @@ pub fn run_jobs(
             // configuration — skip it entirely on uncached sweeps, where it
             // would otherwise rival the simulation itself on small per-job
             // traces.
-            let key =
-                cache.map(|_| content_key_with(job, config, opts.timeline_interval, opts.mode));
+            let key = cache.map(|_| content_key_with(job, config, None, opts.mode));
             match cache.zip(key.as_deref()).and_then(|(c, key)| c.get(key)) {
                 Some(mut cached) => {
                     // Ordinals belong to this sweep, not the cache entry (a
@@ -531,32 +513,11 @@ pub fn run_jobs(
             }
             sink(*index, result);
         };
-        match opts.timeline_interval {
-            // An observed job needs its own timeline, so it runs in full.
-            Some(interval) => {
-                for miss in &misses {
-                    let result = execute_job_observed(
-                        &jobs[miss.0],
-                        config,
-                        &trace,
-                        IntervalProfiler::new(interval),
-                        opts.mode,
-                    )
-                    .map(|(mut record, profiler)| {
-                        record.timeline = Some(profiler.summary());
-                        record
-                    });
-                    finish(miss, result);
-                }
-            }
-            None => {
-                let group: Vec<&Job> = misses.iter().map(|&(index, _)| &jobs[index]).collect();
-                let (results, n) = execute_group(&group, config, &trace, opts.mode, &cancelled);
-                replayed.fetch_add(n, Ordering::Relaxed);
-                for (miss, result) in misses.iter().zip(results) {
-                    finish(miss, result);
-                }
-            }
+        let group: Vec<&Job> = misses.iter().map(|&(index, _)| &jobs[index]).collect();
+        let (results, n) = execute_group(&group, config, &trace, opts.mode, &cancelled);
+        replayed.fetch_add(n, Ordering::Relaxed);
+        for (miss, result) in misses.iter().zip(results) {
+            finish(miss, result);
         }
     };
     let done = AtomicUsize::new(0);
@@ -578,22 +539,19 @@ pub fn run_jobs(
         }
     };
 
-    // Splits `indices` into work units: unobserved jobs of one (kernel,
-    // scale) form one unit, which simulates its compute once; an observed
-    // job is a unit of its own. Units run longest first, estimated from the
-    // kernel's Table III instruction count over the scale, so the biggest
-    // simulation does not start last and leave the other workers idle.
+    // Splits `indices` into work units: the jobs of one (kernel, scale)
+    // form one unit, which simulates its compute once. Units run longest
+    // first, estimated from the kernel's Table III instruction count over
+    // the scale, so the biggest simulation does not start last and leave
+    // the other workers idle.
     let units = |indices: &[usize]| -> Vec<Vec<usize>> {
         let mut units: Vec<Vec<usize>> = Vec::new();
         let mut unit_of = HashMap::new();
         for &index in indices {
             let job = &jobs[index];
-            let slot = match opts.timeline_interval {
-                None => *unit_of
-                    .entry((job.kernel.name(), job.scale))
-                    .or_insert(units.len()),
-                Some(_) => units.len(),
-            };
+            let slot = *unit_of
+                .entry((job.kernel.name(), job.scale))
+                .or_insert(units.len());
             if slot == units.len() {
                 units.push(Vec::new());
             }
@@ -656,7 +614,7 @@ pub fn run_jobs(
     // than corrupting the merge.
     let ctx = DispatchContext {
         config,
-        timeline_interval: opts.timeline_interval,
+        timeline_interval: None,
         mode: opts.mode,
     };
     let mut claimed = vec![false; jobs.len()];
@@ -913,17 +871,14 @@ mod tests {
     }
 
     #[test]
-    fn timeline_request_addresses_a_separate_cache_entry() {
+    fn the_timeline_argument_does_not_change_the_key() {
         let jobs = small_spec().expand();
         let plain = content_key(&jobs[0], &cfg());
         assert_eq!(
             plain,
-            content_key_with(&jobs[0], &cfg(), None, ExecMode::Accurate),
-            "observer-off accurate keys must not change"
+            content_key_with(&jobs[0], &cfg(), Some(1_000_000), ExecMode::Accurate)
         );
-        let observed = content_key_with(&jobs[0], &cfg(), Some(1_000_000), ExecMode::Accurate);
-        assert_ne!(plain, observed);
-        assert!(observed.contains("timeline=1000000"), "{observed}");
+        assert!(!plain.contains("timeline"), "{plain}");
     }
 
     #[test]
@@ -933,30 +888,6 @@ mod tests {
         let sampled = content_key_with(&jobs[0], &cfg(), None, ExecMode::sampled_default());
         assert_ne!(plain, sampled);
         assert!(sampled.contains("mode=sampled:1536:512"), "{sampled}");
-    }
-
-    #[test]
-    fn timeline_sweep_embeds_summaries_without_perturbing_reports() {
-        let config = cfg();
-        let spec = small_spec();
-        let plain = run_sweep(&spec, &config, &SweepOptions::with_workers(2)).expect("runs");
-        let observed = run_sweep(
-            &spec,
-            &config,
-            &SweepOptions::builder()
-                .workers(2)
-                .timeline_interval(Some(500_000))
-                .build(),
-        )
-        .expect("runs");
-        assert_eq!(plain.records.len(), observed.records.len());
-        for (p, o) in plain.records.iter().zip(&observed.records) {
-            assert_eq!(p.report, o.report, "observer must not change the run");
-            assert_eq!(p.timeline, None);
-            let t = o.timeline.expect("observed records carry a summary");
-            assert_eq!(t.interval, 500_000);
-            assert!(t.samples > 0);
-        }
     }
 
     #[test]

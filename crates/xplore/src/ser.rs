@@ -33,10 +33,10 @@ pub struct SweepRecord {
     pub mode: ExecMode,
     /// The simulator's report.
     pub report: RunReport,
-    /// Timeline aggregate, present only when the sweep requested one
-    /// (`SweepOptions::timeline_interval`). Absent records serialize
-    /// byte-identically to records produced before the field existed, so
-    /// cache entries and goldens stay stable.
+    /// Timeline aggregate. No sweep fills it, so the engine always
+    /// leaves it `None`, and a `None` record serializes without the
+    /// field. A record that carries one still round-trips exactly
+    /// through [`SweepRecord::to_json`] and [`SweepRecord::from_json`].
     pub timeline: Option<TimelineSummary>,
 }
 

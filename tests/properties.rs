@@ -15,8 +15,8 @@ use hetmem::core::{EvaluatedSystem, IdealSpaceComm};
 use hetmem::dsl::{generate_trace, lower, AddressSpace, BufId, Buffer, Program, Step, Target};
 use hetmem::sim::{
     Cache, CacheConfig, CacheStats, CommAction, CommCosts, CommModel, Directory, Dram, DramConfig,
-    Evicted, ExecMode, FabricKind, Gshare, Intervention, LineState, Lookup, Placement, Simulation,
-    SystemConfig, Tlb,
+    Evicted, ExecMode, FabricKind, GroupRun, Gshare, Intervention, LineState, Lookup, Placement,
+    Simulation, SystemConfig, Tlb,
 };
 use hetmem::trace::kernels::{Kernel, KernelParams};
 use hetmem::trace::{
@@ -967,15 +967,15 @@ fn group_models() -> Vec<ModelFactory> {
 }
 
 /// Runs `models` on `trace` as one group and asserts that every member's
-/// report equals a fresh simulation's under the same model. Returns which
-/// members were replayed.
+/// report equals a fresh simulation's under the same model. Returns the
+/// group's runs.
 fn assert_group_matches_per_job(
     trace: &PhasedTrace,
     config: SystemConfig,
     mode: ExecMode,
     models: &[&ModelFactory],
     what: &str,
-) -> Vec<bool> {
+) -> Vec<GroupRun> {
     let build = |model: &ModelFactory| {
         Simulation::builder()
             .config(config)
@@ -993,7 +993,7 @@ fn assert_group_matches_per_job(
         assert_eq!(run.report, alone, "{what}: member {i}");
     }
     assert!(!runs[0].replayed, "{what}: the leader is simulated");
-    runs.iter().map(|run| run.replayed).collect()
+    runs
 }
 
 /// A compute instruction, now and then a programming-model special (an LLC
@@ -1019,40 +1019,58 @@ fn arb_group_trace(rng: &mut Rng) -> PhasedTrace {
 fn arb_phased_trace(rng: &mut Rng, max_len: usize) -> PhasedTrace {
     let mut t = PhasedTrace::new("group");
     for _ in 0..rng.usize_range(1, 8) {
-        let segment = match rng.range(0, 3) {
-            0 => PhaseSegment::new(
-                Phase::Sequential,
-                rng.vec(1, max_len, arb_group_compute_inst)
-                    .into_iter()
-                    .collect(),
-                TraceStream::new(),
-            ),
-            1 => PhaseSegment::new(
-                Phase::Parallel,
-                rng.vec(0, max_len, arb_group_compute_inst)
-                    .into_iter()
-                    .collect(),
-                rng.vec(0, max_len, arb_group_compute_inst)
-                    .into_iter()
-                    .collect(),
-            ),
-            _ => PhaseSegment::new(
-                Phase::Communication,
-                rng.vec(1, 4, |r| {
-                    if r.range(0, 4) == 0 {
-                        arb_special_inst(r)
-                    } else {
-                        arb_comm_inst(r)
-                    }
-                })
-                .into_iter()
-                .collect(),
-                TraceStream::new(),
-            ),
-        };
-        t.push_segment(segment);
+        let phase =
+            [Phase::Sequential, Phase::Parallel, Phase::Communication][rng.usize_range(0, 3)];
+        t.push_segment(arb_segment(rng, phase, 0, max_len));
     }
     t
+}
+
+/// A long parallel segment, a short communication segment and a long
+/// sequential one. Each compute stream runs past two sampled periods
+/// (2 × (1 536 + 512) instructions), with specials inside.
+fn arb_long_group_trace(rng: &mut Rng) -> PhasedTrace {
+    let mut t = PhasedTrace::new("group");
+    for phase in [Phase::Parallel, Phase::Communication, Phase::Sequential] {
+        t.push_segment(arb_segment(rng, phase, 4_200, 4_800));
+    }
+    t
+}
+
+/// A random `phase` segment whose compute streams hold at least `min_len`
+/// (a sequential one at least one) and fewer than `max_len` instructions.
+fn arb_segment(rng: &mut Rng, phase: Phase, min_len: usize, max_len: usize) -> PhaseSegment {
+    match phase {
+        Phase::Sequential => PhaseSegment::new(
+            Phase::Sequential,
+            rng.vec(min_len.max(1), max_len, arb_group_compute_inst)
+                .into_iter()
+                .collect(),
+            TraceStream::new(),
+        ),
+        Phase::Parallel => PhaseSegment::new(
+            Phase::Parallel,
+            rng.vec(min_len, max_len, arb_group_compute_inst)
+                .into_iter()
+                .collect(),
+            rng.vec(min_len, max_len, arb_group_compute_inst)
+                .into_iter()
+                .collect(),
+        ),
+        Phase::Communication => PhaseSegment::new(
+            Phase::Communication,
+            rng.vec(1, 4, |r| {
+                if r.range(0, 4) == 0 {
+                    arb_special_inst(r)
+                } else {
+                    arb_comm_inst(r)
+                }
+            })
+            .into_iter()
+            .collect(),
+            TraceStream::new(),
+        ),
+    }
 }
 
 /// `config` with 512 B–1 KB two-way caches: a short store stream evicts
@@ -1075,14 +1093,32 @@ fn tiny_caches(mut config: SystemConfig) -> SystemConfig {
 fn grouped_runs_equal_per_job_runs_for_random_traces() {
     let models = group_models();
     let mut rng = Rng::new(0x6A0F);
-    let (mut replayed, mut simulated) = (0, 0);
-    for case in 0..24 {
-        let trace = arb_group_trace(&mut rng);
+    let (mut replayed, mut simulated, mut replayed_skips) = (0, 0, 0);
+    // 24 short traces, then one whose compute streams run past two sampled
+    // periods (2 × (1 536 + 512) instructions) with specials inside, so a
+    // replayed sampled member skips. The long one runs sampled, on the
+    // two configurations at the ends of the range, only: the short ones
+    // already cover the rest, and a long debug-build simulation is slow.
+    for case in 0..25 {
+        let long = case >= 24;
+        let trace = if long {
+            arb_long_group_trace(&mut rng)
+        } else {
+            arb_group_trace(&mut rng)
+        };
         // Rotate the leader so every model leads some group.
         let lead = case % models.len();
         let order: Vec<&ModelFactory> = models[lead..].iter().chain(&models[..lead]).collect();
-        for mode in [ExecMode::Accurate, ExecMode::sampled_default()] {
-            for (degree, tiny) in [(0, false), (4, false), (0, true), (4, true)] {
+        let (modes, configs): (&[ExecMode], &[(u32, bool)]) = if long {
+            (&[ExecMode::Sampled], &[(0, false), (4, true)])
+        } else {
+            (
+                &[ExecMode::Accurate, ExecMode::Sampled],
+                &[(0, false), (4, false), (0, true), (4, true)],
+            )
+        };
+        for &mode in modes {
+            for &(degree, tiny) in configs {
                 let mut config = SystemConfig::baseline();
                 config.cpu.l2_prefetch_degree = degree;
                 if tiny {
@@ -1090,20 +1126,23 @@ fn grouped_runs_equal_per_job_runs_for_random_traces() {
                 }
                 let what = format!("case {case}, {mode:?}, degree {degree}, tiny caches {tiny}");
                 let members = assert_group_matches_per_job(&trace, config, mode, &order, &what);
-                for &r in &members[1..] {
-                    if r {
-                        replayed += 1;
-                    } else {
+                for run in &members[1..] {
+                    if !run.replayed {
                         simulated += 1;
+                    } else if run.report.fast_forwarded_ticks > 0 {
+                        replayed_skips += 1;
+                    } else {
+                        replayed += 1;
                     }
                 }
             }
         }
     }
-    // Both paths must have been exercised for the equality to mean much.
+    // Both paths, and a replay across sampled skips, must have been
+    // exercised for the equality to mean much.
     assert!(
-        replayed > 0 && simulated > 0,
-        "{replayed} replayed, {simulated} simulated"
+        replayed > 0 && simulated > 0 && replayed_skips > 0,
+        "{replayed} replayed without skips, {replayed_skips} with, {simulated} simulated"
     );
 }
 
@@ -1195,13 +1234,16 @@ fn a_busy_dram_at_a_compute_start_forces_a_full_simulation() {
         Box::new(move || Box::new(EvaluatedSystem::CpuGpuCuda.comm_model(costs)));
     let elided: ModelFactory =
         Box::new(move || Box::new(EvaluatedSystem::IdealHetero.comm_model(costs)));
-    let members = assert_group_matches_per_job(
+    let members: Vec<bool> = assert_group_matches_per_job(
         &trace,
         config,
         ExecMode::Accurate,
         &[&pcie, &elided],
         "posted writes",
-    );
+    )
+    .iter()
+    .map(|run| run.replayed)
+    .collect();
     assert_eq!(members, [false, false], "the elided member must fall back");
     // The fallback is not a formality: the busy channels change the loads'
     // timing, which a replay of the leader's timeline would have missed.
