@@ -15,7 +15,7 @@ use crate::fabric::CommCosts;
 use crate::hierarchy::MemoryHierarchy;
 use crate::obs::SimObserver;
 use crate::Gshare;
-use hetmem_trace::{CacheLevel, Inst, PuKind, SpecialOp};
+use hetmem_trace::{CacheLevel, Inst, PuKind, SpecialOp, TraceStream};
 use std::collections::VecDeque;
 
 /// Cycle-accounting statistics for the CPU core.
@@ -81,7 +81,7 @@ impl CpuCore {
     /// Begins executing `insts` at global time `start`. Drive the returned
     /// run to completion with [`CpuRun::step`], interleaving with a GPU run
     /// by global time for contention fidelity.
-    pub fn begin<'a>(&'a mut self, insts: &'a [Inst], start: Tick) -> CpuRun<'a> {
+    pub fn begin<'a>(&'a mut self, insts: &'a TraceStream, start: Tick) -> CpuRun<'a> {
         // Hoist the per-step-invariant hot scalars out of the nested config
         // structs into the run itself: the inner loop then touches one flat,
         // cache-resident block instead of chasing `core.config.*` every step.
@@ -115,7 +115,7 @@ impl CpuCore {
 #[derive(Debug)]
 pub struct CpuRun<'a> {
     core: &'a mut CpuCore,
-    insts: &'a [Inst],
+    insts: &'a TraceStream,
     idx: usize,
     next_issue: Tick,
     rob: VecDeque<Tick>,
@@ -156,7 +156,7 @@ impl CpuRun<'_> {
     /// (those belong to communication segments, which the system executes
     /// directly).
     pub fn step<O: SimObserver>(&mut self, hier: &mut MemoryHierarchy, obs: &mut O) {
-        let inst = self.insts[self.idx];
+        let inst = self.insts.get(self.idx);
         self.idx += 1;
         // Issue-slot spacing: issue_width instructions per cycle.
         let (tpc, slot) = (self.tpc, self.slot);
@@ -239,7 +239,7 @@ impl CpuRun<'_> {
     pub fn skip_plain(&mut self, max: usize) -> usize {
         let start = self.idx;
         let stop = self.insts.len().min(start.saturating_add(max));
-        while self.idx < stop && !matches!(self.insts[self.idx], Inst::Special(_)) {
+        while self.idx < stop && !matches!(self.insts.get(self.idx), Inst::Special(_)) {
             self.idx += 1;
         }
         self.idx - start
@@ -287,7 +287,7 @@ mod tests {
     #[test]
     fn alu_stream_runs_at_issue_width() {
         let (mut core, mut hier) = setup();
-        let insts = vec![Inst::IntAlu; 4000];
+        let insts: TraceStream = std::iter::repeat_n(Inst::IntAlu, 4000).collect();
         let end = core
             .begin(&insts, 0)
             .run_to_end(&mut hier, &mut NullObserver);
@@ -301,7 +301,7 @@ mod tests {
     fn cache_misses_slow_execution() {
         let (mut core, mut hier) = setup();
         // Streaming loads over 1 MiB: mostly misses at line granularity.
-        let miss_insts: Vec<Inst> = (0..4096)
+        let miss_insts: TraceStream = (0..4096)
             .map(|i| Inst::Load {
                 addr: i * 256,
                 bytes: 8,
@@ -313,7 +313,7 @@ mod tests {
 
         let (mut core2, mut hier2) = setup();
         // Same count of loads, all to one line: hits after the first.
-        let hit_insts: Vec<Inst> = (0..4096)
+        let hit_insts: TraceStream = (0..4096)
             .map(|_| Inst::Load { addr: 64, bytes: 8 })
             .collect();
         let hit_end = core2
@@ -329,7 +329,7 @@ mod tests {
     #[test]
     fn rob_limits_memory_level_parallelism() {
         let (mut core, mut hier) = setup();
-        let insts: Vec<Inst> = (0..2048)
+        let insts: TraceStream = (0..2048)
             .map(|i| Inst::Load {
                 addr: i * 4096,
                 bytes: 8,
@@ -349,7 +349,7 @@ mod tests {
         let (mut core, mut hier) = setup();
         // Alternating pattern is learnable; random is not. Compare biased
         // vs adversarial streams of the same length.
-        let mut bad = Vec::new();
+        let mut bad = TraceStream::new();
         let mut state = 1u64;
         for _ in 0..4000 {
             state = state
@@ -363,7 +363,7 @@ mod tests {
         let bad_mispredicts = core.stats().mispredictions;
 
         let (mut core2, mut hier2) = setup();
-        let good = vec![Inst::Branch { taken: true }; 4000];
+        let good: TraceStream = std::iter::repeat_n(Inst::Branch { taken: true }, 4000).collect();
         let good_end = core2
             .begin(&good, 0)
             .run_to_end(&mut hier2, &mut NullObserver);
@@ -375,10 +375,12 @@ mod tests {
     #[test]
     fn special_ops_serialize() {
         let (mut core, mut hier) = setup();
-        let insts = vec![
+        let insts: TraceStream = [
             Inst::Special(SpecialOp::Acquire { addr: 0, bytes: 64 }),
             Inst::IntAlu,
-        ];
+        ]
+        .into_iter()
+        .collect();
         let end = core
             .begin(&insts, 0)
             .run_to_end(&mut hier, &mut NullObserver);
@@ -391,11 +393,13 @@ mod tests {
     #[test]
     fn push_special_pins_llc_lines() {
         let (mut core, mut hier) = setup();
-        let insts = vec![Inst::Special(SpecialOp::Push {
+        let insts: TraceStream = [Inst::Special(SpecialOp::Push {
             level: CacheLevel::SharedLlc,
             addr: 0x3000_0000,
             bytes: 4096,
-        })];
+        })]
+        .into_iter()
+        .collect();
         let _ = core
             .begin(&insts, 0)
             .run_to_end(&mut hier, &mut NullObserver);
@@ -412,7 +416,7 @@ mod tests {
             kind: hetmem_trace::CommKind::InitialInput,
             addr: 0,
         };
-        let insts = vec![Inst::Comm(ev)];
+        let insts: TraceStream = [Inst::Comm(ev)].into_iter().collect();
         let _ = core
             .begin(&insts, 0)
             .run_to_end(&mut hier, &mut NullObserver);
@@ -421,13 +425,15 @@ mod tests {
     #[test]
     fn retirement_is_monotone() {
         let (mut core, mut hier) = setup();
-        let insts = vec![
+        let insts: TraceStream = [
             Inst::Load {
                 addr: 0x8000,
                 bytes: 8,
             }, // slow (DRAM)
             Inst::IntAlu, // fast, must retire after the load
-        ];
+        ]
+        .into_iter()
+        .collect();
         let mut run = core.begin(&insts, 0);
         run.step(&mut hier, &mut NullObserver);
         let after_load = run.finish_tick();

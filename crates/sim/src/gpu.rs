@@ -13,7 +13,7 @@ use crate::config::GpuConfig;
 use crate::fabric::CommCosts;
 use crate::hierarchy::MemoryHierarchy;
 use crate::obs::SimObserver;
-use hetmem_trace::{CacheLevel, Inst, PuKind, SpecialOp};
+use hetmem_trace::{CacheLevel, Inst, PuKind, SpecialOp, TraceStream};
 
 /// Cycle-accounting statistics for the GPU core.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -124,7 +124,7 @@ impl GpuCore {
     }
 
     /// Begins executing `insts` at global time `start`.
-    pub fn begin<'a>(&'a mut self, insts: &'a [Inst], start: Tick) -> GpuRun<'a> {
+    pub fn begin<'a>(&'a mut self, insts: &'a TraceStream, start: Tick) -> GpuRun<'a> {
         // Hot-scalar hoisting, mirroring `CpuCore::begin`: the step loop
         // reads these from the run struct instead of the nested config.
         let tpc = ClockDomain::GPU.ticks_per_cycle();
@@ -156,7 +156,7 @@ impl GpuCore {
 #[derive(Debug)]
 pub struct GpuRun<'a> {
     core: &'a mut GpuCore,
-    insts: &'a [Inst],
+    insts: &'a TraceStream,
     idx: usize,
     now: Tick,
     /// Completion times of in-flight misses (warp-level latency hiding).
@@ -199,7 +199,7 @@ impl GpuRun<'_> {
     ///
     /// Panics if called after [`GpuRun::done`], or on a communication event.
     pub fn step<O: SimObserver>(&mut self, hier: &mut MemoryHierarchy, obs: &mut O) {
-        let inst = self.insts[self.idx];
+        let inst = self.insts.get(self.idx);
         self.idx += 1;
         let tpc = self.tpc;
         self.core.stats.instructions += 1;
@@ -279,7 +279,7 @@ impl GpuRun<'_> {
     pub fn skip_plain(&mut self, max: usize) -> usize {
         let start = self.idx;
         let stop = self.insts.len().min(start.saturating_add(max));
-        while self.idx < stop && !matches!(self.insts[self.idx], Inst::Special(_)) {
+        while self.idx < stop && !matches!(self.insts.get(self.idx), Inst::Special(_)) {
             self.idx += 1;
         }
         self.idx - start
@@ -323,7 +323,7 @@ mod tests {
     #[test]
     fn alu_throughput_is_one_per_cycle() {
         let (mut core, mut hier) = setup();
-        let insts = vec![Inst::SimdAlu { lanes: 8 }; 1000];
+        let insts: TraceStream = std::iter::repeat_n(Inst::SimdAlu { lanes: 8 }, 1000).collect();
         let end = core
             .begin(&insts, 0)
             .run_to_end(&mut hier, &mut NullObserver);
@@ -333,7 +333,7 @@ mod tests {
     #[test]
     fn every_branch_stalls() {
         let (mut core, mut hier) = setup();
-        let insts = vec![Inst::Branch { taken: true }; 100];
+        let insts: TraceStream = std::iter::repeat_n(Inst::Branch { taken: true }, 100).collect();
         let end = core
             .begin(&insts, 0)
             .run_to_end(&mut hier, &mut NullObserver);
@@ -345,7 +345,7 @@ mod tests {
     #[test]
     fn scratchpad_hits_avoid_the_hierarchy() {
         let (mut core, mut hier) = setup();
-        let insts = vec![
+        let insts: TraceStream = [
             Inst::Special(SpecialOp::Push {
                 level: CacheLevel::Scratchpad,
                 addr: 0x2000_0000,
@@ -359,7 +359,9 @@ mod tests {
                 addr: 0x2000_0200,
                 bytes: 32,
             },
-        ];
+        ]
+        .into_iter()
+        .collect();
         let _ = core
             .begin(&insts, 0)
             .run_to_end(&mut hier, &mut NullObserver);
@@ -372,7 +374,7 @@ mod tests {
     fn blocking_loads_stall_the_core() {
         let (mut core, mut hier) = setup();
         // Strided misses.
-        let insts: Vec<Inst> = (0..256)
+        let insts: TraceStream = (0..256)
             .map(|i| Inst::Load {
                 addr: 0x2000_0000 + i * 4096,
                 bytes: 32,
@@ -392,7 +394,7 @@ mod tests {
         let cfg = SystemConfig::baseline();
         // Stride chosen to spread misses across DRAM channels and banks so
         // memory-level parallelism is actually available.
-        let make_insts = || -> Vec<Inst> {
+        let make_insts = || -> TraceStream {
             (0..256)
                 .map(|i| Inst::Load {
                     addr: 0x2000_0000 + i * 4160,

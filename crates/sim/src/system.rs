@@ -209,9 +209,9 @@ impl System {
                             Inst::Comm(event) => {
                                 // Classify before planning: `plan` may mutate
                                 // first-touch state the class depends on.
-                                let class = comm.cost_class(event);
-                                let action = comm.plan(event);
-                                obs.on_comm(event, &action, class, now);
+                                let class = comm.cost_class(&event);
+                                let action = comm.plan(&event);
+                                obs.on_comm(&event, &action, class, now);
                                 match action {
                                     CommAction::Elide => {}
                                     CommAction::Synchronous { ticks } => {
@@ -226,8 +226,8 @@ impl System {
                                 }
                             }
                             Inst::Special(op) => {
-                                let ticks = self.costs.special_ticks(op);
-                                obs.on_special(PuKind::Cpu, op, ticks, now);
+                                let ticks = self.costs.special_ticks(&op);
+                                obs.on_special(PuKind::Cpu, &op, ticks, now);
                                 comm_ticks += ticks;
                                 now += ticks;
                             }
@@ -293,8 +293,8 @@ impl System {
         obs: &mut O,
     ) -> (Tick, Tick) {
         let (warm, window) = mode.windows();
-        let cpu_insts = segment.stream(PuKind::Cpu).as_slice();
-        let gpu_insts = segment.stream(PuKind::Gpu).as_slice();
+        let cpu_insts = segment.stream(PuKind::Cpu);
+        let gpu_insts = segment.stream(PuKind::Gpu);
         let mut cpu = Lane::new(self.cpu.begin(cpu_insts, start), cpu_insts.len());
         let mut gpu = Lane::new(self.gpu.begin(gpu_insts, start), gpu_insts.len());
         let hier = &mut self.hierarchy;

@@ -33,10 +33,10 @@ impl Characteristics {
             .iter()
             .flat_map(|s| {
                 s.stream(PuKind::Cpu)
+                    .comm_events()
                     .iter()
-                    .chain(s.stream(PuKind::Gpu).iter())
+                    .chain(s.stream(PuKind::Gpu).comm_events())
             })
-            .filter_map(|i| i.comm_event())
             .filter(|ev| ev.kind == CommKind::InitialInput)
             .map(|ev| ev.bytes)
             .sum();

@@ -161,8 +161,8 @@ pub fn write_trace(trace: &PhasedTrace) -> String {
                 continue;
             }
             let _ = writeln!(out, "pu {}", if pu == PuKind::Cpu { "cpu" } else { "gpu" });
-            for inst in stream {
-                encode_inst(&mut out, inst);
+            for inst in stream.iter() {
+                encode_inst(&mut out, &inst);
             }
         }
     }

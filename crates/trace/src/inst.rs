@@ -1,10 +1,11 @@
 //! The architecture-neutral instruction representation.
 //!
-//! Instructions are deliberately compact (the full-size matrix-multiply trace
-//! holds ~17 M of them) and carry only what the cycle-level simulator needs:
-//! an operation class, memory addresses for loads/stores, and semantic
-//! payloads for the communication / programming-model operations whose cost
-//! depends on the memory-model design point under evaluation.
+//! Instructions carry only what the cycle-level simulator needs: an
+//! operation class, memory addresses for loads/stores, and semantic payloads
+//! for the communication / programming-model operations whose cost depends on
+//! the memory-model design point under evaluation. Traces hold millions of
+//! them, so a [`crate::TraceStream`] stores each in a 16-byte slot and keeps
+//! the rare, wider payloads in side tables.
 
 /// A virtual memory address in the modelled system.
 pub type Addr = u64;
@@ -283,32 +284,11 @@ impl Inst {
             _ => None,
         }
     }
-
-    /// The communication event carried by this instruction, if any.
-    #[must_use]
-    pub fn comm_event(&self) -> Option<&CommEvent> {
-        match self {
-            Inst::Comm(ev) => Some(ev),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn inst_is_compact() {
-        // The full matrix-multiply trace materializes ~17M instructions; keep
-        // the representation within 32 bytes so that stays in the hundreds of
-        // megabytes, not gigabytes.
-        assert!(
-            std::mem::size_of::<Inst>() <= 32,
-            "{}",
-            std::mem::size_of::<Inst>()
-        );
-    }
 
     #[test]
     fn class_covers_all_variants() {

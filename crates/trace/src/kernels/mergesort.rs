@@ -121,7 +121,7 @@ mod tests {
         for i in t.pu_insts(PuKind::Cpu) {
             if let Inst::Branch { taken: tk } = i {
                 total += 1;
-                taken += usize::from(*tk);
+                taken += usize::from(tk);
             }
         }
         assert!(total > 100);

@@ -7,10 +7,12 @@
 //! simulator (MacSim) fed by x86/PTX traces of six kernels. This crate is the
 //! trace half of that substrate, rebuilt from scratch:
 //!
-//! * [`Inst`] — a compact, architecture-neutral instruction representation
-//!   with explicit *communication events* ([`CommEvent`]) and *programming
+//! * [`Inst`] — an architecture-neutral instruction representation with
+//!   explicit *communication events* ([`CommEvent`]) and *programming
 //!   model* operations ([`SpecialOp`]) so the same kernel trace can be
 //!   replayed under any memory-model design point.
+//! * [`TraceStream`] — one PU's instructions, stored 16 bytes apiece, with
+//!   the comm and special payloads in per-stream side tables.
 //! * [`PhasedTrace`] — a trace structured into the paper's three execution
 //!   phases (sequential, parallel, communication).
 //! * [`kernels`] — deterministic generators for the paper's six kernels

@@ -164,10 +164,10 @@ impl PhasedTrace {
             .iter()
             .flat_map(|s| {
                 s.stream(PuKind::Cpu)
+                    .comm_events()
                     .iter()
-                    .chain(s.stream(PuKind::Gpu).iter())
+                    .chain(s.stream(PuKind::Gpu).comm_events())
             })
-            .filter_map(Inst::comm_event)
             .filter(|ev| ev.direction == direction)
             .map(|ev| ev.bytes)
             .sum()
@@ -199,7 +199,7 @@ impl PhasedTrace {
                 }
                 Phase::Parallel => {}
                 Phase::Communication => {
-                    // Both counts are kept by the streams: no rescan.
+                    // Both counts are side-table lengths: no rescan.
                     let ops = |s: &TraceStream| s.comm_count() + s.class_count(InstClass::Special);
                     let (host, device) = (seg.stream(PuKind::Cpu), seg.stream(PuKind::Gpu));
                     // Ownership-only segments (e.g. the partially shared
@@ -226,7 +226,7 @@ impl PhasedTrace {
 
     /// Iterator over all instructions of `pu` in program order, disregarding
     /// phase boundaries.
-    pub fn pu_insts(&self, pu: PuKind) -> impl Iterator<Item = &Inst> + '_ {
+    pub fn pu_insts(&self, pu: PuKind) -> impl Iterator<Item = Inst> + '_ {
         self.segments.iter().flat_map(move |s| s.stream(pu).iter())
     }
 }

@@ -201,7 +201,9 @@ struct TraceStore {
 /// Coarse bound on memoized traces. Generation is deterministic per
 /// (kernel, scale), so eviction only costs regeneration; the bound exists
 /// so a long-lived service fed many distinct scales cannot hoard memory.
-const TRACE_STORE_CAP: usize = 32;
+/// It holds the 42 traces of the six kernels at scales 8 through 512, so a
+/// sweep over all of them never clears the store mid-run.
+const TRACE_STORE_CAP: usize = 64;
 
 impl TraceStore {
     /// The process-wide store. Traces are immutable and deterministic, so
@@ -819,6 +821,22 @@ mod tests {
             spaces: vec![hetmem_core::AddressSpace::Unified],
             scales: vec![512],
         }
+    }
+
+    #[test]
+    fn trace_store_keeps_every_trace_of_a_multi_scale_sweep() {
+        let store = TraceStore::default();
+        let jobs = SweepSpec {
+            scales: vec![8, 16, 32, 64, 128, 256, 512],
+            ..SweepSpec::full(1)
+        }
+        .expand();
+        let first = store.get(&jobs[0]);
+        for job in &jobs {
+            let _ = store.get(job);
+        }
+        assert_eq!(store.map.lock().expect("trace store lock").len(), 42);
+        assert!(Arc::ptr_eq(&first, &store.get(&jobs[0])));
     }
 
     #[test]

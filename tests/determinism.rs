@@ -8,6 +8,7 @@ use hetmem::core::EvaluatedSystem;
 use hetmem::dsl::{generate_trace, lower, programs, AddressSpace};
 use hetmem::sim::ExecMode;
 use hetmem::trace::kernels::{Kernel, KernelParams};
+use hetmem::trace::write_trace;
 use hetmem::xplore::{run_jobs, to_jsonl, SweepOptions, SweepSpec};
 
 #[test]
@@ -123,4 +124,26 @@ fn sampled_multi_scale_grid_records_match_the_pinned_digest() {
         digest, SAMPLED_GRID_SCALES_8_TO_512_DIGEST,
         "grid records digest to {digest:#018x}"
     );
+}
+
+/// FNV-1a digests of each kernel's `.hmt` text at scale 64 (what `hetmem
+/// trace K --scale 64` prints), recorded while traces still stored one full
+/// `Inst` per entry. Any change to an emitted instruction, its order or the
+/// text encoding moves one of them.
+const KERNEL_TRACE_SCALE_64_DIGESTS: [(Kernel, u64); 6] = [
+    (Kernel::Reduction, 0x6139_3a2b_de13_8d21),
+    (Kernel::MatrixMul, 0x6b23_a8a3_e20a_ac8b),
+    (Kernel::Convolution, 0x6135_7bb7_f269_0062),
+    (Kernel::Dct, 0x08e5_a9af_65d0_ac5a),
+    (Kernel::MergeSort, 0x5c48_5592_65aa_29e0),
+    (Kernel::KMeans, 0x2e3d_f22e_3d50_6497),
+];
+
+#[test]
+fn kernel_traces_match_the_pinned_digests() {
+    for (kernel, want) in KERNEL_TRACE_SCALE_64_DIGESTS {
+        let text = write_trace(&kernel.generate(&KernelParams::scaled(64)));
+        let digest = fnv1a(text.as_bytes());
+        assert_eq!(digest, want, "{kernel} trace digests to {digest:#018x}");
+    }
 }

@@ -20,8 +20,8 @@ use hetmem::sim::{
 };
 use hetmem::trace::kernels::{Kernel, KernelParams};
 use hetmem::trace::{
-    parse_trace, write_trace, CacheLevel, CommEvent, CommKind, Inst, Phase, PhaseSegment,
-    PhasedTrace, PuKind, SpecialOp, TraceStream, TransferDirection,
+    parse_trace, write_trace, CacheLevel, CommEvent, CommKind, Inst, InstClass, Phase,
+    PhaseSegment, PhasedTrace, PuKind, SpecialOp, TraceStream, TransferDirection,
 };
 use std::collections::BTreeMap;
 
@@ -920,6 +920,78 @@ fn random_traces_round_trip_through_hmt() {
         let text = write_trace(&trace);
         let decoded = parse_trace(&text).expect("own output must parse");
         assert_eq!(decoded, trace);
+    }
+}
+
+// ---------- trace streams: packed slots agree with a plain Vec<Inst> ----------
+
+/// Any instruction, with loads and stores sometimes at the very top of the
+/// address space.
+fn arb_any_inst(rng: &mut Rng) -> Inst {
+    match rng.range(0, 10) {
+        0 => arb_comm_inst(rng),
+        1 => arb_special_inst(rng),
+        2 => Inst::Load {
+            addr: u64::MAX - rng.range(0, 8),
+            bytes: 8,
+        },
+        3 => Inst::Store {
+            addr: u64::MAX,
+            bytes: 4,
+        },
+        _ => arb_compute_inst(rng),
+    }
+}
+
+#[test]
+fn trace_stream_agrees_with_a_vec_of_insts() {
+    const CLASSES: [InstClass; 7] = [
+        InstClass::IntOp,
+        InstClass::FpOp,
+        InstClass::Load,
+        InstClass::Store,
+        InstClass::Branch,
+        InstClass::Comm,
+        InstClass::Special,
+    ];
+    let mut rng = Rng::new(0x5107);
+    for _ in 0..CASES {
+        let insts = rng.vec(0, 300, arb_any_inst);
+        let stream: TraceStream = insts.iter().copied().collect();
+        assert_eq!(stream.len(), insts.len());
+        assert_eq!(stream.is_empty(), insts.is_empty());
+        for (i, &inst) in insts.iter().enumerate() {
+            assert_eq!(stream.get(i), inst, "instruction {i}");
+        }
+        assert!(stream.iter().eq(insts.iter().copied()));
+        for class in CLASSES {
+            let want = insts.iter().filter(|i| i.class() == class).count();
+            assert_eq!(stream.class_count(class), want, "{class:?}");
+        }
+        let comms: Vec<&CommEvent> = insts
+            .iter()
+            .filter_map(|i| match i {
+                Inst::Comm(ev) => Some(ev),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(stream.comm_count(), comms.len());
+        assert_eq!(stream.comm_bytes(), comms.iter().map(|ev| ev.bytes).sum());
+
+        // Equality follows the instruction sequences, however the streams
+        // were built.
+        let mut pushed = TraceStream::new();
+        for &inst in &insts {
+            pushed.push(inst);
+        }
+        assert_eq!(pushed, stream);
+        if !insts.is_empty() {
+            let mut other = insts.clone();
+            let at = rng.usize_range(0, other.len());
+            other[at] = arb_any_inst(&mut rng);
+            let other_stream: TraceStream = other.iter().copied().collect();
+            assert_eq!(other_stream == stream, other == insts);
+        }
     }
 }
 
