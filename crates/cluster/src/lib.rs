@@ -6,7 +6,8 @@
 //! with a **sharded result cache**:
 //!
 //! * [`Ring`] — a consistent-hash ring with virtual nodes partitions
-//!   the content-key space, so every job has exactly one owner and
+//!   the placement-key space, so every (kernel, scale) work unit — and
+//!   with it every job and cached record — has exactly one owner, and
 //!   membership changes move only the dead node's keys;
 //! * [`proto`] — a std-only wire protocol (4-byte length prefix +
 //!   JSON) carries join handshakes, heartbeats, forwarded requests,

@@ -1,7 +1,7 @@
 //! Scatter-gather distributed sweeps: [`JobDispatcher`] implementations
-//! that partition a sweep/search batch by content-key ring ownership
-//! and fan each partition out to its owner node over the frame
-//! protocol.
+//! that partition a sweep/search batch by ring ownership of each work
+//! unit's placement key and fan each partition out to its owner node
+//! over the frame protocol.
 //!
 //! Two dispatchers share the partitioning logic:
 //!
@@ -30,7 +30,7 @@ use hetmem_sim::SimError;
 use hetmem_xplore::dispatch::{encode_part, parse_part_records, wire_config_tag};
 use hetmem_xplore::json::Json;
 use hetmem_xplore::ser::SweepRecord;
-use hetmem_xplore::{content_key_with, DispatchContext, Job, JobDispatcher, JobPart};
+use hetmem_xplore::{placement_key, work_units, DispatchContext, Job, JobDispatcher, JobPart};
 use std::sync::{Arc, Weak};
 
 /// Most jobs one scattered part carries. A job row is ~100 bytes
@@ -38,13 +38,16 @@ use std::sync::{Arc, Weak};
 /// 4 MiB frame cap with an order of magnitude to spare.
 const MAX_PART_JOBS: usize = 256;
 
-/// Splits `jobs` into per-owner parts by content-key ring ownership,
-/// chunked under the frame cap. Owners appear in first-claimed order;
-/// indices within a part ascend (both matter for determinism of the
-/// scatter, though the merge is order-insensitive by construction).
-/// `exclude` drops one owner (the entry node keeps its own share
-/// local). Returns nothing when the configuration cannot ship over the
-/// wire — the sweep then runs purely locally.
+/// Splits `jobs` into per-owner parts by ring ownership of each work
+/// unit's [`placement_key`], chunked under the frame cap. A unit — the
+/// jobs of one (kernel, scale) — goes whole to one owner and, unless it
+/// alone exceeds the cap, into one part, so the owner simulates its
+/// compute once and replays it for the unit's other jobs. Owners appear
+/// in first-claimed order; indices within a part ascend (both matter for
+/// determinism of the scatter, though the merge is order-insensitive by
+/// construction). `exclude` drops one owner (the entry node keeps its
+/// own share local). Returns nothing when the configuration cannot ship
+/// over the wire — the sweep then runs purely locally.
 fn ring_parts(
     jobs: &[Job],
     ctx: &DispatchContext<'_>,
@@ -55,9 +58,9 @@ fn ring_parts(
         return Vec::new();
     }
     let mut owners: Vec<String> = Vec::new();
-    let mut shares: Vec<Vec<usize>> = Vec::new();
-    for (index, job) in jobs.iter().enumerate() {
-        let key = content_key_with(job, ctx.config, None, ctx.mode);
+    let mut shares: Vec<Vec<Vec<usize>>> = Vec::new();
+    for unit in work_units(jobs, 0..jobs.len()) {
+        let key = placement_key(&jobs[unit[0]], ctx.config, ctx.mode);
         let Some(owner) = ring.owner(&key) else {
             continue;
         };
@@ -65,26 +68,44 @@ fn ring_parts(
             continue;
         }
         match owners.iter().position(|o| o == owner) {
-            Some(slot) => shares[slot].push(index),
+            Some(slot) => shares[slot].push(unit),
             None => {
                 owners.push(owner.to_owned());
-                shares.push(vec![index]);
+                shares.push(vec![unit]);
             }
         }
     }
     owners
         .into_iter()
         .zip(shares)
-        .flat_map(|(owner, indices)| {
-            indices
-                .chunks(MAX_PART_JOBS)
-                .map(|chunk| JobPart {
-                    owner: owner.clone(),
-                    indices: chunk.to_vec(),
-                })
-                .collect::<Vec<_>>()
+        .flat_map(|(owner, units)| {
+            unit_chunks(&units).into_iter().map(move |indices| JobPart {
+                owner: owner.clone(),
+                indices,
+            })
         })
         .collect()
+}
+
+/// Packs `units` into chunks of at most [`MAX_PART_JOBS`] jobs without
+/// cutting a unit, except one that alone exceeds the cap. Each chunk's
+/// indices ascend.
+fn unit_chunks(units: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    let mut chunks = Vec::new();
+    let mut chunk: Vec<usize> = Vec::new();
+    for piece in units.iter().flat_map(|unit| unit.chunks(MAX_PART_JOBS)) {
+        if chunk.len() + piece.len() > MAX_PART_JOBS {
+            chunks.push(std::mem::take(&mut chunk));
+        }
+        chunk.extend_from_slice(piece);
+    }
+    if !chunk.is_empty() {
+        chunks.push(chunk);
+    }
+    for chunk in &mut chunks {
+        chunk.sort_unstable();
+    }
+    chunks
 }
 
 /// One scatter: frame the part, call its owner, parse the records.
@@ -237,35 +258,83 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ring_parts_cover_every_job_exactly_once() {
-        let jobs = SweepSpec::full(512).expand();
-        let config = ExperimentConfig::paper();
-        let ring = Ring::new(&[
-            "10.0.0.1:1".to_owned(),
-            "10.0.0.2:1".to_owned(),
-            "10.0.0.3:1".to_owned(),
-        ]);
-        let parts = ring_parts(&jobs, &ctx(&config), &ring, None);
-        let mut seen = vec![false; jobs.len()];
-        for part in &parts {
-            assert!(part.indices.len() <= MAX_PART_JOBS);
+    /// The 54-job grid at seven scales: 42 (kernel, scale) units, 378
+    /// jobs — more than one part carries.
+    fn seven_scales() -> Vec<Job> {
+        SweepSpec {
+            scales: vec![8, 16, 32, 64, 128, 256, 512],
+            ..SweepSpec::full(512)
+        }
+        .expand()
+    }
+
+    fn ring_of(n: usize) -> Ring {
+        let nodes: Vec<String> = (1..=n).map(|i| format!("10.0.0.{i}:1")).collect();
+        Ring::new(&nodes)
+    }
+
+    /// Checks that `parts` claim every job of `jobs` exactly once, keep
+    /// each (kernel, scale) unit within one part, ascend, and respect the
+    /// cap. Returns the distinct owners.
+    fn assert_unit_parts(jobs: &[Job], parts: &[JobPart]) -> Vec<String> {
+        let mut claimed_by = vec![None; jobs.len()];
+        for (p, part) in parts.iter().enumerate() {
+            assert!(part.indices.len() <= MAX_PART_JOBS, "part {p} over the cap");
             assert!(part.indices.windows(2).all(|w| w[0] < w[1]), "ascending");
             for &i in &part.indices {
-                assert!(!std::mem::replace(&mut seen[i], true), "claimed twice");
+                assert!(claimed_by[i].replace(p).is_none(), "job {i} claimed twice");
             }
         }
-        assert!(seen.iter().all(|&s| s), "every job must be claimed");
-        assert!(parts.len() >= 3, "three owners should each claim a share");
+        for unit in work_units(jobs, 0..jobs.len()) {
+            let part = claimed_by[unit[0]].expect("every job must be claimed");
+            assert!(
+                unit.iter().all(|&i| claimed_by[i] == Some(part)),
+                "a unit was cut across parts"
+            );
+        }
+        let mut owners: Vec<String> = parts.iter().map(|p| p.owner.clone()).collect();
+        owners.sort();
+        owners.dedup();
+        owners
+    }
+
+    #[test]
+    fn ring_parts_cover_every_job_exactly_once() {
+        let jobs = seven_scales();
+        let config = ExperimentConfig::paper();
+        let parts = ring_parts(&jobs, &ctx(&config), &ring_of(3), None);
+        assert_eq!(
+            assert_unit_parts(&jobs, &parts).len(),
+            3,
+            "three owners should each claim a share"
+        );
+    }
+
+    #[test]
+    fn every_ring_size_sends_units_whole() {
+        let config = ExperimentConfig::paper();
+        let one_scale = SweepSpec::full(512).expand();
+        for n in 1..=3 {
+            for jobs in [&one_scale, &seven_scales()] {
+                let parts = ring_parts(jobs, &ctx(&config), &ring_of(n), None);
+                let owners = assert_unit_parts(jobs, &parts);
+                assert!(owners.len() <= n, "{owners:?}");
+            }
+        }
+        // A sampled sweep places its units by their own keys, whole too.
+        let sampled = DispatchContext {
+            mode: ExecMode::sampled_default(),
+            ..ctx(&config)
+        };
+        let jobs = seven_scales();
+        assert_unit_parts(&jobs, &ring_parts(&jobs, &sampled, &ring_of(3), None));
     }
 
     #[test]
     fn excluded_owner_keeps_its_share_local() {
-        let jobs = SweepSpec::full(512).expand();
+        let jobs = seven_scales();
         let config = ExperimentConfig::paper();
-        let nodes = ["10.0.0.1:1".to_owned(), "10.0.0.2:1".to_owned()];
-        let ring = Ring::new(&nodes);
-        let parts = ring_parts(&jobs, &ctx(&config), &ring, Some("10.0.0.1:1"));
+        let parts = ring_parts(&jobs, &ctx(&config), &ring_of(2), Some("10.0.0.1:1"));
         assert!(!parts.is_empty());
         assert!(parts.iter().all(|p| p.owner == "10.0.0.2:1"));
         let claimed: usize = parts.iter().map(|p| p.indices.len()).sum();
@@ -274,26 +343,26 @@ mod tests {
 
     #[test]
     fn non_wire_configs_stay_local_and_chunks_respect_the_cap() {
-        let jobs = SweepSpec::full(512).expand();
+        let jobs = seven_scales();
         let mut config = ExperimentConfig::paper();
         config.costs.api_acq_cycles += 1;
-        let ring = Ring::new(&["10.0.0.1:1".to_owned()]);
+        let ring = ring_of(1);
         assert!(ring_parts(&jobs, &ctx(&config), &ring, None).is_empty());
 
-        // Seven scales make 378 jobs, more than one part carries, so the
-        // one owner's share splits into capped chunks covering every job.
-        let jobs = SweepSpec {
-            scales: vec![8, 16, 32, 64, 128, 256, 512],
-            ..SweepSpec::full(512)
-        }
-        .expand();
+        // One owner's 378 jobs split into capped chunks on unit
+        // boundaries: 28 nine-job units fill the first, 14 the second.
         assert!(jobs.len() > MAX_PART_JOBS, "{} jobs", jobs.len());
         let config = ExperimentConfig::paper();
         let parts = ring_parts(&jobs, &ctx(&config), &ring, None);
-        assert!(parts.len() >= 2, "{} parts", parts.len());
-        assert!(parts.iter().all(|p| p.indices.len() <= MAX_PART_JOBS));
-        let claimed: usize = parts.iter().map(|p| p.indices.len()).sum();
-        assert_eq!(claimed, jobs.len());
+        assert_unit_parts(&jobs, &parts);
+        let sizes: Vec<usize> = parts.iter().map(|p| p.indices.len()).collect();
+        assert_eq!(sizes, [252, 126]);
+
+        // Only a unit that alone exceeds the cap is cut.
+        let oversized: Vec<usize> = (0..MAX_PART_JOBS + 44).collect();
+        let chunks = unit_chunks(&[vec![300, 301], oversized]);
+        let sizes: Vec<usize> = chunks.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [2, MAX_PART_JOBS, 44]);
     }
 
     #[test]

@@ -20,8 +20,8 @@ use hetmem_sim::{EventTrace, ExecMode};
 use hetmem_xplore::dispatch::{decode_part, render_part_records};
 use hetmem_xplore::{
     check_reports_to_jsonl, content_key_with, execute_job_observed, fix_reports_to_jsonl,
-    parse_kernel, parse_space, parse_system, report_to_json, run_jobs, DiskCache, Job,
-    JobDispatcher, JobKind, Json, SweepOptions, SweepSpec,
+    parse_kernel, parse_space, parse_system, placement_key, report_to_json, run_jobs, DiskCache,
+    Job, JobDispatcher, JobKind, Json, SweepOptions, SweepSpec,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -151,6 +151,16 @@ impl SimRequest {
     pub fn content_key(&self) -> String {
         let (job, config) = self.job();
         content_key_with(&job, &config, None, self.mode)
+    }
+
+    /// The key that places this request on the cluster ring — the same
+    /// [`placement_key`] a sweep places the cell's work unit by, so a
+    /// request lands on the node that holds (or will hold) its cached
+    /// record.
+    #[must_use]
+    pub fn placement_key(&self) -> String {
+        let (job, config) = self.job();
+        placement_key(&job, &config, self.mode)
     }
 }
 
@@ -338,6 +348,9 @@ pub fn run_sweep_request(
     for _ in 0..out.stats.cache_misses {
         metrics.bump(&metrics.cache_misses);
     }
+    metrics
+        .replayed
+        .fetch_add(out.stats.replayed, Ordering::Relaxed);
     let body = Json::obj(vec![
         (
             "records",
@@ -392,6 +405,9 @@ pub fn run_sweep_part(
     metrics
         .cache_misses
         .fetch_add(out.stats.cache_misses, Ordering::Relaxed);
+    metrics
+        .replayed
+        .fetch_add(out.stats.replayed, Ordering::Relaxed);
     Ok(render_part_records(&out.records))
 }
 

@@ -26,8 +26,8 @@
 //!   utilization, cache hit rate, latency histograms, and the aggregate
 //!   [`hetmem_sim::EventCounts`] folded in from live runs;
 //! * **clustering** — with `--advertise` / `--join`, several servers
-//!   form a fleet over [`hetmem_cluster`]: the content-key space is
-//!   sharded across a consistent-hash ring, requests are forwarded to
+//!   form a fleet over [`hetmem_cluster`]: (kernel, scale) work units
+//!   are sharded across a consistent-hash ring, requests are forwarded to
 //!   their owning node, which answers them through the same local path
 //!   (and coalesces them there), the entry node relays the owner's
 //!   status and body, and `/metrics?cluster=1` merges every member's

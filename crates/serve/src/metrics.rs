@@ -96,6 +96,10 @@ pub struct Metrics {
     pub cache_hits: AtomicU64,
     /// Sim answers that required a live simulation.
     pub cache_misses: AtomicU64,
+    /// Live sweep jobs whose compute was replayed from another job of
+    /// the same (kernel, scale) rather than simulated, so
+    /// `cache_misses - replayed` counts the compute simulations run.
+    pub replayed: AtomicU64,
     /// Guided searches run to completion.
     pub searches_completed: AtomicU64,
     /// Candidates evaluated across all completed searches.
@@ -151,6 +155,7 @@ impl Metrics {
             ("worker_panics", load(&self.worker_panics)),
             ("cache_hits", load(&self.cache_hits)),
             ("cache_misses", load(&self.cache_misses)),
+            ("replayed", load(&self.replayed)),
             ("searches_completed", load(&self.searches_completed)),
             ("search_evaluations", load(&self.search_evaluations)),
             ("frontier_points", load(&self.frontier_points)),
@@ -309,6 +314,7 @@ mod tests {
         let m = Metrics::default();
         m.bump(&m.requests_total);
         m.bump(&m.cache_hits);
+        m.replayed.fetch_add(8, Ordering::Relaxed);
         m.bump(&m.searches_completed);
         m.frontier_points.fetch_add(3, Ordering::Relaxed);
         m.bump(&m.fixes_completed);
@@ -324,6 +330,7 @@ mod tests {
         let json = m.to_json(3, 1, 4);
         assert_eq!(json.get("requests_total").and_then(Json::as_u64), Some(1));
         assert_eq!(json.get("cache_hits").and_then(Json::as_u64), Some(1));
+        assert_eq!(json.get("replayed").and_then(Json::as_u64), Some(8));
         assert_eq!(
             json.get("searches_completed").and_then(Json::as_u64),
             Some(1)
@@ -353,17 +360,20 @@ mod tests {
         let a = Metrics::default();
         a.bump(&a.requests_total);
         a.bump(&a.cache_misses);
+        a.replayed.fetch_add(2, Ordering::Relaxed);
         a.latency.record(Duration::from_micros(1)); // bucket le 2
         let b = Metrics::default();
         b.bump(&b.requests_total);
         b.bump(&b.requests_total);
         b.bump(&b.cache_hits);
+        b.replayed.fetch_add(3, Ordering::Relaxed);
         b.latency.record(Duration::from_micros(1));
         b.latency.record(Duration::from_micros(3)); // bucket le 4
         let merged = merge_metrics(&[a.to_json(1, 0, 2), b.to_json(2, 1, 2)]);
         assert_eq!(merged.get("requests_total").and_then(Json::as_u64), Some(3));
         assert_eq!(merged.get("cache_hits").and_then(Json::as_u64), Some(1));
         assert_eq!(merged.get("cache_misses").and_then(Json::as_u64), Some(1));
+        assert_eq!(merged.get("replayed").and_then(Json::as_u64), Some(5));
         assert_eq!(merged.get("queue_depth").and_then(Json::as_u64), Some(3));
         let latency = merged.get("latency").expect("latency");
         assert_eq!(latency.get("count").and_then(Json::as_u64), Some(3));

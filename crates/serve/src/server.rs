@@ -285,20 +285,22 @@ fn answer_locally(state: &Arc<State>, endpoint: &str, body: &str) -> Response {
     }
 }
 
-/// The entry side of cluster forwarding. When another node owns `key`,
-/// runs the request there and relays the owner's answer as it is; a
-/// success body carries `content_type`, every other status is the JSON
-/// error shape the local path renders. Returns `None` when this node
-/// should answer itself: it is standalone or owns the key, or the owner
-/// was busy, draining or unreachable (the reactive steal).
+/// The entry side of cluster forwarding. When another node owns the
+/// key `placement` returns, runs the request there and relays the
+/// owner's answer as it is; a success body carries `content_type`,
+/// every other status is the JSON error shape the local path renders.
+/// Returns `None` when this node should answer itself: it is standalone
+/// (and then never computes the key) or owns the key, or the owner was
+/// busy, draining or unreachable (the reactive steal).
 fn forward(
     state: &Arc<State>,
     endpoint: &str,
     body: &str,
-    key: &str,
+    placement: impl FnOnce() -> String,
     content_type: &'static str,
 ) -> Option<Response> {
-    let reply = state.cluster.get()?.forward(key, endpoint, body)?;
+    let node = state.cluster.get()?;
+    let reply = node.forward(&placement(), endpoint, body)?;
     Some(Response {
         content_type: if reply.status == 200 {
             content_type
@@ -461,15 +463,21 @@ fn route(state: &Arc<State>, req: &Request) -> Response {
             Err(message) => bad_request(state, &message),
             Ok(sim) => {
                 let key = sim.content_key();
-                forward(state, "/v1/sim", &req.body, &key, "application/json")
-                    .unwrap_or_else(|| sim_locally(state, sim, &key))
+                forward(
+                    state,
+                    "/v1/sim",
+                    &req.body,
+                    || sim.placement_key(),
+                    "application/json",
+                )
+                .unwrap_or_else(|| sim_locally(state, sim, &key))
             }
         },
         ("POST", "/v1/check") => match parse_check_request(&req.body) {
             Err(message) => bad_request(state, &message),
             Ok(check) => {
                 let key = check.coalesce_key();
-                forward(state, "/v1/check", &req.body, &key, NDJSON)
+                forward(state, "/v1/check", &req.body, || key.clone(), NDJSON)
                     .unwrap_or_else(|| check_locally(state, check, &key))
             }
         },

@@ -4,8 +4,8 @@
 //! [`run_jobs`](crate::run_jobs) is local by default: a worker pool over
 //! an index cursor. A [`JobDispatcher`] lets a caller claim slices of
 //! the job list for execution elsewhere — the cluster layer implements
-//! it by partitioning jobs by content-key ring ownership and scattering
-//! each partition to its owner node. The engine stays ignorant of
+//! it by partitioning jobs by ring ownership of their work units and
+//! scattering each partition to its owner node. The engine stays ignorant of
 //! networks: it hands the dispatcher index slices, runs whatever is not
 //! claimed (plus anything the dispatcher fails) on the local pool, and
 //! merges every record back into its ordinal slot, so the output is

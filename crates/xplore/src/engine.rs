@@ -262,11 +262,35 @@ pub fn content_key_with(
     _timeline_interval: Option<u64>,
     mode: ExecMode,
 ) -> String {
+    keyed(format_args!("{}", job.identity()), config, mode)
+}
+
+/// The key that places `job`'s work unit on a cluster ring: the content
+/// key without the job's target. Every job of one (kernel, scale) — the
+/// unit [`run_jobs`] simulates once and replays for the other
+/// communication models — shares it, so a fleet that routes by it sends
+/// each unit whole to one node. Cache entries stay addressed by
+/// [`content_key_with`]; this key only decides where they live.
+#[must_use]
+pub fn placement_key(job: &Job, config: &ExperimentConfig, mode: ExecMode) -> String {
+    keyed(
+        format_args!("unit:{}:scale={}", job.kernel.name(), job.scale),
+        config,
+        mode,
+    )
+}
+
+/// `coordinates` framed by everything else that decides a result: the
+/// crate version, the hardware and cost configuration, and the mode.
+fn keyed(
+    coordinates: std::fmt::Arguments<'_>,
+    config: &ExperimentConfig,
+    mode: ExecMode,
+) -> String {
     use std::fmt::Write as _;
     let mut key = format!(
-        "hetmem-xplore v{} | {} | system={:?} | costs={:?}",
+        "hetmem-xplore v{} | {coordinates} | system={:?} | costs={:?}",
         env!("CARGO_PKG_VERSION"),
-        job.identity(),
         config.system,
         config.costs,
     );
@@ -274,6 +298,27 @@ pub fn content_key_with(
         let _ = write!(key, " | mode={tag}");
     }
     key
+}
+
+/// Groups `indices` into work units: the jobs of one (kernel, scale),
+/// which share a generated trace and a [`placement_key`]. Units appear in
+/// the order their first job does; indices keep their order within a
+/// unit.
+#[must_use]
+pub fn work_units(jobs: &[Job], indices: impl IntoIterator<Item = usize>) -> Vec<Vec<usize>> {
+    let mut units: Vec<Vec<usize>> = Vec::new();
+    let mut unit_of = HashMap::new();
+    for index in indices {
+        let job = &jobs[index];
+        let slot = *unit_of
+            .entry((job.kernel.name(), job.scale))
+            .or_insert(units.len());
+        if slot == units.len() {
+            units.push(Vec::new());
+        }
+        units[slot].push(index);
+    }
+    units
 }
 
 /// Simulates one job on a pre-generated trace.
@@ -541,24 +586,12 @@ pub fn run_jobs(
         }
     };
 
-    // Splits `indices` into work units: the jobs of one (kernel, scale)
-    // form one unit, which simulates its compute once. Units run longest
-    // first, estimated from the kernel's Table III instruction count over
-    // the scale, so the biggest simulation does not start last and leave
-    // the other workers idle.
+    // Splits `indices` into work units, each of which simulates its
+    // compute once. Units run longest first, estimated from the kernel's
+    // Table III instruction count over the scale, so the biggest
+    // simulation does not start last and leave the other workers idle.
     let units = |indices: &[usize]| -> Vec<Vec<usize>> {
-        let mut units: Vec<Vec<usize>> = Vec::new();
-        let mut unit_of = HashMap::new();
-        for &index in indices {
-            let job = &jobs[index];
-            let slot = *unit_of
-                .entry((job.kernel.name(), job.scale))
-                .or_insert(units.len());
-            if slot == units.len() {
-                units.push(Vec::new());
-            }
-            units[slot].push(index);
-        }
+        let mut units = work_units(jobs, indices.iter().copied());
         units.sort_by_cached_key(|unit| {
             let job = &jobs[unit[0]];
             let insts = job.kernel.paper_characteristics().total_instructions();
@@ -886,6 +919,32 @@ mod tests {
         let mut other = cfg();
         other.costs.api_acq_cycles += 1;
         assert_ne!(content_key(&jobs[0], &cfg()), content_key(&jobs[0], &other));
+    }
+
+    #[test]
+    fn jobs_of_one_unit_share_a_placement_key() {
+        let jobs = SweepSpec {
+            scales: vec![256, 512],
+            ..small_spec()
+        }
+        .expand();
+        let units = work_units(&jobs, 0..jobs.len());
+        assert_eq!(units.len(), 4, "two kernels at two scales");
+        let key = |i: usize| placement_key(&jobs[i], &cfg(), ExecMode::Accurate);
+        for unit in &units {
+            assert_eq!(unit.len(), 3, "two systems and one space per unit");
+            assert!(unit.iter().all(|&i| key(i) == key(unit[0])));
+        }
+        let mut keys: Vec<String> = units.iter().map(|unit| key(unit[0])).collect();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), units.len(), "units must not share a key");
+        // Everything but the target still separates placements.
+        let mut other = cfg();
+        other.costs.api_acq_cycles += 1;
+        assert_ne!(key(0), placement_key(&jobs[0], &other, ExecMode::Accurate));
+        let sampled = placement_key(&jobs[0], &cfg(), ExecMode::sampled_default());
+        assert_ne!(key(0), sampled);
     }
 
     #[test]

@@ -51,9 +51,9 @@ pub use check::{check_reports_to_jsonl, diagnostic_to_json};
 pub use dispatch::{DispatchContext, JobDispatcher, JobPart};
 pub use emit::{to_csv, to_jsonl, to_table, OutputFormat};
 pub use engine::{
-    content_key, content_key_with, execute_job, execute_job_observed, job_trace,
-    run_address_spaces, run_case_studies, run_jobs, run_sweep, SweepOptions, SweepOptionsBuilder,
-    SweepOutput, SweepStats,
+    content_key, content_key_with, execute_job, execute_job_observed, job_trace, placement_key,
+    run_address_spaces, run_case_studies, run_jobs, run_sweep, work_units, SweepOptions,
+    SweepOptionsBuilder, SweepOutput, SweepStats,
 };
 pub use fix::{fix_report_to_json, fix_reports_to_jsonl};
 pub use json::Json;

@@ -1,6 +1,6 @@
 //! Form a three-node `hetmem serve` fleet in one process and watch the
 //! cluster layer work: a request entering any node is forwarded to the
-//! ring owner of its content key, a repeat through a different entry
+//! ring owner of its placement key, a repeat through a different entry
 //! node is answered from the owner's cache, and `/metrics?cluster=1`
 //! merges every member's counters into one fleet-wide document.
 //!

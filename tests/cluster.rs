@@ -4,11 +4,15 @@
 //! drives the fleet through plain HTTP, exactly as a client would, and
 //! proves the cross-node behaviour through the metric counters.
 
-use hetmem_cluster::Ring;
+use hetmem::core::experiment::ExperimentConfig;
+use hetmem_cluster::{FleetDispatcher, Ring};
 use hetmem_serve::{parse_sim_request, ServeOptions, Server};
 use hetmem_xplore::json::{parse, Json};
+use hetmem_xplore::{report_to_json, run_jobs, SweepOptions, SweepSpec};
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
+use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 // ---------- a tiny HTTP/1.1 client ----------
@@ -126,23 +130,51 @@ fn wait_for_membership(nodes: &[&Server], n: u64) {
     }
 }
 
-/// Finds sim bodies whose content keys hash to `owner` on the given
-/// ring, varying only the scale so every body stays cheap to execute.
-fn sim_bodies_owned_by(ring: &Ring, owner: &str, wanted: usize) -> Vec<(String, String)> {
+/// The ring member a sim body is placed on.
+fn sim_owner<'r>(ring: &'r Ring, body: &str) -> &'r str {
+    let key = parse_sim_request(body)
+        .expect("valid sim body")
+        .placement_key();
+    ring.owner(&key).expect("a non-empty ring")
+}
+
+/// Finds sim bodies that `owner` owns on the given ring, varying only the
+/// scale so every body stays cheap to execute.
+fn sim_bodies_owned_by(ring: &Ring, owner: &str, wanted: usize) -> Vec<String> {
     let mut found = Vec::new();
     for scale in (64..=4096).step_by(16) {
         let body = format!("{{\"kernel\":\"reduction\",\"system\":\"fusion\",\"scale\":{scale}}}");
-        let key = parse_sim_request(&body)
-            .expect("valid sim body")
-            .content_key();
-        if ring.owner(&key) == Some(owner) {
-            found.push((body, key));
+        if sim_owner(ring, &body) == owner {
+            found.push(body);
             if found.len() == wanted {
                 return found;
             }
         }
     }
     panic!("no scale in range maps to {owner}");
+}
+
+/// Starts a three-node fleet, each node with a fresh disk cache under a
+/// temp directory named by `tag`, and waits until every node sees all
+/// three. Returns the nodes (seed first) and their cache directories.
+fn cached_fleet(tag: &str) -> ([Server; 3], Vec<PathBuf>) {
+    let dirs: Vec<PathBuf> = (0..3)
+        .map(|i| {
+            let dir = std::env::temp_dir()
+                .join(format!("hetmem-cluster-{tag}-{}-{i}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            dir
+        })
+        .collect();
+    let with_cache = |i: usize| ServeOptions {
+        cache_dir: Some(dirs[i].clone()),
+        ..options()
+    };
+    let a = seed_node(with_cache(0));
+    let b = join_node(&a, with_cache(1));
+    let c = join_node(&a, with_cache(2));
+    wait_for_membership(&[&a, &b, &c], 3);
+    ([a, b, c], dirs)
 }
 
 fn shutdown_all(nodes: Vec<Server>) {
@@ -233,22 +265,7 @@ fn any_entry_node_answers_byte_identically() {
 
 #[test]
 fn cache_hits_cross_nodes() {
-    let dirs: Vec<std::path::PathBuf> = (0..3)
-        .map(|i| {
-            let dir = std::env::temp_dir()
-                .join(format!("hetmem-cluster-cache-{}-{i}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            dir
-        })
-        .collect();
-    let with_cache = |i: usize| ServeOptions {
-        cache_dir: Some(dirs[i].clone()),
-        ..options()
-    };
-    let a = seed_node(with_cache(0));
-    let b = join_node(&a, with_cache(1));
-    let c = join_node(&a, with_cache(2));
-    wait_for_membership(&[&a, &b, &c], 3);
+    let ([a, b, c], dirs) = cached_fleet("cache");
 
     let addrs: Vec<String> = [&a, &b, &c]
         .iter()
@@ -256,7 +273,7 @@ fn cache_hits_cross_nodes() {
         .collect();
     let ring = Ring::new(&addrs);
     let owned = sim_bodies_owned_by(&ring, &addrs[0], 1);
-    let (body, _) = &owned[0];
+    let body = &owned[0];
 
     // First request enters through b, is forwarded to its owner a,
     // misses a's cache, and executes there.
@@ -275,6 +292,64 @@ fn cache_hits_cross_nodes() {
     assert_eq!(second.body, first.body);
     assert_eq!(node_counter(a.local_addr(), "cache_hits"), 1);
     assert_eq!(node_counter(a.local_addr(), "cache_misses"), 1);
+
+    shutdown_all(vec![c, b, a]);
+    for dir in dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+// ---------- sweeps and single requests share placement ----------
+
+#[test]
+fn a_sim_after_a_fleet_sweep_is_answered_from_the_owners_cache() {
+    let ([a, b, c], dirs) = cached_fleet("xpath");
+    let nodes = [&a, &b, &c];
+
+    // A cold fleet sweep, driven from outside the ring, fills the owners'
+    // disk caches.
+    let seed = a.cluster_addr().expect("clustered").to_string();
+    let dispatcher = FleetDispatcher::connect(&seed).expect("fleet connect");
+    let jobs = SweepSpec::full(512).expand();
+    let opts = SweepOptions::builder()
+        .workers(1)
+        .dispatcher(Some(Arc::new(dispatcher)))
+        .build();
+    let swept = run_jobs(&jobs, &ExperimentConfig::paper(), &opts).expect("fleet sweep");
+    let merged_misses = || {
+        let v = send(a.local_addr(), "GET", "/metrics?cluster=1", None).json();
+        counter(v.get("merged").expect("merged metrics"), "cache_misses")
+    };
+    let misses = merged_misses();
+    assert_eq!(misses, jobs.len() as u64, "the sweep ran on the fleet");
+
+    // One of the sweep's cells, entering through a node that does not own
+    // it, is forwarded to its owner and answered from that disk cache.
+    let body = "{\"kernel\":\"reduction\",\"system\":\"fusion\",\"scale\":512}";
+    let addrs: Vec<String> = nodes
+        .iter()
+        .map(|node| node.cluster_addr().expect("clustered").to_string())
+        .collect();
+    let ring = Ring::new(&addrs);
+    let owner = sim_owner(&ring, body);
+    let at = addrs.iter().position(|a| a == owner).expect("a member");
+    let owner_http = nodes[at].local_addr();
+    let entry = nodes[(at + 1) % nodes.len()];
+    let hits = node_counter(owner_http, "cache_hits");
+    let reply = send(entry.local_addr(), "POST", "/v1/sim", Some(body));
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    assert_eq!(node_counter(owner_http, "cache_hits"), hits + 1);
+    assert_eq!(merged_misses(), misses, "no node simulated the cell again");
+    let record = swept
+        .records
+        .iter()
+        .find(|r| r.kernel == "reduction" && r.target == "Fusion")
+        .expect("the cell is in the sweep");
+    assert_eq!(
+        reply.json().get("report").map(Json::render),
+        Some(report_to_json(&record.report).render()),
+        "the answer is the sweep's record"
+    );
 
     shutdown_all(vec![c, b, a]);
     for dir in dirs {
@@ -322,7 +397,7 @@ fn remote_requests_coalesce_and_busy_owners_are_stolen_from() {
     // Three identical a-owned requests: two through the same entry node
     // b, one through c. Entry nodes forward every one of them; the twins
     // coalesce onto the first in a's queue.
-    let same = owned[0].0.clone();
+    let same = owned[0].clone();
     let spawn_sim = |addr: SocketAddr| {
         let body = same.clone();
         std::thread::spawn(move || send(addr, "POST", "/v1/sim", Some(&body)))
@@ -348,7 +423,7 @@ fn remote_requests_coalesce_and_busy_owners_are_stolen_from() {
         send(a.local_addr(), "POST", "/v1/sweep", Some(filler)).status,
         202
     );
-    let stolen = send(b.local_addr(), "POST", "/v1/sim", Some(&owned[1].0));
+    let stolen = send(b.local_addr(), "POST", "/v1/sim", Some(&owned[1]));
     assert_eq!(stolen.status, 200, "{}", stolen.body);
     assert_eq!(cluster_counter(b.local_addr(), "work_steals"), 1);
 
@@ -417,7 +492,7 @@ fn fleet_survives_a_killed_node() {
 
     // A request for a key the dead node owned still succeeds: the entry
     // node notes the failure and executes it locally.
-    let reply = send(a.local_addr(), "POST", "/v1/sim", Some(&owned[0].0));
+    let reply = send(a.local_addr(), "POST", "/v1/sim", Some(&owned[0]));
     assert_eq!(reply.status, 200, "{}", reply.body);
     assert!(cluster_counter(a.local_addr(), "work_steals") >= 1);
     assert!(cluster_counter(a.local_addr(), "peer_failures") >= 1);
@@ -439,7 +514,7 @@ fn fleet_survives_a_killed_node() {
     assert!(counter(merged, "peer_failures") >= 1, "{}", merged.render());
 
     // And the same key is now answerable again from either survivor.
-    let again = send(b.local_addr(), "POST", "/v1/sim", Some(&owned[0].0));
+    let again = send(b.local_addr(), "POST", "/v1/sim", Some(&owned[0]));
     assert_eq!(again.status, 200);
     assert_eq!(again.body, reply.body);
 
