@@ -932,8 +932,33 @@ mod tests {
         let status = a.status_json();
         assert_eq!(status.get("peers_removed").and_then(Json::as_u64), Some(1));
         assert!(status.get("peer_failures").and_then(Json::as_u64) >= Some(1));
-        // The tombstone blocks gossip resurrection.
-        assert!(a.is_tombstoned(&ghost_addr));
+        // The tombstone blocks gossip resurrection: a heartbeat from a live
+        // peer whose gossip still names the ghost admits the peer, not the
+        // ghost.
+        let live = ClusterNode::start(
+            ClusterConfig {
+                http_addr: health_stub(),
+                heartbeat_ms: 40,
+                ..ClusterConfig::default()
+            },
+            hooks("live"),
+        )
+        .expect("start live");
+        let gossip = Json::obj(vec![
+            ("cluster", Json::Str(ghost_addr.clone())),
+            ("http", Json::Str(health_stub())),
+        ]);
+        let beat = Json::obj(vec![
+            ("kind", Json::Str("heartbeat".to_owned())),
+            ("from", Json::Str(live.self_addr().to_owned())),
+            ("http", Json::Str(health_stub())),
+            ("peers", Json::Arr(vec![gossip])),
+        ]);
+        proto::call(a.self_addr(), &beat, Duration::from_secs(5)).expect("heartbeat");
+        let nodes = lock(&a.ring).nodes().to_vec();
+        assert!(nodes.iter().any(|n| n == live.self_addr()), "{nodes:?}");
+        assert!(!nodes.contains(&ghost_addr), "ghost resurrected: {nodes:?}");
+        live.shutdown();
         a.shutdown();
     }
 

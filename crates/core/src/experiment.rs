@@ -1,7 +1,11 @@
-//! Experiment runners: the case studies of Figures 5–6 and the
-//! memory-space isolation of Figure 7.
+//! Experiment data and the studies beyond the paper's grids.
+//!
+//! [`CaseStudyRun`] (a Figure 5/6 cell) and [`SpaceRun`] (a Figure 7
+//! cell) are what the figure renderers and the evaluations in
+//! [`crate::metrics`] consume; `hetmem-xplore`'s engine produces them. The
+//! page-size and work-partitioning studies vary the hardware
+//! configuration and the kernel parameters, so they simulate here.
 
-use crate::address_space::IdealSpaceComm;
 use crate::presets::EvaluatedSystem;
 use hetmem_dsl::AddressSpace;
 use hetmem_sim::{CommCosts, CommModel, RunReport, Simulation, SystemConfig};
@@ -64,10 +68,6 @@ impl ExperimentConfig {
             ..ExperimentConfig::paper()
         }
     }
-
-    fn params(&self) -> KernelParams {
-        KernelParams::scaled(self.scale)
-    }
 }
 
 /// One Figure 5/6 measurement: a kernel on an evaluated system.
@@ -81,51 +81,6 @@ pub struct CaseStudyRun {
     pub report: RunReport,
 }
 
-/// Runs one kernel on one evaluated system (a cell of Figures 5–6).
-#[must_use]
-pub fn run_case_study(
-    system: EvaluatedSystem,
-    kernel: Kernel,
-    config: &ExperimentConfig,
-) -> CaseStudyRun {
-    let trace = kernel.generate(&config.params());
-    let report = simulate(
-        &config.system,
-        config.costs,
-        system.comm_model(config.costs),
-        &trace,
-    );
-    CaseStudyRun {
-        system,
-        kernel,
-        report,
-    }
-}
-
-/// Runs the full Figure 5/6 grid: every kernel on every evaluated system.
-#[must_use]
-pub fn run_case_studies(config: &ExperimentConfig) -> Vec<CaseStudyRun> {
-    let mut out = Vec::new();
-    for kernel in Kernel::ALL {
-        // Generate once per kernel; systems share the trace.
-        let trace = kernel.generate(&config.params());
-        for system in EvaluatedSystem::ALL {
-            let report = simulate(
-                &config.system,
-                config.costs,
-                system.comm_model(config.costs),
-                &trace,
-            );
-            out.push(CaseStudyRun {
-                system,
-                kernel,
-                report,
-            });
-        }
-    }
-    out
-}
-
 /// One Figure 7 measurement: a kernel under an address-space option with
 /// idealized communication (shared cache, free transfers — only the API
 /// instruction overhead remains).
@@ -137,50 +92,6 @@ pub struct SpaceRun {
     pub kernel: Kernel,
     /// The simulator's report.
     pub report: RunReport,
-}
-
-/// Runs one kernel under one address-space option (a cell of Figure 7).
-#[must_use]
-pub fn run_address_space(
-    space: AddressSpace,
-    kernel: Kernel,
-    config: &ExperimentConfig,
-) -> SpaceRun {
-    let trace = kernel.generate(&config.params());
-    let report = simulate(
-        &config.system,
-        config.costs,
-        IdealSpaceComm::new(space, config.costs),
-        &trace,
-    );
-    SpaceRun {
-        space,
-        kernel,
-        report,
-    }
-}
-
-/// Runs the full Figure 7 grid.
-#[must_use]
-pub fn run_address_spaces(config: &ExperimentConfig) -> Vec<SpaceRun> {
-    let mut out = Vec::new();
-    for kernel in Kernel::ALL {
-        let trace = kernel.generate(&config.params());
-        for space in AddressSpace::ALL {
-            let report = simulate(
-                &config.system,
-                config.costs,
-                IdealSpaceComm::new(space, config.costs),
-                &trace,
-            );
-            out.push(SpaceRun {
-                space,
-                kernel,
-                report,
-            });
-        }
-    }
-    out
 }
 
 /// One row of the GPU page-size study (§II-A1: a virtually unified or
@@ -210,7 +121,7 @@ pub fn run_page_size_study(
     gpu_page_sizes: &[u64],
 ) -> Vec<PageSizeRow> {
     use hetmem_sim::{FabricKind, SynchronousFabric};
-    let trace = kernel.generate(&config.params());
+    let trace = kernel.generate(&KernelParams::scaled(config.scale));
     gpu_page_sizes
         .iter()
         .map(|&gpu_page_bytes| {
@@ -285,87 +196,6 @@ pub fn best_partition(rows: &[PartitionRow]) -> &PartitionRow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetmem_trace::Phase;
-
-    fn cfg() -> ExperimentConfig {
-        ExperimentConfig::scaled(64)
-    }
-
-    #[test]
-    fn ideal_hetero_is_never_slower() {
-        // Figure 5's shape: IDEAL-HETERO lower-bounds every system.
-        for kernel in [Kernel::Reduction, Kernel::MergeSort] {
-            let ideal = run_case_study(EvaluatedSystem::IdealHetero, kernel, &cfg())
-                .report
-                .total_ticks();
-            for sys in EvaluatedSystem::ALL {
-                let t = run_case_study(sys, kernel, &cfg()).report.total_ticks();
-                assert!(t >= ideal, "{sys}/{kernel}: {t} < ideal {ideal}");
-            }
-        }
-    }
-
-    #[test]
-    fn pci_systems_slower_than_fusion_and_ideal() {
-        // "CPU+GPU, LRB and GMAC have a longer execution time than those of
-        // IDEAL-HETERO and Fusion."
-        let kernel = Kernel::MergeSort;
-        let comm = |sys| {
-            run_case_study(sys, kernel, &cfg())
-                .report
-                .communication_ticks
-        };
-        let fusion = comm(EvaluatedSystem::Fusion);
-        let ideal = comm(EvaluatedSystem::IdealHetero);
-        for pci in [
-            EvaluatedSystem::CpuGpuCuda,
-            EvaluatedSystem::Lrb,
-            EvaluatedSystem::Gmac,
-        ] {
-            let c = comm(pci);
-            assert!(c > fusion, "{pci} comm {c} <= Fusion {fusion}");
-            assert!(c > ideal, "{pci} comm {c} <= ideal {ideal}");
-        }
-    }
-
-    #[test]
-    fn gmac_hides_communication_relative_to_cuda() {
-        let kernel = Kernel::Reduction;
-        let cuda = run_case_study(EvaluatedSystem::CpuGpuCuda, kernel, &cfg());
-        let gmac = run_case_study(EvaluatedSystem::Gmac, kernel, &cfg());
-        assert!(
-            gmac.report.communication_ticks < cuda.report.communication_ticks,
-            "gmac {} vs cuda {}",
-            gmac.report.communication_ticks,
-            cuda.report.communication_ticks
-        );
-    }
-
-    #[test]
-    fn lrb_beats_cuda_by_skipping_result_transfers() {
-        let kernel = Kernel::MatrixMul;
-        let cfg = ExperimentConfig::scaled(256);
-        let cuda = run_case_study(EvaluatedSystem::CpuGpuCuda, kernel, &cfg);
-        let lrb = run_case_study(EvaluatedSystem::Lrb, kernel, &cfg);
-        assert!(lrb.report.communication_ticks < cuda.report.communication_ticks);
-    }
-
-    #[test]
-    fn figure7_spaces_are_within_noise() {
-        // "There is almost no performance difference between options." The
-        // API overheads are fixed while compute scales with input size, so
-        // this property is about realistic inputs — use a mild scale.
-        let cfg = ExperimentConfig::scaled(4);
-        let kernel = Kernel::Convolution;
-        let totals: Vec<u64> = AddressSpace::ALL
-            .iter()
-            .map(|&s| run_address_space(s, kernel, &cfg).report.total_ticks())
-            .collect();
-        let max = *totals.iter().max().expect("non-empty");
-        let min = *totals.iter().min().expect("non-empty");
-        let spread = (max - min) as f64 / max as f64;
-        assert!(spread < 0.02, "spread {totals:?} exceeds 2 %");
-    }
 
     #[test]
     fn partition_sweep_prefers_cpu_leaning_splits() {
@@ -417,17 +247,5 @@ mod tests {
             rows[0].gpu_tlb_miss_rate
         );
         assert!(rows[1].total_ticks <= rows[0].total_ticks);
-    }
-
-    #[test]
-    fn grid_covers_all_cells() {
-        let grid = run_case_studies(&ExperimentConfig::scaled(512));
-        assert_eq!(grid.len(), 6 * 5);
-        let spaces = run_address_spaces(&ExperimentConfig::scaled(512));
-        assert_eq!(spaces.len(), 6 * 4);
-        for run in &grid {
-            assert!(run.report.total_ticks() > 0);
-            assert!(run.report.phase_ticks(Phase::Parallel) > 0);
-        }
     }
 }

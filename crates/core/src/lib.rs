@@ -16,19 +16,21 @@
 //!   controller, ideal).
 //! * [`DesignPoint`] — enumeration of the full design space with validity
 //!   constraints.
-//! * [`experiment`] — runners that regenerate the paper's figures on the
-//!   `hetmem-sim` substrate.
+//! * [`experiment`] — the Figure 5–7 cell types the renderers and
+//!   [`metrics`] consume, plus the page-size and partitioning studies.
+//!   `hetmem-xplore`'s engine runs the figure grids.
 //!
 //! ## Example
 //!
 //! ```
-//! use hetmem_core::experiment::{run_case_study, ExperimentConfig};
-//! use hetmem_core::EvaluatedSystem;
-//! use hetmem_trace::kernels::Kernel;
+//! use hetmem_core::metrics::design_point_of;
+//! use hetmem_core::{hardware_cost, programmer_burden, EvaluatedSystem};
 //!
-//! let cfg = ExperimentConfig::scaled(256); // small input for the example
-//! let run = run_case_study(EvaluatedSystem::Fusion, Kernel::Reduction, &cfg);
-//! assert!(run.report.total_ticks() > 0);
+//! // Fusion's design point needs less hardware than IDEAL-HETERO's, and
+//! // its disjoint space costs the programmer more source lines.
+//! let (fusion, ideal) = (EvaluatedSystem::Fusion, EvaluatedSystem::IdealHetero);
+//! assert!(hardware_cost(&design_point_of(fusion)) < hardware_cost(&design_point_of(ideal)));
+//! assert!(programmer_burden(fusion.address_space()) > programmer_burden(ideal.address_space()));
 //! ```
 
 #![forbid(unsafe_code)]

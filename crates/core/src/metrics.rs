@@ -21,11 +21,12 @@
 //! [`pareto_indices`] for its guided search.
 
 use crate::design_space::{CoherenceOption, DesignPoint};
-use crate::experiment::{run_case_studies, ExperimentConfig};
+use crate::experiment::CaseStudyRun;
 use crate::locality::SharedLocality;
 use crate::presets::EvaluatedSystem;
 use hetmem_dsl::{paper_loc_table, AddressSpace};
 use hetmem_sim::FabricKind;
+use hetmem_trace::kernels::Kernel;
 
 /// Abstract hardware-cost score of a design point (higher = more silicon,
 /// design, and verification effort). The rubric:
@@ -172,10 +173,11 @@ pub fn design_point_of(system: EvaluatedSystem) -> DesignPoint {
     }
 }
 
-/// Evaluates the five case-study systems on all three axes.
+/// Evaluates the five case-study systems on all three axes from `runs`,
+/// a full Figure 5/6 grid. The performance axis is the geometric mean of
+/// each system's total ticks over its runs.
 #[must_use]
-pub fn evaluate_systems(config: &ExperimentConfig) -> Vec<Evaluation> {
-    let runs = run_case_studies(config);
+pub fn evaluate_systems(runs: &[CaseStudyRun]) -> Vec<Evaluation> {
     EvaluatedSystem::ALL
         .iter()
         .map(|&system| {
@@ -209,38 +211,37 @@ pub struct EnergyEval {
     /// The system.
     pub system: EvaluatedSystem,
     /// The kernel.
-    pub kernel: hetmem_trace::kernels::Kernel,
+    pub kernel: Kernel,
     /// The component breakdown.
     pub breakdown: hetmem_sim::EnergyBreakdown,
 }
 
-/// Estimates energy for every case-study cell. The fabric traffic follows
-/// each system's actual transfer behaviour: the PCI-attached systems move
-/// bytes over the link (LRB and GMAC skip the result direction thanks to
-/// their shared windows), Fusion copies through the memory controllers,
-/// and IDEAL-HETERO moves nothing.
+/// Estimates energy for every case-study cell of `runs`, in their order.
+/// `comm_bytes` holds each kernel's trace traffic as `(kernel,
+/// host-to-device bytes, total bytes)`. The fabric traffic follows each
+/// system's actual transfer behaviour: the PCI-attached systems move bytes
+/// over the link (LRB and GMAC skip the result direction thanks to their
+/// shared windows), Fusion copies through the memory controllers, and
+/// IDEAL-HETERO moves nothing.
+///
+/// # Panics
+///
+/// Panics if `comm_bytes` has no entry for a run's kernel.
 #[must_use]
-pub fn evaluate_energy(config: &ExperimentConfig) -> Vec<EnergyEval> {
+pub fn evaluate_energy(
+    runs: &[CaseStudyRun],
+    comm_bytes: &[(Kernel, u64, u64)],
+) -> Vec<EnergyEval> {
     use hetmem_sim::{estimate_energy, CommTraffic, EnergyParams};
-    use hetmem_trace::kernels::{Kernel, KernelParams};
-    use hetmem_trace::TransferDirection;
 
     let params = EnergyParams::default();
-    let mut out = Vec::new();
-    for kernel in Kernel::ALL {
-        let trace = kernel.generate(&KernelParams::scaled(config.scale));
-        let h2d = trace.comm_bytes_in(TransferDirection::HostToDevice);
-        let total = trace.comm_bytes();
-        for system in EvaluatedSystem::ALL {
-            let report = hetmem_sim::Simulation::builder()
-                .config(config.system)
-                .costs(config.costs)
-                .comm_model(system.comm_model(config.costs))
-                .build()
-                .expect("experiment system configuration is valid")
-                .run(&trace)
-                .expect("generated traces are well-formed");
-            let traffic = match system {
+    runs.iter()
+        .map(|run| {
+            let &(_, h2d, total) = comm_bytes
+                .iter()
+                .find(|(kernel, _, _)| *kernel == run.kernel)
+                .expect("communication bytes for every kernel");
+            let traffic = match run.system {
                 EvaluatedSystem::CpuGpuCuda => CommTraffic {
                     pci_bytes: total,
                     memctl_bytes: 0,
@@ -256,14 +257,13 @@ pub fn evaluate_energy(config: &ExperimentConfig) -> Vec<EnergyEval> {
                 },
                 EvaluatedSystem::IdealHetero => CommTraffic::default(),
             };
-            out.push(EnergyEval {
-                system,
-                kernel,
-                breakdown: estimate_energy(&report, traffic, &params),
-            });
-        }
-    }
-    out
+            EnergyEval {
+                system: run.system,
+                kernel: run.kernel,
+                breakdown: estimate_energy(&run.report, traffic, &params),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -330,71 +330,5 @@ mod tests {
     fn empty_and_singleton_spaces() {
         assert!(pareto_indices(&[]).is_empty());
         assert_eq!(pareto_indices(&[vec![5.0]]), vec![0]);
-    }
-
-    #[test]
-    fn frontier_has_no_dominated_points_and_is_nonempty() {
-        let evals = evaluate_systems(&ExperimentConfig::scaled(128));
-        let frontier = pareto_frontier(&evals);
-        assert!(!frontier.is_empty());
-        for &i in &frontier {
-            for (j, e) in evals.iter().enumerate() {
-                if j != i {
-                    assert!(
-                        !dominates(&e.objectives(), &evals[i].objectives()),
-                        "{} dominated by {}",
-                        evals[i].system,
-                        e.system
-                    );
-                }
-            }
-        }
-        // Every non-frontier point is dominated by someone.
-        for i in 0..evals.len() {
-            if !frontier.contains(&i) {
-                assert!(
-                    evals
-                        .iter()
-                        .any(|e| dominates(&e.objectives(), &evals[i].objectives())),
-                    "{}",
-                    evals[i].system
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn energy_follows_runtime_and_fabric() {
-        let evals = evaluate_energy(&ExperimentConfig::scaled(64));
-        assert_eq!(evals.len(), 30);
-        for e in &evals {
-            assert!(e.breakdown.total_uj() > 0.0, "{}/{}", e.system, e.kernel);
-        }
-        // On any kernel, the ideal system's communication energy is zero
-        // and CUDA's is the largest of the PCI systems.
-        use hetmem_trace::kernels::Kernel;
-        let get = |sys| {
-            evals
-                .iter()
-                .find(|e| e.system == sys && e.kernel == Kernel::Reduction)
-                .map(|e| e.breakdown.comm_uj)
-                .expect("cell present")
-        };
-        assert_eq!(get(EvaluatedSystem::IdealHetero), 0.0);
-        assert!(get(EvaluatedSystem::CpuGpuCuda) > get(EvaluatedSystem::Lrb));
-        assert!(get(EvaluatedSystem::CpuGpuCuda) > get(EvaluatedSystem::Fusion));
-    }
-
-    #[test]
-    fn cuda_is_pareto_optimal_on_hardware_cost() {
-        // The disjoint PCI-E system has the minimum hardware cost, so
-        // nothing can dominate it.
-        let evals = evaluate_systems(&ExperimentConfig::scaled(128));
-        let frontier = pareto_frontier(&evals);
-        let cuda_idx = evals
-            .iter()
-            .position(|e| e.system == EvaluatedSystem::CpuGpuCuda)
-            .expect("present");
-        assert!(frontier.contains(&cuda_idx));
     }
 }

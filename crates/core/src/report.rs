@@ -167,7 +167,6 @@ pub fn render_figure7(runs: &[SpaceRun]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_address_spaces, run_case_studies, ExperimentConfig};
 
     #[test]
     fn text_table_aligns() {
@@ -184,33 +183,5 @@ mod tests {
     fn ragged_rows_rejected() {
         let mut t = TextTable::new(&["a", "b"]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn figure5_normalization_is_bounded_by_one() {
-        let cfg = ExperimentConfig::scaled(512);
-        let runs = run_case_studies(&cfg);
-        let f5 = render_figure5(&runs);
-        for line in f5.lines().skip(2) {
-            let cols: Vec<&str> = line.split_whitespace().collect();
-            // kernel may be two words; "norm" is the 4th column from the end
-            // of [total, norm, seq, par, comm].
-            let norm: f64 = cols[cols.len() - 4].parse().expect("norm parses");
-            assert!(norm > 0.0 && norm <= 1.0, "{line}");
-        }
-    }
-
-    #[test]
-    fn figure_renderers_cover_all_rows() {
-        let cfg = ExperimentConfig::scaled(512);
-        let runs = run_case_studies(&cfg);
-        let f5 = render_figure5(&runs);
-        assert_eq!(f5.lines().count(), 2 + 30, "6 kernels × 5 systems");
-        let f6 = render_figure6(&runs);
-        assert_eq!(f6.lines().count(), 2 + 30);
-        let spaces = run_address_spaces(&cfg);
-        let f7 = render_figure7(&spaces);
-        assert_eq!(f7.lines().count(), 2 + 6);
-        assert!(f7.contains("reduction"));
     }
 }

@@ -38,10 +38,13 @@ mod tests {
     use super::*;
     use hetmem_core::experiment::ExperimentConfig;
     use hetmem_core::{evaluate_systems, EvaluatedSystem};
+    use hetmem_xplore::{run_case_studies, SweepOptions};
 
     #[test]
     fn table_marks_the_cheapest_system() {
-        let evals = evaluate_systems(&ExperimentConfig::scaled(256));
+        let config = ExperimentConfig::scaled(256);
+        let (runs, _) = run_case_studies(&config, &SweepOptions::default()).expect("grid runs");
+        let evals = evaluate_systems(&runs);
         let table = system_frontier_table(&evals);
         // CUDA has the unique minimum hardware cost, so it is always
         // Pareto-optimal and its row carries the marker.

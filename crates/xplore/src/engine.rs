@@ -683,16 +683,27 @@ pub fn run_jobs(
     } else {
         let dispatcher = opts.dispatcher.as_ref().expect("parts imply a dispatcher");
         // Scatter: remote parts execute concurrently with the local
-        // share. A part whose owner is unreachable, draining, or answers
-        // garbage falls back onto the local pool afterwards — failover
-        // costs latency, never correctness.
+        // share, one thread per owner sending that owner's parts one
+        // after another, since an owner serves only as many parts at once
+        // as it has part slots. A part whose owner is unreachable,
+        // draining, or answers garbage falls back onto the local pool
+        // afterwards — failover costs latency, never correctness.
+        let mut parts = parts;
+        // Stable, so each owner's parts keep their order.
+        parts.sort_by(|a, b| a.owner.cmp(&b.owner));
+        let owners: Vec<&[JobPart]> = parts.chunk_by(|a, b| a.owner == b.owner).collect();
         let mut fallback: Vec<usize> = Vec::new();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
+            let handles: Vec<_> = owners
                 .iter()
-                .map(|part| {
+                .map(|&owned| {
                     let ctx = &ctx;
-                    scope.spawn(move || dispatcher.execute(jobs, part, ctx))
+                    scope.spawn(move || {
+                        owned
+                            .iter()
+                            .map(|part| dispatcher.execute(jobs, part, ctx))
+                            .collect::<Vec<_>>()
+                    })
                 })
                 .collect();
             let mut sink = |index: usize, record: Result<SweepRecord, SimError>| {
@@ -700,25 +711,28 @@ pub fn run_jobs(
                 slots[index] = Some(record);
             };
             run_local(&local, &mut sink);
-            for (part, handle) in parts.iter().zip(handles) {
-                let outcome = handle.join().unwrap_or(Err(SimError::Cancelled));
-                match outcome {
-                    Ok(records)
-                        if records.len() == part.indices.len()
-                            && records
-                                .iter()
-                                .zip(&part.indices)
-                                .all(|(r, &i)| r.id == jobs[i].id) =>
-                    {
-                        // Merge in ordinal slots: remote records are
-                        // indistinguishable from local ones downstream.
-                        for (&index, record) in part.indices.iter().zip(records) {
-                            let record = Ok(record);
-                            progress(&record);
-                            slots[index] = Some(record);
+            for (owned, handle) in owners.iter().zip(handles) {
+                // A panicking owner thread fails every one of its parts.
+                let mut outcomes = handle.join().unwrap_or_default().into_iter();
+                for part in *owned {
+                    match outcomes.next() {
+                        Some(Ok(records))
+                            if records.len() == part.indices.len()
+                                && records
+                                    .iter()
+                                    .zip(&part.indices)
+                                    .all(|(r, &i)| r.id == jobs[i].id) =>
+                        {
+                            // Merge in ordinal slots: remote records are
+                            // indistinguishable from local ones downstream.
+                            for (&index, record) in part.indices.iter().zip(records) {
+                                let record = Ok(record);
+                                progress(&record);
+                                slots[index] = Some(record);
+                            }
                         }
+                        _ => fallback.extend_from_slice(&part.indices),
                     }
-                    _ => fallback.extend_from_slice(&part.indices),
                 }
             }
         });
@@ -767,9 +781,11 @@ pub fn run_jobs(
 }
 
 /// The Figure 5/6 grid (every kernel × evaluated system) through the
-/// engine: parallel and, when a cache directory is given, memoized. The
-/// returned runs are ordered exactly like
-/// `hetmem_core::experiment::run_case_studies` and carry identical reports.
+/// engine: parallel and, when a cache directory is given, memoized. Runs
+/// are ordered by kernel, then by system, each axis in its `ALL` order
+/// ([`Kernel::ALL`](hetmem_trace::kernels::Kernel::ALL),
+/// [`EvaluatedSystem::ALL`](hetmem_core::EvaluatedSystem::ALL)). Each
+/// report equals [`execute_job`]'s for its cell.
 ///
 /// # Errors
 ///
@@ -783,27 +799,23 @@ pub fn run_case_studies(
         spaces: vec![],
         ..SweepSpec::full(config.scale)
     };
-    let jobs = spec.expand();
-    let output = run_jobs(&jobs, config, opts)?;
-    let runs = jobs
-        .iter()
-        .zip(&output.records)
-        .map(|(job, record)| {
-            let JobKind::CaseStudy { system } = job.kind else {
-                unreachable!("spec contains only case-study jobs")
-            };
-            CaseStudyRun {
-                system,
-                kernel: job.kernel,
-                report: record.report.clone(),
-            }
-        })
-        .collect();
-    Ok((runs, output.stats))
+    run_grid(&spec, config, opts, |job, report| {
+        let JobKind::CaseStudy { system } = job.kind else {
+            unreachable!("spec contains only case-study jobs")
+        };
+        CaseStudyRun {
+            system,
+            kernel: job.kernel,
+            report,
+        }
+    })
 }
 
 /// The Figure 7 grid (every kernel × address space) through the engine.
-/// Ordered exactly like `hetmem_core::experiment::run_address_spaces`.
+/// Runs are ordered by kernel, then by address space, each axis in its
+/// `ALL` order ([`Kernel::ALL`](hetmem_trace::kernels::Kernel::ALL),
+/// [`AddressSpace::ALL`](hetmem_core::AddressSpace::ALL)). Each report
+/// equals [`execute_job`]'s for its cell.
 ///
 /// # Errors
 ///
@@ -817,21 +829,32 @@ pub fn run_address_spaces(
         systems: vec![],
         ..SweepSpec::full(config.scale)
     };
+    run_grid(&spec, config, opts, |job, report| {
+        let JobKind::AddressSpace { space } = job.kind else {
+            unreachable!("spec contains only address-space jobs")
+        };
+        SpaceRun {
+            space,
+            kernel: job.kernel,
+            report,
+        }
+    })
+}
+
+/// Runs `spec`'s jobs and turns each job and its report into a run, in
+/// job order.
+fn run_grid<T>(
+    spec: &SweepSpec,
+    config: &ExperimentConfig,
+    opts: &SweepOptions,
+    run: impl Fn(&Job, RunReport) -> T,
+) -> Result<(Vec<T>, SweepStats), SimError> {
     let jobs = spec.expand();
     let output = run_jobs(&jobs, config, opts)?;
     let runs = jobs
         .iter()
-        .zip(&output.records)
-        .map(|(job, record)| {
-            let JobKind::AddressSpace { space } = job.kind else {
-                unreachable!("spec contains only address-space jobs")
-            };
-            SpaceRun {
-                space,
-                kernel: job.kernel,
-                report: record.report.clone(),
-            }
-        })
+        .zip(output.records)
+        .map(|(job, record)| run(job, record.report))
         .collect();
     Ok((runs, output.stats))
 }
@@ -839,8 +862,7 @@ pub fn run_address_spaces(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetmem_core::experiment;
-    use hetmem_core::EvaluatedSystem;
+    use hetmem_core::{AddressSpace, EvaluatedSystem};
     use hetmem_trace::kernels::Kernel;
 
     fn cfg() -> ExperimentConfig {
@@ -851,7 +873,7 @@ mod tests {
         SweepSpec {
             kernels: vec![Kernel::Reduction, Kernel::Dct],
             systems: vec![EvaluatedSystem::Fusion, EvaluatedSystem::IdealHetero],
-            spaces: vec![hetmem_core::AddressSpace::Unified],
+            spaces: vec![AddressSpace::Unified],
             scales: vec![512],
         }
     }
@@ -872,28 +894,37 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &store.get(&jobs[0])));
     }
 
+    /// One engine cell against [`execute_job`]: one un-replayed
+    /// simulation of the same job on the same trace.
+    fn assert_matches_execute_job(kernel: Kernel, kind: JobKind, report: &RunReport) {
+        let scale = cfg().scale;
+        let job = Job {
+            id: 0,
+            kernel,
+            kind,
+            scale,
+        };
+        let reference = execute_job(&job, &cfg(), &job_trace(&job)).expect("runs");
+        assert_eq!(*report, reference.report, "{}", job.identity());
+    }
+
     #[test]
-    fn engine_matches_serial_runners() {
-        let config = cfg();
-        let (runs, _) = run_case_studies(&config, &SweepOptions::with_workers(4)).expect("runs");
-        let serial = experiment::run_case_studies(&config);
-        assert_eq!(runs.len(), serial.len());
-        for (a, b) in runs.iter().zip(&serial) {
-            assert_eq!(a.system, b.system);
-            assert_eq!(a.kernel, b.kernel);
-            assert_eq!(a.report, b.report, "{}/{}", a.system, a.kernel.name());
+    fn engine_matches_per_job_simulation() {
+        let (runs, _) = run_case_studies(&cfg(), &SweepOptions::with_workers(4)).expect("runs");
+        assert_eq!(runs.len(), Kernel::ALL.len() * EvaluatedSystem::ALL.len());
+        for run in &runs {
+            let kind = JobKind::CaseStudy { system: run.system };
+            assert_matches_execute_job(run.kernel, kind, &run.report);
         }
     }
 
     #[test]
-    fn space_engine_matches_serial_runner() {
-        let config = cfg();
-        let (runs, _) = run_address_spaces(&config, &SweepOptions::with_workers(4)).expect("runs");
-        let serial = experiment::run_address_spaces(&config);
-        assert_eq!(runs.len(), serial.len());
-        for (a, b) in runs.iter().zip(&serial) {
-            assert_eq!(a.space, b.space);
-            assert_eq!(a.report, b.report);
+    fn space_engine_matches_per_job_simulation() {
+        let (runs, _) = run_address_spaces(&cfg(), &SweepOptions::with_workers(4)).expect("runs");
+        assert_eq!(runs.len(), Kernel::ALL.len() * AddressSpace::ALL.len());
+        for run in &runs {
+            let kind = JobKind::AddressSpace { space: run.space };
+            assert_matches_execute_job(run.kernel, kind, &run.report);
         }
     }
 
@@ -1006,18 +1037,27 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Claims every even-ordinal job and "remotely" executes it through a
-    /// nested local `run_jobs` — the cluster dispatcher in miniature.
+    /// Claims the even-ordinal jobs as two parts for one owner and
+    /// "remotely" executes each through a nested local `run_jobs` — the
+    /// cluster dispatcher in miniature. Like a node with one part slot, it
+    /// refuses a part while another is in flight.
+    #[derive(Default)]
     struct EchoDispatcher {
         calls: AtomicUsize,
+        in_flight: AtomicUsize,
+        refused: AtomicUsize,
     }
 
     impl JobDispatcher for EchoDispatcher {
         fn partition(&self, jobs: &[Job], _ctx: &DispatchContext<'_>) -> Vec<JobPart> {
-            vec![JobPart {
-                owner: "loopback".to_owned(),
-                indices: (0..jobs.len()).step_by(2).collect(),
-            }]
+            let even: Vec<usize> = (0..jobs.len()).step_by(2).collect();
+            let (first, second) = even.split_at(even.len() / 2);
+            [first, second]
+                .map(|indices| JobPart {
+                    owner: "loopback".to_owned(),
+                    indices: indices.to_vec(),
+                })
+                .to_vec()
         }
 
         fn execute(
@@ -1026,10 +1066,20 @@ mod tests {
             part: &JobPart,
             ctx: &DispatchContext<'_>,
         ) -> Result<Vec<SweepRecord>, SimError> {
-            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            if self.in_flight.fetch_add(1, Ordering::SeqCst) > 0 {
+                self.in_flight.fetch_sub(1, Ordering::SeqCst);
+                self.refused.fetch_add(1, Ordering::SeqCst);
+                let peer = part.owner.clone();
+                return Err(SimError::PeerUnavailable { peer });
+            }
+            // Hold the slot long enough for a concurrent part to collide.
+            std::thread::sleep(Duration::from_millis(50));
             let subset: Vec<Job> = part.indices.iter().map(|&i| jobs[i]).collect();
             let opts = SweepOptions::builder().workers(1).mode(ctx.mode).build();
-            Ok(run_jobs(&subset, ctx.config, &opts)?.records)
+            let records = run_jobs(&subset, ctx.config, &opts).map(|out| out.records);
+            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            records
         }
     }
 
@@ -1092,15 +1142,16 @@ mod tests {
         let config = cfg();
         let spec = small_spec();
         let local = run_sweep(&spec, &config, &SweepOptions::with_workers(2)).expect("local");
-        let echo = Arc::new(EchoDispatcher {
-            calls: AtomicUsize::new(0),
-        });
+        let echo = Arc::new(EchoDispatcher::default());
         let opts = SweepOptions::builder()
             .workers(2)
             .dispatcher(Some(Arc::clone(&echo) as Arc<dyn JobDispatcher>))
             .build();
         let scattered = run_sweep(&spec, &config, &opts).expect("scattered");
-        assert!(echo.calls.load(Ordering::Relaxed) >= 1, "part must scatter");
+        assert_eq!(echo.calls.load(Ordering::SeqCst), 2, "both parts scatter");
+        // A refusal is the only way this dispatcher fails a part, so the
+        // only way a claimed job would fall back to the local pool.
+        assert_eq!(echo.refused.load(Ordering::SeqCst), 0, "parts overlapped");
         assert_eq!(
             crate::to_jsonl(&local.records),
             crate::to_jsonl(&scattered.records),

@@ -4,9 +4,10 @@
 //!
 //! Run with `cargo run --release --example design_space_sweep`.
 
-use hetmem::core::experiment::{run_case_studies, ExperimentConfig};
+use hetmem::core::experiment::ExperimentConfig;
 use hetmem::core::report::render_figure5;
 use hetmem::core::{AddressSpace, DesignPoint, LocalityScheme};
+use hetmem::xplore::{run_case_studies, SweepOptions};
 
 fn main() {
     // 1. The qualitative design space.
@@ -33,6 +34,7 @@ fn main() {
 
     // 2. A quick quantitative sweep (scale 32 to keep this example fast).
     println!("\nCase-study sweep at scale 32 (use the fig5 harness for full size):\n");
-    let runs = run_case_studies(&ExperimentConfig::scaled(32));
+    let config = ExperimentConfig::scaled(32);
+    let (runs, _) = run_case_studies(&config, &SweepOptions::default()).expect("grid runs");
     println!("{}", render_figure5(&runs));
 }

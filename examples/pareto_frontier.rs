@@ -9,11 +9,14 @@
 
 use hetmem::core::evaluate_systems;
 use hetmem::core::experiment::ExperimentConfig;
+use hetmem::xplore::{run_case_studies, SweepOptions};
 use hetmem_search::system_frontier_table;
 
 fn main() {
     // Scale 16 keeps the example quick; the shape is scale-stable.
-    let evals = evaluate_systems(&ExperimentConfig::scaled(16));
+    let config = ExperimentConfig::scaled(16);
+    let (runs, _) = run_case_studies(&config, &SweepOptions::default()).expect("grid runs");
+    let evals = evaluate_systems(&runs);
     println!("{}", system_frontier_table(&evals));
 
     println!("Axes: lower is better everywhere. A system is Pareto-optimal when no");

@@ -2,10 +2,11 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use hetmem::core::experiment::{run_case_study, ExperimentConfig};
+use hetmem::core::experiment::ExperimentConfig;
 use hetmem::core::EvaluatedSystem;
 use hetmem::trace::kernels::Kernel;
 use hetmem::trace::Phase;
+use hetmem::xplore::{execute_job, job_trace, Job, JobKind};
 
 fn main() {
     // Use the paper's full-size reduction trace (Table III: 70006 CPU +
@@ -17,8 +18,14 @@ fn main() {
     println!("kernel: {kernel} ({})\n", kernel.compute_pattern());
 
     for system in [EvaluatedSystem::CpuGpuCuda, EvaluatedSystem::Fusion] {
-        let run = run_case_study(system, kernel, &cfg);
-        let r = &run.report;
+        let job = Job {
+            id: 0,
+            kernel,
+            kind: JobKind::CaseStudy { system },
+            scale: cfg.scale,
+        };
+        let record = execute_job(&job, &cfg, &job_trace(&job)).expect("simulation runs");
+        let r = &record.report;
         println!("{:>12}: {r}", system.name());
         println!(
             "{:>12}  communication alone: {:.1} µs ({:.1}% of total)",

@@ -14,11 +14,11 @@
 //!   DDR3 FR-FCFS DRAM, TLBs, and communication fabrics (Table II/IV).
 //! * [`core`] (`hetmem-core`) — the design-space layer: address-space
 //!   semantics, ownership, locality schemes, the Table I catalog, the five
-//!   evaluated systems, and the experiment runners for Figures 5–7.
+//!   evaluated systems, and the efficiency metrics over a Figure 5/6 grid.
 //! * [`dsl`] (`hetmem-dsl`) — the heterogeneous-programming DSL whose
 //!   per-model lowering reproduces the Table V programmability metric.
 //! * [`xplore`] (`hetmem-xplore`) — the parallel, cached design-space sweep
-//!   engine behind `hetmem sweep` and the figure runners.
+//!   engine behind `hetmem sweep` and the Figure 5–7 grids.
 //! * [`serve`] (`hetmem-serve`) — the batched simulation service behind
 //!   `hetmem serve`: a std-only HTTP/1.1 JSON API over sharded workers
 //!   with admission control, request coalescing, and live metrics.
@@ -31,14 +31,15 @@
 //! ## Quickstart
 //!
 //! ```
-//! use hetmem::core::experiment::{run_case_study, ExperimentConfig};
-//! use hetmem::core::EvaluatedSystem;
-//! use hetmem::trace::kernels::Kernel;
+//! use hetmem::core::experiment::ExperimentConfig;
+//! use hetmem::core::report::render_figure5;
+//! use hetmem::xplore::{run_case_studies, SweepOptions};
 //!
-//! // Simulate the reduction kernel on a Fusion-like system (small input).
-//! let cfg = ExperimentConfig::scaled(128);
-//! let run = run_case_study(EvaluatedSystem::Fusion, Kernel::Reduction, &cfg);
-//! println!("{}", run.report);
+//! // Figure 5 on small inputs: six kernels on the five evaluated systems.
+//! let config = ExperimentConfig::scaled(512);
+//! let (runs, _) = run_case_studies(&config, &SweepOptions::default())?;
+//! println!("{}", render_figure5(&runs));
+//! # Ok::<(), hetmem::sim::SimError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -2,14 +2,17 @@
 //! traces, simulations, and reports — the property that makes the
 //! regenerated tables and figures reproducible.
 
-use hetmem::core::experiment::{run_case_studies, run_case_study, ExperimentConfig};
+use hetmem::core::experiment::ExperimentConfig;
 use hetmem::core::hash::fnv1a;
 use hetmem::core::EvaluatedSystem;
 use hetmem::dsl::{generate_trace, lower, programs, AddressSpace};
 use hetmem::sim::ExecMode;
 use hetmem::trace::kernels::{Kernel, KernelParams};
 use hetmem::trace::write_trace;
-use hetmem::xplore::{run_jobs, to_jsonl, SweepOptions, SweepSpec};
+use hetmem::xplore::{
+    execute_job, job_trace, run_case_studies, run_jobs, to_jsonl, Job, JobKind, SweepOptions,
+    SweepSpec,
+};
 
 #[test]
 fn kernel_generation_is_deterministic() {
@@ -23,23 +26,27 @@ fn kernel_generation_is_deterministic() {
 #[test]
 fn case_studies_are_deterministic() {
     let cfg = ExperimentConfig::scaled(64);
-    let a = run_case_study(EvaluatedSystem::Lrb, Kernel::KMeans, &cfg);
-    let b = run_case_study(EvaluatedSystem::Lrb, Kernel::KMeans, &cfg);
-    assert_eq!(a.report, b.report);
+    let job = Job {
+        id: 0,
+        kernel: Kernel::KMeans,
+        kind: JobKind::CaseStudy {
+            system: EvaluatedSystem::Lrb,
+        },
+        scale: cfg.scale,
+    };
+    let a = execute_job(&job, &cfg, &job.kernel.generate(&KernelParams::scaled(64)));
+    let b = execute_job(&job, &cfg, &job_trace(&job));
+    assert_eq!(a.expect("runs").report, b.expect("runs").report);
 }
 
 #[test]
 fn full_grid_is_deterministic() {
     let cfg = ExperimentConfig::scaled(256);
-    let a: Vec<u64> = run_case_studies(&cfg)
-        .iter()
-        .map(|r| r.report.total_ticks())
-        .collect();
-    let b: Vec<u64> = run_case_studies(&cfg)
-        .iter()
-        .map(|r| r.report.total_ticks())
-        .collect();
-    assert_eq!(a, b);
+    let totals = |workers| -> Vec<u64> {
+        let (runs, _) = run_case_studies(&cfg, &SweepOptions::with_workers(workers)).expect("runs");
+        runs.iter().map(|r| r.report.total_ticks()).collect()
+    };
+    assert_eq!(totals(1), totals(4));
 }
 
 #[test]

@@ -5,22 +5,31 @@
 //! setup costs do not swamp the scaled-down computation, small enough for a
 //! debug-mode test run) and shared across the tests.
 
-use hetmem::core::experiment::{
-    run_address_spaces, run_case_studies, CaseStudyRun, ExperimentConfig, SpaceRun,
-};
+use hetmem::core::experiment::{CaseStudyRun, ExperimentConfig, SpaceRun};
 use hetmem::core::{AddressSpace, EvaluatedSystem};
 use hetmem::trace::kernels::Kernel;
 use hetmem::trace::Phase;
+use hetmem::xplore::{run_address_spaces, run_case_studies, SweepOptions};
 use std::sync::OnceLock;
 
 fn grid() -> &'static [CaseStudyRun] {
     static GRID: OnceLock<Vec<CaseStudyRun>> = OnceLock::new();
-    GRID.get_or_init(|| run_case_studies(&ExperimentConfig::scaled(4)))
+    GRID.get_or_init(|| {
+        let config = ExperimentConfig::scaled(4);
+        run_case_studies(&config, &SweepOptions::default())
+            .expect("grid runs")
+            .0
+    })
 }
 
 fn space_grid() -> &'static [SpaceRun] {
     static GRID: OnceLock<Vec<SpaceRun>> = OnceLock::new();
-    GRID.get_or_init(|| run_address_spaces(&ExperimentConfig::scaled(4)))
+    GRID.get_or_init(|| {
+        let config = ExperimentConfig::scaled(4);
+        run_address_spaces(&config, &SweepOptions::default())
+            .expect("grid runs")
+            .0
+    })
 }
 
 fn total(kernel: Kernel, sys: EvaluatedSystem) -> u64 {

@@ -3,13 +3,47 @@
 //! direction its write-up claims.
 
 use hetmem::core::experiment::{
-    best_partition, run_page_size_study, run_partition_sweep, ExperimentConfig,
+    best_partition, run_page_size_study, run_partition_sweep, CaseStudyRun, ExperimentConfig,
 };
+use hetmem::core::metrics::dominates;
 use hetmem::core::{
-    evaluate_energy, evaluate_systems, pareto_frontier, run_locality_study, EvaluatedSystem,
-    SharedLocalityVariant,
+    evaluate_energy, evaluate_systems, pareto_frontier, run_locality_study, EnergyEval,
+    EvaluatedSystem, Evaluation, SharedLocalityVariant,
 };
-use hetmem::trace::kernels::Kernel;
+use hetmem::trace::kernels::{Kernel, KernelParams};
+use hetmem::trace::TransferDirection;
+use hetmem::xplore::{run_case_studies, SweepOptions};
+
+/// The Figure 5/6 grid at `scale`, built by the sweep engine.
+fn cases(scale: u32) -> Vec<CaseStudyRun> {
+    let config = ExperimentConfig::scaled(scale);
+    run_case_studies(&config, &SweepOptions::default())
+        .expect("grid runs")
+        .0
+}
+
+/// [`evaluate_energy`] over the grid at `scale`, with each kernel's
+/// communication bytes read from its trace.
+fn energy(scale: u32) -> Vec<EnergyEval> {
+    let comm_bytes: Vec<(Kernel, u64, u64)> = Kernel::ALL
+        .iter()
+        .map(|&kernel| {
+            let trace = kernel.generate(&KernelParams::scaled(scale));
+            let h2d = trace.comm_bytes_in(TransferDirection::HostToDevice);
+            (kernel, h2d, trace.comm_bytes())
+        })
+        .collect();
+    evaluate_energy(&cases(scale), &comm_bytes)
+}
+
+/// The three minimized axes of an evaluation.
+fn objectives(e: &Evaluation) -> Vec<f64> {
+    vec![
+        e.perf_ticks,
+        f64::from(e.hardware_cost),
+        e.programmer_burden,
+    ]
+}
 
 #[test]
 fn locality_study_orders_variants() {
@@ -30,7 +64,7 @@ fn locality_study_orders_variants() {
 
 #[test]
 fn pareto_study_is_consistent() {
-    let evals = evaluate_systems(&ExperimentConfig::scaled(64));
+    let evals = evaluate_systems(&cases(64));
     assert_eq!(evals.len(), 5);
     let frontier = pareto_frontier(&evals);
     assert!(!frontier.is_empty());
@@ -49,7 +83,7 @@ fn pareto_study_is_consistent() {
 
 #[test]
 fn energy_study_covers_the_grid_with_sane_totals() {
-    let evals = evaluate_energy(&ExperimentConfig::scaled(64));
+    let evals = energy(64);
     assert_eq!(evals.len(), 30);
     for e in &evals {
         let b = &e.breakdown;
@@ -91,4 +125,69 @@ fn page_size_study_is_monotone_in_tlb_misses() {
     assert!(rows
         .windows(2)
         .all(|w| w[1].gpu_tlb_miss_rate <= w[0].gpu_tlb_miss_rate + 1e-12));
+}
+
+#[test]
+fn frontier_has_no_dominated_points_and_is_nonempty() {
+    let evals = evaluate_systems(&cases(128));
+    let frontier = pareto_frontier(&evals);
+    assert!(!frontier.is_empty());
+    for &i in &frontier {
+        for (j, e) in evals.iter().enumerate() {
+            if j != i {
+                assert!(
+                    !dominates(&objectives(e), &objectives(&evals[i])),
+                    "{} dominated by {}",
+                    evals[i].system,
+                    e.system
+                );
+            }
+        }
+    }
+    // Every non-frontier point is dominated by someone.
+    for i in 0..evals.len() {
+        if !frontier.contains(&i) {
+            assert!(
+                evals
+                    .iter()
+                    .any(|e| dominates(&objectives(e), &objectives(&evals[i]))),
+                "{}",
+                evals[i].system
+            );
+        }
+    }
+}
+
+#[test]
+fn energy_follows_runtime_and_fabric() {
+    let evals = energy(64);
+    assert_eq!(evals.len(), 30);
+    for e in &evals {
+        assert!(e.breakdown.total_uj() > 0.0, "{}/{}", e.system, e.kernel);
+    }
+    // On any kernel, the ideal system's communication energy is zero
+    // and CUDA's is the largest of the PCI systems.
+    let get = |sys| {
+        evals
+            .iter()
+            .find(|e| e.system == sys && e.kernel == Kernel::Reduction)
+            .map(|e| e.breakdown.comm_uj)
+            .expect("cell present")
+    };
+    assert_eq!(get(EvaluatedSystem::IdealHetero), 0.0);
+    assert!(get(EvaluatedSystem::CpuGpuCuda) > get(EvaluatedSystem::Lrb));
+    assert!(get(EvaluatedSystem::CpuGpuCuda) > get(EvaluatedSystem::Fusion));
+}
+
+#[test]
+fn cuda_is_pareto_optimal_on_hardware_cost() {
+    // The disjoint PCI-E system has the minimum hardware cost, so
+    // nothing can dominate it.
+    let evals = evaluate_systems(&cases(128));
+    let frontier = pareto_frontier(&evals);
+    let cuda_idx = evals
+        .iter()
+        .position(|e| e.system == EvaluatedSystem::CpuGpuCuda)
+        .expect("present");
+    assert!(frontier.contains(&cuda_idx));
 }
