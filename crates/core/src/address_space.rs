@@ -1,82 +1,11 @@
-//! Semantic models of the four address-space design options (§II-A),
-//! including the idealized communication model used for the memory-space
-//! isolation experiment (Figure 7).
+//! The idealized communication model used for the memory-space isolation
+//! experiment (Figure 7) over the four address-space design options
+//! (§II-A). What each option makes a program write is lowered and checked
+//! in `hetmem_dsl`.
 
 use hetmem_dsl::AddressSpace;
 use hetmem_sim::{CommAction, CommCostClass, CommCosts, CommModel};
-use hetmem_trace::{CommEvent, MemSpace, PuKind};
-
-/// What a PU may do with an address in a given logical space.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Addressability {
-    /// The PU can load/store the address directly.
-    Direct,
-    /// The PU can reach the data only after an explicit transfer into its
-    /// own space.
-    ExplicitTransfer,
-    /// The PU can touch the address only while holding ownership of the
-    /// containing object.
-    OwnershipGated,
-}
-
-/// The semantic model of one address-space option.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AddressSpaceModel {
-    /// The option being modelled.
-    pub kind: AddressSpace,
-}
-
-impl AddressSpaceModel {
-    /// Creates the model for `kind`.
-    #[must_use]
-    pub fn new(kind: AddressSpace) -> AddressSpaceModel {
-        AddressSpaceModel { kind }
-    }
-
-    /// How `pu` may address data living in `space`.
-    #[must_use]
-    pub fn addressability(&self, pu: PuKind, space: MemSpace) -> Addressability {
-        use Addressability::{Direct, ExplicitTransfer, OwnershipGated};
-        match (self.kind, pu, space) {
-            // Every PU addresses its own private space directly.
-            (_, PuKind::Cpu, MemSpace::CpuPrivate) | (_, PuKind::Gpu, MemSpace::GpuPrivate) => {
-                Direct
-            }
-            // Unified: everything is one space.
-            (AddressSpace::Unified, _, _) => Direct,
-            // Disjoint: the peer's space is reachable only by transfer, and
-            // there is no shared space (treat it as peer memory).
-            (AddressSpace::Disjoint, _, _) => ExplicitTransfer,
-            // Partially shared: the window is ownership-gated for both PUs;
-            // the peer's private space still needs explicit transfers.
-            (AddressSpace::PartiallyShared, _, MemSpace::Shared) => OwnershipGated,
-            (AddressSpace::PartiallyShared, _, _) => ExplicitTransfer,
-            // ADSM: the CPU addresses the whole space including the shared
-            // region; the GPU sees only its own space plus the shared
-            // region mapped into it.
-            (AddressSpace::Adsm, PuKind::Cpu, _) => Direct,
-            (AddressSpace::Adsm, PuKind::Gpu, MemSpace::Shared) => Direct,
-            (AddressSpace::Adsm, PuKind::Gpu, MemSpace::CpuPrivate) => ExplicitTransfer,
-        }
-    }
-
-    /// Whether the option requires page-table mappings for the shared data
-    /// on both PUs (§II-A3's implementation cost discussion).
-    #[must_use]
-    pub fn duplicated_page_tables(&self) -> bool {
-        matches!(
-            self.kind,
-            AddressSpace::Unified | AddressSpace::PartiallyShared
-        )
-    }
-
-    /// Whether only one PU needs to maintain coherent data states (ADSM's
-    /// headline simplification).
-    #[must_use]
-    pub fn single_sided_coherence(&self) -> bool {
-        self.kind == AddressSpace::Adsm
-    }
-}
+use hetmem_trace::CommEvent;
 
 /// The Figure 7 communication model: an idealized fabric (all systems share
 /// the cache, transfers are free) so that only the *instruction* overhead
@@ -136,80 +65,6 @@ impl CommModel for IdealSpaceComm {
 mod tests {
     use super::*;
     use hetmem_trace::{CommKind, TransferDirection};
-
-    #[test]
-    fn private_spaces_always_direct() {
-        for kind in AddressSpace::ALL {
-            let m = AddressSpaceModel::new(kind);
-            assert_eq!(
-                m.addressability(PuKind::Cpu, MemSpace::CpuPrivate),
-                Addressability::Direct
-            );
-            assert_eq!(
-                m.addressability(PuKind::Gpu, MemSpace::GpuPrivate),
-                Addressability::Direct
-            );
-        }
-    }
-
-    #[test]
-    fn unified_is_direct_everywhere() {
-        let m = AddressSpaceModel::new(AddressSpace::Unified);
-        for pu in PuKind::ALL {
-            for space in [MemSpace::CpuPrivate, MemSpace::GpuPrivate, MemSpace::Shared] {
-                assert_eq!(m.addressability(pu, space), Addressability::Direct);
-            }
-        }
-    }
-
-    #[test]
-    fn disjoint_requires_transfers_across_spaces() {
-        let m = AddressSpaceModel::new(AddressSpace::Disjoint);
-        assert_eq!(
-            m.addressability(PuKind::Gpu, MemSpace::CpuPrivate),
-            Addressability::ExplicitTransfer
-        );
-        assert_eq!(
-            m.addressability(PuKind::Cpu, MemSpace::GpuPrivate),
-            Addressability::ExplicitTransfer
-        );
-    }
-
-    #[test]
-    fn adsm_is_asymmetric() {
-        let m = AddressSpaceModel::new(AddressSpace::Adsm);
-        // The CPU sees everything...
-        assert_eq!(
-            m.addressability(PuKind::Cpu, MemSpace::GpuPrivate),
-            Addressability::Direct
-        );
-        assert_eq!(
-            m.addressability(PuKind::Cpu, MemSpace::Shared),
-            Addressability::Direct
-        );
-        // ...the GPU only its own space plus the mapped shared region.
-        assert_eq!(
-            m.addressability(PuKind::Gpu, MemSpace::Shared),
-            Addressability::Direct
-        );
-        assert_eq!(
-            m.addressability(PuKind::Gpu, MemSpace::CpuPrivate),
-            Addressability::ExplicitTransfer
-        );
-        assert!(m.single_sided_coherence());
-    }
-
-    #[test]
-    fn partially_shared_window_is_ownership_gated() {
-        let m = AddressSpaceModel::new(AddressSpace::PartiallyShared);
-        for pu in PuKind::ALL {
-            assert_eq!(
-                m.addressability(pu, MemSpace::Shared),
-                Addressability::OwnershipGated
-            );
-        }
-        assert!(m.duplicated_page_tables());
-    }
 
     #[test]
     fn ideal_space_overheads_are_tiny_and_ordered() {

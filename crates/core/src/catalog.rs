@@ -3,45 +3,6 @@
 
 use hetmem_dsl::AddressSpace;
 
-/// Address-space classification used in Table I (the survey includes one
-/// homogeneous accelerator, Rigel, whose "unified" space is within a single
-/// architecture).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum CatalogSpace {
-    /// Unified address space.
-    Unified,
-    /// Disjoint address spaces.
-    Disjoint,
-    /// Partially shared address space.
-    PartiallyShared,
-    /// Asymmetric distributed shared memory.
-    Adsm,
-}
-
-impl CatalogSpace {
-    /// The corresponding design-space option, where one exists.
-    #[must_use]
-    pub fn as_address_space(self) -> AddressSpace {
-        match self {
-            CatalogSpace::Unified => AddressSpace::Unified,
-            CatalogSpace::Disjoint => AddressSpace::Disjoint,
-            CatalogSpace::PartiallyShared => AddressSpace::PartiallyShared,
-            CatalogSpace::Adsm => AddressSpace::Adsm,
-        }
-    }
-}
-
-impl std::fmt::Display for CatalogSpace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CatalogSpace::Unified => f.write_str("unified"),
-            CatalogSpace::Disjoint => f.write_str("disjoint"),
-            CatalogSpace::PartiallyShared => f.write_str("partially shared"),
-            CatalogSpace::Adsm => f.write_str("ADSM"),
-        }
-    }
-}
-
 /// Hardware connection between the PUs (Table I "Connection").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Connection {
@@ -102,8 +63,10 @@ impl std::fmt::Display for Consistency {
 pub struct SystemEntry {
     /// System or programming-model name.
     pub name: &'static str,
-    /// Address-space organization.
-    pub space: CatalogSpace,
+    /// Address-space organization. The survey includes one homogeneous
+    /// accelerator, Rigel, whose "unified" space is within a single
+    /// architecture.
+    pub space: AddressSpace,
     /// PU-to-PU connection.
     pub connection: Connection,
     /// Coherence support, as described in the paper.
@@ -118,6 +81,20 @@ pub struct SystemEntry {
     pub locality: &'static str,
     /// Whether the entry provides full hardware coherence across PUs.
     pub fully_coherent: bool,
+}
+
+impl SystemEntry {
+    /// The entry's address space in Table I's words ("unified",
+    /// "disjoint", "partially shared", "ADSM").
+    #[must_use]
+    pub fn space_label(&self) -> &'static str {
+        match self.space {
+            AddressSpace::Unified => "unified",
+            AddressSpace::Disjoint => "disjoint",
+            AddressSpace::PartiallyShared => "partially shared",
+            AddressSpace::Adsm => "ADSM",
+        }
+    }
 }
 
 /// Table I verbatim (13 rows; Rigel is the homogeneous comparison point).
@@ -145,7 +122,7 @@ pub fn catalog() -> Vec<SystemEntry> {
     vec![
         e(
             "CPU+CUDA*",
-            CatalogSpace::Disjoint,
+            AddressSpace::Disjoint,
             Connection::PciE,
             "-",
             "NA",
@@ -156,7 +133,7 @@ pub fn catalog() -> Vec<SystemEntry> {
         ),
         e(
             "EXOCHI",
-            CatalogSpace::Unified,
+            AddressSpace::Unified,
             Connection::MemoryController,
             "can be coherent",
             "CHI runtime API",
@@ -167,7 +144,7 @@ pub fn catalog() -> Vec<SystemEntry> {
         ),
         e(
             "CPU+LRB",
-            CatalogSpace::PartiallyShared,
+            AddressSpace::PartiallyShared,
             Connection::PciE,
             "coherent only in LRB/CPU",
             "type qualifier, ownership",
@@ -178,7 +155,7 @@ pub fn catalog() -> Vec<SystemEntry> {
         ),
         e(
             "COMIC",
-            CatalogSpace::Unified,
+            AddressSpace::Unified,
             Connection::Interconnection,
             "directory",
             "COMIC API functions",
@@ -189,7 +166,7 @@ pub fn catalog() -> Vec<SystemEntry> {
         ),
         e(
             "Rigel",
-            CatalogSpace::Unified,
+            AddressSpace::Unified,
             Connection::Interconnection,
             "HW/SW",
             "global memory operation",
@@ -200,7 +177,7 @@ pub fn catalog() -> Vec<SystemEntry> {
         ),
         e(
             "GMAC",
-            CatalogSpace::Adsm,
+            AddressSpace::Adsm,
             Connection::PciE,
             "GMAC protocol",
             "global memory operation",
@@ -211,7 +188,7 @@ pub fn catalog() -> Vec<SystemEntry> {
         ),
         e(
             "Sandy Bridge",
-            CatalogSpace::Disjoint,
+            AddressSpace::Disjoint,
             Connection::MemoryController,
             "-",
             "-",
@@ -222,7 +199,7 @@ pub fn catalog() -> Vec<SystemEntry> {
         ),
         e(
             "Fusion",
-            CatalogSpace::Disjoint,
+            AddressSpace::Disjoint,
             Connection::MemoryController,
             "-",
             "-",
@@ -233,7 +210,7 @@ pub fn catalog() -> Vec<SystemEntry> {
         ),
         e(
             "IBM Cell",
-            CatalogSpace::Disjoint,
+            AddressSpace::Disjoint,
             Connection::Interconnection,
             "-",
             "-",
@@ -244,7 +221,7 @@ pub fn catalog() -> Vec<SystemEntry> {
         ),
         e(
             "Xbox 360",
-            CatalogSpace::Disjoint,
+            AddressSpace::Disjoint,
             Connection::CacheFsb,
             "-",
             "Lock-set cache, copy",
@@ -255,7 +232,7 @@ pub fn catalog() -> Vec<SystemEntry> {
         ),
         e(
             "CUBA",
-            CatalogSpace::Disjoint,
+            AddressSpace::Disjoint,
             Connection::Bus,
             "-",
             "direct access to local storage",
@@ -266,7 +243,7 @@ pub fn catalog() -> Vec<SystemEntry> {
         ),
         e(
             "CUDA 4.0",
-            CatalogSpace::Unified,
+            AddressSpace::Unified,
             Connection::Unspecified,
             "-",
             "explicit copy",
@@ -277,7 +254,7 @@ pub fn catalog() -> Vec<SystemEntry> {
         ),
         e(
             "OpenCL",
-            CatalogSpace::Unified,
+            AddressSpace::Unified,
             Connection::Unspecified,
             "-",
             "explicit copy",
@@ -291,7 +268,7 @@ pub fn catalog() -> Vec<SystemEntry> {
 
 /// Entries using a given address-space organization.
 #[must_use]
-pub fn by_space(space: CatalogSpace) -> Vec<SystemEntry> {
+pub fn by_space(space: AddressSpace) -> Vec<SystemEntry> {
     catalog().into_iter().filter(|e| e.space == space).collect()
 }
 
@@ -310,7 +287,7 @@ mod tests {
         // systems has employed a unified, fully-coherent, strong-consistent
         // memory system yet."
         let offending = catalog().into_iter().filter(|e| {
-            e.space == CatalogSpace::Unified
+            e.space == AddressSpace::Unified
                 && e.fully_coherent
                 && e.consistency == Consistency::Strong
         });
@@ -320,11 +297,11 @@ mod tests {
     #[test]
     fn most_systems_are_disjoint() {
         // "Most proposed/existing systems have disjoint memory systems."
-        let disjoint = by_space(CatalogSpace::Disjoint).len();
+        let disjoint = by_space(AddressSpace::Disjoint).len();
         for s in [
-            CatalogSpace::Unified,
-            CatalogSpace::PartiallyShared,
-            CatalogSpace::Adsm,
+            AddressSpace::Unified,
+            AddressSpace::PartiallyShared,
+            AddressSpace::Adsm,
         ] {
             assert!(disjoint >= by_space(s).len());
         }
@@ -335,13 +312,13 @@ mod tests {
     fn known_rows_spot_check() {
         let cat = catalog();
         let gmac = cat.iter().find(|e| e.name == "GMAC").expect("GMAC present");
-        assert_eq!(gmac.space, CatalogSpace::Adsm);
+        assert_eq!(gmac.space, AddressSpace::Adsm);
         assert_eq!(gmac.connection, Connection::PciE);
         let lrb = cat
             .iter()
             .find(|e| e.name == "CPU+LRB")
             .expect("LRB present");
-        assert_eq!(lrb.space, CatalogSpace::PartiallyShared);
+        assert_eq!(lrb.space, AddressSpace::PartiallyShared);
         let comic = cat
             .iter()
             .find(|e| e.name == "COMIC")

@@ -3,8 +3,10 @@
 //! The paper's primary contribution rebuilt as a library: design-space
 //! exploration of memory models for heterogeneous (CPU+GPU) computing.
 //!
-//! * [`AddressSpaceModel`] — semantics of the four address-space options
-//!   (unified / disjoint / partially shared / ADSM, §II-A).
+//! * [`AddressSpace`] — the four address-space options (unified /
+//!   disjoint / partially shared / ADSM, §II-A), re-exported from
+//!   `hetmem-dsl`, whose lowering and checker carry their semantics;
+//!   [`IdealSpaceComm`] is their Figure 7 communication model.
 //! * [`OwnershipTracker`] — the partially shared space's ownership protocol
 //!   checker (§II-A3).
 //! * [`LocalityScheme`] — the locality-management taxonomy (§II-B),
@@ -49,8 +51,8 @@ mod ownership;
 mod presets;
 pub mod report;
 
-pub use address_space::{AddressSpaceModel, Addressability, IdealSpaceComm};
-pub use catalog::{by_space, catalog, CatalogSpace, Connection, Consistency, SystemEntry};
+pub use address_space::IdealSpaceComm;
+pub use catalog::{by_space, catalog, Connection, Consistency, SystemEntry};
 pub use consistency::{allows, enumerate_outcomes, ConsistencyModel, Op, Outcome};
 pub use design_space::{CoherenceOption, DesignPoint};
 pub use hash::fnv1a;

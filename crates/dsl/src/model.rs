@@ -37,22 +37,6 @@ impl AddressSpace {
             AddressSpace::Adsm => "ADSM",
         }
     }
-
-    /// Whether the GPU can address host data without an explicit transfer.
-    #[must_use]
-    pub fn gpu_sees_host_memory(self) -> bool {
-        matches!(self, AddressSpace::Unified)
-    }
-
-    /// Whether the CPU can address accelerator-resident shared data without
-    /// an explicit transfer back.
-    #[must_use]
-    pub fn cpu_sees_shared_results(self) -> bool {
-        // Unified: trivially. PAS: the shared window is visible (after an
-        // ownership acquire). ADSM: the whole shared space is CPU-visible by
-        // construction. Disjoint: never.
-        !matches!(self, AddressSpace::Disjoint)
-    }
 }
 
 impl std::fmt::Display for AddressSpace {
@@ -69,14 +53,5 @@ mod tests {
     fn abbrevs_match_paper() {
         let abbrevs: Vec<_> = AddressSpace::ALL.iter().map(|m| m.abbrev()).collect();
         assert_eq!(abbrevs, vec!["UNI", "DIS", "PAS", "ADSM"]);
-    }
-
-    #[test]
-    fn visibility_rules() {
-        assert!(AddressSpace::Unified.gpu_sees_host_memory());
-        assert!(!AddressSpace::Disjoint.gpu_sees_host_memory());
-        assert!(!AddressSpace::Disjoint.cpu_sees_shared_results());
-        assert!(AddressSpace::Adsm.cpu_sees_shared_results());
-        assert!(AddressSpace::PartiallyShared.cpu_sees_shared_results());
     }
 }

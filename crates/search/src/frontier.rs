@@ -8,7 +8,7 @@ use hetmem_core::report::TextTable;
 use hetmem_core::{pareto_frontier, Evaluation};
 
 /// Renders the evaluated-systems frontier as the shared text table the
-/// `pareto_frontier` example and the `study_pareto` bench bin both print
+/// `pareto_frontier` example and `hetmem study pareto` both print
 /// (perf in µs at the simulator's 42 GHz tick rate, hardware-cost score,
 /// Table V burden, and a frontier marker).
 #[must_use]

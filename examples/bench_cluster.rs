@@ -4,7 +4,7 @@
 //! Regenerate with:
 //!
 //! ```text
-//! cargo run --release -p hetmem-bench --bin bench_cluster > BENCH_cluster.json
+//! cargo run --release --example bench_cluster > BENCH_cluster.json
 //! ```
 //!
 //! Pass `--check` to also enforce the scaling guard: the 3-node

@@ -4,7 +4,7 @@
 //! Regenerate with:
 //!
 //! ```text
-//! cargo run --release -p hetmem-bench --bin bench_fastsim > BENCH_fastsim.json
+//! cargo run --release --example bench_fastsim > BENCH_fastsim.json
 //! ```
 //!
 //! Guard mode (used by CI) re-measures on the current host and fails when
@@ -12,7 +12,7 @@
 //! against the committed snapshot:
 //!
 //! ```text
-//! cargo run --release -p hetmem-bench --bin bench_fastsim -- --check BENCH_fastsim.json
+//! cargo run --release --example bench_fastsim -- --check BENCH_fastsim.json
 //! ```
 //!
 //! Three benchmark families:

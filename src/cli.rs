@@ -13,6 +13,7 @@
 //! hetmem sim <trace.hmt> <system>       # simulate a trace file on a system
 //! hetmem serve [--addr HOST:PORT]       # batched simulation service (HTTP)
 //! hetmem catalog                        # the Table I survey
+//! hetmem study <name> [--scale N]       # a study beyond the paper
 //! ```
 //!
 //! Argument contract: unknown commands and unknown flags are errors — the
@@ -21,19 +22,24 @@
 //! traces) exit with status 1.
 
 use hetmem_cluster::FleetDispatcher;
-use hetmem_core::experiment::ExperimentConfig;
+use hetmem_core::experiment::{
+    best_partition, run_page_size_study, run_partition_sweep, ExperimentConfig,
+};
 use hetmem_core::report::{render_figure5, render_figure6, render_figure7, TextTable};
-use hetmem_core::EvaluatedSystem;
+use hetmem_core::{evaluate_energy, evaluate_systems, run_locality_study, EvaluatedSystem};
 use hetmem_dsl::AddressSpace;
-use hetmem_search::{Objective, SearchConfig, SearchOptions, SearchSpace, Strategy};
+use hetmem_search::{
+    system_frontier_table, Objective, SearchConfig, SearchOptions, SearchSpace, Strategy,
+};
 use hetmem_sim::{
     ClockDomain, CommCosts, EventTrace, ExecMode, FabricKind, IntervalProfiler, Recorder, SimError,
     Simulation, SystemConfig,
 };
 use hetmem_trace::kernels::{Kernel, KernelParams};
+use hetmem_trace::TransferDirection;
 use hetmem_xplore::{
-    parse_kernel, parse_space, parse_system, JobDispatcher, Json, OutputFormat, SweepOptions,
-    SweepSpec,
+    job_trace, parse_kernel, parse_space, parse_system, Job, JobDispatcher, JobKind, Json,
+    OutputFormat, SweepOptions, SweepSpec,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -178,8 +184,56 @@ pub enum Command {
     },
     /// Print the Table I survey.
     Catalog,
+    /// Run one study beyond the paper's measurements.
+    Study {
+        /// Which study.
+        study: Study,
+        /// Trace scale divisor.
+        scale: u32,
+    },
     /// Print usage.
     Help,
+}
+
+/// A study beyond the paper's measurements, run by `hetmem study`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Study {
+    /// §V-D locality management: implicit vs explicit push vs the push
+    /// with the hybrid locality bit ignored.
+    Locality,
+    /// §VII energy: per-component estimates for every case-study cell.
+    Energy,
+    /// §II-A1 GPU page size: 4 KB vs 64 KB vs 2 MB pages.
+    PageSize,
+    /// §IV-B work split: the time-optimal CPU/GPU share per kernel.
+    Partition,
+    /// §VII efficiency metrics and the Pareto frontier over the systems.
+    Pareto,
+}
+
+impl Study {
+    fn parse(name: &str) -> Result<Study, String> {
+        match name {
+            "locality" => Ok(Study::Locality),
+            "energy" => Ok(Study::Energy),
+            "page-size" => Ok(Study::PageSize),
+            "partition" => Ok(Study::Partition),
+            "pareto" => Ok(Study::Pareto),
+            other => Err(format!(
+                "unknown study {other:?} (locality|energy|page-size|partition|pareto)"
+            )),
+        }
+    }
+
+    /// The scale a study runs at without `--scale`: the paper's full-size
+    /// traces, except for the partition sweep, which simulates eight
+    /// splits of every kernel.
+    fn default_scale(self) -> u32 {
+        match self {
+            Study::Partition => 4,
+            _ => 1,
+        }
+    }
 }
 
 /// Usage text.
@@ -238,6 +292,9 @@ commands:
                                 the result cache
                                 (/metrics?cluster=1 merges the fleet)
   catalog                       the Table I survey
+  study <locality|energy|page-size|partition|pareto> [--scale N]
+                                a study beyond the paper's measurements
+                                (default full scale; partition 4)
   help                          this message";
 
 /// Recognized `--flag value` occurrences, in argument order.
@@ -293,9 +350,9 @@ fn parse_scale_value(v: &str) -> Result<u32, String> {
         .ok_or_else(|| "--scale needs a positive integer".to_owned())
 }
 
-fn parse_single_scale(flags: &[(&str, &str)]) -> Result<u32, String> {
+fn parse_single_scale(flags: &[(&str, &str)], default: u32) -> Result<u32, String> {
     match flag_values(flags, "scale").as_slice() {
-        [] => Ok(1),
+        [] => Ok(default),
         [v] => parse_scale_value(v),
         _ => Err("--scale given more than once".to_owned()),
     }
@@ -403,6 +460,15 @@ fn parse_list<T>(
     parse: impl Fn(&str) -> Result<T, String>,
 ) -> Result<Vec<T>, String> {
     values.iter().map(|v| parse(v)).collect()
+}
+
+/// Strips the bare `--all` switch used by `check` and `fix`. Unlike the
+/// value-taking flags [`split_flags`] handles, it takes no value, so it is
+/// removed first; returns whether it was given and the other arguments.
+fn take_all_switch(args: &[String]) -> (bool, Vec<String>) {
+    let all = args.iter().any(|a| a == "--all");
+    let remaining = args.iter().filter(|a| *a != "--all").cloned().collect();
+    (all, remaining)
 }
 
 fn expect_no_positionals(positionals: &[&str], command: &str) -> Result<(), String> {
@@ -594,7 +660,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             expect_no_positionals(&positionals[1..], "fig")?;
             Ok(Command::Fig {
                 number,
-                scale: parse_single_scale(&flags)?,
+                scale: parse_single_scale(&flags, 1)?,
                 format: parse_format(&flags)?,
                 jobs: parse_jobs(&flags)?,
                 cache_dir: parse_cache_dir(&flags),
@@ -612,21 +678,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             Ok(Command::Loc { path })
         }
         "check" => {
-            // `--all` is a bare switch, unlike the value-taking flags
-            // split_flags handles, so strip it first.
-            let mut all = false;
-            let remaining: Vec<String> = rest
-                .iter()
-                .filter(|a| {
-                    if a.as_str() == "--all" {
-                        all = true;
-                        false
-                    } else {
-                        true
-                    }
-                })
-                .cloned()
-                .collect();
+            let (all, remaining) = take_all_switch(rest);
             let (positionals, flags) =
                 split_flags(&remaining, &["model", "format", "deny", "explain"])?;
             let targets: Vec<String> = positionals.iter().map(|s| (*s).to_owned()).collect();
@@ -662,21 +714,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             })
         }
         "fix" => {
-            // `--all` is a bare switch, stripped before split_flags like
-            // `check`'s.
-            let mut all = false;
-            let remaining: Vec<String> = rest
-                .iter()
-                .filter(|a| {
-                    if a.as_str() == "--all" {
-                        all = true;
-                        false
-                    } else {
-                        true
-                    }
-                })
-                .cloned()
-                .collect();
+            let (all, remaining) = take_all_switch(rest);
             let (positionals, flags) = split_flags(&remaining, &["model", "format", "deny"])?;
             let targets: Vec<String> = positionals.iter().map(|s| (*s).to_owned()).collect();
             if all && !targets.is_empty() {
@@ -723,7 +761,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             expect_no_positionals(&positionals[1..], "trace")?;
             Ok(Command::Trace {
                 kernel,
-                scale: parse_single_scale(&flags)?,
+                scale: parse_single_scale(&flags, 1)?,
             })
         }
         "sim" => {
@@ -822,6 +860,17 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             expect_no_positionals(&split_flags(rest, &[])?.0, "catalog")?;
             Ok(Command::Catalog)
         }
+        "study" => {
+            let (positionals, flags) = split_flags(rest, &["scale"])?;
+            let study = Study::parse(positionals.first().ok_or_else(|| {
+                "study needs a name: locality|energy|page-size|partition|pareto".to_owned()
+            })?)?;
+            expect_no_positionals(&positionals[1..], "study")?;
+            Ok(Command::Study {
+                study,
+                scale: parse_single_scale(&flags, study.default_scale())?,
+            })
+        }
         "help" | "--help" | "-h" => Ok(Command::Help),
         other => Err(format!("unknown command {other:?}")),
     }
@@ -855,6 +904,16 @@ pub fn execute(command: &Command) -> Result<(), SimError> {
             print_loc_table();
         }
         Command::Catalog => print_catalog(),
+        Command::Study { study, scale } => {
+            let config = ExperimentConfig::scaled(*scale);
+            match study {
+                Study::Locality => print_study_locality(&config),
+                Study::Energy => print_study_energy(&config)?,
+                Study::PageSize => print_study_page_size(&config),
+                Study::Partition => print_study_partition(&config),
+                Study::Pareto => print_study_pareto(&config)?,
+            }
+        }
         Command::Fig {
             number,
             scale,
@@ -1234,7 +1293,7 @@ fn print_catalog() {
     for e in hetmem_core::catalog() {
         table.row(vec![
             e.name.to_owned(),
-            e.space.to_string(),
+            e.space_label().to_owned(),
             e.connection.to_string(),
             e.coherence.to_owned(),
             e.shared_data.to_owned(),
@@ -1401,6 +1460,191 @@ fn print_loc_table() {
     );
 }
 
+/// Prints a study's `=== title ===` section header.
+fn print_section(title: &str) {
+    println!("\n=== {title} ===\n");
+}
+
+/// The locality-management study §V-D says it could not perform: implicit
+/// shared-cache management against the explicit `push` with the hybrid
+/// locality bit (§II-B5), and against the same pushes with the bit
+/// ignored.
+fn print_study_locality(config: &ExperimentConfig) {
+    print_section(&format!(
+        "Locality study: shared-table reuse under streaming pressure (scale {})",
+        config.scale
+    ));
+    let rows = run_locality_study(config);
+    let base = rows[0].total_ticks as f64;
+    let mut table = TextTable::new(&["variant", "total ticks", "vs implicit", "LLC miss rate"]);
+    for r in &rows {
+        table.row(vec![
+            r.variant.to_string(),
+            r.total_ticks.to_string(),
+            format!("{:.3}x", r.total_ticks as f64 / base),
+            format!("{:.1}%", 100.0 * r.llc_miss_rate),
+        ]);
+    }
+    println!("{}", table.render());
+    println!("The hybrid locality bit lets the pinned shared table survive both PUs'");
+    println!("streaming floods; ignoring the bit (plain LRU) throws the push away.");
+}
+
+/// The energy side of the design-space comparison (§VII motivates the
+/// partially shared space with power/energy opportunities): per-component
+/// estimates for every case-study cell.
+fn print_study_energy(config: &ExperimentConfig) -> Result<(), SimError> {
+    let scale = config.scale;
+    print_section(&format!(
+        "Energy study: per-component estimates for the evaluated systems (scale {scale})"
+    ));
+    let (runs, _) = hetmem_xplore::run_case_studies(config, &SweepOptions::default())?;
+    // The grid's own traces, still in the engine's trace store.
+    let comm_bytes: Vec<(Kernel, u64, u64)> = Kernel::ALL
+        .iter()
+        .map(|&kernel| {
+            let system = EvaluatedSystem::Fusion;
+            let kind = JobKind::CaseStudy { system };
+            let trace = job_trace(&Job {
+                id: 0,
+                kernel,
+                kind,
+                scale,
+            });
+            let h2d = trace.comm_bytes_in(TransferDirection::HostToDevice);
+            (kernel, h2d, trace.comm_bytes())
+        })
+        .collect();
+    let evals = evaluate_energy(&runs, &comm_bytes);
+    let mut table = TextTable::new(&[
+        "kernel",
+        "system",
+        "total (µJ)",
+        "cores",
+        "caches",
+        "DRAM",
+        "comm",
+        "static",
+    ]);
+    for kernel in Kernel::ALL {
+        for system in EvaluatedSystem::ALL {
+            if let Some(e) = evals
+                .iter()
+                .find(|e| e.kernel == kernel && e.system == system)
+            {
+                let b = &e.breakdown;
+                table.row(vec![
+                    kernel.name().to_owned(),
+                    system.name().to_owned(),
+                    format!("{:.1}", b.total_uj()),
+                    format!("{:.1}", b.cores_uj),
+                    format!("{:.1}", b.caches_uj),
+                    format!("{:.1}", b.dram_uj),
+                    format!("{:.2}", b.comm_uj),
+                    format!("{:.1}", b.static_uj),
+                ]);
+            }
+        }
+    }
+    println!("{}", table.render());
+    println!("Shared-window systems (LRB, GMAC) save link energy by never moving results;");
+    println!("Fusion replaces the PCI link's per-byte cost with cheap on-die copies.");
+    Ok(())
+}
+
+/// §II-A1 notes that a virtually unified (or partially shared) address
+/// space lets each PU choose its own page size — "GPUs can have large
+/// page size to accommodate high stream locality". Quantifies that option
+/// on every kernel.
+fn print_study_page_size(config: &ExperimentConfig) {
+    print_section(&format!(
+        "GPU page-size study: 4 KB vs 64 KB vs 2 MB pages (scale {})",
+        config.scale
+    ));
+    let sizes = [4_096u64, 64 * 1024, 2 * 1024 * 1024];
+    let mut table = TextTable::new(&[
+        "kernel",
+        "page size",
+        "total ticks",
+        "vs 4KB",
+        "GPU TLB miss rate",
+    ]);
+    for kernel in Kernel::ALL {
+        let rows = run_page_size_study(kernel, config, &sizes);
+        let base = rows[0].total_ticks as f64;
+        for r in &rows {
+            table.row(vec![
+                kernel.name().to_owned(),
+                if r.gpu_page_bytes >= 1024 * 1024 {
+                    format!("{} MB", r.gpu_page_bytes / (1024 * 1024))
+                } else {
+                    format!("{} KB", r.gpu_page_bytes / 1024)
+                },
+                r.total_ticks.to_string(),
+                format!("{:.4}x", r.total_ticks as f64 / base),
+                format!("{:.2}%", 100.0 * r.gpu_tlb_miss_rate),
+            ]);
+        }
+    }
+    println!("{}", table.render());
+    println!("Larger GPU pages eliminate page walks on streaming kernels — one of the");
+    println!("hardware design options the paper credits to non-physically-unified");
+    println!("address spaces (each PU keeps its own page-table format).");
+}
+
+/// The work-partitioning sweep the paper delegates to Qilin-style systems
+/// (§IV-B — "we simply divide the computational work evenly"): the
+/// time-optimal CPU/GPU split per kernel on the ideal system, and how much
+/// the even split leaves on the table.
+fn print_study_partition(config: &ExperimentConfig) {
+    print_section(&format!(
+        "Work-partitioning sweep on IDEAL-HETERO (scale {})",
+        config.scale
+    ));
+    let shares = [1u32, 2, 5, 10, 25, 50, 75, 90];
+    let mut table = TextTable::new(&[
+        "kernel",
+        "best GPU share %",
+        "best total (ticks)",
+        "even-split total",
+        "even/best",
+    ]);
+    for kernel in Kernel::ALL {
+        let rows = run_partition_sweep(EvaluatedSystem::IdealHetero, kernel, config, &shares);
+        let best = best_partition(&rows);
+        let even = rows
+            .iter()
+            .find(|r| r.gpu_share_pct == 50)
+            .expect("50 is among the swept shares")
+            .total_ticks;
+        table.row(vec![
+            kernel.name().to_owned(),
+            best.gpu_share_pct.to_string(),
+            best.total_ticks.to_string(),
+            even.to_string(),
+            format!("{:.2}x", even as f64 / best.total_ticks as f64),
+        ]);
+    }
+    println!("{}", table.render());
+    println!("The in-order SIMD GPU retires these instruction streams more slowly than");
+    println!("the out-of-order CPU, so the time-balanced split is CPU-leaning — the even");
+    println!("division of the paper's methodology leaves the GPU as the parallel-phase");
+    println!("critical path (visible in Figure 5's GPU-bound parallel bars).");
+}
+
+/// Efficiency metrics for the evaluated systems and the resulting Pareto
+/// frontier (the paper's §VII future work), in `hetmem-search`'s shared
+/// table.
+fn print_study_pareto(config: &ExperimentConfig) -> Result<(), SimError> {
+    print_section(&format!(
+        "Efficiency metrics & Pareto frontier over the evaluated systems (scale {})",
+        config.scale
+    ));
+    let (runs, _) = hetmem_xplore::run_case_studies(config, &SweepOptions::default())?;
+    println!("{}", system_frontier_table(&evaluate_systems(&runs)));
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1553,6 +1797,25 @@ mod tests {
                 format: OutputFormat::Json,
                 deny: hetmem_dsl::Severity::Error,
                 explain: None,
+            })
+        );
+        for (name, study, scale) in [
+            ("locality", Study::Locality, 1),
+            ("energy", Study::Energy, 1),
+            ("page-size", Study::PageSize, 1),
+            ("partition", Study::Partition, 4),
+            ("pareto", Study::Pareto, 1),
+        ] {
+            assert_eq!(
+                parse_args(&args(&["study", name])),
+                Ok(Command::Study { study, scale })
+            );
+        }
+        assert_eq!(
+            parse_args(&args(&["study", "partition", "--scale", "64"])),
+            Ok(Command::Study {
+                study: Study::Partition,
+                scale: 64
             })
         );
     }
@@ -1813,6 +2076,10 @@ mod tests {
         assert!(parse_args(&args(&["trace", "not-a-kernel"])).is_err());
         assert!(parse_args(&args(&["sim", "t.hmt", "not-a-system"])).is_err());
         assert!(parse_args(&args(&["lower", "p.hdsl", "weird"])).is_err());
+        assert!(parse_args(&args(&["study"])).is_err());
+        assert!(parse_args(&args(&["study", "bogus"])).is_err());
+        assert!(parse_args(&args(&["study", "locality", "--scale", "0"])).is_err());
+        assert!(parse_args(&args(&["study", "locality", "extra"])).is_err());
         assert!(parse_args(&args(&["frobnicate"])).is_err());
     }
 

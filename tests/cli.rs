@@ -21,7 +21,7 @@ fn help_lists_all_commands() {
     let text = stdout(&out);
     for cmd in [
         "tables", "fig", "loc", "lower", "trace", "sim", "sweep", "search", "serve", "catalog",
-        "check", "fix",
+        "check", "fix", "study",
     ] {
         assert!(text.contains(cmd), "help must mention {cmd}");
     }
@@ -133,6 +133,51 @@ fn fig7_runs_at_small_scale() {
 }
 
 #[test]
+fn every_study_runs_at_small_scale_and_prints_its_rows() {
+    use hetmem::core::{EvaluatedSystem, SharedLocalityVariant};
+    use hetmem::trace::kernels::Kernel;
+    let kernels: Vec<String> = Kernel::ALL.iter().map(|k| k.name().to_owned()).collect();
+    let systems: Vec<String> = EvaluatedSystem::ALL
+        .iter()
+        .map(|s| s.name().to_owned())
+        .collect();
+    let variants: Vec<String> = SharedLocalityVariant::ALL
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+    for (study, scale, header, rows) in [
+        ("locality", "64", "=== Locality study", &variants),
+        ("page-size", "64", "=== GPU page-size study", &kernels),
+        ("partition", "64", "=== Work-partitioning sweep", &kernels),
+        ("energy", "256", "=== Energy study", &kernels),
+        (
+            "pareto",
+            "256",
+            "=== Efficiency metrics & Pareto frontier",
+            &systems,
+        ),
+    ] {
+        let out = hetmem(&["study", study, "--scale", scale]);
+        assert!(
+            out.status.success(),
+            "{study}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = stdout(&out);
+        assert!(
+            text.contains(header) && text.contains(&format!("(scale {scale}) ===")),
+            "{study}: {text}"
+        );
+        for row in rows {
+            assert!(
+                text.contains(row.as_str()),
+                "{study} must print {row}: {text}"
+            );
+        }
+    }
+}
+
+#[test]
 fn unknown_flags_exit_nonzero_with_one_line_error_and_usage() {
     for argv in [
         vec!["sweep", "--turbo", "on"],
@@ -151,6 +196,10 @@ fn unknown_flags_exit_nonzero_with_one_line_error_and_usage() {
         vec!["search", "--objectives", "speed"],
         vec!["search", "--objectives", "hw,hw"],
         vec!["search", "--strategy", "bayes"],
+        vec!["study"],
+        vec!["study", "bogus"],
+        vec!["study", "locality", "--scale", "0"],
+        vec!["study", "locality", "extra"],
     ] {
         let out = hetmem(&argv);
         assert_eq!(out.status.code(), Some(2), "{argv:?}");

@@ -40,18 +40,18 @@ fn table_v_ordering_claim_holds() {
 
 #[test]
 fn table_i_observations_hold() {
-    use hetmem::core::{catalog, CatalogSpace, Consistency};
+    use hetmem::core::{catalog, AddressSpace, Consistency};
     let cat = catalog();
     assert_eq!(cat.len(), 13);
     // No unified + fully coherent + strongly consistent system exists.
     assert!(!cat.iter().any(|e| {
-        e.space == CatalogSpace::Unified && e.fully_coherent && e.consistency == Consistency::Strong
+        e.space == AddressSpace::Unified && e.fully_coherent && e.consistency == Consistency::Strong
     }));
     // Disjoint is the most common organization.
     let count = |s| cat.iter().filter(|e| e.space == s).count();
-    assert!(count(CatalogSpace::Disjoint) >= count(CatalogSpace::Unified));
-    assert!(count(CatalogSpace::Disjoint) >= count(CatalogSpace::PartiallyShared));
-    assert!(count(CatalogSpace::Disjoint) >= count(CatalogSpace::Adsm));
+    assert!(count(AddressSpace::Disjoint) >= count(AddressSpace::Unified));
+    assert!(count(AddressSpace::Disjoint) >= count(AddressSpace::PartiallyShared));
+    assert!(count(AddressSpace::Disjoint) >= count(AddressSpace::Adsm));
 }
 
 #[test]
