@@ -177,6 +177,30 @@ fn every_study_runs_at_small_scale_and_prints_its_rows() {
     }
 }
 
+/// The simulated studies' exact scale-64 output, pinned by FNV-1a of
+/// stdout: every tick count and TLB miss rate in the tables.
+#[test]
+fn simulated_studies_match_their_pinned_digests() {
+    use hetmem::core::hash::fnv1a;
+    for (study, digest) in [
+        ("page-size", 0xf558_368b_7193_a869_u64),
+        ("partition", 0xed7c_b913_3b0a_0e8e),
+    ] {
+        let out = hetmem(&["study", study, "--scale", "64"]);
+        assert!(
+            out.status.success(),
+            "{study}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            fnv1a(&out.stdout),
+            digest,
+            "{study} --scale 64 output moved:\n{}",
+            stdout(&out)
+        );
+    }
+}
+
 #[test]
 fn unknown_flags_exit_nonzero_with_one_line_error_and_usage() {
     for argv in [
