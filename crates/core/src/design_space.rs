@@ -204,29 +204,8 @@ mod tests {
 
     #[test]
     fn evaluated_presets_are_valid_points() {
-        use crate::presets::EvaluatedSystem;
-        for sys in EvaluatedSystem::ALL {
-            let coherence = match sys {
-                EvaluatedSystem::CpuGpuCuda | EvaluatedSystem::Fusion => CoherenceOption::None,
-                EvaluatedSystem::Lrb => CoherenceOption::Ownership,
-                EvaluatedSystem::Gmac => CoherenceOption::Software,
-                EvaluatedSystem::IdealHetero => CoherenceOption::Hardware,
-            };
-            let locality = if sys.address_space() == AddressSpace::Disjoint {
-                LocalityScheme {
-                    cpu_private: crate::locality::LocalityControl::Implicit,
-                    gpu_private: crate::locality::LocalityControl::Explicit,
-                    shared: None,
-                }
-            } else {
-                LocalityScheme::all_implicit()
-            };
-            let p = DesignPoint {
-                address_space: sys.address_space(),
-                fabric: sys.fabric(),
-                locality,
-                coherence,
-            };
+        for sys in crate::presets::EvaluatedSystem::ALL {
+            let p = crate::metrics::design_point_of(sys);
             assert!(p.is_valid(), "{sys}: {p}");
         }
     }

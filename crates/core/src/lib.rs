@@ -18,9 +18,11 @@
 //!   controller, ideal).
 //! * [`DesignPoint`] — enumeration of the full design space with validity
 //!   constraints.
-//! * [`experiment`] — the Figure 5–7 cell types the renderers and
-//!   [`metrics`] consume, plus the page-size and partitioning studies.
-//!   `hetmem-xplore`'s engine runs the figure grids.
+//! * [`experiment`] — the hardware/cost configuration every design point
+//!   runs under, the Figure 5–7 cell types the renderers and [`metrics`]
+//!   consume, and the page-size and partitioning studies' rows.
+//!   `hetmem-xplore`'s engine runs the figure grids and both studies;
+//!   only the synthetic-trace [`locality_study`] simulates here.
 //!
 //! ## Example
 //!

@@ -137,9 +137,13 @@ fn build_trace(explicit_push: bool, scale: u32) -> PhasedTrace {
     trace
 }
 
-/// Runs the three-variant study.
+/// Runs the three-variant study at trace scale `scale` on `config`'s
+/// hardware. The study keeps its own [`Simulation`]: its trace is
+/// synthetic rather than a Table III kernel, and its bit-ignored variant
+/// switches the LLC's locality-aware replacement off, neither of which a
+/// sweep job can name.
 #[must_use]
-pub fn run_locality_study(config: &ExperimentConfig) -> Vec<LocalityStudyRow> {
+pub fn run_locality_study(scale: u32, config: &ExperimentConfig) -> Vec<LocalityStudyRow> {
     SharedLocalityVariant::ALL
         .iter()
         .map(|&variant| {
@@ -148,7 +152,7 @@ pub fn run_locality_study(config: &ExperimentConfig) -> Vec<LocalityStudyRow> {
                 SharedLocalityVariant::ExplicitHybrid => (true, true),
                 SharedLocalityVariant::ExplicitIgnored => (true, false),
             };
-            let trace = build_trace(push, config.scale);
+            let trace = build_trace(push, scale);
             let report = Simulation::builder()
                 .config(config.system)
                 .costs(config.costs)
@@ -175,7 +179,7 @@ mod tests {
     use super::*;
 
     fn study() -> Vec<LocalityStudyRow> {
-        run_locality_study(&ExperimentConfig::scaled(8))
+        run_locality_study(8, &ExperimentConfig::paper())
     }
 
     #[test]

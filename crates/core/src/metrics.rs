@@ -22,7 +22,7 @@
 
 use crate::design_space::{CoherenceOption, DesignPoint};
 use crate::experiment::CaseStudyRun;
-use crate::locality::SharedLocality;
+use crate::locality::{LocalityControl, LocalityScheme, SharedLocality};
 use crate::presets::EvaluatedSystem;
 use hetmem_dsl::{paper_loc_table, AddressSpace};
 use hetmem_sim::FabricKind;
@@ -145,18 +145,11 @@ pub fn pareto_indices(points: &[Vec<f64>]) -> Vec<usize> {
         .collect()
 }
 
-/// The canonical [`DesignPoint`] for an evaluated system (used for the
-/// hardware-cost score).
-#[must_use]
-pub fn design_point_of(system: EvaluatedSystem) -> DesignPoint {
-    use crate::locality::{LocalityControl, LocalityScheme};
-    let coherence = match system {
-        EvaluatedSystem::CpuGpuCuda | EvaluatedSystem::Fusion => CoherenceOption::None,
-        EvaluatedSystem::Lrb => CoherenceOption::Ownership,
-        EvaluatedSystem::Gmac => CoherenceOption::Software,
-        EvaluatedSystem::IdealHetero => CoherenceOption::Hardware,
-    };
-    let locality = if system.address_space() == AddressSpace::Disjoint {
+/// The locality scheme of a canonical design point on `space`: a disjoint
+/// space leaves the GPU's private memory to explicit management and has
+/// no shared space; every other space is managed implicitly.
+fn canonical_locality(space: AddressSpace) -> LocalityScheme {
+    if space == AddressSpace::Disjoint {
         LocalityScheme {
             cpu_private: LocalityControl::Implicit,
             gpu_private: LocalityControl::Explicit,
@@ -164,11 +157,44 @@ pub fn design_point_of(system: EvaluatedSystem) -> DesignPoint {
         }
     } else {
         LocalityScheme::all_implicit()
+    }
+}
+
+/// The canonical [`DesignPoint`] for an evaluated system (used for the
+/// hardware-cost score).
+#[must_use]
+pub fn design_point_of(system: EvaluatedSystem) -> DesignPoint {
+    let coherence = match system {
+        EvaluatedSystem::CpuGpuCuda | EvaluatedSystem::Fusion => CoherenceOption::None,
+        EvaluatedSystem::Lrb => CoherenceOption::Ownership,
+        EvaluatedSystem::Gmac => CoherenceOption::Software,
+        EvaluatedSystem::IdealHetero => CoherenceOption::Hardware,
     };
     DesignPoint {
         address_space: system.address_space(),
         fabric: system.fabric(),
-        locality,
+        locality: canonical_locality(system.address_space()),
+        coherence,
+    }
+}
+
+/// The canonical [`DesignPoint`] for an address space in isolation (a
+/// Figure 7 cell). It models what that experiment idealizes: the ideal
+/// fabric, the canonical locality, and the cheapest *valid* coherence for
+/// the space (hardware for the shared illusions, software for ADSM's
+/// one-sided protocol, none for disjoint). So the 40-point ideal fabric
+/// prices "free communication" into the hardware-cost score.
+#[must_use]
+pub fn isolated_design_point(space: AddressSpace) -> DesignPoint {
+    let coherence = match space {
+        AddressSpace::Unified | AddressSpace::PartiallyShared => CoherenceOption::Hardware,
+        AddressSpace::Adsm => CoherenceOption::Software,
+        AddressSpace::Disjoint => CoherenceOption::None,
+    };
+    DesignPoint {
+        address_space: space,
+        fabric: FabricKind::Ideal,
+        locality: canonical_locality(space),
         coherence,
     }
 }

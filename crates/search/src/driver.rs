@@ -322,7 +322,7 @@ pub fn run_search(
             evals.push(CandidateEval {
                 candidate,
                 label: space.label(candidate),
-                target: space.target(candidate).name().to_owned(),
+                target: space.target(candidate).target_name().to_owned(),
                 scale: space.scale(candidate),
                 values,
             });
@@ -432,7 +432,7 @@ impl SearchResult {
                     space
                         .targets
                         .iter()
-                        .map(|t| Json::Str(t.name().to_owned()))
+                        .map(|t| Json::Str(t.target_name().to_owned()))
                         .collect(),
                 ),
             ),

@@ -42,8 +42,9 @@ mod tests {
 
     #[test]
     fn table_marks_the_cheapest_system() {
-        let config = ExperimentConfig::scaled(256);
-        let (runs, _) = run_case_studies(&config, &SweepOptions::default()).expect("grid runs");
+        let config = ExperimentConfig::paper();
+        let (runs, _) =
+            run_case_studies(256, &config, &SweepOptions::default()).expect("grid runs");
         let evals = evaluate_systems(&runs);
         let table = system_frontier_table(&evals);
         // CUDA has the unique minimum hardware cost, so it is always

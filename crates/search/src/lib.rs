@@ -59,5 +59,5 @@ pub use hetmem_core::metrics::{dominates, pareto_indices};
 pub use hetmem_xplore::Json;
 pub use objective::Objective;
 pub use rng::SearchRng;
-pub use space::{SearchSpace, Target};
+pub use space::SearchSpace;
 pub use strategy::{Optimizer, SearchState, Strategy};

@@ -1,109 +1,19 @@
 //! The searchable design space: candidates over the sweep axes.
 //!
-//! A **candidate** is one (target, scale) pair; a **target** is either an
-//! evaluated system (the Fig 5/6 case-study axis) or an address-space
-//! option under idealized communication (the Fig 7 isolation axis) —
-//! exactly the axes [`hetmem_xplore::SweepSpec`] expands. Evaluating a
-//! candidate costs one simulator job per kernel, executed through the
-//! cached sweep engine, so the search's unit of budget is the job.
+//! A **candidate** is one (target, scale) pair; a **target** is a
+//! [`JobKind`]: either an evaluated system (the Fig 5/6 case-study axis)
+//! or an address-space option under idealized communication (the Fig 7
+//! isolation axis) — exactly the axes [`hetmem_xplore::SweepSpec`]
+//! expands. Evaluating a candidate costs one simulator job per kernel,
+//! executed through the cached sweep engine, so the search's unit of
+//! budget is the job.
 //!
 //! Candidate enumeration is scale-major then target, mirroring the sweep's
 //! own expansion order, and is the deterministic index space every
 //! optimizer works in.
 
-use hetmem_core::metrics::design_point_of;
-use hetmem_core::{
-    AddressSpace, CoherenceOption, DesignPoint, EvaluatedSystem, LocalityControl, LocalityScheme,
-};
-use hetmem_sim::FabricKind;
 use hetmem_trace::kernels::Kernel;
 use hetmem_xplore::{Job, JobKind, SweepSpec};
-
-/// One point on the target axis: a case-study system or an isolated
-/// address space under the ideal fabric.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Target {
-    /// A Figure 5/6 evaluated system.
-    System(EvaluatedSystem),
-    /// A Figure 7 address-space option with idealized communication.
-    Space(AddressSpace),
-}
-
-impl Target {
-    /// The sweep's display name for this target (system name or space
-    /// abbreviation — the same string [`Job::target_name`] reports).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Target::System(system) => system.name(),
-            Target::Space(space) => space.abbrev(),
-        }
-    }
-
-    /// The address space a programmer sees on this target — the axis the
-    /// programmability (LoC) objective depends on.
-    #[must_use]
-    pub fn address_space(self) -> AddressSpace {
-        match self {
-            Target::System(system) => system.address_space(),
-            Target::Space(space) => space,
-        }
-    }
-
-    /// The [`JobKind`] a job on this target carries.
-    #[must_use]
-    pub fn job_kind(self) -> JobKind {
-        match self {
-            Target::System(system) => JobKind::CaseStudy { system },
-            Target::Space(space) => JobKind::AddressSpace { space },
-        }
-    }
-
-    /// The canonical design point scored by the hardware-cost objective.
-    ///
-    /// Systems use their published design point. Isolated spaces model
-    /// what the Fig 7 experiment actually idealizes: the ideal fabric,
-    /// implicit locality, and the cheapest *valid* coherence for the
-    /// space (hardware for the shared illusions, software for ADSM's
-    /// one-sided protocol, none for disjoint) — so the 40-point ideal
-    /// fabric honestly prices "free communication" into the score.
-    #[must_use]
-    pub fn design_point(self) -> DesignPoint {
-        match self {
-            Target::System(system) => design_point_of(system),
-            Target::Space(space) => {
-                let coherence = match space {
-                    AddressSpace::Unified | AddressSpace::PartiallyShared => {
-                        CoherenceOption::Hardware
-                    }
-                    AddressSpace::Adsm => CoherenceOption::Software,
-                    AddressSpace::Disjoint => CoherenceOption::None,
-                };
-                let locality = if space == AddressSpace::Disjoint {
-                    LocalityScheme {
-                        cpu_private: LocalityControl::Implicit,
-                        gpu_private: LocalityControl::Explicit,
-                        shared: None,
-                    }
-                } else {
-                    LocalityScheme::all_implicit()
-                };
-                DesignPoint {
-                    address_space: space,
-                    fabric: FabricKind::Ideal,
-                    locality,
-                    coherence,
-                }
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for Target {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// The candidate space a search explores: kernels fixed per evaluation,
 /// targets × scales enumerable.
@@ -112,7 +22,7 @@ pub struct SearchSpace {
     /// Kernels every candidate is evaluated on (Table III order).
     pub kernels: Vec<Kernel>,
     /// The target axis, in sweep order (systems first, then spaces).
-    pub targets: Vec<Target>,
+    pub targets: Vec<JobKind>,
     /// The scale axis.
     pub scales: Vec<u32>,
 }
@@ -133,8 +43,12 @@ impl SearchSpace {
             .systems
             .iter()
             .copied()
-            .map(Target::System)
-            .chain(spec.spaces.iter().copied().map(Target::Space))
+            .map(|system| JobKind::CaseStudy { system })
+            .chain(
+                spec.spaces
+                    .iter()
+                    .map(|&space| JobKind::AddressSpace { space }),
+            )
             .collect();
         SearchSpace {
             kernels: spec.kernels.clone(),
@@ -196,7 +110,7 @@ impl SearchSpace {
 
     /// The candidate's target.
     #[must_use]
-    pub fn target(&self, candidate: usize) -> Target {
+    pub fn target(&self, candidate: usize) -> JobKind {
         self.targets[self.coords(candidate).0]
     }
 
@@ -209,14 +123,18 @@ impl SearchSpace {
     /// A short human label, `target@scale`.
     #[must_use]
     pub fn label(&self, candidate: usize) -> String {
-        format!("{}@{}", self.target(candidate), self.scale(candidate))
+        format!(
+            "{}@{}",
+            self.target(candidate).target_name(),
+            self.scale(candidate)
+        )
     }
 
     /// The sweep jobs evaluating `candidate`, with ids starting at
     /// `first_id` (batch callers keep ids unique across one submission).
     #[must_use]
     pub fn jobs_for(&self, candidate: usize, first_id: u64) -> Vec<Job> {
-        let target = self.target(candidate);
+        let kind = self.target(candidate);
         let scale = self.scale(candidate);
         self.kernels
             .iter()
@@ -224,7 +142,7 @@ impl SearchSpace {
             .map(|(i, &kernel)| Job {
                 id: first_id + i as u64,
                 kernel,
-                kind: target.job_kind(),
+                kind,
                 scale,
             })
             .collect()
@@ -234,7 +152,7 @@ impl SearchSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetmem_core::hardware_cost;
+    use hetmem_core::{hardware_cost, AddressSpace, EvaluatedSystem};
 
     #[test]
     fn full_space_covers_the_paper_grid() {
@@ -275,11 +193,14 @@ mod tests {
     #[test]
     fn space_design_points_are_valid_and_priced() {
         for space in AddressSpace::ALL {
-            let point = Target::Space(space).design_point();
+            let point = JobKind::AddressSpace { space }.design_point();
             assert!(point.is_valid(), "{space:?}: {point:?}");
             // The ideal fabric's 40-point price puts every isolated
             // space above the PCI-E CUDA system.
-            let cuda = Target::System(EvaluatedSystem::CpuGpuCuda).design_point();
+            let cuda = JobKind::CaseStudy {
+                system: EvaluatedSystem::CpuGpuCuda,
+            }
+            .design_point();
             assert!(hardware_cost(&point) > hardware_cost(&cuda));
         }
     }
@@ -297,7 +218,9 @@ mod tests {
         assert_eq!(argmins, vec![0], "{costs:?}");
         assert_eq!(
             space.targets[0],
-            Target::System(EvaluatedSystem::CpuGpuCuda)
+            JobKind::CaseStudy {
+                system: EvaluatedSystem::CpuGpuCuda
+            }
         );
     }
 }

@@ -20,8 +20,8 @@ use hetmem_sim::{EventTrace, ExecMode};
 use hetmem_xplore::dispatch::{decode_part, render_part_records};
 use hetmem_xplore::{
     check_reports_to_jsonl, content_key_with, execute_job_observed, fix_reports_to_jsonl,
-    parse_kernel, parse_space, parse_system, placement_key, report_to_json, run_jobs, DiskCache,
-    Job, JobDispatcher, JobKind, Json, SweepOptions, SweepSpec,
+    parse_kernel, parse_space, parse_system, placement_key, run_jobs, sim_answer_to_json,
+    DiskCache, Job, JobDispatcher, JobKind, Json, SweepOptions, SweepSpec,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -140,7 +140,7 @@ impl SimRequest {
                 },
                 scale: self.scale,
             },
-            ExperimentConfig::scaled(self.scale),
+            ExperimentConfig::paper(),
         )
     }
 
@@ -212,12 +212,8 @@ pub fn run_sim(
             record
         }
     };
-    let value = Json::obj(vec![
-        ("system", Json::Str(record.target.clone())),
-        ("total_ticks", Json::UInt(record.report.total_ticks())),
-        ("report", report_to_json(&record.report)),
-    ]);
-    Ok(format!("{}\n", value.render()))
+    let answer = sim_answer_to_json(&record.target, &record.report);
+    Ok(format!("{}\n", answer.render()))
 }
 
 /// `POST /v1/sweep`: a declarative grid, executed asynchronously.
@@ -303,10 +299,9 @@ impl SweepRequest {
     /// the same configuration share one execution.
     #[must_use]
     pub fn coalesce_key(&self) -> String {
-        // Job identities pin the expansion; the scale list pins the
-        // configuration (ExperimentConfig::scaled per scale); the mode pins
-        // the execution semantics. Per-job hardware fingerprints live in
-        // the per-job cache keys.
+        // Job identities pin the expansion, scales included; the mode
+        // pins the execution semantics. Per-job hardware fingerprints live
+        // in the per-job cache keys.
         let ids: Vec<String> = self.spec.expand().iter().map(Job::identity).collect();
         format!("sweep|{}|{}", self.mode.label(), ids.join(","))
     }
@@ -490,7 +485,7 @@ impl SearchRequest {
     pub fn coalesce_key(&self) -> String {
         let c = &self.config;
         let kernels: Vec<&str> = c.space.kernels.iter().map(|k| k.name()).collect();
-        let targets: Vec<&str> = c.space.targets.iter().map(|t| t.name()).collect();
+        let targets: Vec<&str> = c.space.targets.iter().map(|t| t.target_name()).collect();
         let scales: Vec<String> = c.space.scales.iter().map(u32::to_string).collect();
         let objectives: Vec<&str> = c.objectives.iter().map(|o| o.name()).collect();
         format!(

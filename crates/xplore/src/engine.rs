@@ -13,12 +13,14 @@ use crate::cache::DiskCache;
 use crate::dispatch::{DispatchContext, JobDispatcher, JobPart};
 use crate::ser::SweepRecord;
 use crate::spec::{Job, JobKind, SweepSpec};
-use hetmem_core::experiment::{CaseStudyRun, ExperimentConfig, SpaceRun};
-use hetmem_core::IdealSpaceComm;
+use hetmem_core::experiment::{
+    CaseStudyRun, ExperimentConfig, PageSizeRow, PartitionRow, SpaceRun,
+};
+use hetmem_core::{EvaluatedSystem, IdealSpaceComm};
 use hetmem_sim::{
     CommModel, ExecMode, NullObserver, RunReport, SimError, SimObserver, Simulation, System,
 };
-use hetmem_trace::kernels::KernelParams;
+use hetmem_trace::kernels::{Kernel, KernelParams};
 use hetmem_trace::PhasedTrace;
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -780,8 +782,9 @@ pub fn run_jobs(
     })
 }
 
-/// The Figure 5/6 grid (every kernel × evaluated system) through the
-/// engine: parallel and, when a cache directory is given, memoized. Runs
+/// The Figure 5/6 grid (every kernel × evaluated system) at `scale`
+/// through the engine: parallel and, when a cache directory is given,
+/// memoized. Runs
 /// are ordered by kernel, then by system, each axis in its `ALL` order
 /// ([`Kernel::ALL`](hetmem_trace::kernels::Kernel::ALL),
 /// [`EvaluatedSystem::ALL`](hetmem_core::EvaluatedSystem::ALL)). Each
@@ -792,12 +795,13 @@ pub fn run_jobs(
 /// Returns [`SimError`] when the cache directory cannot be opened or a job
 /// fails (see [`run_jobs`]).
 pub fn run_case_studies(
+    scale: u32,
     config: &ExperimentConfig,
     opts: &SweepOptions,
 ) -> Result<(Vec<CaseStudyRun>, SweepStats), SimError> {
     let spec = SweepSpec {
         spaces: vec![],
-        ..SweepSpec::full(config.scale)
+        ..SweepSpec::full(scale)
     };
     run_grid(&spec, config, opts, |job, report| {
         let JobKind::CaseStudy { system } = job.kind else {
@@ -811,8 +815,8 @@ pub fn run_case_studies(
     })
 }
 
-/// The Figure 7 grid (every kernel × address space) through the engine.
-/// Runs are ordered by kernel, then by address space, each axis in its
+/// The Figure 7 grid (every kernel × address space) at `scale` through
+/// the engine. Runs are ordered by kernel, then by address space, each axis in its
 /// `ALL` order ([`Kernel::ALL`](hetmem_trace::kernels::Kernel::ALL),
 /// [`AddressSpace::ALL`](hetmem_core::AddressSpace::ALL)). Each report
 /// equals [`execute_job`]'s for its cell.
@@ -822,12 +826,13 @@ pub fn run_case_studies(
 /// Returns [`SimError`] when the cache directory cannot be opened or a job
 /// fails (see [`run_jobs`]).
 pub fn run_address_spaces(
+    scale: u32,
     config: &ExperimentConfig,
     opts: &SweepOptions,
 ) -> Result<(Vec<SpaceRun>, SweepStats), SimError> {
     let spec = SweepSpec {
         systems: vec![],
-        ..SweepSpec::full(config.scale)
+        ..SweepSpec::full(scale)
     };
     run_grid(&spec, config, opts, |job, report| {
         let JobKind::AddressSpace { space } = job.kind else {
@@ -839,6 +844,93 @@ pub fn run_address_spaces(
             report,
         }
     })
+}
+
+/// The GPU page-size study (§II-A1: per-PU page-size freedom is one of
+/// the design options a non-physically-unified space buys): each of
+/// `kernels` at `scale` on IDEAL-HETERO, with `config`'s GPU page size
+/// set to each of `gpu_page_sizes` in turn. One [`run_jobs`] pass per
+/// size; the variant's configuration is part of every content key, so
+/// its results never alias the baseline's. Rows are ordered by kernel,
+/// then by page size.
+///
+/// # Errors
+///
+/// Returns [`SimError`] when a size is not a power of two (the TLB's
+/// requirement) or a job fails.
+pub fn run_page_size_study(
+    kernels: &[Kernel],
+    scale: u32,
+    config: &ExperimentConfig,
+    gpu_page_sizes: &[u64],
+) -> Result<Vec<PageSizeRow>, SimError> {
+    let spec = SweepSpec {
+        kernels: kernels.to_vec(),
+        systems: vec![EvaluatedSystem::IdealHetero],
+        spaces: vec![],
+        scales: vec![scale],
+    };
+    let jobs = spec.expand();
+    let mut reports = Vec::with_capacity(gpu_page_sizes.len());
+    for &gpu_page_bytes in gpu_page_sizes {
+        let mut variant = *config;
+        variant.system.mmu.gpu_page_bytes = gpu_page_bytes;
+        reports.push(run_jobs(&jobs, &variant, &SweepOptions::default())?.records);
+    }
+    Ok(jobs
+        .iter()
+        .enumerate()
+        .flat_map(|(i, job)| {
+            gpu_page_sizes
+                .iter()
+                .zip(&reports)
+                .map(move |(&gpu_page_bytes, records)| {
+                    let report = &records[i].report;
+                    PageSizeRow {
+                        kernel: job.kernel,
+                        gpu_page_bytes,
+                        total_ticks: report.total_ticks(),
+                        gpu_tlb_miss_rate: report.hierarchy.gpu_tlb.miss_rate(),
+                    }
+                })
+        })
+        .collect())
+}
+
+/// The work-partitioning sweep: `kernel` at `scale` on `system`, with
+/// each of `shares` percent of the parallel work on the GPU. The paper
+/// divides work evenly and defers optimal partitioning to Qilin-style
+/// systems (§IV-B); this sweep finds the empirically best split on our
+/// substrate. Each share generates its own trace, so each runs through
+/// [`execute_job`].
+///
+/// # Errors
+///
+/// Returns [`SimError`] when the hardware configuration is invalid or a
+/// job fails.
+pub fn run_partition_sweep(
+    system: EvaluatedSystem,
+    kernel: Kernel,
+    scale: u32,
+    config: &ExperimentConfig,
+    shares: &[u32],
+) -> Result<Vec<PartitionRow>, SimError> {
+    let job = Job {
+        id: 0,
+        kernel,
+        kind: JobKind::CaseStudy { system },
+        scale,
+    };
+    shares
+        .iter()
+        .map(|&gpu_share_pct| {
+            let trace = kernel.generate(&KernelParams::scaled(scale).with_gpu_share(gpu_share_pct));
+            Ok(PartitionRow {
+                gpu_share_pct,
+                total_ticks: execute_job(&job, config, &trace)?.report.total_ticks(),
+            })
+        })
+        .collect()
 }
 
 /// Runs `spec`'s jobs and turns each job and its report into a run, in
@@ -865,8 +957,10 @@ mod tests {
     use hetmem_core::{AddressSpace, EvaluatedSystem};
     use hetmem_trace::kernels::Kernel;
 
+    const SCALE: u32 = 512;
+
     fn cfg() -> ExperimentConfig {
-        ExperimentConfig::scaled(512)
+        ExperimentConfig::paper()
     }
 
     fn small_spec() -> SweepSpec {
@@ -897,12 +991,11 @@ mod tests {
     /// One engine cell against [`execute_job`]: one un-replayed
     /// simulation of the same job on the same trace.
     fn assert_matches_execute_job(kernel: Kernel, kind: JobKind, report: &RunReport) {
-        let scale = cfg().scale;
         let job = Job {
             id: 0,
             kernel,
             kind,
-            scale,
+            scale: SCALE,
         };
         let reference = execute_job(&job, &cfg(), &job_trace(&job)).expect("runs");
         assert_eq!(*report, reference.report, "{}", job.identity());
@@ -910,7 +1003,8 @@ mod tests {
 
     #[test]
     fn engine_matches_per_job_simulation() {
-        let (runs, _) = run_case_studies(&cfg(), &SweepOptions::with_workers(4)).expect("runs");
+        let (runs, _) =
+            run_case_studies(SCALE, &cfg(), &SweepOptions::with_workers(4)).expect("runs");
         assert_eq!(runs.len(), Kernel::ALL.len() * EvaluatedSystem::ALL.len());
         for run in &runs {
             let kind = JobKind::CaseStudy { system: run.system };
@@ -920,7 +1014,8 @@ mod tests {
 
     #[test]
     fn space_engine_matches_per_job_simulation() {
-        let (runs, _) = run_address_spaces(&cfg(), &SweepOptions::with_workers(4)).expect("runs");
+        let (runs, _) =
+            run_address_spaces(SCALE, &cfg(), &SweepOptions::with_workers(4)).expect("runs");
         assert_eq!(runs.len(), Kernel::ALL.len() * AddressSpace::ALL.len());
         for run in &runs {
             let kind = JobKind::AddressSpace { space: run.space };

@@ -152,6 +152,18 @@ fn get_str(value: &Json, key: &str) -> Result<String, JsonError> {
         .ok_or_else(|| field_err(key, "missing or not a string"))
 }
 
+/// The answer to one simulation of `system`: its name, the total ticks
+/// and the full report. `hetmem sim --format json` prints it and the
+/// service's `/v1/sim` returns it, so the two stay byte-identical.
+#[must_use]
+pub fn sim_answer_to_json(system: &str, report: &RunReport) -> Json {
+    Json::obj(vec![
+        ("system", Json::Str(system.to_owned())),
+        ("total_ticks", Json::UInt(report.total_ticks())),
+        ("report", report_to_json(report)),
+    ])
+}
+
 /// Serializes a full [`RunReport`] (all counters are exact integers).
 #[must_use]
 pub fn report_to_json(r: &RunReport) -> Json {

@@ -8,10 +8,12 @@
 //! [`Job`]s. Expansion order is fixed (scale → kernel → systems → spaces),
 //! so job ids are stable regardless of how many workers later execute them.
 
-use hetmem_core::{AddressSpace, EvaluatedSystem};
+use hetmem_core::metrics::{design_point_of, isolated_design_point};
+use hetmem_core::{AddressSpace, DesignPoint, EvaluatedSystem};
 use hetmem_trace::kernels::Kernel;
 
-/// What one job simulates.
+/// What one job simulates: a point on the target axis that sweeps expand
+/// and searches explore.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobKind {
     /// One Figure 5/6 cell: a kernel on an evaluated system.
@@ -25,6 +27,38 @@ pub enum JobKind {
         /// The address-space option.
         space: AddressSpace,
     },
+}
+
+impl JobKind {
+    /// The system name or address-space abbreviation.
+    #[must_use]
+    pub fn target_name(self) -> &'static str {
+        match self {
+            JobKind::CaseStudy { system } => system.name(),
+            JobKind::AddressSpace { space } => space.abbrev(),
+        }
+    }
+
+    /// The address space a programmer sees on this target — the axis the
+    /// programmability (LoC) objective depends on.
+    #[must_use]
+    pub fn address_space(self) -> AddressSpace {
+        match self {
+            JobKind::CaseStudy { system } => system.address_space(),
+            JobKind::AddressSpace { space } => space,
+        }
+    }
+
+    /// The canonical design point scored by the hardware-cost objective:
+    /// the evaluated system's published point, or the isolated space
+    /// under the ideal fabric ([`isolated_design_point`]).
+    #[must_use]
+    pub fn design_point(self) -> DesignPoint {
+        match self {
+            JobKind::CaseStudy { system } => design_point_of(system),
+            JobKind::AddressSpace { space } => isolated_design_point(space),
+        }
+    }
 }
 
 /// One unit of work: a kernel × target × scale cell with a stable ordinal.
@@ -53,10 +87,7 @@ impl Job {
     /// The system name or address-space abbreviation this job targets.
     #[must_use]
     pub fn target_name(&self) -> &'static str {
-        match self.kind {
-            JobKind::CaseStudy { system } => system.name(),
-            JobKind::AddressSpace { space } => space.abbrev(),
-        }
+        self.kind.target_name()
     }
 
     /// The design-space coordinates of the target: the evaluated system's
@@ -65,9 +96,7 @@ impl Job {
     #[must_use]
     pub fn design_point_label(&self) -> String {
         match self.kind {
-            JobKind::CaseStudy { system } => {
-                hetmem_core::metrics::design_point_of(system).to_string()
-            }
+            JobKind::CaseStudy { system } => design_point_of(system).to_string(),
             JobKind::AddressSpace { space } => format!("{space} / ideal fabric"),
         }
     }

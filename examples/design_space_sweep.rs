@@ -34,7 +34,7 @@ fn main() {
 
     // 2. A quick quantitative sweep (scale 32 to keep this example fast).
     println!("\nCase-study sweep at scale 32 (use the fig5 harness for full size):\n");
-    let config = ExperimentConfig::scaled(32);
-    let (runs, _) = run_case_studies(&config, &SweepOptions::default()).expect("grid runs");
+    let config = ExperimentConfig::paper();
+    let (runs, _) = run_case_studies(32, &config, &SweepOptions::default()).expect("grid runs");
     println!("{}", render_figure5(&runs));
 }

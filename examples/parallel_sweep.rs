@@ -11,7 +11,7 @@ fn main() {
     // Keep the example quick: divide every kernel's input by 64.
     let scale = 64;
     let spec = SweepSpec::full(scale);
-    let config = ExperimentConfig::scaled(scale);
+    let config = ExperimentConfig::paper();
     let cache = std::env::temp_dir().join("hetmem-parallel-sweep-example");
     let _ = std::fs::remove_dir_all(&cache);
     let opts = SweepOptions {

@@ -14,8 +14,8 @@ use hetmem_search::system_frontier_table;
 
 fn main() {
     // Scale 16 keeps the example quick; the shape is scale-stable.
-    let config = ExperimentConfig::scaled(16);
-    let (runs, _) = run_case_studies(&config, &SweepOptions::default()).expect("grid runs");
+    let config = ExperimentConfig::paper();
+    let (runs, _) = run_case_studies(16, &config, &SweepOptions::default()).expect("grid runs");
     let evals = evaluate_systems(&runs);
     println!("{}", system_frontier_table(&evals));
 

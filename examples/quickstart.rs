@@ -22,7 +22,7 @@ fn main() {
             id: 0,
             kernel,
             kind: JobKind::CaseStudy { system },
-            scale: cfg.scale,
+            scale: 1,
         };
         let record = execute_job(&job, &cfg, &job_trace(&job)).expect("simulation runs");
         let r = &record.report;

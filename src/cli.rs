@@ -22,9 +22,7 @@
 //! traces) exit with status 1.
 
 use hetmem_cluster::FleetDispatcher;
-use hetmem_core::experiment::{
-    best_partition, run_page_size_study, run_partition_sweep, ExperimentConfig,
-};
+use hetmem_core::experiment::{best_partition, ExperimentConfig};
 use hetmem_core::report::{render_figure5, render_figure6, render_figure7, TextTable};
 use hetmem_core::{evaluate_energy, evaluate_systems, run_locality_study, EvaluatedSystem};
 use hetmem_dsl::AddressSpace;
@@ -38,8 +36,8 @@ use hetmem_sim::{
 use hetmem_trace::kernels::{Kernel, KernelParams};
 use hetmem_trace::TransferDirection;
 use hetmem_xplore::{
-    job_trace, parse_kernel, parse_space, parse_system, Job, JobDispatcher, JobKind, Json,
-    OutputFormat, SweepOptions, SweepSpec,
+    job_trace, parse_kernel, parse_space, parse_system, Job, JobDispatcher, JobKind, OutputFormat,
+    SweepOptions, SweepSpec,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -905,13 +903,13 @@ pub fn execute(command: &Command) -> Result<(), SimError> {
         }
         Command::Catalog => print_catalog(),
         Command::Study { study, scale } => {
-            let config = ExperimentConfig::scaled(*scale);
+            let config = ExperimentConfig::paper();
             match study {
-                Study::Locality => print_study_locality(&config),
-                Study::Energy => print_study_energy(&config)?,
-                Study::PageSize => print_study_page_size(&config),
-                Study::Partition => print_study_partition(&config),
-                Study::Pareto => print_study_pareto(&config)?,
+                Study::Locality => print_study_locality(*scale, &config),
+                Study::Energy => print_study_energy(*scale, &config)?,
+                Study::PageSize => print_study_page_size(*scale, &config)?,
+                Study::Partition => print_study_partition(*scale, &config)?,
+                Study::Pareto => print_study_pareto(*scale, &config)?,
             }
         }
         Command::Fig {
@@ -1043,12 +1041,8 @@ pub fn execute(command: &Command) -> Result<(), SimError> {
             match format {
                 OutputFormat::Table => println!("{}: {report}", system.name()),
                 OutputFormat::Json => {
-                    let value = Json::obj(vec![
-                        ("system", Json::Str(system.name().to_owned())),
-                        ("total_ticks", Json::UInt(report.total_ticks())),
-                        ("report", hetmem_xplore::report_to_json(&report)),
-                    ]);
-                    println!("{}", value.render());
+                    let answer = hetmem_xplore::sim_answer_to_json(system.name(), &report);
+                    println!("{}", answer.render());
                 }
                 OutputFormat::Csv => unreachable!("rejected at parse time"),
             }
@@ -1093,7 +1087,7 @@ fn execute_fig(
     jobs: usize,
     cache_dir: Option<PathBuf>,
 ) -> Result<(), SimError> {
-    let config = ExperimentConfig::scaled(scale);
+    let config = ExperimentConfig::paper();
     let opts = SweepOptions::builder()
         .workers(jobs)
         .cache_dir(cache_dir)
@@ -1103,15 +1097,15 @@ fn execute_fig(
     if format == OutputFormat::Table {
         match number {
             5 => {
-                let (runs, _) = hetmem_xplore::run_case_studies(&config, &opts)?;
+                let (runs, _) = hetmem_xplore::run_case_studies(scale, &config, &opts)?;
                 println!("{}", render_figure5(&runs));
             }
             6 => {
-                let (runs, _) = hetmem_xplore::run_case_studies(&config, &opts)?;
+                let (runs, _) = hetmem_xplore::run_case_studies(scale, &config, &opts)?;
                 println!("{}", render_figure6(&runs));
             }
             7 => {
-                let (runs, _) = hetmem_xplore::run_address_spaces(&config, &opts)?;
+                let (runs, _) = hetmem_xplore::run_address_spaces(scale, &config, &opts)?;
                 println!("{}", render_figure7(&runs));
             }
             _ => unreachable!("validated at parse time"),
@@ -1469,12 +1463,11 @@ fn print_section(title: &str) {
 /// shared-cache management against the explicit `push` with the hybrid
 /// locality bit (§II-B5), and against the same pushes with the bit
 /// ignored.
-fn print_study_locality(config: &ExperimentConfig) {
+fn print_study_locality(scale: u32, config: &ExperimentConfig) {
     print_section(&format!(
-        "Locality study: shared-table reuse under streaming pressure (scale {})",
-        config.scale
+        "Locality study: shared-table reuse under streaming pressure (scale {scale})"
     ));
-    let rows = run_locality_study(config);
+    let rows = run_locality_study(scale, config);
     let base = rows[0].total_ticks as f64;
     let mut table = TextTable::new(&["variant", "total ticks", "vs implicit", "LLC miss rate"]);
     for r in &rows {
@@ -1493,12 +1486,11 @@ fn print_study_locality(config: &ExperimentConfig) {
 /// The energy side of the design-space comparison (§VII motivates the
 /// partially shared space with power/energy opportunities): per-component
 /// estimates for every case-study cell.
-fn print_study_energy(config: &ExperimentConfig) -> Result<(), SimError> {
-    let scale = config.scale;
+fn print_study_energy(scale: u32, config: &ExperimentConfig) -> Result<(), SimError> {
     print_section(&format!(
         "Energy study: per-component estimates for the evaluated systems (scale {scale})"
     ));
-    let (runs, _) = hetmem_xplore::run_case_studies(config, &SweepOptions::default())?;
+    let (runs, _) = hetmem_xplore::run_case_studies(scale, config, &SweepOptions::default())?;
     // The grid's own traces, still in the engine's trace store.
     let comm_bytes: Vec<(Kernel, u64, u64)> = Kernel::ALL
         .iter()
@@ -1556,10 +1548,9 @@ fn print_study_energy(config: &ExperimentConfig) -> Result<(), SimError> {
 /// space lets each PU choose its own page size — "GPUs can have large
 /// page size to accommodate high stream locality". Quantifies that option
 /// on every kernel.
-fn print_study_page_size(config: &ExperimentConfig) {
+fn print_study_page_size(scale: u32, config: &ExperimentConfig) -> Result<(), SimError> {
     print_section(&format!(
-        "GPU page-size study: 4 KB vs 64 KB vs 2 MB pages (scale {})",
-        config.scale
+        "GPU page-size study: 4 KB vs 64 KB vs 2 MB pages (scale {scale})"
     ));
     let sizes = [4_096u64, 64 * 1024, 2 * 1024 * 1024];
     let mut table = TextTable::new(&[
@@ -1569,12 +1560,12 @@ fn print_study_page_size(config: &ExperimentConfig) {
         "vs 4KB",
         "GPU TLB miss rate",
     ]);
-    for kernel in Kernel::ALL {
-        let rows = run_page_size_study(kernel, config, &sizes);
+    let rows = hetmem_xplore::run_page_size_study(&Kernel::ALL, scale, config, &sizes)?;
+    for rows in rows.chunks(sizes.len()) {
         let base = rows[0].total_ticks as f64;
-        for r in &rows {
+        for r in rows {
             table.row(vec![
-                kernel.name().to_owned(),
+                r.kernel.name().to_owned(),
                 if r.gpu_page_bytes >= 1024 * 1024 {
                     format!("{} MB", r.gpu_page_bytes / (1024 * 1024))
                 } else {
@@ -1590,16 +1581,16 @@ fn print_study_page_size(config: &ExperimentConfig) {
     println!("Larger GPU pages eliminate page walks on streaming kernels — one of the");
     println!("hardware design options the paper credits to non-physically-unified");
     println!("address spaces (each PU keeps its own page-table format).");
+    Ok(())
 }
 
 /// The work-partitioning sweep the paper delegates to Qilin-style systems
 /// (§IV-B — "we simply divide the computational work evenly"): the
 /// time-optimal CPU/GPU split per kernel on the ideal system, and how much
 /// the even split leaves on the table.
-fn print_study_partition(config: &ExperimentConfig) {
+fn print_study_partition(scale: u32, config: &ExperimentConfig) -> Result<(), SimError> {
     print_section(&format!(
-        "Work-partitioning sweep on IDEAL-HETERO (scale {})",
-        config.scale
+        "Work-partitioning sweep on IDEAL-HETERO (scale {scale})"
     ));
     let shares = [1u32, 2, 5, 10, 25, 50, 75, 90];
     let mut table = TextTable::new(&[
@@ -1610,7 +1601,13 @@ fn print_study_partition(config: &ExperimentConfig) {
         "even/best",
     ]);
     for kernel in Kernel::ALL {
-        let rows = run_partition_sweep(EvaluatedSystem::IdealHetero, kernel, config, &shares);
+        let rows = hetmem_xplore::run_partition_sweep(
+            EvaluatedSystem::IdealHetero,
+            kernel,
+            scale,
+            config,
+            &shares,
+        )?;
         let best = best_partition(&rows);
         let even = rows
             .iter()
@@ -1630,17 +1627,17 @@ fn print_study_partition(config: &ExperimentConfig) {
     println!("the out-of-order CPU, so the time-balanced split is CPU-leaning — the even");
     println!("division of the paper's methodology leaves the GPU as the parallel-phase");
     println!("critical path (visible in Figure 5's GPU-bound parallel bars).");
+    Ok(())
 }
 
 /// Efficiency metrics for the evaluated systems and the resulting Pareto
 /// frontier (the paper's §VII future work), in `hetmem-search`'s shared
 /// table.
-fn print_study_pareto(config: &ExperimentConfig) -> Result<(), SimError> {
+fn print_study_pareto(scale: u32, config: &ExperimentConfig) -> Result<(), SimError> {
     print_section(&format!(
-        "Efficiency metrics & Pareto frontier over the evaluated systems (scale {})",
-        config.scale
+        "Efficiency metrics & Pareto frontier over the evaluated systems (scale {scale})"
     ));
-    let (runs, _) = hetmem_xplore::run_case_studies(config, &SweepOptions::default())?;
+    let (runs, _) = hetmem_xplore::run_case_studies(scale, config, &SweepOptions::default())?;
     println!("{}", system_frontier_table(&evaluate_systems(&runs)));
     Ok(())
 }

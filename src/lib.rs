@@ -36,8 +36,8 @@
 //! use hetmem::xplore::{run_case_studies, SweepOptions};
 //!
 //! // Figure 5 on small inputs: six kernels on the five evaluated systems.
-//! let config = ExperimentConfig::scaled(512);
-//! let (runs, _) = run_case_studies(&config, &SweepOptions::default())?;
+//! let config = ExperimentConfig::paper();
+//! let (runs, _) = run_case_studies(512, &config, &SweepOptions::default())?;
 //! println!("{}", render_figure5(&runs));
 //! # Ok::<(), hetmem::sim::SimError>(())
 //! ```

@@ -10,8 +10,7 @@ use hetmem::sim::ExecMode;
 use hetmem::trace::kernels::{Kernel, KernelParams};
 use hetmem::trace::write_trace;
 use hetmem::xplore::{
-    execute_job, job_trace, run_case_studies, run_jobs, to_jsonl, Job, JobKind, SweepOptions,
-    SweepSpec,
+    execute_job, job_trace, run_jobs, to_jsonl, Job, JobKind, SweepOptions, SweepSpec,
 };
 
 #[test]
@@ -25,28 +24,18 @@ fn kernel_generation_is_deterministic() {
 
 #[test]
 fn case_studies_are_deterministic() {
-    let cfg = ExperimentConfig::scaled(64);
+    let cfg = ExperimentConfig::paper();
     let job = Job {
         id: 0,
         kernel: Kernel::KMeans,
         kind: JobKind::CaseStudy {
             system: EvaluatedSystem::Lrb,
         },
-        scale: cfg.scale,
+        scale: 64,
     };
     let a = execute_job(&job, &cfg, &job.kernel.generate(&KernelParams::scaled(64)));
     let b = execute_job(&job, &cfg, &job_trace(&job));
     assert_eq!(a.expect("runs").report, b.expect("runs").report);
-}
-
-#[test]
-fn full_grid_is_deterministic() {
-    let cfg = ExperimentConfig::scaled(256);
-    let totals = |workers| -> Vec<u64> {
-        let (runs, _) = run_case_studies(&cfg, &SweepOptions::with_workers(workers)).expect("runs");
-        runs.iter().map(|r| r.report.total_ticks()).collect()
-    };
-    assert_eq!(totals(1), totals(4));
 }
 
 #[test]

@@ -10,8 +10,7 @@ use hetmem::trace::Phase;
 use hetmem::xplore::{run_address_spaces, run_case_studies, run_sweep, SweepOptions, SweepSpec};
 
 fn cases(scale: u32) -> Vec<CaseStudyRun> {
-    let config = ExperimentConfig::scaled(scale);
-    run_case_studies(&config, &SweepOptions::default())
+    run_case_studies(scale, &ExperimentConfig::paper(), &SweepOptions::default())
         .expect("grid runs")
         .0
 }
@@ -87,12 +86,8 @@ fn figure7_spaces_are_within_noise() {
         spaces: AddressSpace::ALL.to_vec(),
         scales: vec![4],
     };
-    let out = run_sweep(
-        &spec,
-        &ExperimentConfig::scaled(4),
-        &SweepOptions::default(),
-    )
-    .expect("sweep runs");
+    let out =
+        run_sweep(&spec, &ExperimentConfig::paper(), &SweepOptions::default()).expect("sweep runs");
     let totals: Vec<u64> = out.records.iter().map(|r| r.report.total_ticks()).collect();
     let max = *totals.iter().max().expect("non-empty");
     let min = *totals.iter().min().expect("non-empty");
@@ -102,10 +97,11 @@ fn figure7_spaces_are_within_noise() {
 
 #[test]
 fn grid_covers_all_cells() {
-    let config = ExperimentConfig::scaled(512);
+    let config = ExperimentConfig::paper();
     let grid = cases(512);
     assert_eq!(grid.len(), 6 * 5);
-    let (spaces, _) = run_address_spaces(&config, &SweepOptions::default()).expect("grid runs");
+    let (spaces, _) =
+        run_address_spaces(512, &config, &SweepOptions::default()).expect("grid runs");
     assert_eq!(spaces.len(), 6 * 4);
     for run in &grid {
         assert!(run.report.total_ticks() > 0);
@@ -128,13 +124,14 @@ fn figure5_normalization_is_bounded_by_one() {
 
 #[test]
 fn figure_renderers_cover_all_rows() {
-    let config = ExperimentConfig::scaled(512);
+    let config = ExperimentConfig::paper();
     let runs = cases(512);
     let f5 = render_figure5(&runs);
     assert_eq!(f5.lines().count(), 2 + 30, "6 kernels × 5 systems");
     let f6 = render_figure6(&runs);
     assert_eq!(f6.lines().count(), 2 + 30);
-    let (spaces, _) = run_address_spaces(&config, &SweepOptions::default()).expect("grid runs");
+    let (spaces, _) =
+        run_address_spaces(512, &config, &SweepOptions::default()).expect("grid runs");
     let f7 = render_figure7(&spaces);
     assert_eq!(f7.lines().count(), 2 + 6);
     assert!(f7.contains("reduction"));

@@ -15,8 +15,7 @@ use std::sync::OnceLock;
 fn grid() -> &'static [CaseStudyRun] {
     static GRID: OnceLock<Vec<CaseStudyRun>> = OnceLock::new();
     GRID.get_or_init(|| {
-        let config = ExperimentConfig::scaled(4);
-        run_case_studies(&config, &SweepOptions::default())
+        run_case_studies(4, &ExperimentConfig::paper(), &SweepOptions::default())
             .expect("grid runs")
             .0
     })
@@ -25,8 +24,7 @@ fn grid() -> &'static [CaseStudyRun] {
 fn space_grid() -> &'static [SpaceRun] {
     static GRID: OnceLock<Vec<SpaceRun>> = OnceLock::new();
     GRID.get_or_init(|| {
-        let config = ExperimentConfig::scaled(4);
-        run_address_spaces(&config, &SweepOptions::default())
+        run_address_spaces(4, &ExperimentConfig::paper(), &SweepOptions::default())
             .expect("grid runs")
             .0
     })

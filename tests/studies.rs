@@ -2,9 +2,7 @@
 //! and EXPERIMENTS.md): each study must run, discriminate, and point the
 //! direction its write-up claims.
 
-use hetmem::core::experiment::{
-    best_partition, run_page_size_study, run_partition_sweep, CaseStudyRun, ExperimentConfig,
-};
+use hetmem::core::experiment::{best_partition, CaseStudyRun, ExperimentConfig};
 use hetmem::core::metrics::dominates;
 use hetmem::core::{
     evaluate_energy, evaluate_systems, pareto_frontier, run_locality_study, EnergyEval,
@@ -12,12 +10,11 @@ use hetmem::core::{
 };
 use hetmem::trace::kernels::{Kernel, KernelParams};
 use hetmem::trace::TransferDirection;
-use hetmem::xplore::{run_case_studies, SweepOptions};
+use hetmem::xplore::{run_case_studies, run_page_size_study, run_partition_sweep, SweepOptions};
 
 /// The Figure 5/6 grid at `scale`, built by the sweep engine.
 fn cases(scale: u32) -> Vec<CaseStudyRun> {
-    let config = ExperimentConfig::scaled(scale);
-    run_case_studies(&config, &SweepOptions::default())
+    run_case_studies(scale, &ExperimentConfig::paper(), &SweepOptions::default())
         .expect("grid runs")
         .0
 }
@@ -47,7 +44,7 @@ fn objectives(e: &Evaluation) -> Vec<f64> {
 
 #[test]
 fn locality_study_orders_variants() {
-    let rows = run_locality_study(&ExperimentConfig::scaled(16));
+    let rows = run_locality_study(16, &ExperimentConfig::paper());
     assert_eq!(rows.len(), 3);
     let get = |v| {
         rows.iter()
@@ -103,28 +100,46 @@ fn partition_study_beats_the_even_split() {
     let rows = run_partition_sweep(
         EvaluatedSystem::IdealHetero,
         Kernel::MergeSort,
-        &ExperimentConfig::scaled(16),
-        &[1, 5, 10, 25, 50],
-    );
+        16,
+        &ExperimentConfig::paper(),
+        &[1, 5, 10, 25, 50, 75, 95],
+    )
+    .expect("sweep runs");
     let best = best_partition(&rows);
     let even = rows
         .iter()
         .find(|r| r.gpu_share_pct == 50)
         .expect("50 swept");
-    assert!(best.total_ticks < even.total_ticks);
+    assert!(best.total_ticks < even.total_ticks, "{rows:?}");
+    // Once the GPU is the parallel phase's bottleneck, more GPU work is
+    // strictly worse, and the sweep discriminates strongly.
+    let gpu_bound: Vec<u64> = rows
+        .iter()
+        .filter(|r| r.gpu_share_pct >= 25)
+        .map(|r| r.total_ticks)
+        .collect();
+    assert!(gpu_bound.windows(2).all(|w| w[0] < w[1]), "{rows:?}");
+    let worst = rows.iter().map(|r| r.total_ticks).max().expect("non-empty");
+    assert!(worst > best.total_ticks * 2, "{rows:?}");
 }
 
 #[test]
 fn page_size_study_is_monotone_in_tlb_misses() {
     let rows = run_page_size_study(
-        Kernel::Reduction,
-        &ExperimentConfig::scaled(16),
+        &[Kernel::Reduction, Kernel::Dct],
+        16,
+        &ExperimentConfig::paper(),
         &[4_096, 65_536, 2 * 1024 * 1024],
-    );
-    assert_eq!(rows.len(), 3);
-    assert!(rows
-        .windows(2)
-        .all(|w| w[1].gpu_tlb_miss_rate <= w[0].gpu_tlb_miss_rate + 1e-12));
+    )
+    .expect("study runs");
+    assert_eq!(rows.len(), 6);
+    for kernel in rows.chunks(3) {
+        assert!(kernel
+            .windows(2)
+            .all(|w| w[1].gpu_tlb_miss_rate <= w[0].gpu_tlb_miss_rate + 1e-12));
+        // §II-A1: 2 MB pages are never slower than 4 KB pages.
+        assert!(kernel[2].total_ticks <= kernel[0].total_ticks, "{kernel:?}");
+    }
 }
 
 #[test]

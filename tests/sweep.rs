@@ -10,7 +10,7 @@ const SCALE: u32 = 512;
 #[test]
 fn worker_count_never_changes_rendered_output() {
     let spec = SweepSpec::full(SCALE);
-    let config = ExperimentConfig::scaled(SCALE);
+    let config = ExperimentConfig::paper();
     let serial = run_sweep(&spec, &config, &SweepOptions::with_workers(1)).expect("serial sweep");
     let threaded =
         run_sweep(&spec, &config, &SweepOptions::with_workers(8)).expect("threaded sweep");
@@ -30,7 +30,7 @@ fn warm_cache_answers_every_job_with_identical_records() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let spec = SweepSpec::full(SCALE);
-    let config = ExperimentConfig::scaled(SCALE);
+    let config = ExperimentConfig::paper();
     let opts = SweepOptions {
         workers: 4,
         cache_dir: Some(dir.clone()),
@@ -58,7 +58,7 @@ fn scale_axis_multiplies_the_grid() {
         scales: vec![SCALE, SCALE * 2],
         ..SweepSpec::full(SCALE)
     };
-    let config = ExperimentConfig::scaled(SCALE);
+    let config = ExperimentConfig::paper();
     let out = run_sweep(&spec, &config, &SweepOptions::default()).expect("sweep");
     assert_eq!(out.records.len(), 2 * 6 * 9);
     // Records come back sorted by ordinal regardless of completion order.
