@@ -1040,6 +1040,8 @@ mod tests {
         assert!(parse_search_request("{\"budget\":0}").is_err());
         assert!(parse_search_request("{\"objectives\":[\"hw\",\"hw\"]}").is_err());
         assert!(parse_search_request("{\"objectives\":[\"speed\"]}").is_err());
+        let empty = parse_search_request("{\"objectives\":[]}").expect_err("empty list");
+        assert!(empty.contains("no objectives given"), "{empty}");
         assert!(parse_search_request("{\"strategy\":\"bayes\"}").is_err());
         let removed = parse_search_request("{\"strategy\":\"evolve\"}").expect_err("removed");
         assert!(removed.contains("random|halving"), "{removed}");

@@ -1796,6 +1796,48 @@ mod tests {
                 explain: None,
             })
         );
+        // Single-valued flags take their value verbatim, commas included.
+        assert_eq!(
+            parse_args(&args(&["fig", "6", "--cache-dir", "a,b"])),
+            Ok(Command::Fig {
+                number: 6,
+                scale: 1,
+                format: OutputFormat::Table,
+                jobs: 0,
+                cache_dir: Some(PathBuf::from("a,b"))
+            })
+        );
+        assert_eq!(
+            parse_args(&args(&[
+                "sim",
+                "t.hmt",
+                "ideal",
+                "--events",
+                "e,v.jsonl",
+                "--timeline",
+                "t,l.jsonl:500",
+            ])),
+            Ok(Command::Sim {
+                path: "t.hmt".into(),
+                system: EvaluatedSystem::IdealHetero,
+                format: OutputFormat::Table,
+                events: Some("e,v.jsonl".into()),
+                timeline: Some(("t,l.jsonl".into(), 500)),
+                mode: ExecMode::Accurate,
+            })
+        );
+        assert_eq!(
+            parse_args(&args(&["serve", "--cache-dir", "c,d"])),
+            Ok(Command::Serve {
+                addr: "127.0.0.1:7878".into(),
+                workers: 0,
+                queue_depth: 32,
+                cache_dir: Some(PathBuf::from("c,d")),
+                advertise: None,
+                join: None,
+                heartbeat_ms: 500,
+            })
+        );
         for (name, study, scale) in [
             ("locality", Study::Locality, 1),
             ("energy", Study::Energy, 1),
@@ -2078,6 +2120,26 @@ mod tests {
         assert!(parse_args(&args(&["study", "locality", "--scale", "0"])).is_err());
         assert!(parse_args(&args(&["study", "locality", "extra"])).is_err());
         assert!(parse_args(&args(&["frobnicate"])).is_err());
+        // Every single-valued flag may appear once, and takes no list.
+        for argv in [
+            &["fig", "5", "--cache-dir", "a", "--cache-dir", "b"][..],
+            &["sweep", "--cache-dir", "a", "--cache-dir", "b"],
+            &["search", "--cache-dir", "a", "--cache-dir", "b"],
+            &["serve", "--cache-dir", "a", "--cache-dir", "b"],
+            &["sim", "t.hmt", "fusion", "--events", "a", "--events", "b"],
+            &["sim", "t.hmt", "fusion", "--timeline", "a", "--timeline", "b"],
+            &["serve", "--addr", "a:1", "--addr", "b:2"],
+            &["sweep", "--jobs", "4,"],
+            &["fig", "5", "--scale", "8,16"],
+        ] {
+            let err = parse_args(&args(argv)).expect_err("a repeated or listed single flag");
+            assert!(
+                err.contains("given more than once") || err.contains("positive integer"),
+                "{argv:?}: {err}"
+            );
+        }
+        let err = parse_args(&args(&["search", "--objectives", ","])).expect_err("empty list");
+        assert!(err.contains("no objectives given"), "{err}");
     }
 
     #[test]

@@ -370,6 +370,58 @@ fn sweep_warm_cache_hits_everything_and_is_byte_identical() {
 }
 
 #[test]
+fn cache_dir_is_taken_verbatim_even_with_a_comma() {
+    let dir = std::env::temp_dir().join(format!("hetmem-cli-verbatim-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let cache = dir.join("a,b");
+    // Run inside the scratch dir, so a relative path the value might be
+    // split into lands there too and shows up in the listing below.
+    let out = Command::new(env!("CARGO_BIN_EXE_hetmem"))
+        .current_dir(&dir)
+        .args([
+            "sweep",
+            "--kernel",
+            "reduction",
+            "--system",
+            "fusion",
+            "--scale",
+            "512",
+            "--cache-dir",
+            cache.to_str().expect("utf8 path"),
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let mut entries: Vec<String> = std::fs::read_dir(&dir)
+        .expect("list scratch dir")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    entries.sort();
+    assert_eq!(entries, ["a,b"], "the cache lives at the path as given");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_repeated_cache_dir_is_a_usage_error() {
+    let out = hetmem(&[
+        "sweep",
+        "--kernel",
+        "reduction",
+        "--scale",
+        "512",
+        "--cache-dir",
+        "first",
+        "--cache-dir",
+        "second",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(err.starts_with("hetmem: --cache-dir given more than once"), "{err}");
+    assert!(err.contains("usage: hetmem"), "{err}");
+}
+
+#[test]
 fn sweep_filters_and_csv_header() {
     let out = hetmem(&[
         "sweep", "--kernel", "dct", "--system", "fusion", "--scale", "512", "--format", "csv",

@@ -435,6 +435,21 @@ fn search_endpoint_runs_async_and_reports_the_frontier() {
     server.wait();
 }
 
+#[test]
+fn an_explicitly_empty_objective_list_is_a_400() {
+    let server = start(1, 4, None);
+    let reply = send(
+        server.local_addr(),
+        "POST",
+        "/v1/search",
+        Some("{\"objectives\":[]}"),
+    );
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    assert!(reply.body.contains("no objectives given"), "{}", reply.body);
+    server.shutdown();
+    server.wait();
+}
+
 // ---------- admission control, coalescing, graceful drain ----------
 
 /// One worker, queue depth one. A long sweep occupies the worker; an
