@@ -12,7 +12,7 @@
 //! bit ignored (plain LRU).
 
 use crate::experiment::ExperimentConfig;
-use hetmem_sim::{CommCosts, FabricKind, Simulation, SynchronousFabric};
+use hetmem_sim::{FabricKind, Simulation};
 use hetmem_trace::kernels::layout;
 use hetmem_trace::{
     CacheLevel, Inst, Phase, PhaseSegment, PhasedTrace, PuKind, SpecialOp, TraceStream,
@@ -156,10 +156,7 @@ pub fn run_locality_study(scale: u32, config: &ExperimentConfig) -> Vec<Locality
             let report = Simulation::builder()
                 .config(config.system)
                 .costs(config.costs)
-                .comm_model(SynchronousFabric::new(
-                    FabricKind::Ideal,
-                    CommCosts::paper(),
-                ))
+                .fabric(FabricKind::Ideal)
                 .llc_locality(honor)
                 .build()
                 .expect("experiment system configuration is valid")

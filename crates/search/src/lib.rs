@@ -29,7 +29,7 @@
 //! let mut space = SearchSpace::full(512); // tiny traces for the example
 //! space.kernels.truncate(1);
 //! let config = SearchConfig {
-//!     budget: space.exhaustive_jobs() / 4,
+//!     budget: space.default_budget(),
 //!     space,
 //!     objectives: Objective::ALL.to_vec(),
 //!     strategy: Strategy::Halving,

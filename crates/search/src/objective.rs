@@ -75,26 +75,25 @@ impl Objective {
         }
     }
 
-    /// Parses a comma-separated objective list, rejecting duplicates and
-    /// empty lists.
+    /// Parses an objective list from its already-split names (the CLI's
+    /// comma list, the service's JSON array), rejecting duplicates and an
+    /// empty list. An omitted list means [`Objective::ALL`]; that default
+    /// is the caller's.
     ///
     /// # Errors
     ///
     /// Returns a one-line message naming the offending entry.
-    pub fn parse_list(s: &str) -> Result<Vec<Objective>, String> {
-        let mut out = Vec::new();
-        for part in s.split(',') {
-            if part.trim().is_empty() {
-                continue;
-            }
-            let objective = Objective::parse(part)?;
+    pub fn parse_list<S: AsRef<str>>(names: &[S]) -> Result<Vec<Objective>, String> {
+        if names.is_empty() {
+            return Err("no objectives given (cycles|energy|loc|hw|saved)".to_owned());
+        }
+        let mut out = Vec::with_capacity(names.len());
+        for name in names {
+            let objective = Objective::parse(name.as_ref())?;
             if out.contains(&objective) {
                 return Err(format!("duplicate objective {:?}", objective.name()));
             }
             out.push(objective);
-        }
-        if out.is_empty() {
-            return Err("no objectives given (cycles|energy|loc|hw|saved)".to_owned());
         }
         Ok(out)
     }
@@ -123,15 +122,17 @@ mod tests {
     #[test]
     fn list_parses_and_rejects_duplicates() {
         assert_eq!(
-            Objective::parse_list("cycles,energy,loc,hw,saved"),
+            Objective::parse_list(&["cycles", "energy", "loc", "hw", "saved"]),
             Ok(Objective::ALL.to_vec())
         );
         assert_eq!(
-            Objective::parse_list("perf, hw"),
+            Objective::parse_list(&["perf", " hw"]),
             Ok(vec![Objective::Cycles, Objective::Hw])
         );
-        assert!(Objective::parse_list("cycles,perf").is_err());
-        assert!(Objective::parse_list("").is_err());
+        let duplicate = Objective::parse_list(&["cycles", "perf"]).expect_err("duplicate");
+        assert_eq!(duplicate, "duplicate objective \"cycles\"");
+        let empty = Objective::parse_list::<&str>(&[]).expect_err("empty");
+        assert!(empty.starts_with("no objectives given"), "{empty}");
     }
 
     #[test]

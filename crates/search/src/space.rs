@@ -82,6 +82,14 @@ impl SearchSpace {
         self.len() * self.jobs_per_candidate()
     }
 
+    /// The simulator-job budget a search spends when none is given: a
+    /// quarter of the exhaustive sweep, but never less than one candidate
+    /// evaluation.
+    #[must_use]
+    pub fn default_budget(&self) -> usize {
+        (self.exhaustive_jobs() / 4).max(self.jobs_per_candidate())
+    }
+
     /// Decomposes a candidate index into (target index, scale index).
     /// Enumeration is scale-major then target, like the sweep expansion.
     ///
@@ -160,6 +168,7 @@ mod tests {
         assert_eq!(space.len(), 9);
         assert_eq!(space.jobs_per_candidate(), 6);
         assert_eq!(space.exhaustive_jobs(), 54);
+        assert_eq!(space.default_budget(), 13);
         assert_eq!(space.label(0), "CPU+GPU@64");
         assert_eq!(space.label(8), "ADSM@64");
     }

@@ -429,8 +429,8 @@ pub struct SearchRequest {
 /// # Errors
 ///
 /// Returns a one-line message (rendered as a 400) on malformed JSON,
-/// unknown names, duplicate objectives, a zero budget, or an empty
-/// space.
+/// unknown names, duplicate objectives, an empty objective list, a zero
+/// budget, or an empty space.
 pub fn parse_search_request(body: &str) -> Result<SearchRequest, String> {
     let v = parse_body(body)?;
     let space = SearchSpace::from_spec(&parse_axes(&v)?);
@@ -439,17 +439,7 @@ pub fn parse_search_request(body: &str) -> Result<SearchRequest, String> {
     }
     let objectives = match opt_str_list(&v, "objectives")? {
         None => Objective::ALL.to_vec(),
-        Some(names) => {
-            let mut objectives = Vec::with_capacity(names.len());
-            for name in &names {
-                let objective = Objective::parse(name)?;
-                if objectives.contains(&objective) {
-                    return Err(format!("duplicate objective {:?}", objective.name()));
-                }
-                objectives.push(objective);
-            }
-            objectives
-        }
+        Some(names) => Objective::parse_list(&names)?,
     };
     let strategy = match v.get("strategy") {
         None => Strategy::Halving,
@@ -460,7 +450,7 @@ pub fn parse_search_request(body: &str) -> Result<SearchRequest, String> {
         )?,
     };
     let budget = match opt_u64(&v, "budget")? {
-        None => (space.exhaustive_jobs() / 4).max(space.jobs_per_candidate()),
+        None => space.default_budget(),
         Some(0) => return Err("field \"budget\" must be positive".to_owned()),
         Some(n) => usize::try_from(n).map_err(|_| "field \"budget\" is out of range".to_owned())?,
     };
@@ -567,26 +557,26 @@ pub fn run_search_request(
     Ok(result.to_json().render())
 }
 
-/// `POST /v1/check`: static memory-model verification of built-in
-/// kernels under one or more address-space models.
+/// `POST /v1/check` and `POST /v1/fix`: the verifier or the
+/// communication optimizer over built-in kernels under one or more
+/// address-space models.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CheckRequest {
-    /// Built-in kernel names to check.
+pub struct DslRequest {
+    /// The endpoint's pass, `"check"` or `"fix"`; it prefixes the
+    /// coalescing key, so a check and a fix of one body never share an
+    /// execution.
+    pass: &'static str,
+    /// Built-in kernel names to check or fix.
     pub targets: Vec<String>,
-    /// Models to check under; defaults to all four.
+    /// Models to check or fix under; defaults to all four.
     pub models: Vec<AddressSpace>,
     /// Optional start deadline.
     pub deadline_ms: Option<u64>,
 }
 
-/// Parses and validates a `/v1/check` body:
+/// Parses and validates a `/v1/check` or `/v1/fix` body for `pass`:
 /// `{"targets": ["..."], "models"?: ["..."], "deadline_ms"?: N}`.
-///
-/// # Errors
-///
-/// Returns a one-line message (rendered as a 400) on malformed JSON or
-/// unknown model names. Unknown *targets* are reported at execution.
-pub fn parse_check_request(body: &str) -> Result<CheckRequest, String> {
+fn parse_dsl_request(body: &str, pass: &'static str) -> Result<DslRequest, String> {
     let v = parse_body(body)?;
     let targets = opt_str_list(&v, "targets")?
         .filter(|t| !t.is_empty())
@@ -598,19 +588,60 @@ pub fn parse_check_request(body: &str) -> Result<CheckRequest, String> {
             .map(|n| parse_space(n))
             .collect::<Result<_, _>>()?,
     };
-    Ok(CheckRequest {
+    Ok(DslRequest {
+        pass,
         targets,
         models,
         deadline_ms: opt_u64(&v, "deadline_ms")?,
     })
 }
 
-impl CheckRequest {
-    /// The coalescing key for identical concurrent check requests.
+/// Parses and validates a `/v1/check` body (see [`DslRequest`]).
+///
+/// # Errors
+///
+/// Returns a one-line message (rendered as a 400) on malformed JSON or
+/// unknown model names. Unknown *targets* are reported at execution.
+pub fn parse_check_request(body: &str) -> Result<DslRequest, String> {
+    parse_dsl_request(body, "check")
+}
+
+/// Parses and validates a `/v1/fix` body (see [`DslRequest`]).
+///
+/// # Errors
+///
+/// As for [`parse_check_request`].
+pub fn parse_fix_request(body: &str) -> Result<DslRequest, String> {
+    parse_dsl_request(body, "fix")
+}
+
+impl DslRequest {
+    /// The coalescing key for identical concurrent requests to one
+    /// endpoint.
     #[must_use]
     pub fn coalesce_key(&self) -> String {
-        let models: Vec<String> = self.models.iter().map(|m| m.abbrev().to_owned()).collect();
-        format!("check|{}|{}", self.targets.join(","), models.join(","))
+        let models: Vec<&str> = self.models.iter().map(|m| m.abbrev()).collect();
+        format!(
+            "{}|{}|{}",
+            self.pass,
+            self.targets.join(","),
+            models.join(",")
+        )
+    }
+
+    /// Runs `pass` over every target × model combination, target by
+    /// target.
+    fn run<R>(
+        &self,
+        pass: impl Fn(&hetmem_dsl::Program, AddressSpace) -> R,
+    ) -> Result<Vec<R>, String> {
+        let mut out = Vec::with_capacity(self.targets.len() * self.models.len());
+        for target in &self.targets {
+            let program = hetmem_dsl::programs::find(target)
+                .ok_or_else(|| format!("unknown kernel {target:?}"))?;
+            out.extend(self.models.iter().map(|&model| pass(&program, model)));
+        }
+        Ok(out)
     }
 }
 
@@ -621,63 +652,8 @@ impl CheckRequest {
 ///
 /// Returns a one-line message (rendered as a 500) when a target names no
 /// built-in kernel.
-pub fn run_check_request(req: &CheckRequest) -> Result<String, String> {
-    let mut reports = Vec::new();
-    for target in &req.targets {
-        let program = hetmem_dsl::programs::find(target)
-            .ok_or_else(|| format!("unknown kernel {target:?}"))?;
-        for &model in &req.models {
-            reports.push(hetmem_dsl::check(&program, model));
-        }
-    }
-    Ok(check_reports_to_jsonl(&reports))
-}
-
-/// `POST /v1/fix`: checker-driven communication optimization of built-in
-/// kernels under one or more address-space models.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FixRequest {
-    /// Built-in kernel names to fix.
-    pub targets: Vec<String>,
-    /// Models to fix under; defaults to all four.
-    pub models: Vec<AddressSpace>,
-    /// Optional start deadline.
-    pub deadline_ms: Option<u64>,
-}
-
-/// Parses and validates a `/v1/fix` body:
-/// `{"targets": ["..."], "models"?: ["..."], "deadline_ms"?: N}`.
-///
-/// # Errors
-///
-/// Returns a one-line message (rendered as a 400) on malformed JSON or
-/// unknown model names. Unknown *targets* are reported at execution.
-pub fn parse_fix_request(body: &str) -> Result<FixRequest, String> {
-    let v = parse_body(body)?;
-    let targets = opt_str_list(&v, "targets")?
-        .filter(|t| !t.is_empty())
-        .ok_or_else(|| "field \"targets\" must be a non-empty array of kernel names".to_owned())?;
-    let models = match opt_str_list(&v, "models")? {
-        None => AddressSpace::ALL.to_vec(),
-        Some(names) => names
-            .iter()
-            .map(|n| parse_space(n))
-            .collect::<Result<_, _>>()?,
-    };
-    Ok(FixRequest {
-        targets,
-        models,
-        deadline_ms: opt_u64(&v, "deadline_ms")?,
-    })
-}
-
-impl FixRequest {
-    /// The coalescing key for identical concurrent fix requests.
-    #[must_use]
-    pub fn coalesce_key(&self) -> String {
-        let models: Vec<String> = self.models.iter().map(|m| m.abbrev().to_owned()).collect();
-        format!("fix|{}|{}", self.targets.join(","), models.join(","))
-    }
+pub fn run_check_request(req: &DslRequest) -> Result<String, String> {
+    Ok(check_reports_to_jsonl(&req.run(hetmem_dsl::check)?))
 }
 
 /// Runs the optimizer over every target × model combination, bumps the
@@ -688,15 +664,8 @@ impl FixRequest {
 ///
 /// Returns a one-line message (rendered as a 500) when a target names no
 /// built-in kernel.
-pub fn run_fix_request(req: &FixRequest, metrics: &Metrics) -> Result<String, String> {
-    let mut reports = Vec::new();
-    for target in &req.targets {
-        let program = hetmem_dsl::programs::find(target)
-            .ok_or_else(|| format!("unknown kernel {target:?}"))?;
-        for &model in &req.models {
-            reports.push(hetmem_dsl::fix(&program, model));
-        }
-    }
+pub fn run_fix_request(req: &DslRequest, metrics: &Metrics) -> Result<String, String> {
+    let reports = req.run(hetmem_dsl::fix)?;
     for report in &reports {
         metrics.bump(&metrics.fixes_completed);
         metrics

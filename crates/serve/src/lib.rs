@@ -80,7 +80,7 @@ pub use http::{query_flag, Request, Response};
 pub use jobs::{
     parse_check_request, parse_fix_request, parse_search_request, parse_sim_request,
     parse_sweep_request, run_check_request, run_fix_request, run_search_request, run_sim,
-    run_sweep_request, search_progress_json, CheckRequest, JobState, Registry, SearchRequest,
+    run_sweep_request, search_progress_json, DslRequest, JobState, Registry, SearchRequest,
     SimRequest, SweepRequest, DEFAULT_SCALE,
 };
 pub use metrics::{merge_metrics, LatencyHistogram, Metrics};

@@ -24,7 +24,7 @@ use crate::http::{query_flag, read_request, HttpError, Request, Response, CONN_T
 use crate::jobs::{
     parse_check_request, parse_fix_request, parse_search_request, parse_sim_request,
     parse_sweep_request, run_check_request, run_fix_request, run_search_request, run_sim,
-    run_sweep_part, run_sweep_request, search_progress_json, CheckRequest, JobState, Registry,
+    run_sweep_part, run_sweep_request, search_progress_json, DslRequest, JobState, Registry,
     SimRequest,
 };
 use crate::metrics::{merge_metrics, Metrics};
@@ -203,7 +203,7 @@ fn sim_locally(state: &Arc<State>, sim: SimRequest, key: &str) -> Response {
 }
 
 /// Runs a check request on this node's pool.
-fn check_locally(state: &Arc<State>, check: CheckRequest, key: &str) -> Response {
+fn check_locally(state: &Arc<State>, check: DslRequest, key: &str) -> Response {
     let deadline = check.deadline_ms;
     let work = move || run_check_request(&check);
     match state.admit(key, deadline, work) {

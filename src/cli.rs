@@ -236,6 +236,9 @@ impl Study {
 
 /// Usage text.
 pub const USAGE: &str = "usage: hetmem <command>
+flags take one value; --kernel, --system, --space, --model, --objectives
+and sweep/search --scale also take comma lists and repeat; every other
+flag takes its value verbatim and may appear once
 commands:
   tables                        regenerate Tables I-V
   fig <5|6|7> [--scale N] [--format json|csv|table] [--jobs N] [--cache-dir D]
@@ -299,8 +302,7 @@ commands:
 type Flags<'a> = Vec<(&'a str, &'a str)>;
 
 /// Splits `args` into positionals and recognized `--flag value` pairs.
-/// Unknown flags are errors; every listed flag takes one value and may
-/// repeat.
+/// Unknown flags are errors; every listed flag takes one value.
 fn split_flags<'a>(
     args: &'a [String],
     allowed: &[&str],
@@ -331,7 +333,9 @@ fn split_flags<'a>(
     Ok((positionals, flags))
 }
 
-/// Values of every occurrence of `name`, with comma lists split.
+/// Values of every occurrence of the list flag `name`, with comma lists
+/// split. Only list flags (`--kernel`, `--system`, `--space`, `--model`,
+/// `--objectives`, and `--scale` on `sweep`/`search`) read this way.
 fn flag_values<'a>(flags: &[(&'a str, &'a str)], name: &str) -> Vec<&'a str> {
     flags
         .iter()
@@ -341,39 +345,62 @@ fn flag_values<'a>(flags: &[(&'a str, &'a str)], name: &str) -> Vec<&'a str> {
         .collect()
 }
 
-fn parse_scale_value(v: &str) -> Result<u32, String> {
-    v.parse::<u32>()
+/// A single-valued flag parsed by `parse` from its verbatim value, or
+/// `default` when absent; a repeat is an error.
+fn single_flag<T>(
+    flags: &[(&str, &str)],
+    name: &str,
+    default: T,
+    parse: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<T, String> {
+    let mut values = flags.iter().filter(|(n, _)| *n == name);
+    match (values.next(), values.next()) {
+        (None, _) => Ok(default),
+        (Some((_, v)), None) => parse(v),
+        (Some(_), Some(_)) => Err(format!("--{name} given more than once")),
+    }
+}
+
+/// An optional single-valued flag kept as its verbatim value.
+fn optional_flag(flags: &[(&str, &str)], name: &str) -> Result<Option<String>, String> {
+    single_flag(flags, name, None, |v| Ok(Some(v.to_owned())))
+}
+
+/// The value of `--NAME`, which must be a positive integer.
+fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
+    name: &str,
+    v: &str,
+) -> Result<T, String> {
+    v.parse::<T>()
         .ok()
-        .filter(|&n| n > 0)
-        .ok_or_else(|| "--scale needs a positive integer".to_owned())
+        .filter(|n| *n > T::from(0))
+        .ok_or_else(|| format!("--{name} needs a positive integer"))
+}
+
+/// The value of `--NAME`, which must be a `HOST:PORT` address.
+fn host_port(name: &str, v: &str) -> Result<String, String> {
+    if v.contains(':') {
+        Ok(v.to_owned())
+    } else {
+        Err(format!("--{name} needs HOST:PORT, not {v:?}"))
+    }
+}
+
+/// An optional `HOST:PORT` flag (`--join`, `--advertise`).
+fn optional_host_port(flags: &[(&str, &str)], name: &str) -> Result<Option<String>, String> {
+    single_flag(flags, name, None, |v| host_port(name, v).map(Some))
 }
 
 fn parse_single_scale(flags: &[(&str, &str)], default: u32) -> Result<u32, String> {
-    match flag_values(flags, "scale").as_slice() {
-        [] => Ok(default),
-        [v] => parse_scale_value(v),
-        _ => Err("--scale given more than once".to_owned()),
-    }
+    single_flag(flags, "scale", default, |v| positive("scale", v))
 }
 
 fn parse_jobs(flags: &[(&str, &str)]) -> Result<usize, String> {
-    match flag_values(flags, "jobs").as_slice() {
-        [] => Ok(0),
-        [v] => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| "--jobs needs a positive integer".to_owned()),
-        _ => Err("--jobs given more than once".to_owned()),
-    }
+    single_flag(flags, "jobs", 0, |v| positive("jobs", v))
 }
 
 fn parse_format(flags: &[(&str, &str)]) -> Result<OutputFormat, String> {
-    match flag_values(flags, "format").as_slice() {
-        [] => Ok(OutputFormat::Table),
-        [v] => OutputFormat::parse(v),
-        _ => Err("--format given more than once".to_owned()),
-    }
+    single_flag(flags, "format", OutputFormat::Table, OutputFormat::parse)
 }
 
 /// The `--format` path for commands without a CSV rendering (search, sim,
@@ -410,27 +437,14 @@ impl FixFormat {
     }
 }
 
-fn parse_fix_format(flags: &[(&str, &str)]) -> Result<FixFormat, String> {
-    match flag_values(flags, "format").as_slice() {
-        [] => Ok(FixFormat::Pretty),
-        [v] => FixFormat::parse(v),
-        _ => Err("--format given more than once".to_owned()),
-    }
-}
-
 /// The `--mode` execution-mode flag shared by `sweep`, `search`, and
-/// `sim`. Mode strings never contain commas, so the comma-splitting in
-/// [`flag_values`] cannot mangle them.
+/// `sim`.
 fn parse_mode(flags: &[(&str, &str)]) -> Result<ExecMode, String> {
-    match flag_values(flags, "mode").as_slice() {
-        [] => Ok(ExecMode::Accurate),
-        [v] => ExecMode::parse(v),
-        _ => Err("--mode given more than once".to_owned()),
-    }
+    single_flag(flags, "mode", ExecMode::Accurate, ExecMode::parse)
 }
 
-fn parse_cache_dir(flags: &[(&str, &str)]) -> Option<PathBuf> {
-    flag_values(flags, "cache-dir").last().map(PathBuf::from)
+fn parse_cache_dir(flags: &[(&str, &str)]) -> Result<Option<PathBuf>, String> {
+    Ok(optional_flag(flags, "cache-dir")?.map(PathBuf::from))
 }
 
 /// Parses a `--timeline` value of the form `path[:interval]`. A numeric
@@ -497,22 +511,10 @@ fn parse_sweep(args: &[String]) -> Result<Command, String> {
         spec: parse_axes(&flags)?,
         format: parse_format(&flags)?,
         jobs: parse_jobs(&flags)?,
-        cache_dir: parse_cache_dir(&flags),
+        cache_dir: parse_cache_dir(&flags)?,
         mode: parse_mode(&flags)?,
-        join: parse_join_flag(&flags)?,
+        join: optional_host_port(&flags, "join")?,
     })
-}
-
-/// Parses the shared optional `--join H:P` flag: the cluster address of
-/// a serve-fleet member whose ring this process should scatter its
-/// sweep/search jobs across.
-fn parse_join_flag(flags: &Flags<'_>) -> Result<Option<String>, String> {
-    match flag_values(flags, "join").as_slice() {
-        [] => Ok(None),
-        [v] if v.contains(':') => Ok(Some((*v).to_owned())),
-        [v] => Err(format!("--join needs HOST:PORT, not {v:?}")),
-        _ => Err("--join given more than once".to_owned()),
-    }
 }
 
 /// The spec axes shared by `sweep` and `search`: kernels, systems,
@@ -542,7 +544,7 @@ fn parse_axes(flags: &[(&str, &str)]) -> Result<SweepSpec, String> {
     let scales = if scale_values.is_empty() {
         vec![1]
     } else {
-        parse_list(&scale_values, parse_scale_value)?
+        parse_list(&scale_values, |v| positive("scale", v))?
     };
 
     Ok(SweepSpec {
@@ -575,59 +577,29 @@ fn parse_search(args: &[String]) -> Result<Command, String> {
     expect_no_positionals(&positionals, "search")?;
 
     let space = SearchSpace::from_spec(&parse_axes(&flags)?);
-
-    let objective_names = flag_values(&flags, "objectives");
-    let objectives = if objective_names.is_empty() {
-        Objective::ALL.to_vec()
+    let objectives = if flags.iter().any(|(n, _)| *n == "objectives") {
+        Objective::parse_list(&flag_values(&flags, "objectives"))?
     } else {
-        let list = parse_list(&objective_names, Objective::parse)?;
-        for (i, o) in list.iter().enumerate() {
-            if list[..i].contains(o) {
-                return Err(format!("duplicate objective {:?}", o.name()));
-            }
-        }
-        list
+        Objective::ALL.to_vec()
     };
-
-    let strategy = match flag_values(&flags, "strategy").as_slice() {
-        [] => Strategy::Halving,
-        [v] => Strategy::parse(v)?,
-        _ => return Err("--strategy given more than once".to_owned()),
-    };
-
-    let budget = match flag_values(&flags, "budget").as_slice() {
-        // Default: a quarter of the exhaustive sweep, but never less than
-        // one candidate evaluation.
-        [] => (space.exhaustive_jobs() / 4).max(space.jobs_per_candidate()),
-        [v] => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| "--budget needs a positive integer".to_owned())?,
-        _ => return Err("--budget given more than once".to_owned()),
-    };
-
-    let seed = match flag_values(&flags, "seed").as_slice() {
-        [] => 0,
-        [v] => v
-            .parse::<u64>()
-            .map_err(|_| "--seed needs a non-negative integer".to_owned())?,
-        _ => return Err("--seed given more than once".to_owned()),
-    };
-
     Ok(Command::Search {
         config: SearchConfig {
-            space,
             objectives,
-            strategy,
-            budget,
-            seed,
+            strategy: single_flag(&flags, "strategy", Strategy::Halving, Strategy::parse)?,
+            budget: single_flag(&flags, "budget", space.default_budget(), |v| {
+                positive("budget", v)
+            })?,
+            seed: single_flag(&flags, "seed", 0, |v| {
+                v.parse::<u64>()
+                    .map_err(|_| "--seed needs a non-negative integer".to_owned())
+            })?,
             mode: parse_mode(&flags)?,
+            space,
         },
         format: parse_format_no_csv(&flags, "search")?,
         jobs: parse_jobs(&flags)?,
-        cache_dir: parse_cache_dir(&flags),
-        join: parse_join_flag(&flags)?,
+        cache_dir: parse_cache_dir(&flags)?,
+        join: optional_host_port(&flags, "join")?,
     })
 }
 
@@ -661,7 +633,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 scale: parse_single_scale(&flags, 1)?,
                 format: parse_format(&flags)?,
                 jobs: parse_jobs(&flags)?,
-                cache_dir: parse_cache_dir(&flags),
+                cache_dir: parse_cache_dir(&flags)?,
             })
         }
         "sweep" => parse_sweep(rest),
@@ -680,11 +652,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let (positionals, flags) =
                 split_flags(&remaining, &["model", "format", "deny", "explain"])?;
             let targets: Vec<String> = positionals.iter().map(|s| (*s).to_owned()).collect();
-            let explain = match flag_values(&flags, "explain").as_slice() {
-                [] => None,
-                [v] => Some((*v).to_owned()),
-                _ => return Err("--explain given more than once".to_owned()),
-            };
+            let explain = optional_flag(&flags, "explain")?;
             if all && !targets.is_empty() {
                 return Err("check takes either --all or explicit targets, not both".to_owned());
             }
@@ -695,13 +663,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 return Err("check needs a kernel name, an .hdsl path, or --all".to_owned());
             }
             let models = parse_list(&flag_values(&flags, "model"), parse_space)?;
-            let deny = match flag_values(&flags, "deny").as_slice() {
-                [] => hetmem_dsl::Severity::Error,
-                ["warnings" | "warning"] => hetmem_dsl::Severity::Warning,
-                ["notes" | "note"] => hetmem_dsl::Severity::Note,
-                [other] => return Err(format!("--deny takes warnings|notes, not {other:?}")),
-                _ => return Err("--deny given more than once".to_owned()),
-            };
+            let deny = single_flag(&flags, "deny", hetmem_dsl::Severity::Error, |v| match v {
+                "warnings" | "warning" => Ok(hetmem_dsl::Severity::Warning),
+                "notes" | "note" => Ok(hetmem_dsl::Severity::Note),
+                other => Err(format!("--deny takes warnings|notes, not {other:?}")),
+            })?;
             Ok(Command::Check {
                 targets,
                 all,
@@ -721,17 +687,15 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             if !all && targets.is_empty() {
                 return Err("fix needs a kernel name, an .hdsl path, or --all".to_owned());
             }
-            let deny_unchanged = match flag_values(&flags, "deny").as_slice() {
-                [] => false,
-                ["unchanged"] => true,
-                [other] => return Err(format!("fix --deny takes unchanged, not {other:?}")),
-                _ => return Err("--deny given more than once".to_owned()),
-            };
+            let deny_unchanged = single_flag(&flags, "deny", false, |v| match v {
+                "unchanged" => Ok(true),
+                other => Err(format!("fix --deny takes unchanged, not {other:?}")),
+            })?;
             Ok(Command::Fix {
                 targets,
                 all,
                 models: parse_list(&flag_values(&flags, "model"), parse_space)?,
-                format: parse_fix_format(&flags)?,
+                format: single_flag(&flags, "format", FixFormat::Pretty, FixFormat::parse)?,
                 deny_unchanged,
             })
         }
@@ -779,13 +743,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 path,
                 system,
                 format: parse_format_no_csv(&flags, "sim")?,
-                events: flag_values(&flags, "events")
-                    .last()
-                    .map(|s| (*s).to_owned()),
-                timeline: flag_values(&flags, "timeline")
-                    .last()
-                    .map(|v| parse_timeline_value(v))
-                    .transpose()?,
+                events: optional_flag(&flags, "events")?,
+                timeline: single_flag(&flags, "timeline", None, |v| {
+                    parse_timeline_value(v).map(Some)
+                })?,
                 mode: parse_mode(&flags)?,
             })
         }
@@ -803,52 +764,21 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 ],
             )?;
             expect_no_positionals(&positionals, "serve")?;
-            let addr = match flag_values(&flags, "addr").as_slice() {
-                [] => "127.0.0.1:7878".to_owned(),
-                [v] if v.contains(':') => (*v).to_owned(),
-                [v] => return Err(format!("--addr needs HOST:PORT, not {v:?}")),
-                _ => return Err("--addr given more than once".to_owned()),
-            };
-            let workers = match flag_values(&flags, "workers").as_slice() {
-                [] => 0,
-                [v] => v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--workers needs a positive integer".to_owned())?,
-                _ => return Err("--workers given more than once".to_owned()),
-            };
-            let queue_depth = match flag_values(&flags, "queue-depth").as_slice() {
-                [] => 32,
-                [v] => v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--queue-depth needs a positive integer".to_owned())?,
-                _ => return Err("--queue-depth given more than once".to_owned()),
-            };
-            let host_port = |name: &str| match flag_values(&flags, name).as_slice() {
-                [] => Ok(None),
-                [v] if v.contains(':') => Ok(Some((*v).to_owned())),
-                [v] => Err(format!("--{name} needs HOST:PORT, not {v:?}")),
-                _ => Err(format!("--{name} given more than once")),
-            };
-            let advertise = host_port("advertise")?;
-            let join = host_port("join")?;
-            let heartbeat_ms = match flag_values(&flags, "heartbeat-ms").as_slice() {
-                [] => 500,
-                [v] => v
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .ok_or_else(|| "--heartbeat-ms needs a positive integer".to_owned())?,
-                _ => return Err("--heartbeat-ms given more than once".to_owned()),
-            };
+            let addr = single_flag(&flags, "addr", "127.0.0.1:7878".to_owned(), |v| {
+                host_port("addr", v)
+            })?;
+            let workers = single_flag(&flags, "workers", 0, |v| positive("workers", v))?;
+            let queue_depth =
+                single_flag(&flags, "queue-depth", 32, |v| positive("queue-depth", v))?;
+            let advertise = optional_host_port(&flags, "advertise")?;
+            let join = optional_host_port(&flags, "join")?;
+            let heartbeat_ms =
+                single_flag(&flags, "heartbeat-ms", 500, |v| positive("heartbeat-ms", v))?;
             Ok(Command::Serve {
                 addr,
                 workers,
                 queue_depth,
-                cache_dir: parse_cache_dir(&flags),
+                cache_dir: parse_cache_dir(&flags)?,
                 advertise,
                 join,
                 heartbeat_ms,
@@ -1141,19 +1071,20 @@ fn resolve_check_target(target: &str) -> Result<hetmem_dsl::Program, SimError> {
     })
 }
 
-/// Runs the memory-model verifier over the selected programs × models,
-/// printing reports (or JSONL) and mapping Error findings to exit 1.
-fn execute_check(
+/// Runs `pass` (the checker or the fixer) over the programs × models a
+/// `check` or `fix` run covers, program by program: every built-in
+/// program (the paper's kernels, then the extras) with `all`, otherwise
+/// the resolved targets; under `models`, or all four when none are given.
+fn run_dsl_pass<R>(
     targets: &[String],
     all: bool,
     models: &[AddressSpace],
-    format: OutputFormat,
-    deny: hetmem_dsl::Severity,
-) -> Result<(), SimError> {
-    let models: Vec<AddressSpace> = if models.is_empty() {
-        AddressSpace::ALL.to_vec()
+    pass: impl Fn(&hetmem_dsl::Program, AddressSpace) -> R,
+) -> Result<Vec<R>, SimError> {
+    let models = if models.is_empty() {
+        &AddressSpace::ALL[..]
     } else {
-        models.to_vec()
+        models
     };
     let programs: Vec<hetmem_dsl::Program> = if all {
         let mut v = hetmem_dsl::programs::all();
@@ -1165,12 +1096,22 @@ fn execute_check(
             .map(|t| resolve_check_target(t))
             .collect::<Result<_, _>>()?
     };
-    let mut reports = Vec::new();
-    for program in &programs {
-        for &model in &models {
-            reports.push(hetmem_dsl::check(program, model));
-        }
-    }
+    Ok(programs
+        .iter()
+        .flat_map(|program| models.iter().map(|&model| pass(program, model)))
+        .collect())
+}
+
+/// Runs the memory-model verifier over the selected programs × models,
+/// printing reports (or JSONL) and mapping Error findings to exit 1.
+fn execute_check(
+    targets: &[String],
+    all: bool,
+    models: &[AddressSpace],
+    format: OutputFormat,
+    deny: hetmem_dsl::Severity,
+) -> Result<(), SimError> {
+    let reports = run_dsl_pass(targets, all, models, hetmem_dsl::check)?;
     match format {
         OutputFormat::Table => {
             for report in &reports {
@@ -1215,27 +1156,7 @@ fn execute_fix(
     format: FixFormat,
     deny_unchanged: bool,
 ) -> Result<(), SimError> {
-    let models: Vec<AddressSpace> = if models.is_empty() {
-        AddressSpace::ALL.to_vec()
-    } else {
-        models.to_vec()
-    };
-    let programs: Vec<hetmem_dsl::Program> = if all {
-        let mut v = hetmem_dsl::programs::all();
-        v.extend(hetmem_dsl::programs::extra::all());
-        v
-    } else {
-        targets
-            .iter()
-            .map(|t| resolve_check_target(t))
-            .collect::<Result<_, _>>()?
-    };
-    let mut reports = Vec::new();
-    for program in &programs {
-        for &model in &models {
-            reports.push(hetmem_dsl::fix(program, model));
-        }
-    }
+    let reports = run_dsl_pass(targets, all, models, hetmem_dsl::fix)?;
     match format {
         FixFormat::Pretty => {
             for report in &reports {
@@ -2127,7 +2048,15 @@ mod tests {
             &["search", "--cache-dir", "a", "--cache-dir", "b"],
             &["serve", "--cache-dir", "a", "--cache-dir", "b"],
             &["sim", "t.hmt", "fusion", "--events", "a", "--events", "b"],
-            &["sim", "t.hmt", "fusion", "--timeline", "a", "--timeline", "b"],
+            &[
+                "sim",
+                "t.hmt",
+                "fusion",
+                "--timeline",
+                "a",
+                "--timeline",
+                "b",
+            ],
             &["serve", "--addr", "a:1", "--addr", "b:2"],
             &["sweep", "--jobs", "4,"],
             &["fig", "5", "--scale", "8,16"],

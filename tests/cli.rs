@@ -392,7 +392,11 @@ fn cache_dir_is_taken_verbatim_even_with_a_comma() {
         ])
         .output()
         .expect("binary runs");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let mut entries: Vec<String> = std::fs::read_dir(&dir)
         .expect("list scratch dir")
         .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
@@ -417,7 +421,10 @@ fn a_repeated_cache_dir_is_a_usage_error() {
     ]);
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(err.starts_with("hetmem: --cache-dir given more than once"), "{err}");
+    assert!(
+        err.starts_with("hetmem: --cache-dir given more than once"),
+        "{err}"
+    );
     assert!(err.contains("usage: hetmem"), "{err}");
 }
 
