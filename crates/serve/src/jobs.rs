@@ -559,7 +559,8 @@ pub fn run_search_request(
 
 /// `POST /v1/check` and `POST /v1/fix`: the verifier or the
 /// communication optimizer over built-in kernels under one or more
-/// address-space models.
+/// address-space models. Both bodies read
+/// `{"targets": ["..."], "models"?: ["..."], "deadline_ms"?: N}`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DslRequest {
     /// The endpoint's pass, `"check"` or `"fix"`; it prefixes the
@@ -574,8 +575,7 @@ pub struct DslRequest {
     pub deadline_ms: Option<u64>,
 }
 
-/// Parses and validates a `/v1/check` or `/v1/fix` body for `pass`:
-/// `{"targets": ["..."], "models"?: ["..."], "deadline_ms"?: N}`.
+/// Parses and validates a `/v1/check` or `/v1/fix` body for `pass`.
 fn parse_dsl_request(body: &str, pass: &'static str) -> Result<DslRequest, String> {
     let v = parse_body(body)?;
     let targets = opt_str_list(&v, "targets")?
