@@ -174,6 +174,12 @@ pub struct Program {
     pub compute_lines: u32,
 }
 
+/// The deepest loop nesting a program may have.
+pub(crate) const MAX_LOOP_DEPTH: usize = 16;
+
+/// The most steps a program may run once its loops are multiplied out.
+pub(crate) const MAX_EXPANDED_STEPS: u64 = 65_536;
+
 /// A structural defect found by [`Program::validate`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProgramError {
@@ -189,6 +195,17 @@ pub enum ProgramError {
         /// The kernel's name.
         name: String,
     },
+    /// Loops nest deeper than the limit (16 levels).
+    LoopsTooDeep {
+        /// The deepest nesting allowed.
+        limit: usize,
+    },
+    /// The program runs more steps than the limit (65 536) once its loops
+    /// are multiplied out.
+    TooManySteps {
+        /// The most expanded steps allowed.
+        limit: u64,
+    },
 }
 
 impl std::fmt::Display for ProgramError {
@@ -201,6 +218,14 @@ impl std::fmt::Display for ProgramError {
             ProgramError::EmptyKernel { name } => {
                 write!(f, "kernel {name:?} reads and writes no buffers")
             }
+            ProgramError::LoopsTooDeep { limit } => {
+                write!(f, "loops nest deeper than the limit of {limit} levels")
+            }
+            ProgramError::TooManySteps { limit } => write!(
+                f,
+                "the program runs more than the limit of {limit} steps with its loops \
+                 multiplied out"
+            ),
         }
     }
 }
@@ -214,15 +239,13 @@ impl Program {
     ///
     /// Returns the first [`ProgramError`] found.
     pub fn validate(&self) -> Result<(), ProgramError> {
-        fn walk(steps: &[Step], n: usize) -> Result<(), ProgramError> {
-            let check = |ids: &[BufId]| {
-                ids.iter()
-                    .find(|b| b.0 >= n)
-                    .map_or(Ok(()), |b| Err(ProgramError::UnknownBuffer { buf: *b }))
-            };
+        /// Checks `steps`, nested in `depth` loops, and returns how many
+        /// steps they run (saturating).
+        fn walk(steps: &[Step], n: usize, depth: usize) -> Result<u64, ProgramError> {
+            let mut expanded = 0u64;
             for step in steps {
-                match step {
-                    Step::HostInit { bufs } => check(bufs)?,
+                let (reads, writes): (&[BufId], &[BufId]) = match step {
+                    Step::HostInit { bufs } => (&[], bufs),
                     Step::Kernel {
                         name,
                         reads,
@@ -232,72 +255,63 @@ impl Program {
                         if reads.is_empty() && writes.is_empty() {
                             return Err(ProgramError::EmptyKernel { name: name.clone() });
                         }
-                        check(reads)?;
-                        check(writes)?;
+                        (reads, writes)
                     }
-                    Step::Seq { reads, writes, .. } => {
-                        check(reads)?;
-                        check(writes)?;
-                    }
+                    Step::Seq { reads, writes, .. } => (reads, writes),
                     Step::Loop { iterations, body } => {
                         if *iterations == 0 || body.is_empty() {
                             return Err(ProgramError::DegenerateLoop);
                         }
-                        walk(body, n)?;
+                        if depth == MAX_LOOP_DEPTH {
+                            return Err(ProgramError::LoopsTooDeep {
+                                limit: MAX_LOOP_DEPTH,
+                            });
+                        }
+                        let runs = u64::from(*iterations).saturating_mul(walk(body, n, depth + 1)?);
+                        expanded = expanded.saturating_add(runs);
+                        continue;
                     }
+                };
+                if let Some(&buf) = reads.iter().chain(writes).find(|b| b.0 >= n) {
+                    return Err(ProgramError::UnknownBuffer { buf });
                 }
+                expanded = expanded.saturating_add(1);
             }
-            Ok(())
+            Ok(expanded)
         }
-        walk(&self.steps, self.buffers.len())
+        if walk(&self.steps, self.buffers.len(), 0)? > MAX_EXPANDED_STEPS {
+            return Err(ProgramError::TooManySteps {
+                limit: MAX_EXPANDED_STEPS,
+            });
+        }
+        Ok(())
     }
 
     /// The buffers a GPU kernel ever touches — the set that must exist on
     /// (or be addressable by) the device.
     #[must_use]
     pub fn gpu_buffers(&self) -> Vec<BufId> {
-        fn walk(steps: &[Step], acc: &mut Vec<BufId>) {
-            for step in steps {
-                match step {
-                    Step::Kernel {
-                        target: Target::Gpu,
-                        reads,
-                        writes,
-                        ..
-                    } => {
-                        for b in reads.iter().chain(writes) {
-                            if !acc.contains(b) {
-                                acc.push(*b);
-                            }
-                        }
+        let mut acc = Vec::new();
+        for_each_access(&self.steps, &mut |target, reads, writes| {
+            if target == Target::Gpu {
+                for &b in reads.iter().chain(writes) {
+                    if !acc.contains(&b) {
+                        acc.push(b);
                     }
-                    Step::Loop { body, .. } => walk(body, acc),
-                    _ => {}
                 }
             }
-        }
-        let mut acc = Vec::new();
-        walk(&self.steps, &mut acc);
+        });
         acc
     }
 
     /// Number of static GPU-kernel call sites (loop bodies count once).
     #[must_use]
     pub fn gpu_kernel_sites(&self) -> u32 {
-        fn walk(steps: &[Step]) -> u32 {
-            steps
-                .iter()
-                .map(|s| match s {
-                    Step::Kernel {
-                        target: Target::Gpu,
-                        ..
-                    } => 1,
-                    Step::Loop { body, .. } => walk(body),
-                    _ => 0,
-                })
-                .sum()
-        }
-        walk(&self.steps)
+        let mut sites = 0;
+        for_each_access(&self.steps, &mut |target, _, _| {
+            sites += u32::from(target == Target::Gpu);
+        });
+        sites
     }
 
     /// Looks up a buffer's name (for pretty-printing).
@@ -308,6 +322,28 @@ impl Program {
     #[must_use]
     pub fn buffer(&self, id: BufId) -> &Buffer {
         &self.buffers[id.0]
+    }
+}
+
+/// Calls `visit(target, reads, writes)` for every step in `steps` that is
+/// not a loop, in program order, walking each loop body once.
+/// Initialization and sequential code run on the CPU.
+pub(crate) fn for_each_access<'s>(
+    steps: &'s [Step],
+    visit: &mut impl FnMut(Target, &'s [BufId], &'s [BufId]),
+) {
+    for step in steps {
+        match step {
+            Step::HostInit { bufs } => visit(Target::Cpu, &[], bufs),
+            Step::Kernel {
+                target,
+                reads,
+                writes,
+                ..
+            } => visit(*target, reads, writes),
+            Step::Seq { reads, writes, .. } => visit(Target::Cpu, reads, writes),
+            Step::Loop { body, .. } => for_each_access(body, visit),
+        }
     }
 }
 
@@ -367,6 +403,43 @@ mod tests {
             body: vec![tiny().steps[0].clone()],
         });
         assert_eq!(p.validate(), Err(ProgramError::DegenerateLoop));
+    }
+
+    #[test]
+    fn nesting_and_expanded_steps_are_bounded() {
+        let leaf = tiny().steps[1].clone();
+        let nest = |levels: usize, iterations: u32| {
+            let mut steps = vec![leaf.clone()];
+            for _ in 0..levels {
+                steps = vec![Step::Loop {
+                    iterations,
+                    body: steps,
+                }];
+            }
+            Program { steps, ..tiny() }
+        };
+        assert_eq!(nest(MAX_LOOP_DEPTH, 1).validate(), Ok(()));
+        assert_eq!(
+            nest(MAX_LOOP_DEPTH + 1, 1).validate(),
+            Err(ProgramError::LoopsTooDeep {
+                limit: MAX_LOOP_DEPTH
+            })
+        );
+        // 4^8 = 65 536 steps is the limit; one more step is over it.
+        let mut p = nest(8, 4);
+        assert_eq!(p.validate(), Ok(()));
+        p.steps.push(tiny().steps[1].clone());
+        assert_eq!(
+            p.validate(),
+            Err(ProgramError::TooManySteps {
+                limit: MAX_EXPANDED_STEPS
+            })
+        );
+        // Iteration counts that overflow u64 when multiplied saturate.
+        assert!(matches!(
+            nest(3, u32::MAX).validate(),
+            Err(ProgramError::TooManySteps { .. })
+        ));
     }
 
     #[test]

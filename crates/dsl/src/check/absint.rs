@@ -11,6 +11,8 @@
 //! site, and it keeps the per-buffer state space finite so loop bodies
 //! can be interpreted with cycle detection instead of widening.
 
+use std::collections::{HashMap, HashSet};
+
 use crate::ast::Target;
 use crate::lower::Lowered;
 use crate::model::AddressSpace;
@@ -60,10 +62,15 @@ impl BufState {
     }
 }
 
+/// The open parallel section of the race scan: its GPU and its CPU kernel.
+type Pending = (Option<usize>, Option<usize>);
+
 /// Runs the abstract interpreter and the parallel-section race scan over
 /// a lowered program, returning diagnostics sorted by statement index.
 pub(super) fn check_lowered_impl(lowered: &Lowered) -> Vec<Diagnostic> {
-    let mut interp = AbsInt::new(lowered);
+    let names = collect_buffers(lowered);
+    let state = vec![BufState::new(); names.len()];
+    let mut interp = AbsInt::new(&lowered.stmts, lowered.model, names, state);
     interp.exec_span(0, lowered.stmts.len());
     interp.report_redundant_transfers();
     interp.scan_races();
@@ -74,11 +81,45 @@ pub(super) fn check_lowered_impl(lowered: &Lowered) -> Vec<Diagnostic> {
     diags
 }
 
+/// The abstract state of every buffer at one point of a lowered program,
+/// for interpreting the program a piece at a time: lowering asks it which
+/// buffers a loop's later iterations read stale.
+#[derive(Clone, Debug)]
+pub(crate) struct Interp {
+    names: Vec<String>,
+    state: Vec<BufState>,
+}
+
+impl Interp {
+    /// Every buffer of `names` in its state before the first statement.
+    pub(crate) fn new(names: Vec<String>) -> Interp {
+        let state = vec![BufState::new(); names.len()];
+        Interp { names, state }
+    }
+
+    /// Interprets `stmts` under `model` from this state, leaving it in
+    /// the state after them. Returns the findings of the interpretation
+    /// (not the redundant-transfer or race scans), with statement indices
+    /// into `stmts`.
+    pub(crate) fn run(&mut self, stmts: &[Stmt], model: AddressSpace) -> Vec<Diagnostic> {
+        let names = std::mem::take(&mut self.names);
+        let state = std::mem::take(&mut self.state);
+        let mut interp = AbsInt::new(stmts, model, names, state);
+        interp.exec_span(0, stmts.len());
+        (self.names, self.state) = (interp.names, interp.state);
+        interp.diags
+    }
+}
+
 struct AbsInt<'a> {
-    lowered: &'a Lowered,
+    stmts: &'a [Stmt],
+    model: AddressSpace,
     names: Vec<String>,
     state: Vec<BufState>,
     diags: Vec<Diagnostic>,
+    /// The (code, stmt, buffer) of every finding in `diags`: a finding is
+    /// reported once however often its statement runs.
+    reported: HashSet<(Code, usize, Option<String>)>,
     /// Per-statement: `Some(true)` iff the transfer was a no-op (both
     /// copies already valid) on *every* execution so far; `None` if the
     /// statement never executed or is not a transfer.
@@ -145,15 +186,20 @@ pub(super) fn matching_tail(stmts: &[Stmt], head: usize) -> usize {
 }
 
 impl<'a> AbsInt<'a> {
-    fn new(lowered: &'a Lowered) -> Self {
-        let names = collect_buffers(lowered);
-        let state = vec![BufState::new(); names.len()];
+    fn new(
+        stmts: &'a [Stmt],
+        model: AddressSpace,
+        names: Vec<String>,
+        state: Vec<BufState>,
+    ) -> Self {
         AbsInt {
-            lowered,
+            stmts,
+            model,
             names,
             state,
             diags: Vec::new(),
-            transfer_noop: vec![None; lowered.stmts.len()],
+            reported: HashSet::new(),
+            transfer_noop: vec![None; stmts.len()],
         }
     }
 
@@ -172,11 +218,10 @@ impl<'a> AbsInt<'a> {
         buffer: Option<&str>,
         message: String,
     ) {
-        let dup = self
-            .diags
-            .iter()
-            .any(|d| d.code == code && d.stmt == Some(stmt) && d.buffer.as_deref() == buffer);
-        if dup {
+        if !self
+            .reported
+            .insert((code, stmt, buffer.map(str::to_owned)))
+        {
             return;
         }
         self.diags.push(Diagnostic {
@@ -184,7 +229,7 @@ impl<'a> AbsInt<'a> {
             severity,
             stmt: Some(stmt),
             line: Some(render_line(stmt)),
-            source: Some(self.lowered.stmts[stmt].to_string()),
+            source: Some(self.stmts[stmt].to_string()),
             buffer: buffer.map(str::to_owned),
             message,
         });
@@ -195,8 +240,8 @@ impl<'a> AbsInt<'a> {
     fn exec_span(&mut self, start: usize, end: usize) {
         let mut i = start;
         while i < end {
-            if let Stmt::LoopHead { iterations } = self.lowered.stmts[i] {
-                let tail = matching_tail(&self.lowered.stmts, i);
+            if let Stmt::LoopHead { iterations } = self.stmts[i] {
+                let tail = matching_tail(self.stmts, i);
                 self.exec_loop(i, tail, iterations);
                 i = tail.saturating_add(1);
             } else {
@@ -232,10 +277,10 @@ impl<'a> AbsInt<'a> {
     }
 
     fn exec_stmt(&mut self, i: usize) {
-        let model = self.lowered.model;
+        let model = self.model;
         // Clone the statement so the borrow checker lets the handlers
         // take `&mut self`; statements are small.
-        let stmt = self.lowered.stmts[i].clone();
+        let stmt = self.stmts[i].clone();
         match stmt {
             Stmt::HostAlloc { .. } | Stmt::DeclDevicePtrs { .. } | Stmt::Sync => {}
             Stmt::SharedAlloc { buf, .. } => {
@@ -361,10 +406,7 @@ impl<'a> AbsInt<'a> {
     /// HM0105 lifetime checks for models with an explicit device-side
     /// allocation (disjoint, ADSM).
     fn check_device_lifetime(&mut self, i: usize, buf: &str, what: &str) {
-        if !matches!(
-            self.lowered.model,
-            AddressSpace::Disjoint | AddressSpace::Adsm
-        ) {
+        if !matches!(self.model, AddressSpace::Disjoint | AddressSpace::Adsm) {
             return;
         }
         let b = self.id(buf);
@@ -388,7 +430,7 @@ impl<'a> AbsInt<'a> {
     }
 
     fn gpu_kernel(&mut self, i: usize, name: &str, reads: &[String], writes: &[String]) {
-        let model = self.lowered.model;
+        let model = self.model;
         match model {
             AddressSpace::Unified => {}
             AddressSpace::Disjoint | AddressSpace::Adsm => {
@@ -460,7 +502,7 @@ impl<'a> AbsInt<'a> {
     }
 
     fn cpu_kernel(&mut self, i: usize, name: &str, reads: &[String], writes: &[String]) {
-        match self.lowered.model {
+        match self.model {
             AddressSpace::Unified => {}
             AddressSpace::Disjoint => {
                 for buf in reads {
@@ -508,7 +550,7 @@ impl<'a> AbsInt<'a> {
     /// becomes the truth and any device mirror goes stale until the next
     /// publish/transfer.
     fn host_write(&mut self, i: usize, buf: &str, who: &str) {
-        match self.lowered.model {
+        match self.model {
             AddressSpace::Unified => {}
             AddressSpace::Disjoint | AddressSpace::Adsm => {
                 let b = self.id(buf);
@@ -552,11 +594,11 @@ impl<'a> AbsInt<'a> {
 
     /// HM0103: transfers that were a no-op on every execution.
     fn report_redundant_transfers(&mut self) {
-        for i in 0..self.lowered.stmts.len() {
+        for i in 0..self.stmts.len() {
             if self.transfer_noop[i] != Some(true) {
                 continue;
             }
-            let (buffer, desc) = match &self.lowered.stmts[i] {
+            let (buffer, desc) = match &self.stmts[i] {
                 Stmt::MemcpyH2D { buf, .. } => (Some(buf.clone()), format!("of `{buf}`")),
                 Stmt::MemcpyD2H { buf, .. } => (Some(buf.clone()), format!("of `{buf}`")),
                 Stmt::AdsmCopyToDevice { bufs, .. } => {
@@ -586,13 +628,12 @@ impl<'a> AbsInt<'a> {
     /// objects under ADSM, and none under disjoint (each PU has its own
     /// copy).
     fn scan_races(&mut self) {
-        if self.lowered.model == AddressSpace::Disjoint {
+        if self.model == AddressSpace::Disjoint {
             return;
         }
-        let coherent: Vec<String> = match self.lowered.model {
+        let coherent: Vec<String> = match self.model {
             AddressSpace::Unified => self.names.clone(),
             AddressSpace::PartiallyShared => self
-                .lowered
                 .stmts
                 .iter()
                 .filter_map(|s| match s {
@@ -601,7 +642,6 @@ impl<'a> AbsInt<'a> {
                 })
                 .collect(),
             AddressSpace::Adsm => self
-                .lowered
                 .stmts
                 .iter()
                 .filter_map(|s| match s {
@@ -611,35 +651,45 @@ impl<'a> AbsInt<'a> {
                 .collect(),
             AddressSpace::Disjoint => Vec::new(),
         };
-        let mut pending_gpu: Option<usize> = None;
-        let mut pending_cpu: Option<usize> = None;
+        let mut walked = HashMap::new();
         self.race_walk(
             0,
-            self.lowered.stmts.len(),
+            self.stmts.len(),
             &coherent,
-            &mut pending_gpu,
-            &mut pending_cpu,
+            &mut (None, None),
+            &mut walked,
         );
     }
 
+    /// Pairs the kernels of `stmts[start..end]`; `pending` holds the open
+    /// section's GPU and CPU kernel. `walked` maps a loop head and the
+    /// `pending` it was entered with to the `pending` it left with.
     fn race_walk(
         &mut self,
         start: usize,
         end: usize,
         coherent: &[String],
-        pending_gpu: &mut Option<usize>,
-        pending_cpu: &mut Option<usize>,
+        pending: &mut Pending,
+        walked: &mut HashMap<(usize, Pending), Pending>,
     ) {
         let mut i = start;
         while i < end {
-            match &self.lowered.stmts[i] {
+            match &self.stmts[i] {
                 Stmt::LoopHead { .. } => {
-                    let tail = matching_tail(&self.lowered.stmts, i);
+                    let tail = matching_tail(self.stmts, i);
                     // Walk the body twice so tail-to-head pairings across
                     // the loop's back edge are seen; the diagnostic dedup
-                    // collapses the repeats.
-                    self.race_walk(i + 1, tail, coherent, pending_gpu, pending_cpu);
-                    self.race_walk(i + 1, tail, coherent, pending_gpu, pending_cpu);
+                    // collapses the repeats. A loop entered again with the
+                    // same `pending` finds nothing new, so nested loops
+                    // cost a few walks each, not two per enclosing level.
+                    let entry = (i, *pending);
+                    if let Some(&exit) = walked.get(&entry) {
+                        *pending = exit;
+                    } else {
+                        self.race_walk(i + 1, tail, coherent, pending, walked);
+                        self.race_walk(i + 1, tail, coherent, pending, walked);
+                        walked.insert(entry, *pending);
+                    }
                     i = tail.saturating_add(1);
                     continue;
                 }
@@ -647,13 +697,13 @@ impl<'a> AbsInt<'a> {
                     target: Target::Gpu,
                     ..
                 } => {
-                    if pending_gpu.is_some() {
+                    if pending.0.is_some() {
                         // Back-to-back GPU launches close the section.
-                        *pending_gpu = None;
-                        *pending_cpu = None;
+                        pending.0 = None;
+                        pending.1 = None;
                     }
-                    *pending_gpu = Some(i);
-                    if let Some(c) = *pending_cpu {
+                    pending.0 = Some(i);
+                    if let Some(c) = pending.1 {
                         self.race_pair(i, c, coherent);
                     }
                 }
@@ -662,12 +712,12 @@ impl<'a> AbsInt<'a> {
                     parallel: true,
                     ..
                 } => {
-                    if pending_cpu.is_some() {
-                        *pending_gpu = None;
-                        *pending_cpu = None;
+                    if pending.1.is_some() {
+                        pending.0 = None;
+                        pending.1 = None;
                     }
-                    *pending_cpu = Some(i);
-                    if let Some(g) = *pending_gpu {
+                    pending.1 = Some(i);
+                    if let Some(g) = pending.0 {
                         self.race_pair(g, i, coherent);
                     }
                 }
@@ -679,8 +729,8 @@ impl<'a> AbsInt<'a> {
                 | Stmt::InitCode { .. } => {
                     // Sequential host code closes any open parallel
                     // section (the generator emits a join first).
-                    *pending_gpu = None;
-                    *pending_cpu = None;
+                    pending.0 = None;
+                    pending.1 = None;
                 }
                 _ => {}
             }
@@ -691,8 +741,8 @@ impl<'a> AbsInt<'a> {
     /// Reports HM0106 for every coherent buffer the paired kernels share
     /// with at least one writer.
     fn race_pair(&mut self, gpu: usize, cpu: usize, coherent: &[String]) {
-        let (g_name, g_reads, g_writes) = kernel_parts(&self.lowered.stmts[gpu]);
-        let (c_name, c_reads, c_writes) = kernel_parts(&self.lowered.stmts[cpu]);
+        let (g_name, g_reads, g_writes) = kernel_parts(&self.stmts[gpu]);
+        let (c_name, c_reads, c_writes) = kernel_parts(&self.stmts[cpu]);
         let anchor = gpu.max(cpu);
         for buf in coherent {
             let g_touches = g_reads.contains(buf) || g_writes.contains(buf);

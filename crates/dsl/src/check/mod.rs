@@ -22,6 +22,7 @@ mod absint;
 mod diag;
 mod oracle;
 
+pub(crate) use absint::Interp;
 pub use diag::{Code, Diagnostic, Severity};
 pub use oracle::{run_oracle, OracleReport};
 
@@ -153,14 +154,10 @@ fn visit_facts(steps: &[Step], idx: &mut usize, facts: &mut [BufFacts]) {
             Step::HostInit { bufs } => record(facts, &[], bufs, current, false),
             Step::Kernel { reads, writes, .. } => record(facts, reads, writes, current, true),
             Step::Seq { reads, writes, .. } => record(facts, reads, writes, current, false),
-            Step::Loop { body, .. } => {
-                // Loop bodies execute repeatedly: a read in the body may
-                // observe a write later in the same body (back edge), so
-                // walk the body twice for the ordering facts.
-                visit_facts(body, idx, facts);
-                let mut idx2 = current + 1;
-                visit_facts(body, &mut idx2, facts);
-            }
+            // Each fact is set by the first or the last access in program
+            // order, so walking a body again would change none of them:
+            // one walk per body keeps the lints linear in nesting depth.
+            Step::Loop { body, .. } => visit_facts(body, idx, facts),
         }
     }
 }

@@ -17,12 +17,17 @@
 //!   copy-back: the CPU addresses the shared space directly), one grouped
 //!   free line, and a final synchronization.
 //!
-//! A per-buffer location analysis decides where transfers are needed; loop
-//! bodies are walked once, so statements inside loops count once toward the
-//! static source-line metric (Table V) while expanding per iteration during
-//! code generation.
+//! A forward per-buffer location analysis decides where transfers are
+//! needed; loop bodies are walked once, so statements inside loops count
+//! once toward the static source-line metric (Table V) while expanding per
+//! iteration during code generation. Transfers a loop needs only from its
+//! second iteration on are the checker's: after a body is emitted, the
+//! abstract interpreter of [`crate::check`](mod@crate::check) runs the loop
+//! from the state at its head, and every buffer it finds read stale
+//! (HM0101/HM0102) gets an end-of-body transfer.
 
-use crate::ast::{BufId, Program, Step, Target};
+use crate::ast::{for_each_access, BufId, Program, Step, Target};
+use crate::check::{Code, Interp};
 use crate::model::AddressSpace;
 use crate::stmt::Stmt;
 
@@ -54,6 +59,25 @@ enum Loc {
     Both,
 }
 
+/// The buffers the steps on `side` read and write anywhere in `steps`,
+/// each list in first-touch order.
+fn accesses_in(steps: &[Step], side: Target) -> (Vec<BufId>, Vec<BufId>) {
+    let (mut read, mut written) = (Vec::new(), Vec::new());
+    for_each_access(steps, &mut |target, reads, writes| {
+        if target != side {
+            return;
+        }
+        for (acc, bufs) in [(&mut read, reads), (&mut written, writes)] {
+            for &b in bufs {
+                if !acc.contains(&b) {
+                    acc.push(b);
+                }
+            }
+        }
+    });
+    (read, written)
+}
+
 struct LowerCtx<'p> {
     program: &'p Program,
     model: AddressSpace,
@@ -63,6 +87,13 @@ struct LowerCtx<'p> {
     loc: Vec<Loc>,
     /// ADSM: host has written this shared buffer since its last copy-in.
     host_dirty: Vec<bool>,
+    /// The checker's state at the end of `out[..checked]`, where the
+    /// bodies of open loops run once.
+    checker: Interp,
+    checked: usize,
+    /// The checker's state at the head of each loop being emitted,
+    /// outermost first.
+    open_loops: Vec<Interp>,
     out: Vec<Stmt>,
 }
 
@@ -269,108 +300,9 @@ impl LowerCtx<'_> {
         }
     }
 
-    /// Buffers written by host-side steps (init, CPU kernels, sequential
-    /// code) anywhere in `steps`, recursively.
-    fn host_written_in(steps: &[Step], acc: &mut Vec<BufId>) {
-        for step in steps {
-            let writes: &[BufId] = match step {
-                Step::HostInit { bufs } => bufs,
-                Step::Kernel {
-                    target: Target::Cpu,
-                    writes,
-                    ..
-                } => writes,
-                Step::Seq { writes, .. } => writes,
-                Step::Loop { body, .. } => {
-                    LowerCtx::host_written_in(body, acc);
-                    &[]
-                }
-                Step::Kernel {
-                    target: Target::Gpu,
-                    ..
-                } => &[],
-            };
-            for &b in writes {
-                if !acc.contains(&b) {
-                    acc.push(b);
-                }
-            }
-        }
-    }
-
-    /// Buffers read by GPU kernels anywhere in `steps`, recursively, in
-    /// first-read order.
-    fn gpu_read_in(steps: &[Step], acc: &mut Vec<BufId>) {
-        for step in steps {
-            match step {
-                Step::Kernel {
-                    target: Target::Gpu,
-                    reads,
-                    ..
-                } => {
-                    for &b in reads {
-                        if !acc.contains(&b) {
-                            acc.push(b);
-                        }
-                    }
-                }
-                Step::Loop { body, .. } => LowerCtx::gpu_read_in(body, acc),
-                _ => {}
-            }
-        }
-    }
-
-    /// Buffers read by host-side steps (CPU kernels, sequential code)
-    /// anywhere in `steps`, recursively.
-    fn host_read_in(steps: &[Step], acc: &mut Vec<BufId>) {
-        for step in steps {
-            let reads: &[BufId] = match step {
-                Step::Kernel {
-                    target: Target::Cpu,
-                    reads,
-                    ..
-                } => reads,
-                Step::Seq { reads, .. } => reads,
-                Step::Loop { body, .. } => {
-                    LowerCtx::host_read_in(body, acc);
-                    &[]
-                }
-                _ => &[],
-            };
-            for &b in reads {
-                if !acc.contains(&b) {
-                    acc.push(b);
-                }
-            }
-        }
-    }
-
-    /// Buffers written by GPU kernels anywhere in `steps`, recursively.
-    fn gpu_written_in(steps: &[Step], acc: &mut Vec<BufId>) {
-        for step in steps {
-            match step {
-                Step::Kernel {
-                    target: Target::Gpu,
-                    writes,
-                    ..
-                } => {
-                    for &b in writes {
-                        if !acc.contains(&b) {
-                            acc.push(b);
-                        }
-                    }
-                }
-                Step::Loop { body, .. } => LowerCtx::gpu_written_in(body, acc),
-                _ => {}
-            }
-        }
-    }
-
     fn hoist_loop_invariant_inputs(&mut self, body: &[Step]) {
-        let mut host_written = Vec::new();
-        LowerCtx::host_written_in(body, &mut host_written);
-        let mut gpu_reads = Vec::new();
-        LowerCtx::gpu_read_in(body, &mut gpu_reads);
+        let (_, host_written) = accesses_in(body, Target::Cpu);
+        let (gpu_reads, _) = accesses_in(body, Target::Gpu);
         let invariant: Vec<BufId> = gpu_reads
             .into_iter()
             .filter(|b| !host_written.contains(b))
@@ -416,10 +348,8 @@ impl LowerCtx<'_> {
         if self.model != AddressSpace::Disjoint {
             return;
         }
-        let mut host_read = Vec::new();
-        LowerCtx::host_read_in(body, &mut host_read);
-        let mut gpu_written = Vec::new();
-        LowerCtx::gpu_written_in(body, &mut gpu_written);
+        let (host_read, _) = accesses_in(body, Target::Cpu);
+        let (_, gpu_written) = accesses_in(body, Target::Gpu);
         for b in host_read {
             if !gpu_written.contains(&b) && self.loc[b.0] == Loc::DeviceOnly {
                 self.out.push(Stmt::MemcpyD2H {
@@ -431,207 +361,69 @@ impl LowerCtx<'_> {
         }
     }
 
-    fn buf_id(&self, name: &str) -> BufId {
-        BufId(
-            self.program
-                .buffers
-                .iter()
-                .position(|b| b.name == name)
-                .expect("lowered statement names a program buffer"),
-        )
+    /// Runs the checker over the statements emitted since it last ran.
+    fn advance_checker(&mut self) {
+        self.checker.run(&self.out[self.checked..], self.model);
+        self.checked = self.out.len();
     }
 
-    /// Simulates one further pass over the just-emitted loop-body statements
-    /// `self.out[body_start..]` starting from the end-of-first-iteration
-    /// state, recording buffers whose reads (or transfer sources) would be
-    /// stale. `LoopHead`/`LoopTail` spans of nested loops are walked twice
-    /// so their own back edges are covered.
-    fn stale_in_body_pass(&self, body_start: usize, stale: &mut Vec<BufId>) {
-        let n = self.program.buffers.len();
-        // Freshness seeded from the first-iteration exit state: the walk's
-        // location labels are exact for iteration one, which is also the
-        // state every later iteration re-enters the body with (fix-ups
-        // appended by the caller keep this invariant).
-        let mut host_fresh = vec![true; n];
-        let mut dev_fresh = vec![true; n];
-        if self.model == AddressSpace::Disjoint {
-            for (i, l) in self.loc.iter().enumerate() {
-                host_fresh[i] = *l != Loc::DeviceOnly;
-                dev_fresh[i] = *l != Loc::HostOnly;
-            }
-        } else if self.model == AddressSpace::Adsm {
-            // The host shadow is always addressable; the device copy is
-            // behind (stale) exactly when the host has unpublished writes.
-            for (i, d) in self.host_dirty.iter().enumerate() {
-                dev_fresh[i] = !d;
-            }
-        }
-        let stmts = &self.out[body_start..];
-        // Walk linearly; then re-walk each nested-loop span once for its
-        // back edge (nested loops were already normalized as they were
-        // built, so one extra pass reaches their steady state).
-        let mut nested: Vec<std::ops::Range<usize>> = Vec::new();
-        let mut depth = 0usize;
-        let mut start = 0usize;
-        for (i, stmt) in stmts.iter().enumerate() {
-            match stmt {
-                Stmt::LoopHead { .. } => {
-                    if depth == 0 {
-                        start = i + 1;
-                    }
-                    depth += 1;
-                }
-                Stmt::LoopTail => {
-                    depth -= 1;
-                    if depth == 0 {
-                        nested.push(start..i);
-                    }
-                }
-                _ => {}
-            }
-        }
-        self.sim_stmts(stmts, &mut host_fresh, &mut dev_fresh, stale);
-        for span in nested {
-            self.sim_stmts(&stmts[span], &mut host_fresh, &mut dev_fresh, stale);
-        }
+    /// The buffers the checker finds read stale (HM0101/HM0102) in the
+    /// body of the innermost open loop, whose head is `self.out[head]`,
+    /// in id order. The loop is closed and run from the checker's state
+    /// at its head, where the bodies of the loops around it ran once.
+    fn stale_in_body(&self, head: usize) -> Vec<BufId> {
+        let mut stmts = self.out[head..].to_vec();
+        stmts.push(Stmt::LoopTail);
+        let mut at_head = self.open_loops.last().expect("inside a loop").clone();
+        let findings = at_head.run(&stmts, self.model);
+        let stale = |name: &str| {
+            findings.iter().any(|d| {
+                matches!(d.code, Code::StaleRead | Code::MissingTransferBack)
+                    && d.buffer.as_deref() == Some(name)
+            })
+        };
+        (0..self.program.buffers.len())
+            .map(BufId)
+            .filter(|&b| stale(&self.program.buffer(b).name))
+            .collect()
     }
 
-    /// One linear pass of the freshness simulation behind
-    /// [`Self::stale_in_body_pass`].
-    fn sim_stmts(
-        &self,
-        stmts: &[Stmt],
-        host_fresh: &mut [bool],
-        dev_fresh: &mut [bool],
-        stale: &mut Vec<BufId>,
-    ) {
-        fn mark(b: BufId, stale: &mut Vec<BufId>) {
-            if !stale.contains(&b) {
-                stale.push(b);
-            }
-        }
-        for stmt in stmts {
-            match stmt {
-                Stmt::MemcpyH2D { buf, .. } => {
-                    let b = self.buf_id(buf);
-                    if !host_fresh[b.0] {
-                        mark(b, stale);
-                    }
-                    dev_fresh[b.0] = host_fresh[b.0];
-                }
-                Stmt::MemcpyD2H { buf, .. } => {
-                    let b = self.buf_id(buf);
-                    if !dev_fresh[b.0] {
-                        mark(b, stale);
-                    }
-                    host_fresh[b.0] = dev_fresh[b.0];
-                }
-                Stmt::AdsmCopyToDevice { bufs, .. } => {
-                    // The ADSM runtime publishes only buffers with pending
-                    // host writes, so the copy never clobbers device data.
-                    for name in bufs {
-                        let b = self.buf_id(name);
-                        dev_fresh[b.0] = true;
-                    }
-                }
-                Stmt::KernelCall {
-                    target: Target::Gpu,
-                    reads,
-                    writes,
-                    ..
-                } => {
-                    for name in reads {
-                        let b = self.buf_id(name);
-                        if !dev_fresh[b.0] {
-                            mark(b, stale);
-                        }
-                    }
-                    for name in writes {
-                        let b = self.buf_id(name);
-                        dev_fresh[b.0] = true;
-                        // Outside the disjoint space the CPU addresses
-                        // device results directly, so its view stays fresh.
-                        host_fresh[b.0] = self.model != AddressSpace::Disjoint;
-                    }
-                }
-                Stmt::KernelCall {
-                    target: Target::Cpu,
-                    reads,
-                    writes,
-                    ..
-                } => {
-                    for name in reads {
-                        let b = self.buf_id(name);
-                        if !host_fresh[b.0] {
-                            mark(b, stale);
-                        }
-                    }
-                    for name in writes {
-                        let b = self.buf_id(name);
-                        host_fresh[b.0] = true;
-                        dev_fresh[b.0] = false;
-                    }
-                }
-                Stmt::InitCode { bufs, .. } => {
-                    for name in bufs {
-                        let b = self.buf_id(name);
-                        host_fresh[b.0] = true;
-                        dev_fresh[b.0] = false;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Appends end-of-body transfers for buffers a second iteration would
-    /// read stale — the loop-carried cases a single location-analysis pass
-    /// over the body cannot see (e.g. a host read early in the body of a
-    /// buffer a GPU kernel re-writes later in the same body).
-    fn normalize_loop_body(&mut self, body_start: usize) {
+    /// Appends end-of-body transfers for the buffers a later iteration of
+    /// the innermost open loop reads stale — the loop-carried cases the
+    /// forward location analysis cannot see (e.g. a host read early in
+    /// the body of a buffer a GPU kernel re-writes later in it). The
+    /// checker finds them; the side fresh at the end of the body is the
+    /// copy source.
+    fn normalize_loop_body(&mut self, head: usize) {
         if !matches!(self.model, AddressSpace::Disjoint | AddressSpace::Adsm) {
             return;
         }
-        // Each fix-up makes one more buffer fresh-on-entry, so a couple of
+        // Each fix-up makes one more buffer fresh on entry, so a couple of
         // rounds always converge; the bound is just a safety net.
         for _ in 0..=self.program.buffers.len() {
-            let mut stale = Vec::new();
-            self.stale_in_body_pass(body_start, &mut stale);
+            let stale = self.stale_in_body(head);
             if stale.is_empty() {
                 return;
             }
-            stale.sort_unstable();
-            match self.model {
-                AddressSpace::Disjoint => {
-                    for b in stale {
-                        match self.loc[b.0] {
-                            // The side that is fresh at body end is the
-                            // copy-source; afterwards both sides are valid
-                            // on every re-entry.
-                            Loc::DeviceOnly => self.out.push(Stmt::MemcpyD2H {
-                                buf: self.name(b),
-                                bytes: self.program.buffer(b).bytes,
-                            }),
-                            Loc::HostOnly => self.out.push(Stmt::MemcpyH2D {
-                                buf: self.name(b),
-                                bytes: self.program.buffer(b).bytes,
-                            }),
-                            Loc::Both => unreachable!("both-fresh buffers cannot go stale"),
-                        }
-                        self.loc[b.0] = Loc::Both;
-                    }
+            if self.model == AddressSpace::Adsm {
+                let bytes = stale.iter().map(|&b| self.program.buffer(b).bytes).sum();
+                self.out.push(Stmt::AdsmCopyToDevice {
+                    bufs: self.names(&stale),
+                    bytes,
+                });
+                for b in stale {
+                    self.host_dirty[b.0] = false;
                 }
-                AddressSpace::Adsm => {
-                    let bytes = stale.iter().map(|&b| self.program.buffer(b).bytes).sum();
-                    self.out.push(Stmt::AdsmCopyToDevice {
-                        bufs: self.names(&stale),
-                        bytes,
-                    });
-                    for b in stale {
-                        self.host_dirty[b.0] = false;
-                    }
-                }
-                _ => unreachable!(),
+                continue;
+            }
+            for b in stale {
+                let (buf, bytes) = (self.name(b), self.program.buffer(b).bytes);
+                self.out.push(if self.loc[b.0] == Loc::HostOnly {
+                    Stmt::MemcpyH2D { buf, bytes }
+                } else {
+                    Stmt::MemcpyD2H { buf, bytes }
+                });
+                self.loc[b.0] = Loc::Both;
             }
         }
     }
@@ -708,17 +500,26 @@ impl LowerCtx<'_> {
                     // counts assume).
                     self.hoist_loop_invariant_inputs(body);
                     self.hoist_loop_invariant_outputs(body);
+                    self.advance_checker();
+                    self.open_loops.push(self.checker.clone());
+                    let head = self.out.len();
                     self.out.push(Stmt::LoopHead {
                         iterations: *iterations,
                     });
-                    let body_start = self.out.len();
+                    // The checker skips the head: until the loop closes,
+                    // its body runs once.
+                    self.checked = self.out.len();
                     self.walk(body);
-                    // Single-pass location analysis is exact for iteration
+                    // The forward location analysis is exact for iteration
                     // one; patch up what later iterations would read stale.
                     if *iterations > 1 {
-                        self.normalize_loop_body(body_start);
+                        self.normalize_loop_body(head);
                     }
                     self.out.push(Stmt::LoopTail);
+                    // Rewind the checker to the head, so that it next runs
+                    // the closed loop in full.
+                    self.checker = self.open_loops.pop().expect("pushed above");
+                    self.checked = head;
                 }
             }
         }
@@ -743,6 +544,9 @@ pub fn lower(program: &Program, model: AddressSpace) -> Lowered {
         gpu_bufs: program.gpu_buffers(),
         loc: vec![Loc::HostOnly; n],
         host_dirty: vec![false; n],
+        checker: Interp::new(program.buffers.iter().map(|b| b.name.clone()).collect()),
+        checked: 0,
+        open_loops: Vec::new(),
         out: Vec::new(),
     };
     ctx.prologue();
@@ -990,6 +794,26 @@ mod tests {
             .iter()
             .any(|s| matches!(s, Stmt::AdsmCopyToDevice { .. }));
         assert!(publish_in_body, "body-end publish missing: {:?}", l.stmts);
+    }
+
+    #[test]
+    fn sibling_inner_loops_keep_the_copy_back_between_them() {
+        // The copy-back hoisted between the inner loops serves every outer
+        // iteration, so the outer body needs no fix-up of its own.
+        let p = crate::parse_program(
+            "program p2 { compute 8; buffer a: 64; init a; loop 2 { \
+             loop 2 { gpu produce(write a); } loop 2 { cpu consume(read a); } } }",
+        )
+        .expect("parses");
+        let dis = lower(&p, AddressSpace::Disjoint);
+        let d2h: Vec<usize> = (0..dis.stmts.len())
+            .filter(|&i| matches!(dis.stmts[i], Stmt::MemcpyD2H { .. }))
+            .collect();
+        assert_eq!(d2h.len(), 1, "{:?}", dis.stmts);
+        assert!(matches!(dis.stmts[d2h[0] - 1], Stmt::LoopTail));
+        assert!(matches!(dis.stmts[d2h[0] + 1], Stmt::LoopHead { .. }));
+        assert_eq!(dis.comm_overhead_lines(), 5);
+        assert_eq!(lower(&p, AddressSpace::Adsm).comm_overhead_lines(), 3);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //!
 //! Comments run from `//` to end of line. Errors carry line and column.
 
-use crate::ast::{AccessMode, BufId, Buffer, Program, Step, Target};
+use crate::ast::{AccessMode, BufId, Buffer, Program, ProgramError, Step, Target, MAX_LOOP_DEPTH};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -263,6 +263,8 @@ struct Parser {
     idx: usize,
     buffers: Vec<Buffer>,
     by_name: HashMap<String, BufId>,
+    /// How many loop bodies enclose the step being parsed.
+    depth: usize,
 }
 
 impl Parser {
@@ -410,6 +412,11 @@ impl Parser {
                 })
             }
             "loop" => {
+                // Reject deep nesting here, before recursing into the body.
+                if self.depth == MAX_LOOP_DEPTH {
+                    let limit = MAX_LOOP_DEPTH;
+                    return self.err(pos, ProgramError::LoopsTooDeep { limit }.to_string());
+                }
                 let (iterations, ipos) = self.expect_int()?;
                 let iterations = u32::try_from(iterations).map_err(|_| ParseError {
                     pos: ipos,
@@ -417,6 +424,7 @@ impl Parser {
                 })?;
                 self.expect(&Tok::LBrace)?;
                 let mut body = Vec::new();
+                self.depth += 1;
                 while self.peek().0 != Tok::RBrace {
                     if self.peek().0 == Tok::Eof {
                         let pos = self.peek().1;
@@ -424,6 +432,7 @@ impl Parser {
                     }
                     body.push(self.step()?);
                 }
+                self.depth -= 1;
                 self.expect(&Tok::RBrace)?;
                 Ok(Step::Loop { iterations, body })
             }
@@ -459,6 +468,7 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
         idx: 0,
         buffers: Vec::new(),
         by_name: HashMap::new(),
+        depth: 0,
     };
 
     p.expect_keyword("program")?;
@@ -772,6 +782,25 @@ mod tests {
         let err = parse_program("program p { buffer x: 99999999999999999999999999; }")
             .expect_err("overflow");
         assert!(err.message.contains("overflows"), "{err}");
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_rejected_at_its_loop() {
+        let nest = |levels: usize| {
+            format!(
+                "program p {{ buffer a: 8; init a;\n{}gpu k(write a);{} }}",
+                "loop 1 {\n".repeat(levels),
+                "}".repeat(levels)
+            )
+        };
+        parse_program(&nest(MAX_LOOP_DEPTH)).expect("at the limit");
+        let err = parse_program(&nest(MAX_LOOP_DEPTH + 1)).expect_err("too deep");
+        assert_eq!(err.pos, Pos { line: 18, col: 1 }, "{err}");
+        assert!(err.message.contains("limit of 16 levels"), "{err}");
+        // Far past the limit, the parser stops at the same loop instead of
+        // recursing once per level.
+        let deep = parse_program(&nest(20_000)).expect_err("too deep");
+        assert_eq!(deep.pos, err.pos);
     }
 
     #[test]

@@ -134,8 +134,12 @@ pub struct SearchStats {
     pub jobs_submitted: usize,
     /// Jobs answered by the sweep cache.
     pub cache_hits: u64,
-    /// Jobs actually simulated.
+    /// Jobs computed live: simulated, or replayed from another job of
+    /// the same (kernel, scale) in their batch.
     pub live_executions: u64,
+    /// Live jobs whose compute was replayed rather than simulated, so
+    /// `live_executions - replayed` counts the simulations run.
+    pub replayed: u64,
     /// The configured budget.
     pub budget: usize,
     /// Jobs an exhaustive sweep of the space would submit.
@@ -147,13 +151,14 @@ impl std::fmt::Display for SearchStats {
         write!(
             f,
             "{} candidates in {} rounds, {} of {} exhaustive jobs submitted \
-             ({} cache hits, {} live), budget {}",
+             ({} cache hits, {} live, {} replayed), budget {}",
             self.evaluations,
             self.rounds,
             self.jobs_submitted,
             self.exhaustive_jobs,
             self.cache_hits,
             self.live_executions,
+            self.replayed,
             self.budget
         )
     }
@@ -314,6 +319,7 @@ pub fn run_search(
         stats.jobs_submitted += jobs.len();
         stats.cache_hits += out.stats.cache_hits;
         stats.live_executions += out.stats.cache_misses;
+        stats.replayed += out.stats.replayed;
 
         for (i, &candidate) in batch.iter().enumerate() {
             let records = &out.records[i * cost..(i + 1) * cost];

@@ -337,15 +337,11 @@ pub fn run_sweep_request(
         .dispatcher(dispatcher)
         .build();
     let out = run_jobs(&req.spec.expand(), &config, &opts).map_err(|e| e.to_string())?;
-    for _ in 0..out.stats.cache_hits {
-        metrics.bump(&metrics.cache_hits);
-    }
-    for _ in 0..out.stats.cache_misses {
-        metrics.bump(&metrics.cache_misses);
-    }
-    metrics
-        .replayed
-        .fetch_add(out.stats.replayed, Ordering::Relaxed);
+    metrics.absorb_jobs(
+        out.stats.cache_hits,
+        out.stats.cache_misses,
+        out.stats.replayed,
+    );
     let body = Json::obj(vec![
         (
             "records",
@@ -394,15 +390,11 @@ pub fn run_sweep_part(
         .mode(part.mode)
         .build();
     let out = run_jobs(&part.jobs, &part.config, &opts).map_err(|e| e.to_string())?;
-    metrics
-        .cache_hits
-        .fetch_add(out.stats.cache_hits, Ordering::Relaxed);
-    metrics
-        .cache_misses
-        .fetch_add(out.stats.cache_misses, Ordering::Relaxed);
-    metrics
-        .replayed
-        .fetch_add(out.stats.replayed, Ordering::Relaxed);
+    metrics.absorb_jobs(
+        out.stats.cache_hits,
+        out.stats.cache_misses,
+        out.stats.replayed,
+    );
     Ok(render_part_records(&out.records))
 }
 
@@ -541,12 +533,11 @@ pub fn run_search_request(
         dispatcher,
     };
     let result = run_search(&req.config, opts).map_err(|e| e.to_string())?;
-    metrics
-        .cache_hits
-        .fetch_add(result.stats.cache_hits, Ordering::Relaxed);
-    metrics
-        .cache_misses
-        .fetch_add(result.stats.live_executions, Ordering::Relaxed);
+    metrics.absorb_jobs(
+        result.stats.cache_hits,
+        result.stats.live_executions,
+        result.stats.replayed,
+    );
     metrics.bump(&metrics.searches_completed);
     metrics
         .search_evaluations
@@ -1074,6 +1065,34 @@ mod tests {
         )
         .expect("runs");
         assert_eq!(cold, warm);
+    }
+
+    #[test]
+    fn a_cold_search_folds_its_replays_into_the_metrics() {
+        // Both candidates share the (reduction, 512) trace, so their one
+        // batch simulates it once and replays the other job.
+        let body = "{\"kernels\":[\"reduction\"],\"systems\":[\"fusion\",\"cuda\"],\
+                    \"spaces\":[],\"scales\":[512],\"budget\":2,\"strategy\":\"random\"}";
+        let req = parse_search_request(body).expect("parses");
+        let own = run_search(&req.config, SearchOptions::with_workers(1))
+            .expect("runs")
+            .stats;
+        assert!(own.replayed > 0, "{own}");
+        let metrics = Metrics::default();
+        run_search_request(
+            &req,
+            None,
+            Arc::new(AtomicBool::new(false)),
+            &metrics,
+            None,
+            None,
+        )
+        .expect("runs");
+        assert_eq!(metrics.replayed.load(Ordering::Relaxed), own.replayed);
+        assert_eq!(
+            metrics.cache_misses.load(Ordering::Relaxed),
+            own.live_executions
+        );
     }
 
     #[test]

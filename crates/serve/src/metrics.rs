@@ -96,8 +96,8 @@ pub struct Metrics {
     pub cache_hits: AtomicU64,
     /// Sim answers that required a live simulation.
     pub cache_misses: AtomicU64,
-    /// Live sweep jobs whose compute was replayed from another job of
-    /// the same (kernel, scale) rather than simulated, so
+    /// Live sweep and search jobs whose compute was replayed from another
+    /// job of the same (kernel, scale) rather than simulated, so
     /// `cache_misses - replayed` counts the compute simulations run.
     pub replayed: AtomicU64,
     /// Guided searches run to completion.
@@ -124,6 +124,14 @@ impl Metrics {
     /// Bumps a counter by one.
     pub fn bump(&self, counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Folds one engine run's job counts: jobs answered by the cache, jobs
+    /// computed live, and the live jobs whose compute was replayed.
+    pub fn absorb_jobs(&self, cache_hits: u64, cache_misses: u64, replayed: u64) {
+        self.cache_hits.fetch_add(cache_hits, Ordering::Relaxed);
+        self.cache_misses.fetch_add(cache_misses, Ordering::Relaxed);
+        self.replayed.fetch_add(replayed, Ordering::Relaxed);
     }
 
     /// Folds one live run's event counts into the aggregate.

@@ -11,8 +11,8 @@
 //! communication line (both non-empty in the same places).
 //!
 //! A property harness then drives `lower()` itself through ~200 random
-//! programs and holds its output to the checker-clean contract under all
-//! four address-space models.
+//! programs, nested loops included, and holds its output to the
+//! checker-clean contract under all four address-space models.
 
 use hetmem_dsl::{
     check_lowered, fix_lowered, lower, parse_program, programs, run_oracle, write_program,
@@ -153,17 +153,27 @@ impl Rng {
 
 /// A random well-formed program with every buffer host-initialized up
 /// front (uninitialized reads are the HM0002 lint's business, not the
-/// staleness checker's) and optional single-level loops.
+/// staleness checker's), steps that read and write one or two buffers,
+/// and loops nested up to three deep.
 fn arb_checked_program(rng: &mut Rng) -> Program {
     let n = rng.usize_range(2, 5);
     let buffers: Vec<Buffer> = (0..n)
         .map(|i| Buffer::new(format!("b{i}"), 64 * (i as u64 + 1)))
         .collect();
 
+    fn some_buffers(rng: &mut Rng, n: usize) -> Vec<BufId> {
+        let mut ids = vec![BufId(rng.usize_range(0, n))];
+        let other = BufId(rng.usize_range(0, n));
+        if rng.range(0, 3) == 0 && !ids.contains(&other) {
+            ids.push(other);
+        }
+        ids
+    }
+
     fn kernel(rng: &mut Rng, n: usize, tag: usize) -> Step {
         let gpu = rng.bool();
-        let reads = vec![BufId(rng.usize_range(0, n))];
-        let writes = vec![BufId(rng.usize_range(0, n))];
+        let reads = some_buffers(rng, n);
+        let writes = some_buffers(rng, n);
         if gpu {
             Step::Kernel {
                 target: Target::Gpu,
@@ -189,23 +199,31 @@ fn arb_checked_program(rng: &mut Rng) -> Program {
         }
     }
 
-    let mut steps = vec![Step::HostInit {
+    /// `count` steps, of which about one in four is a loop while fewer
+    /// than `depth` loops enclose them.
+    fn steps(rng: &mut Rng, n: usize, depth: usize, tag: &mut usize, count: usize) -> Vec<Step> {
+        (0..count)
+            .map(|_| {
+                *tag += 1;
+                if depth > 0 && rng.range(0, 4) == 0 {
+                    let iterations = rng.range(1, 5) as u32;
+                    let body_len = rng.usize_range(1, 4);
+                    let body = steps(rng, n, depth - 1, tag, body_len);
+                    Step::Loop { iterations, body }
+                } else {
+                    kernel(rng, n, *tag)
+                }
+            })
+            .collect()
+    }
+
+    let mut all = vec![Step::HostInit {
         bufs: (0..n).map(BufId).collect(),
     }];
+    let depth = rng.usize_range(1, 4);
     let count = rng.usize_range(1, 7);
-    for tag in 0..count {
-        if rng.range(0, 4) == 0 {
-            let iterations = rng.range(1, 5) as u32;
-            let body_len = rng.usize_range(1, 4);
-            let body = (0..body_len)
-                .map(|j| kernel(rng, n, 10 * tag + j))
-                .collect();
-            steps.push(Step::Loop { iterations, body });
-        } else {
-            steps.push(kernel(rng, n, tag));
-        }
-    }
-    steps.push(Step::Seq {
+    all.extend(steps(rng, n, depth, &mut 0, count));
+    all.push(Step::Seq {
         name: "finish".into(),
         reads: vec![BufId(0)],
         writes: vec![],
@@ -213,7 +231,7 @@ fn arb_checked_program(rng: &mut Rng) -> Program {
     Program {
         name: "random".into(),
         buffers,
-        steps,
+        steps: all,
         compute_lines: 8,
     }
 }

@@ -502,6 +502,71 @@ fn malformed_inputs_produce_diagnostics_not_panics() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("parse error"));
 }
 
+#[test]
+fn sibling_inner_loops_lower_check_and_fix_under_every_model() {
+    let dir = std::env::temp_dir().join("hetmem-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("p2.hdsl");
+    std::fs::write(
+        &path,
+        "program p2 { compute 8; buffer a: 64; init a;\n  \
+         loop 2 { loop 2 { gpu produce(write a); } loop 2 { cpu consume(read a); } } }\n",
+    )
+    .expect("write source");
+    let p = path.to_str().expect("utf8 path");
+    let loc = hetmem(&["loc", p]);
+    assert_eq!(loc.status.code(), Some(0), "{loc:?}");
+    for model in ["uni", "pas", "dis", "adsm"] {
+        for args in [
+            vec!["check", p, "--model", model],
+            vec!["fix", p, "--model", model],
+            vec!["lower", p, model],
+        ] {
+            let out = hetmem(&args);
+            assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+        }
+    }
+}
+
+#[test]
+fn oversized_programs_are_rejected_with_the_limit_named() {
+    let dir = std::env::temp_dir().join("hetmem-cli-test");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+
+    let deep = dir.join("deep.hdsl");
+    let levels = 20_000;
+    std::fs::write(
+        &deep,
+        format!(
+            "program deep {{ compute 1; buffer a: 8; init a;\n{}gpu k(write a);\n{}}}\n",
+            "loop 2 {\n".repeat(levels),
+            "}\n".repeat(levels)
+        ),
+    )
+    .expect("write source");
+    for cmd in ["check", "loc"] {
+        let out = hetmem(&[cmd, deep.to_str().expect("utf8")]);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("limit of 16 levels"), "{cmd}: {err}");
+        assert_eq!(err.lines().count(), 1, "{cmd}: {err}");
+    }
+
+    let huge = dir.join("huge.hdsl");
+    std::fs::write(
+        &huge,
+        "program huge { compute 1; buffer a: 8; init a;\n  \
+         loop 4294967295 { gpu g(write a); cpu c(read a); } }\n",
+    )
+    .expect("write source");
+    let started = std::time::Instant::now();
+    let out = hetmem(&["fix", huge.to_str().expect("utf8"), "--model", "dis"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("limit of 65536 steps"), "{err}");
+    assert!(started.elapsed() < std::time::Duration::from_secs(5));
+}
+
 // ---------- static verifier (`hetmem check`) ----------
 
 #[test]
