@@ -202,7 +202,8 @@ fn explore(
             Op::Release { loc } => {
                 // Only the owner may release; a non-owner release is a
                 // protocol violation and that execution path is dropped
-                // (the OwnershipTracker reports it as an error at runtime).
+                // (on lowered programs, `hetmem check` holds accesses to
+                // the protocol as HM0105).
                 if next.owner[loc as usize] != t as u8 {
                     continue;
                 }

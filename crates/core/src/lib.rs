@@ -7,8 +7,6 @@
 //!   disjoint / partially shared / ADSM, §II-A), re-exported from
 //!   `hetmem-dsl`, whose lowering and checker carry their semantics;
 //!   [`IdealSpaceComm`] is their Figure 7 communication model.
-//! * [`OwnershipTracker`] — the partially shared space's ownership protocol
-//!   checker (§II-A3).
 //! * [`LocalityScheme`] — the locality-management taxonomy (§II-B),
 //!   including the hybrid second-level-cache scheme.
 //! * [`catalog`] — the Table I survey of thirteen existing systems.
@@ -49,7 +47,6 @@ pub mod hash;
 mod locality;
 pub mod locality_study;
 pub mod metrics;
-mod ownership;
 mod presets;
 pub mod report;
 
@@ -65,5 +62,4 @@ pub use metrics::{
     evaluate_energy, evaluate_systems, hardware_cost, pareto_frontier, programmer_burden,
     EnergyEval, Evaluation,
 };
-pub use ownership::{OwnershipError, OwnershipTracker};
 pub use presets::{EvaluatedSystem, GmacModel, LrbModel, PresetCommModel};

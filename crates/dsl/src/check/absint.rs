@@ -1,7 +1,8 @@
 //! Abstract interpreter over lowered statement sequences.
 //!
 //! Tracks one abstract state per buffer — copy validity on each side,
-//! device allocation/lifetime, shared tag, and ownership — under the
+//! device allocation/lifetime, shared tag, and ownership — and the open
+//! parallel section, whose kernels can race (HM0106), under the
 //! transition rules of the lowered program's [`AddressSpace`]. The copy
 //! validity bits are an *exact* abstraction of the dynamic oracle's
 //! version counters (see `oracle.rs`): a side is "fresh" iff its version
@@ -11,7 +12,7 @@
 //! site, and it keeps the per-buffer state space finite so loop bodies
 //! can be interpreted with cycle detection instead of widening.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use crate::ast::Target;
 use crate::lower::Lowered;
@@ -62,18 +63,17 @@ impl BufState {
     }
 }
 
-/// The open parallel section of the race scan: its GPU and its CPU kernel.
-type Pending = (Option<usize>, Option<usize>);
+/// The open parallel section: its GPU and its CPU kernel.
+type Section = (Option<usize>, Option<usize>);
 
-/// Runs the abstract interpreter and the parallel-section race scan over
-/// a lowered program, returning diagnostics sorted by statement index.
+/// Runs the abstract interpreter over a lowered program, returning
+/// diagnostics sorted by statement index.
 pub(super) fn check_lowered_impl(lowered: &Lowered) -> Vec<Diagnostic> {
     let names = collect_buffers(lowered);
     let state = vec![BufState::new(); names.len()];
     let mut interp = AbsInt::new(&lowered.stmts, lowered.model, names, state);
     interp.exec_span(0, lowered.stmts.len());
     interp.report_redundant_transfers();
-    interp.scan_races();
     let mut diags = interp.diags;
     diags.sort_by(|a, b| {
         (a.stmt, a.code, a.buffer.clone()).cmp(&(b.stmt, b.code, b.buffer.clone()))
@@ -98,9 +98,10 @@ impl Interp {
     }
 
     /// Interprets `stmts` under `model` from this state, leaving it in
-    /// the state after them. Returns the findings of the interpretation
-    /// (not the redundant-transfer or race scans), with statement indices
-    /// into `stmts`.
+    /// the state after them. Returns the findings of the interpretation,
+    /// races included (no parallel section is open at `stmts[0]`), but
+    /// not the redundant-transfer scan, with statement indices into
+    /// `stmts`.
     pub(crate) fn run(&mut self, stmts: &[Stmt], model: AddressSpace) -> Vec<Diagnostic> {
         let names = std::mem::take(&mut self.names);
         let state = std::mem::take(&mut self.state);
@@ -116,6 +117,11 @@ struct AbsInt<'a> {
     model: AddressSpace,
     names: Vec<String>,
     state: Vec<BufState>,
+    /// The buffers both PUs address through one coherent copy, which the
+    /// kernels of a parallel section can race on (HM0106).
+    coherent: Vec<String>,
+    /// The open parallel section.
+    section: Section,
     diags: Vec<Diagnostic>,
     /// The (code, stmt, buffer) of every finding in `diags`: a finding is
     /// reported once however often its statement runs.
@@ -192,11 +198,28 @@ impl<'a> AbsInt<'a> {
         names: Vec<String>,
         state: Vec<BufState>,
     ) -> Self {
+        // All memory is coherent under unified, shared-tagged buffers under
+        // partially shared, ADSM-allocated objects under ADSM, and none
+        // under disjoint (each PU has its own copy).
+        let coherent = match model {
+            AddressSpace::Unified => names.clone(),
+            AddressSpace::Disjoint => Vec::new(),
+            AddressSpace::PartiallyShared | AddressSpace::Adsm => stmts
+                .iter()
+                .filter_map(|s| match (model, s) {
+                    (AddressSpace::PartiallyShared, Stmt::SharedAlloc { buf, .. })
+                    | (AddressSpace::Adsm, Stmt::AdsmAlloc { buf, .. }) => Some(buf.clone()),
+                    _ => None,
+                })
+                .collect(),
+        };
         AbsInt {
             stmts,
             model,
             names,
             state,
+            coherent,
+            section: (None, None),
             diags: Vec::new(),
             reported: HashSet::new(),
             transfer_noop: vec![None; stmts.len()],
@@ -252,62 +275,68 @@ impl<'a> AbsInt<'a> {
     }
 
     /// Interprets a loop body up to `iterations` times, short-circuiting
-    /// as soon as the entry state repeats: the per-buffer state space is
-    /// finite, so the pass sequence is eventually periodic, and the exit
-    /// state after all iterations can be read off the detected cycle.
-    /// Diagnostics are deduplicated by (code, stmt, buffer), so replayed
-    /// cycle passes add nothing new.
+    /// as soon as the entry state — every buffer's state and the open
+    /// parallel section — repeats: that state space is finite, so the
+    /// pass sequence is eventually periodic, and the exit state after all
+    /// iterations can be read off the detected cycle. A back edge is thus
+    /// followed only if the loop runs more than once. Diagnostics are
+    /// deduplicated by (code, stmt, buffer), so replayed cycle passes add
+    /// nothing new.
     fn exec_loop(&mut self, head: usize, tail: usize, iterations: u32) {
         let iterations = iterations as usize;
-        let mut snapshots: Vec<Vec<BufState>> = Vec::new();
+        let mut snapshots: Vec<(Vec<BufState>, Section)> = Vec::new();
         let mut pass = 0usize;
         while pass < iterations {
-            if let Some(k) = snapshots.iter().position(|s| *s == self.state) {
+            if let Some(k) = snapshots
+                .iter()
+                .position(|(state, section)| *state == self.state && *section == self.section)
+            {
                 // States repeat with period `pass - k` from pass k on:
                 // after all `iterations` passes we are at snapshot
                 // k + ((iterations - k) mod period).
                 let period = pass - k;
-                self.state = snapshots[k + ((iterations - k) % period)].clone();
+                (self.state, self.section) = snapshots[k + ((iterations - k) % period)].clone();
                 return;
             }
-            snapshots.push(self.state.clone());
+            snapshots.push((self.state.clone(), self.section));
             self.exec_span(head + 1, tail);
             pass += 1;
         }
     }
 
     fn exec_stmt(&mut self, i: usize) {
+        self.join_section(i);
         let model = self.model;
-        // Clone the statement so the borrow checker lets the handlers
-        // take `&mut self`; statements are small.
-        let stmt = self.stmts[i].clone();
-        match stmt {
+        // The statements outlive `self`'s borrow, so the handlers can
+        // take `&mut self` while holding them.
+        let stmts = self.stmts;
+        match &stmts[i] {
             Stmt::HostAlloc { .. } | Stmt::DeclDevicePtrs { .. } | Stmt::Sync => {}
             Stmt::SharedAlloc { buf, .. } => {
-                let b = self.id(&buf);
+                let b = self.id(buf);
                 self.state[b].shared = true;
             }
             Stmt::AdsmAlloc { buf, .. } => {
-                let b = self.id(&buf);
+                let b = self.id(buf);
                 self.state[b].dev_alloc = true;
             }
             Stmt::DeviceAlloc { bufs, .. } => {
-                for buf in &bufs {
+                for buf in bufs {
                     let b = self.id(buf);
                     self.state[b].dev_alloc = true;
                     self.state[b].freed = false;
                 }
             }
             Stmt::MemcpyH2D { buf, .. } => {
-                let b = self.id(&buf);
-                self.check_device_lifetime(i, &buf, "a host-to-device transfer");
+                let b = self.id(buf);
+                self.check_device_lifetime(i, buf, "a host-to-device transfer");
                 let noop = self.state[b].host_fresh && self.state[b].dev_fresh;
                 self.record_transfer(i, noop);
                 self.state[b].dev_fresh = self.state[b].host_fresh;
             }
             Stmt::MemcpyD2H { buf, .. } => {
-                let b = self.id(&buf);
-                self.check_device_lifetime(i, &buf, "a device-to-host transfer");
+                let b = self.id(buf);
+                self.check_device_lifetime(i, buf, "a device-to-host transfer");
                 let noop = self.state[b].host_fresh && self.state[b].dev_fresh;
                 self.record_transfer(i, noop);
                 self.state[b].host_fresh = self.state[b].dev_fresh;
@@ -318,7 +347,7 @@ impl<'a> AbsInt<'a> {
                 // newer device value. The call is a guaranteed no-op
                 // only if the device view was already fresh.
                 let mut noop = true;
-                for buf in &bufs {
+                for buf in bufs {
                     let b = self.id(buf);
                     self.check_device_lifetime(i, buf, "an ADSM publish");
                     noop &= self.state[b].dev_fresh;
@@ -327,7 +356,7 @@ impl<'a> AbsInt<'a> {
                 self.record_transfer(i, noop);
             }
             Stmt::ReleaseOwnership { bufs } => {
-                for buf in &bufs {
+                for buf in bufs {
                     let b = self.id(buf);
                     if !self.state[b].shared {
                         self.diag(
@@ -346,7 +375,7 @@ impl<'a> AbsInt<'a> {
                 }
             }
             Stmt::AcquireOwnership { bufs } => {
-                for buf in &bufs {
+                for buf in bufs {
                     let b = self.id(buf);
                     if !self.state[b].shared {
                         self.diag(
@@ -366,15 +395,15 @@ impl<'a> AbsInt<'a> {
             }
             Stmt::FreeDevice { bufs } => {
                 if matches!(model, AddressSpace::Disjoint | AddressSpace::Adsm) {
-                    for buf in &bufs {
+                    for buf in bufs {
                         let b = self.id(buf);
                         self.state[b].freed = true;
                     }
                 }
             }
             Stmt::InitCode { bufs, .. } => {
-                for buf in bufs.clone() {
-                    self.host_write(i, &buf, "initialization code");
+                for buf in bufs {
+                    self.host_write(i, buf, "initialization code");
                 }
             }
             Stmt::KernelCall {
@@ -383,14 +412,14 @@ impl<'a> AbsInt<'a> {
                 reads,
                 writes,
                 ..
-            } => self.gpu_kernel(i, &name, &reads, &writes),
+            } => self.gpu_kernel(i, name, reads, writes),
             Stmt::KernelCall {
                 target: Target::Cpu,
                 name,
                 reads,
                 writes,
                 ..
-            } => self.cpu_kernel(i, &name, &reads, &writes),
+            } => self.cpu_kernel(i, name, reads, writes),
             Stmt::LoopHead { .. } | Stmt::LoopTail => {
                 // Handled structurally by exec_span/exec_loop; a stray
                 // tail in a hand-built sequence has no data effect.
@@ -621,143 +650,55 @@ impl<'a> AbsInt<'a> {
 
     /// HM0106: mirrors the code generator's parallel-section pairing. A
     /// GPU launch and the next CPU-parallel kernel (in either order) run
-    /// concurrently; if both touch the same *coherent* memory and at
-    /// least one writes it, the interleaving is unpredictable. Which
-    /// memory is coherent depends on the model: all of it under unified,
-    /// shared-tagged buffers under partially shared, ADSM-allocated
-    /// objects under ADSM, and none under disjoint (each PU has its own
-    /// copy).
-    fn scan_races(&mut self) {
-        if self.model == AddressSpace::Disjoint {
+    /// concurrently; if both touch the same coherent memory and at least
+    /// one writes it, the interleaving is unpredictable.
+    fn join_section(&mut self, i: usize) {
+        if self.coherent.is_empty() {
             return;
         }
-        let coherent: Vec<String> = match self.model {
-            AddressSpace::Unified => self.names.clone(),
-            AddressSpace::PartiallyShared => self
-                .stmts
-                .iter()
-                .filter_map(|s| match s {
-                    Stmt::SharedAlloc { buf, .. } => Some(buf.clone()),
-                    _ => None,
-                })
-                .collect(),
-            AddressSpace::Adsm => self
-                .stmts
-                .iter()
-                .filter_map(|s| match s {
-                    Stmt::AdsmAlloc { buf, .. } => Some(buf.clone()),
-                    _ => None,
-                })
-                .collect(),
-            AddressSpace::Disjoint => Vec::new(),
+        let (gpu, cpu) = self.section;
+        self.section = match self.stmts[i] {
+            // A second launch on the same PU closes the section.
+            Stmt::KernelCall {
+                target: Target::Gpu,
+                ..
+            } => (Some(i), cpu.filter(|_| gpu.is_none())),
+            Stmt::KernelCall {
+                target: Target::Cpu,
+                parallel: true,
+                ..
+            } => (gpu.filter(|_| cpu.is_none()), Some(i)),
+            // Sequential host code closes the section (the generator
+            // emits a join first).
+            Stmt::KernelCall { .. } | Stmt::InitCode { .. } => (None, None),
+            _ => return,
         };
-        let mut walked = HashMap::new();
-        self.race_walk(
-            0,
-            self.stmts.len(),
-            &coherent,
-            &mut (None, None),
-            &mut walked,
-        );
-    }
-
-    /// Pairs the kernels of `stmts[start..end]`; `pending` holds the open
-    /// section's GPU and CPU kernel. `walked` maps a loop head and the
-    /// `pending` it was entered with to the `pending` it left with.
-    fn race_walk(
-        &mut self,
-        start: usize,
-        end: usize,
-        coherent: &[String],
-        pending: &mut Pending,
-        walked: &mut HashMap<(usize, Pending), Pending>,
-    ) {
-        let mut i = start;
-        while i < end {
-            match &self.stmts[i] {
-                Stmt::LoopHead { .. } => {
-                    let tail = matching_tail(self.stmts, i);
-                    // Walk the body twice so tail-to-head pairings across
-                    // the loop's back edge are seen; the diagnostic dedup
-                    // collapses the repeats. A loop entered again with the
-                    // same `pending` finds nothing new, so nested loops
-                    // cost a few walks each, not two per enclosing level.
-                    let entry = (i, *pending);
-                    if let Some(&exit) = walked.get(&entry) {
-                        *pending = exit;
-                    } else {
-                        self.race_walk(i + 1, tail, coherent, pending, walked);
-                        self.race_walk(i + 1, tail, coherent, pending, walked);
-                        walked.insert(entry, *pending);
-                    }
-                    i = tail.saturating_add(1);
-                    continue;
-                }
-                Stmt::KernelCall {
-                    target: Target::Gpu,
-                    ..
-                } => {
-                    if pending.0.is_some() {
-                        // Back-to-back GPU launches close the section.
-                        pending.0 = None;
-                        pending.1 = None;
-                    }
-                    pending.0 = Some(i);
-                    if let Some(c) = pending.1 {
-                        self.race_pair(i, c, coherent);
-                    }
-                }
-                Stmt::KernelCall {
-                    target: Target::Cpu,
-                    parallel: true,
-                    ..
-                } => {
-                    if pending.1.is_some() {
-                        pending.0 = None;
-                        pending.1 = None;
-                    }
-                    pending.1 = Some(i);
-                    if let Some(g) = pending.0 {
-                        self.race_pair(g, i, coherent);
-                    }
-                }
-                Stmt::KernelCall {
-                    target: Target::Cpu,
-                    parallel: false,
-                    ..
-                }
-                | Stmt::InitCode { .. } => {
-                    // Sequential host code closes any open parallel
-                    // section (the generator emits a join first).
-                    pending.0 = None;
-                    pending.1 = None;
-                }
-                _ => {}
-            }
-            i += 1;
+        if let (Some(gpu), Some(cpu)) = self.section {
+            self.race_pair(gpu, cpu);
         }
     }
 
     /// Reports HM0106 for every coherent buffer the paired kernels share
     /// with at least one writer.
-    fn race_pair(&mut self, gpu: usize, cpu: usize, coherent: &[String]) {
+    fn race_pair(&mut self, gpu: usize, cpu: usize) {
         let (g_name, g_reads, g_writes) = kernel_parts(&self.stmts[gpu]);
         let (c_name, c_reads, c_writes) = kernel_parts(&self.stmts[cpu]);
-        let anchor = gpu.max(cpu);
-        for buf in coherent {
-            let g_touches = g_reads.contains(buf) || g_writes.contains(buf);
-            let c_touches = c_reads.contains(buf) || c_writes.contains(buf);
-            if !(g_touches && c_touches) {
-                continue;
-            }
-            if !(g_writes.contains(buf) || c_writes.contains(buf)) {
-                continue;
-            }
+        let touches = |reads: &[String], writes: &[String], buf: &String| {
+            reads.contains(buf) || writes.contains(buf)
+        };
+        let racy: Vec<String> = self
+            .coherent
+            .iter()
+            .filter(|buf| touches(g_reads, g_writes, buf) && touches(c_reads, c_writes, buf))
+            .filter(|buf| g_writes.contains(buf) || c_writes.contains(buf))
+            .cloned()
+            .collect();
+        for buf in racy {
             self.diag(
                 Code::CpuGpuRace,
                 Severity::Warning,
-                anchor,
-                Some(buf),
+                gpu.max(cpu),
+                Some(&buf),
                 format!(
                     "GPU kernel `{g_name}` and CPU kernel `{c_name}` run in \
                      parallel and both touch `{buf}` (at least one writes it) \
@@ -953,6 +894,27 @@ mod tests {
             diags.iter().any(|d| d.code == Code::CpuGpuRace),
             "expected HM0106, got {diags:?}"
         );
+    }
+
+    #[test]
+    fn a_race_across_a_back_edge_needs_a_second_iteration() {
+        // `s` separates `c` from `g` within a pass; only the back edge
+        // from `g` to the next pass's `c` leaves them in one section.
+        let races = |iterations: u32| {
+            let src = format!(
+                "program once {{ compute 4; buffer a: 64; buffer b: 64; init a, b; \
+                 loop {iterations} {{ cpu c(read a; write b); seq s(read b); gpu g(write a); }} \
+                 seq fin(read a); }}"
+            );
+            let program = crate::parse_program(&src).expect("valid program");
+            check_lowered_impl(&lower(&program, AddressSpace::Unified))
+                .into_iter()
+                .filter(|d| d.code == Code::CpuGpuRace)
+                .map(|d| d.buffer.expect("races name their buffer"))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(races(1), Vec::<String>::new());
+        assert_eq!(races(2), vec!["a".to_string()]);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub(crate) use absint::Interp;
 pub use diag::{Code, Diagnostic, Severity};
 pub use oracle::{run_oracle, OracleReport};
 
-use crate::ast::{AccessMode, BufId, Program, Step, Target};
+use crate::ast::{for_each_access, AccessMode, BufId, Program, Step, Target};
 use crate::lower::{lower, Lowered};
 use crate::model::AddressSpace;
 use crate::stmt::Stmt;
@@ -104,8 +104,8 @@ pub fn check(program: &Program, model: AddressSpace) -> CheckReport {
     }
 }
 
-/// Runs the abstract interpreter and race scan over an already-lowered
-/// program, returning memory-model findings sorted by statement index.
+/// Runs the abstract interpreter over an already-lowered program,
+/// returning memory-model findings sorted by statement index.
 #[must_use]
 pub fn check_lowered(lowered: &Lowered) -> Vec<Diagnostic> {
     absint::check_lowered_impl(lowered)
@@ -155,9 +155,19 @@ fn visit_facts(steps: &[Step], idx: &mut usize, facts: &mut [BufFacts]) {
             Step::Kernel { reads, writes, .. } => record(facts, reads, writes, current, true),
             Step::Seq { reads, writes, .. } => record(facts, reads, writes, current, false),
             // Each fact is set by the first or the last access in program
-            // order, so walking a body again would change none of them:
-            // one walk per body keeps the lints linear in nesting depth.
-            Step::Loop { body, .. } => visit_facts(body, idx, facts),
+            // order, so one walk per body finds them all. A loop that runs
+            // more than once also has a back edge: every buffer its body
+            // reads is read again after the body's last write.
+            Step::Loop { iterations, body } => {
+                visit_facts(body, idx, facts);
+                if *iterations > 1 {
+                    for_each_access(body, &mut |_, reads, _| {
+                        for &b in reads {
+                            facts[b.0].read_after_last_write = true;
+                        }
+                    });
+                }
+            }
         }
     }
 }
@@ -540,6 +550,25 @@ mod tests {
             dead.is_empty(),
             "loop-carried accumulator is not dead: {dead:?}"
         );
+    }
+
+    #[test]
+    fn a_kernel_read_on_the_next_iteration_is_a_later_read() {
+        // `k` reads the `acc` that `k2` wrote on the iteration before, so
+        // `acc` is live as long as the loop runs more than once.
+        let dead_acc = |iterations: u32| {
+            let src = format!(
+                "program t {{ compute 1; buffer acc: 64; buffer x: 64; init acc; \
+                 loop {iterations} {{ gpu k(read acc; write x); gpu k2(read x; write acc); }} \
+                 seq fin(read x); }}"
+            );
+            let program = crate::parse_program(&src).expect("valid program");
+            program_lints(&program)
+                .iter()
+                .any(|d| d.code == Code::DeadResult && d.buffer.as_deref() == Some("acc"))
+        };
+        assert!(!dead_acc(3), "a loop-carried result is read");
+        assert!(dead_acc(1), "a loop that runs once has no back edge");
     }
 
     #[test]

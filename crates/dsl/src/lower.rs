@@ -87,8 +87,8 @@ struct LowerCtx<'p> {
     loc: Vec<Loc>,
     /// ADSM: host has written this shared buffer since its last copy-in.
     host_dirty: Vec<bool>,
-    /// The checker's state at the end of `out[..checked]`, where the
-    /// bodies of open loops run once.
+    /// Disjoint and ADSM: the checker's state at the end of
+    /// `out[..checked]`, where the bodies of open loops run once.
     checker: Interp,
     checked: usize,
     /// The checker's state at the head of each loop being emitted,
@@ -362,7 +362,11 @@ impl LowerCtx<'_> {
     }
 
     /// Runs the checker over the statements emitted since it last ran.
+    /// Only the disjoint and ADSM fix-ups read its state.
     fn advance_checker(&mut self) {
+        if !matches!(self.model, AddressSpace::Disjoint | AddressSpace::Adsm) {
+            return;
+        }
         self.checker.run(&self.out[self.checked..], self.model);
         self.checked = self.out.len();
     }

@@ -36,21 +36,12 @@ pub struct System {
 }
 
 impl System {
-    /// Builds a system with explicit communication-cost parameters.
-    ///
-    /// The pre-builder constructors (`System::new` plus a standalone
-    /// `System::run`) were removed once every call site migrated to
-    /// [`crate::Simulation::builder`]; construct through the builder
-    /// unless you are wiring a custom harness around [`System::execute`].
-    #[must_use]
-    pub fn with_costs(config: &SystemConfig, costs: CommCosts) -> System {
-        System::with_costs_and_locality(config, costs, true)
-    }
-
     /// Builds a system, selecting whether the LLC honours the explicit
-    /// locality bit (`false` is the plain-LRU ablation of §II-B5).
+    /// locality bit (`false` is the plain-LRU ablation of §II-B5). Callers
+    /// outside this crate build through [`crate::Simulation::builder`],
+    /// which validates the configuration first.
     #[must_use]
-    pub fn with_costs_and_locality(
+    pub(crate) fn with_costs_and_locality(
         config: &SystemConfig,
         costs: CommCosts,
         llc_locality: bool,
@@ -114,7 +105,7 @@ impl System {
     /// functionally-warmed skips whose cost is extrapolated from the
     /// measured ticks-per-instruction; its microarchitectural counters
     /// cover only the detailed windows.
-    pub fn execute<O: SimObserver>(
+    pub(crate) fn execute<O: SimObserver>(
         &mut self,
         trace: &PhasedTrace,
         comm: &mut dyn CommModel,
@@ -487,8 +478,7 @@ forward_core_run!(CpuRun, GpuRun);
 mod tests {
     use super::*;
     use crate::builder::Simulation;
-    use crate::fabric::{FabricKind, SynchronousFabric};
-    use crate::obs::NullObserver;
+    use crate::fabric::FabricKind;
     use hetmem_trace::kernels::{Kernel, KernelParams};
     use hetmem_trace::{CommEvent, CommKind, TransferDirection};
 
@@ -619,17 +609,6 @@ mod tests {
         // shared bus pays serialization under two-PU traffic.
         assert!(xbar <= ring, "crossbar {xbar} vs ring {ring}");
         assert!(bus > xbar, "bus {bus} vs crossbar {xbar}");
-    }
-
-    #[test]
-    fn direct_execute_matches_builder_path() {
-        // Custom harnesses that wire `System::execute` directly (the
-        // builder's engine) must see exactly the builder's reports.
-        let real = Kernel::Reduction.generate(&KernelParams::scaled(8));
-        let mut sys = System::with_costs(&SystemConfig::baseline(), CommCosts::paper());
-        let mut comm = SynchronousFabric::new(FabricKind::PciExpress, CommCosts::paper());
-        let direct = sys.execute(&real, &mut comm, &mut NullObserver, ExecMode::Accurate);
-        assert_eq!(direct, run_over(&real, FabricKind::PciExpress));
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! The paper's Figure 2/3 walk-through: one reduction program, four memory
 //! models. Prints the lowered source for each model (with the
-//! communication-handling lines marked), the Table V line counts, and runs
-//! the partially-shared version through the ownership-protocol checker.
+//! communication-handling lines marked), the Table V line counts, and what
+//! the checker reports when the partially-shared version breaks the
+//! ownership protocol.
 //!
 //! Run with `cargo run --release --example ownership_reduction`.
 
-use hetmem::core::OwnershipTracker;
-use hetmem::dsl::{lower, programs, render, AddressSpace};
-use hetmem::trace::PuKind;
+use hetmem::dsl::{check_lowered, lower, programs, render, AddressSpace, Code, Stmt};
 
 fn main() {
     let program = programs::reduction();
@@ -26,34 +25,25 @@ fn main() {
         );
     }
 
-    // Now execute the ownership protocol the partially shared lowering
-    // implies: release a, b, c to the GPU; GPU computes; CPU re-acquires c.
-    println!("\nOwnership protocol replay (partially shared space):");
-    let mut tracker = OwnershipTracker::new();
-    let (a, b, c) = (0x3000_0000u64, 0x3002_7200, 0x3004_E400);
-    for (addr, bytes) in [(a, 160_256), (b, 160_256), (c, 64)] {
-        tracker.register(addr, bytes);
+    // The partially shared lowering hands the shared objects to the GPU
+    // with releaseOwnership and takes them back with acquireOwnership.
+    // Without the release, the GPU kernel touches objects the CPU still
+    // owns: the race the ownership design prevents without coherence
+    // hardware (§II-A3).
+    let mut broken = lower(&program, AddressSpace::PartiallyShared);
+    let release = broken
+        .stmts
+        .iter()
+        .position(|s| matches!(s, Stmt::ReleaseOwnership { .. }))
+        .expect("the partially shared lowering releases ownership");
+    let deleted = broken.stmts.remove(release);
+    println!("\nPartially shared space without `{deleted}`:");
+    let violations: Vec<_> = check_lowered(&broken)
+        .into_iter()
+        .filter(|d| d.code == Code::OwnershipViolation)
+        .collect();
+    assert!(!violations.is_empty(), "the checker must report HM0105");
+    for d in &violations {
+        println!("{d}");
     }
-    for addr in [a, b, c] {
-        tracker
-            .release(PuKind::Cpu, addr)
-            .expect("CPU owns freshly allocated objects");
-        tracker
-            .acquire(PuKind::Gpu, addr)
-            .expect("released objects are acquirable");
-    }
-    println!("  GPU owns a, b, c — kernel may run.");
-    assert!(tracker.check_access(PuKind::Gpu, a + 128).is_ok());
-
-    // The CPU may NOT touch c while the GPU owns it — this is exactly the
-    // race the ownership design prevents without coherence hardware.
-    let denied = tracker.check_access(PuKind::Cpu, c);
-    println!("  CPU access to c while GPU owns it: {denied:?}");
-    assert!(denied.is_err());
-
-    tracker.release(PuKind::Gpu, c).expect("GPU owns c");
-    tracker.acquire(PuKind::Cpu, c).expect("c released");
-    println!("  ownership of c transferred back — CPU may read the result.");
-    let (acquires, releases) = tracker.transitions();
-    println!("  protocol cost: {acquires} acquires + {releases} releases (api-acq each)");
 }

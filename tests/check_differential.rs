@@ -12,11 +12,15 @@
 //!
 //! A property harness then drives `lower()` itself through ~200 random
 //! programs, nested loops included, and holds its output to the
-//! checker-clean contract under all four address-space models.
+//! checker-clean contract under all four address-space models; another
+//! holds the race verdicts (HM0106) on 400 lowerings to those on their
+//! loop-free unrollings.
+
+use std::collections::BTreeSet;
 
 use hetmem_dsl::{
     check_lowered, fix_lowered, lower, parse_program, programs, run_oracle, write_program,
-    AccessMode, AddressSpace, BufId, Buffer, Code, Lowered, Program, Severity, Step, Target,
+    AccessMode, AddressSpace, BufId, Buffer, Code, Lowered, Program, Severity, Step, Stmt, Target,
 };
 
 fn all_programs() -> Vec<Program> {
@@ -268,6 +272,79 @@ fn lowerings_of_random_programs_are_checker_clean() {
             );
         }
     }
+}
+
+/// `stmts` with each `LoopHead n … LoopTail` replaced by `n` copies of its
+/// (unrolled) body.
+fn unrolled(stmts: &[Stmt]) -> Vec<Stmt> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < stmts.len() {
+        let Stmt::LoopHead { iterations } = stmts[i] else {
+            out.push(stmts[i].clone());
+            i += 1;
+            continue;
+        };
+        let mut depth = 0usize;
+        let tail = (i..stmts.len())
+            .find(|&j| {
+                match stmts[j] {
+                    Stmt::LoopHead { .. } => depth += 1,
+                    Stmt::LoopTail => depth -= 1,
+                    _ => {}
+                }
+                depth == 0
+            })
+            .expect("lowered loops are balanced");
+        let body = unrolled(&stmts[i + 1..tail]);
+        for _ in 0..iterations {
+            out.extend(body.iter().cloned());
+        }
+        i = tail + 1;
+    }
+    out
+}
+
+/// The buffers HM0106 flags anywhere in `lowered`.
+fn raced_buffers(lowered: &Lowered) -> BTreeSet<String> {
+    check_lowered(lowered)
+        .into_iter()
+        .filter(|d| d.code == Code::CpuGpuRace)
+        .map(|d| d.buffer.expect("races name their buffer"))
+        .collect()
+}
+
+#[test]
+fn races_in_loops_are_the_races_of_their_unrolling() {
+    // The checker pairs kernels across a loop's back edge only when the
+    // loop runs again, so a lowering and its textual unrolling race on
+    // the same buffers. Buffers, not sites: the (code, stmt, buffer)
+    // dedup keeps one partner per anchor, and unrolling moves anchors.
+    let mut rng = Rng::new(0xACE5);
+    let mut racy = 0usize;
+    for case in 0..400 {
+        let program = arb_checked_program(&mut rng);
+        for model in AddressSpace::ALL {
+            let lowered = lower(&program, model);
+            let flat = Lowered {
+                stmts: unrolled(&lowered.stmts),
+                ..lowered.clone()
+            };
+            let races = raced_buffers(&lowered);
+            assert_eq!(
+                races,
+                raced_buffers(&flat),
+                "case {case} under {model}: HM0106 differs from the unrolling\n\
+                 program: {program:?}"
+            );
+            racy += usize::from(!races.is_empty());
+        }
+    }
+    assert!(
+        racy > 100,
+        "only {racy} of 1600 lowerings race — the differential is not \
+         exercising HM0106"
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,7 @@
 //! Property-based tests on the core data structures and invariants of the
 //! stack: caches, DRAM timing, TLBs, the coherence directory, the branch
-//! predictor, the ownership protocol, trace generation, the lowering
-//! passes, and the cluster's consistent-hash ring.
+//! predictor, trace generation, the lowering passes, and the cluster's
+//! consistent-hash ring.
 //!
 //! The generators run on a small in-repo xorshift harness (the container
 //! has no registry access, so `proptest` is not available); seeds are fixed
@@ -10,7 +10,6 @@
 use hetmem::cluster::{Ring, VNODES};
 use hetmem::core::consistency::{enumerate_outcomes, ConsistencyModel, Op};
 use hetmem::core::hash::fnv1a;
-use hetmem::core::OwnershipTracker;
 use hetmem::core::{EvaluatedSystem, IdealSpaceComm};
 use hetmem::dsl::{generate_trace, lower, AddressSpace, BufId, Buffer, Program, Step, Target};
 use hetmem::sim::{
@@ -662,48 +661,6 @@ fn gshare_counts_are_consistent() {
         assert_eq!(g.predictions(), outcomes.len() as u64);
         assert!(g.mispredictions() <= g.predictions());
         assert!((0.0..=1.0).contains(&g.misprediction_rate()));
-    }
-}
-
-// ---------- ownership protocol ----------
-
-#[test]
-fn ownership_never_concurrent() {
-    let mut rng = Rng::new(0x04E2);
-    for _ in 0..CASES {
-        let ops = rng.vec(1, 200, |r| (r.bool(), r.bool(), r.range(0, 4)));
-        let mut t = OwnershipTracker::new();
-        for obj in 0..4u64 {
-            t.register(obj * 0x1000, 0x800);
-        }
-        for &(acquire, is_cpu, obj) in &ops {
-            let pu = if is_cpu { PuKind::Cpu } else { PuKind::Gpu };
-            let addr = obj * 0x1000;
-            if acquire {
-                let before = t.owner_of(addr);
-                match t.acquire(pu, addr) {
-                    Ok(()) => assert_eq!(t.owner_of(addr), Some(pu)),
-                    Err(_) => {
-                        // Acquire fails only when the peer owns it, and
-                        // ownership must be unchanged.
-                        assert_eq!(before, Some(pu.peer()));
-                        assert_eq!(t.owner_of(addr), before);
-                    }
-                }
-            } else {
-                let before = t.owner_of(addr);
-                match t.release(pu, addr) {
-                    Ok(()) => assert_eq!(t.owner_of(addr), None),
-                    Err(_) => assert_ne!(before, Some(pu)),
-                }
-            }
-            // The core invariant: at most one owner at any time (trivially
-            // true with Option, but exercised via accesses).
-            if let Some(owner) = t.owner_of(addr) {
-                assert!(t.check_access(owner, addr).is_ok());
-                assert!(t.check_access(owner.peer(), addr).is_err());
-            }
-        }
     }
 }
 
