@@ -22,63 +22,67 @@ use crate::stmt::Stmt;
 use super::diag::{Code, Diagnostic, Severity};
 use super::render_line;
 
-/// Abstract state of one buffer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct BufState {
-    /// The host copy holds the newest value.
-    host_fresh: bool,
-    /// The device copy holds the newest value.
-    dev_fresh: bool,
-    /// A device-side allocation exists (disjoint `GPUmemallocate`, ADSM
-    /// `adsmAlloc`).
-    dev_alloc: bool,
-    /// The device-side allocation has been freed.
-    freed: bool,
-    /// Allocated with `sharedmalloc` (partially shared model).
-    shared: bool,
-    /// The device currently owns the shared object (after
-    /// `releaseOwnership`, before `acquireOwnership`).
-    device_owned: bool,
-    /// A GPU kernel wrote the shared object since the device took
-    /// ownership — a host access now reads torn data, not just
-    /// protocol-stale data.
-    gpu_dirty: bool,
+/// Abstract state of one buffer: a set of the flags below.
+type BufState = u8;
+
+/// The host copy holds the newest value.
+const HOST_FRESH: u8 = 1;
+/// The device copy holds the newest value.
+const DEV_FRESH: u8 = 1 << 1;
+/// A device-side allocation exists (disjoint `GPUmemallocate`, ADSM
+/// `adsmAlloc`).
+const DEV_ALLOC: u8 = 1 << 2;
+/// The device-side allocation has been freed.
+const FREED: u8 = 1 << 3;
+/// Allocated with `sharedmalloc` (partially shared model).
+const SHARED: u8 = 1 << 4;
+/// The device currently owns the shared object (after
+/// `releaseOwnership`, before `acquireOwnership`).
+const DEVICE_OWNED: u8 = 1 << 5;
+/// A GPU kernel wrote the shared object since the device took ownership —
+/// a host access now reads torn data, not just protocol-stale data.
+const GPU_DIRTY: u8 = 1 << 6;
+
+/// Both sides start "fresh": before anything writes a buffer, every copy
+/// is equally (in)valid, and reads of never-written memory are the
+/// program-level HM0002 lint's territory, not a coherence stale-read.
+const INITIAL: BufState = HOST_FRESH | DEV_FRESH;
+
+/// What one statement did to one buffer's flags over its executions.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Access {
+    /// The buffer, by its index in [`collect_buffers`]'s order.
+    pub(crate) buf: usize,
+    /// Flags a transition or a finding read.
+    pub(crate) read: u8,
+    /// Flags written: the same on every execution, but a GPU kernel skips
+    /// its torn-data mark where its access is an HM0104/HM0105 error.
+    pub(crate) wrote: u8,
+    /// Flags whose value the statement changed on some execution.
+    pub(crate) changed: u8,
 }
 
-impl BufState {
-    fn new() -> Self {
-        BufState {
-            // Both sides start "fresh": before anything writes a buffer,
-            // every copy is equally (in)valid, and reads of never-written
-            // memory are the program-level HM0002 lint's territory, not a
-            // coherence stale-read.
-            host_fresh: true,
-            dev_fresh: true,
-            dev_alloc: false,
-            freed: false,
-            shared: false,
-            device_owned: false,
-            gpu_dirty: false,
-        }
-    }
-}
+/// Per statement, its [`Access`]es (none if it never ran).
+pub(crate) type Effects = Vec<Vec<Access>>;
 
 /// The open parallel section: its GPU and its CPU kernel.
 type Section = (Option<usize>, Option<usize>);
 
 /// Runs the abstract interpreter over a lowered program, returning
-/// diagnostics sorted by statement index.
-pub(super) fn check_lowered_impl(lowered: &Lowered) -> Vec<Diagnostic> {
+/// diagnostics sorted by statement index and, if `record`, what each
+/// statement read, wrote and changed.
+pub(crate) fn interpret(lowered: &Lowered, record: bool) -> (Vec<Diagnostic>, Effects) {
     let names = collect_buffers(lowered);
-    let state = vec![BufState::new(); names.len()];
+    let state = vec![INITIAL; names.len()];
     let mut interp = AbsInt::new(&lowered.stmts, lowered.model, names, state);
+    if record {
+        interp.effects = Some(vec![Vec::new(); lowered.stmts.len()]);
+    }
     interp.exec_span(0, lowered.stmts.len());
     interp.report_redundant_transfers();
     let mut diags = interp.diags;
-    diags.sort_by(|a, b| {
-        (a.stmt, a.code, a.buffer.clone()).cmp(&(b.stmt, b.code, b.buffer.clone()))
-    });
-    diags
+    diags.sort_by(|a, b| (a.stmt, a.code, &a.buffer).cmp(&(b.stmt, b.code, &b.buffer)));
+    (diags, interp.effects.unwrap_or_default())
 }
 
 /// The abstract state of every buffer at one point of a lowered program,
@@ -93,7 +97,7 @@ pub(crate) struct Interp {
 impl Interp {
     /// Every buffer of `names` in its state before the first statement.
     pub(crate) fn new(names: Vec<String>) -> Interp {
-        let state = vec![BufState::new(); names.len()];
+        let state = vec![INITIAL; names.len()];
         Interp { names, state }
     }
 
@@ -123,55 +127,35 @@ struct AbsInt<'a> {
     /// The open parallel section.
     section: Section,
     diags: Vec<Diagnostic>,
-    /// The (code, stmt, buffer) of every finding in `diags`: a finding is
-    /// reported once however often its statement runs.
-    reported: HashSet<(Code, usize, Option<String>)>,
+    /// The (code, severity, stmt, buffer) of every finding in `diags`: a
+    /// finding is reported once however often its statement runs, but a
+    /// host access the device owns is an error on the execution after a
+    /// GPU write even if it was a note on an earlier one.
+    reported: HashSet<(Code, Severity, usize, Option<String>)>,
     /// Per-statement: `Some(true)` iff the transfer was a no-op (both
     /// copies already valid) on *every* execution so far; `None` if the
     /// statement never executed or is not a transfer.
     transfer_noop: Vec<Option<bool>>,
+    /// When recording, each statement's accesses so far.
+    effects: Option<Effects>,
+    /// The statement under way.
+    at: usize,
 }
 
 /// Collects every buffer name a lowered program mentions, in order of
 /// first appearance.
-pub(super) fn collect_buffers(lowered: &Lowered) -> Vec<String> {
+pub(crate) fn collect_buffers(lowered: &Lowered) -> Vec<String> {
     let mut names: Vec<String> = Vec::new();
-    let add = |name: &String, names: &mut Vec<String>| {
+    for name in lowered.stmts.iter().flat_map(Stmt::buffers) {
         if !names.contains(name) {
             names.push(name.clone());
-        }
-    };
-    for stmt in &lowered.stmts {
-        match stmt {
-            Stmt::HostAlloc { buf, .. }
-            | Stmt::SharedAlloc { buf, .. }
-            | Stmt::AdsmAlloc { buf, .. }
-            | Stmt::MemcpyH2D { buf, .. }
-            | Stmt::MemcpyD2H { buf, .. } => add(buf, &mut names),
-            Stmt::DeclDevicePtrs { bufs }
-            | Stmt::DeviceAlloc { bufs, .. }
-            | Stmt::AdsmCopyToDevice { bufs, .. }
-            | Stmt::ReleaseOwnership { bufs }
-            | Stmt::AcquireOwnership { bufs }
-            | Stmt::FreeDevice { bufs }
-            | Stmt::InitCode { bufs, .. } => {
-                for b in bufs {
-                    add(b, &mut names);
-                }
-            }
-            Stmt::KernelCall { args, .. } => {
-                for b in args {
-                    add(b, &mut names);
-                }
-            }
-            Stmt::Sync | Stmt::LoopHead { .. } | Stmt::LoopTail => {}
         }
     }
     names
 }
 
 /// Finds the `LoopTail` matching the `LoopHead` at `head`.
-pub(super) fn matching_tail(stmts: &[Stmt], head: usize) -> usize {
+pub(crate) fn matching_tail(stmts: &[Stmt], head: usize) -> usize {
     let mut depth = 0usize;
     for (i, stmt) in stmts.iter().enumerate().skip(head) {
         match stmt {
@@ -189,6 +173,35 @@ pub(super) fn matching_tail(stmts: &[Stmt], head: usize) -> usize {
     // only come from hand-built stmt lists, where treating the rest of
     // the program as the body is the least surprising fallback.
     stmts.len()
+}
+
+/// Runs `pass` over `ctx` up to `iterations` times, stopping as soon as
+/// the state `key` reads at a pass's start repeats: the state after all
+/// iterations is then read off the cycle. A loop's back edge is thus
+/// followed only if the loop runs again, forward here and backward in
+/// `fix`'s liveness sweep.
+pub(crate) fn repeat<C, K: PartialEq + Clone>(
+    ctx: &mut C,
+    iterations: u32,
+    key: impl Fn(&C) -> K,
+    restore: impl Fn(&mut C, K),
+    mut pass: impl FnMut(&mut C),
+) {
+    let iterations = iterations as usize;
+    let mut snapshots: Vec<K> = Vec::new();
+    while snapshots.len() < iterations {
+        let now = key(ctx);
+        if let Some(k) = snapshots.iter().position(|s| *s == now) {
+            // States repeat with period `len - k` from pass k on: after
+            // all `iterations` passes we are at snapshot
+            // k + ((iterations - k) mod period).
+            let period = snapshots.len() - k;
+            restore(ctx, snapshots[k + (iterations - k) % period].clone());
+            return;
+        }
+        snapshots.push(now);
+        pass(ctx);
+    }
 }
 
 impl<'a> AbsInt<'a> {
@@ -223,6 +236,35 @@ impl<'a> AbsInt<'a> {
             diags: Vec::new(),
             reported: HashSet::new(),
             transfer_noop: vec![None; stmts.len()],
+            effects: None,
+            at: 0,
+        }
+    }
+
+    /// Reads `flag` of buffer `b`, recording the read.
+    fn get(&mut self, b: usize, flag: u8) -> bool {
+        self.note(b, flag, 0, 0);
+        self.state[b] & flag != 0
+    }
+
+    /// Writes `flag` of buffer `b`, recording the write and any change.
+    fn set(&mut self, b: usize, flag: u8, on: bool) {
+        let new = self.state[b] & !flag | if on { flag } else { 0 };
+        self.note(b, 0, flag, self.state[b] ^ new);
+        self.state[b] = new;
+    }
+
+    fn note(&mut self, buf: usize, read: u8, wrote: u8, changed: u8) {
+        let Some(effects) = &mut self.effects else {
+            return;
+        };
+        let accesses = &mut effects[self.at];
+        if !accesses.iter().any(|a| a.buf == buf) {
+            accesses.push(Access::default());
+            accesses.last_mut().expect("just pushed").buf = buf;
+        }
+        for a in accesses.iter_mut().filter(|a| a.buf == buf) {
+            (a.read, a.wrote, a.changed) = (a.read | read, a.wrote | wrote, a.changed | changed);
         }
     }
 
@@ -243,7 +285,7 @@ impl<'a> AbsInt<'a> {
     ) {
         if !self
             .reported
-            .insert((code, stmt, buffer.map(str::to_owned)))
+            .insert((code, severity, stmt, buffer.map(str::to_owned)))
         {
             return;
         }
@@ -274,37 +316,22 @@ impl<'a> AbsInt<'a> {
         }
     }
 
-    /// Interprets a loop body up to `iterations` times, short-circuiting
-    /// as soon as the entry state — every buffer's state and the open
-    /// parallel section — repeats: that state space is finite, so the
-    /// pass sequence is eventually periodic, and the exit state after all
-    /// iterations can be read off the detected cycle. A back edge is thus
-    /// followed only if the loop runs more than once. Diagnostics are
-    /// deduplicated by (code, stmt, buffer), so replayed cycle passes add
-    /// nothing new.
+    /// Interprets a loop body under the cycle rule of [`repeat`], with
+    /// every buffer's state and the open parallel section as the entry
+    /// state. Diagnostics are deduplicated by (code, stmt, buffer), so
+    /// replayed cycle passes add nothing new.
     fn exec_loop(&mut self, head: usize, tail: usize, iterations: u32) {
-        let iterations = iterations as usize;
-        let mut snapshots: Vec<(Vec<BufState>, Section)> = Vec::new();
-        let mut pass = 0usize;
-        while pass < iterations {
-            if let Some(k) = snapshots
-                .iter()
-                .position(|(state, section)| *state == self.state && *section == self.section)
-            {
-                // States repeat with period `pass - k` from pass k on:
-                // after all `iterations` passes we are at snapshot
-                // k + ((iterations - k) mod period).
-                let period = pass - k;
-                (self.state, self.section) = snapshots[k + ((iterations - k) % period)].clone();
-                return;
-            }
-            snapshots.push((self.state.clone(), self.section));
-            self.exec_span(head + 1, tail);
-            pass += 1;
-        }
+        repeat(
+            self,
+            iterations,
+            |s| (s.state.clone(), s.section),
+            |s, entry| (s.state, s.section) = entry,
+            |s| s.exec_span(head + 1, tail),
+        );
     }
 
     fn exec_stmt(&mut self, i: usize) {
+        self.at = i;
         self.join_section(i);
         let model = self.model;
         // The statements outlive `self`'s borrow, so the handlers can
@@ -314,32 +341,36 @@ impl<'a> AbsInt<'a> {
             Stmt::HostAlloc { .. } | Stmt::DeclDevicePtrs { .. } | Stmt::Sync => {}
             Stmt::SharedAlloc { buf, .. } => {
                 let b = self.id(buf);
-                self.state[b].shared = true;
+                self.set(b, SHARED, true);
             }
             Stmt::AdsmAlloc { buf, .. } => {
                 let b = self.id(buf);
-                self.state[b].dev_alloc = true;
+                self.set(b, DEV_ALLOC, true);
             }
             Stmt::DeviceAlloc { bufs, .. } => {
                 for buf in bufs {
                     let b = self.id(buf);
-                    self.state[b].dev_alloc = true;
-                    self.state[b].freed = false;
+                    self.set(b, DEV_ALLOC, true);
+                    self.set(b, FREED, false);
                 }
             }
             Stmt::MemcpyH2D { buf, .. } => {
                 let b = self.id(buf);
                 self.check_device_lifetime(i, buf, "a host-to-device transfer");
-                let noop = self.state[b].host_fresh && self.state[b].dev_fresh;
+                // HM0103's no-op test observes a transfer and feeds no
+                // transition, so it reads without recording.
+                let noop = self.state[b] & INITIAL == INITIAL;
                 self.record_transfer(i, noop);
-                self.state[b].dev_fresh = self.state[b].host_fresh;
+                let host = self.get(b, HOST_FRESH);
+                self.set(b, DEV_FRESH, host);
             }
             Stmt::MemcpyD2H { buf, .. } => {
                 let b = self.id(buf);
                 self.check_device_lifetime(i, buf, "a device-to-host transfer");
-                let noop = self.state[b].host_fresh && self.state[b].dev_fresh;
+                let noop = self.state[b] & INITIAL == INITIAL;
                 self.record_transfer(i, noop);
-                self.state[b].host_fresh = self.state[b].dev_fresh;
+                let dev = self.get(b, DEV_FRESH);
+                self.set(b, HOST_FRESH, dev);
             }
             Stmt::AdsmCopyToDevice { bufs, .. } => {
                 // The ADSM runtime publishes the host view if it is
@@ -350,15 +381,15 @@ impl<'a> AbsInt<'a> {
                 for buf in bufs {
                     let b = self.id(buf);
                     self.check_device_lifetime(i, buf, "an ADSM publish");
-                    noop &= self.state[b].dev_fresh;
-                    self.state[b].dev_fresh = true;
+                    noop &= self.state[b] & DEV_FRESH != 0;
+                    self.set(b, DEV_FRESH, true);
                 }
                 self.record_transfer(i, noop);
             }
             Stmt::ReleaseOwnership { bufs } => {
                 for buf in bufs {
                     let b = self.id(buf);
-                    if !self.state[b].shared {
+                    if !self.get(b, SHARED) {
                         self.diag(
                             Code::UntaggedShared,
                             Severity::Error,
@@ -370,14 +401,14 @@ impl<'a> AbsInt<'a> {
                             ),
                         );
                     }
-                    self.state[b].device_owned = true;
-                    self.state[b].gpu_dirty = false;
+                    self.set(b, DEVICE_OWNED, true);
+                    self.set(b, GPU_DIRTY, false);
                 }
             }
             Stmt::AcquireOwnership { bufs } => {
                 for buf in bufs {
                     let b = self.id(buf);
-                    if !self.state[b].shared {
+                    if !self.get(b, SHARED) {
                         self.diag(
                             Code::UntaggedShared,
                             Severity::Error,
@@ -389,15 +420,15 @@ impl<'a> AbsInt<'a> {
                             ),
                         );
                     }
-                    self.state[b].device_owned = false;
-                    self.state[b].gpu_dirty = false;
+                    self.set(b, DEVICE_OWNED, false);
+                    self.set(b, GPU_DIRTY, false);
                 }
             }
             Stmt::FreeDevice { bufs } => {
                 if matches!(model, AddressSpace::Disjoint | AddressSpace::Adsm) {
                     for buf in bufs {
                         let b = self.id(buf);
-                        self.state[b].freed = true;
+                        self.set(b, FREED, true);
                     }
                 }
             }
@@ -439,7 +470,7 @@ impl<'a> AbsInt<'a> {
             return;
         }
         let b = self.id(buf);
-        if self.state[b].freed {
+        if self.get(b, FREED) {
             self.diag(
                 Code::OwnershipViolation,
                 Severity::Error,
@@ -447,7 +478,7 @@ impl<'a> AbsInt<'a> {
                 Some(buf),
                 format!("{what} uses `{buf}` after its device storage was freed"),
             );
-        } else if !self.state[b].dev_alloc {
+        } else if !self.get(b, DEV_ALLOC) {
             self.diag(
                 Code::OwnershipViolation,
                 Severity::Error,
@@ -468,7 +499,7 @@ impl<'a> AbsInt<'a> {
                 }
                 for buf in reads {
                     let b = self.id(buf);
-                    if !self.state[b].dev_fresh {
+                    if !self.get(b, DEV_FRESH) {
                         self.diag(
                             Code::StaleRead,
                             Severity::Error,
@@ -484,18 +515,18 @@ impl<'a> AbsInt<'a> {
                 }
                 for buf in writes {
                     let b = self.id(buf);
-                    self.state[b].dev_fresh = true;
+                    self.set(b, DEV_FRESH, true);
                     // Under ADSM the CPU addresses the device-resident
                     // object directly, so a GPU write is immediately
                     // visible to the host; under disjoint it only lands
                     // in the device mirror.
-                    self.state[b].host_fresh = model == AddressSpace::Adsm;
+                    self.set(b, HOST_FRESH, model == AddressSpace::Adsm);
                 }
             }
             AddressSpace::PartiallyShared => {
                 for buf in reads.iter().chain(writes) {
                     let b = self.id(buf);
-                    if !self.state[b].shared {
+                    if !self.get(b, SHARED) {
                         self.diag(
                             Code::UntaggedShared,
                             Severity::Error,
@@ -507,7 +538,7 @@ impl<'a> AbsInt<'a> {
                                  sharedmalloc)"
                             ),
                         );
-                    } else if !self.state[b].device_owned {
+                    } else if !self.get(b, DEVICE_OWNED) {
                         self.diag(
                             Code::OwnershipViolation,
                             Severity::Error,
@@ -522,8 +553,8 @@ impl<'a> AbsInt<'a> {
                 }
                 for buf in writes {
                     let b = self.id(buf);
-                    if self.state[b].shared && self.state[b].device_owned {
-                        self.state[b].gpu_dirty = true;
+                    if self.get(b, SHARED) && self.get(b, DEVICE_OWNED) {
+                        self.set(b, GPU_DIRTY, true);
                     }
                 }
             }
@@ -536,7 +567,7 @@ impl<'a> AbsInt<'a> {
             AddressSpace::Disjoint => {
                 for buf in reads {
                     let b = self.id(buf);
-                    if !self.state[b].host_fresh {
+                    if !self.get(b, HOST_FRESH) {
                         self.diag(
                             Code::MissingTransferBack,
                             Severity::Error,
@@ -559,7 +590,7 @@ impl<'a> AbsInt<'a> {
                 // still be alive.
                 for buf in reads.iter().chain(writes) {
                     let b = self.id(buf);
-                    if self.state[b].dev_alloc || self.state[b].freed {
+                    if self.get(b, DEV_ALLOC) || self.get(b, FREED) {
                         self.check_device_lifetime(i, buf, &format!("host step `{name}`"));
                     }
                 }
@@ -583,8 +614,8 @@ impl<'a> AbsInt<'a> {
             AddressSpace::Unified => {}
             AddressSpace::Disjoint | AddressSpace::Adsm => {
                 let b = self.id(buf);
-                self.state[b].host_fresh = true;
-                self.state[b].dev_fresh = false;
+                self.set(b, HOST_FRESH, true);
+                self.set(b, DEV_FRESH, false);
             }
             AddressSpace::PartiallyShared => {
                 self.pas_host_access(i, buf, who);
@@ -598,10 +629,10 @@ impl<'a> AbsInt<'a> {
     /// access races only with the protocol, not with data).
     fn pas_host_access(&mut self, i: usize, buf: &str, who: &str) {
         let b = self.id(buf);
-        if !self.state[b].shared || !self.state[b].device_owned {
+        if !self.get(b, SHARED) || !self.get(b, DEVICE_OWNED) {
             return;
         }
-        let (severity, detail) = if self.state[b].gpu_dirty {
+        let (severity, detail) = if self.get(b, GPU_DIRTY) {
             (
                 Severity::Error,
                 "a GPU kernel has written it since releaseOwnership",
@@ -726,6 +757,10 @@ mod tests {
     use super::*;
     use crate::lower::lower;
     use crate::programs;
+
+    fn check_lowered_impl(lowered: &Lowered) -> Vec<Diagnostic> {
+        interpret(lowered, false).0
+    }
 
     fn errors(lowered: &Lowered) -> Vec<Diagnostic> {
         check_lowered_impl(lowered)
@@ -915,6 +950,46 @@ mod tests {
         };
         assert_eq!(races(1), Vec::<String>::new());
         assert_eq!(races(2), vec!["a".to_string()]);
+    }
+
+    #[test]
+    fn a_torn_host_read_is_an_error_after_a_note_at_the_same_site() {
+        // The host touches `a` while the device owns it: a note on the
+        // first pass, an error on the second, after `g` wrote it.
+        let kernel =
+            |target, name: &str, reads: Vec<String>, writes: Vec<String>| Stmt::KernelCall {
+                target,
+                name: name.into(),
+                args: vec!["a".into()],
+                reads,
+                writes,
+                parallel: false,
+                arg_bytes: 64,
+                args_upload: false,
+            };
+        let lowered = Lowered {
+            program_name: "torn".into(),
+            model: AddressSpace::PartiallyShared,
+            stmts: vec![
+                Stmt::SharedAlloc {
+                    buf: "a".into(),
+                    bytes: 64,
+                },
+                Stmt::ReleaseOwnership {
+                    bufs: vec!["a".into()],
+                },
+                Stmt::LoopHead { iterations: 2 },
+                kernel(Target::Cpu, "c", vec!["a".into()], vec![]),
+                kernel(Target::Gpu, "g", vec![], vec!["a".into()]),
+                Stmt::LoopTail,
+            ],
+        };
+        let at_c: Vec<Severity> = check_lowered_impl(&lowered)
+            .into_iter()
+            .filter(|d| d.code == Code::OwnershipViolation && d.stmt == Some(3))
+            .map(|d| d.severity)
+            .collect();
+        assert_eq!(at_c, vec![Severity::Note, Severity::Error]);
     }
 
     #[test]

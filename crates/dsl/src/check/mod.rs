@@ -22,14 +22,13 @@ mod absint;
 mod diag;
 mod oracle;
 
-pub(crate) use absint::Interp;
+pub(crate) use absint::{collect_buffers, interpret, matching_tail, repeat, Effects, Interp};
 pub use diag::{Code, Diagnostic, Severity};
 pub use oracle::{run_oracle, OracleReport};
 
 use crate::ast::{for_each_access, AccessMode, BufId, Program, Step, Target};
 use crate::lower::{lower, Lowered};
 use crate::model::AddressSpace;
-use crate::stmt::Stmt;
 
 /// The 1-based line number of statement `stmt` in [`crate::render`]'s
 /// output (three header lines precede the first statement).
@@ -108,7 +107,7 @@ pub fn check(program: &Program, model: AddressSpace) -> CheckReport {
 /// returning memory-model findings sorted by statement index.
 #[must_use]
 pub fn check_lowered(lowered: &Lowered) -> Vec<Diagnostic> {
-    absint::check_lowered_impl(lowered)
+    absint::interpret(lowered, false).0
 }
 
 // ---------------------------------------------------------------------
@@ -172,37 +171,6 @@ fn visit_facts(steps: &[Step], idx: &mut usize, facts: &mut [BufFacts]) {
     }
 }
 
-/// Buffer names that end up in the GPU-visible shared region of the
-/// partially shared lowering — derived from the lowered statements, not
-/// the program steps, so buffers that become shared only through
-/// loop-carried access patterns are included too.
-fn shared_region_buffers(program: &Program) -> Vec<String> {
-    let lowered = lower(program, AddressSpace::PartiallyShared);
-    let mut names: Vec<String> = Vec::new();
-    let add = |bufs: &[String], names: &mut Vec<String>| {
-        for b in bufs {
-            if !names.contains(b) {
-                names.push(b.clone());
-            }
-        }
-    };
-    for stmt in &lowered.stmts {
-        match stmt {
-            Stmt::SharedAlloc { buf, .. } => add(std::slice::from_ref(buf), &mut names),
-            Stmt::ReleaseOwnership { bufs } | Stmt::AcquireOwnership { bufs } => {
-                add(bufs, &mut names);
-            }
-            Stmt::KernelCall {
-                target: Target::Gpu,
-                args,
-                ..
-            } => add(args, &mut names),
-            _ => {}
-        }
-    }
-    names
-}
-
 /// Walks the steps checking declared access-mode intents against actual
 /// GPU-kernel usage (HM0005): a `read` buffer must never be written by a
 /// GPU kernel, a `write` buffer never read by one.
@@ -223,9 +191,15 @@ fn visit_mode_violations(
                 writes,
                 ..
             } => {
-                for &b in writes {
-                    let buf = program.buffer(b);
-                    if buf.mode == AccessMode::Read {
+                let checks = [
+                    (writes, AccessMode::Read, "writes"),
+                    (reads, AccessMode::Write, "reads"),
+                ];
+                for (bufs, mode, verb) in checks {
+                    for buf in bufs.iter().map(|&b| program.buffer(b)) {
+                        if buf.mode != mode {
+                            continue;
+                        }
                         diags.push(Diagnostic {
                             code: Code::AccessModeViolation,
                             severity: Severity::Warning,
@@ -234,27 +208,10 @@ fn visit_mode_violations(
                             source: None,
                             buffer: Some(buf.name.clone()),
                             message: format!(
-                                "buffer `{}` is declared `read` but GPU kernel `{name}` \
-                                 writes it",
-                                buf.name
-                            ),
-                        });
-                    }
-                }
-                for &b in reads {
-                    let buf = program.buffer(b);
-                    if buf.mode == AccessMode::Write {
-                        diags.push(Diagnostic {
-                            code: Code::AccessModeViolation,
-                            severity: Severity::Warning,
-                            stmt: Some(current),
-                            line: None,
-                            source: None,
-                            buffer: Some(buf.name.clone()),
-                            message: format!(
-                                "buffer `{}` is declared `write` but GPU kernel `{name}` \
-                                 reads it",
-                                buf.name
+                                "buffer `{}` is declared `{}` but GPU kernel `{name}` \
+                                 {verb} it",
+                                buf.name,
+                                mode.keyword()
                             ),
                         });
                     }
@@ -281,7 +238,9 @@ pub fn program_lints(program: &Program) -> Vec<Diagnostic> {
     let mut facts = vec![BufFacts::default(); program.buffers.len()];
     let mut idx = 0;
     visit_facts(&program.steps, &mut idx, &mut facts);
-    let shared = shared_region_buffers(program);
+    // The partially shared lowering allocates exactly these with
+    // `sharedmalloc`.
+    let shared = program.gpu_buffers();
 
     let mut diags = Vec::new();
     for (i, f) in facts.iter().enumerate() {
@@ -322,7 +281,7 @@ pub fn program_lints(program: &Program) -> Vec<Diagnostic> {
                 message: format!("buffer `{name}` is written but its result is never read"),
             });
         }
-        if shared.contains(&name) {
+        if shared.contains(&BufId(i)) {
             diags.push(Diagnostic {
                 code: Code::SharedCandidate,
                 severity: Severity::Note,

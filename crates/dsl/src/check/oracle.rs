@@ -113,23 +113,18 @@ impl Oracle<'_> {
         }
     }
 
-    fn gpu_read(&mut self, i: usize, buf: &str) {
+    /// Records a stale read of `buf` at `i` by the device (`gpu`) or the
+    /// host, once per site.
+    fn read(&mut self, i: usize, buf: &str, gpu: bool) {
         let b = self.id(buf);
-        if self.dev_v[b] < self.latest[b] {
-            let site = (i, buf.to_owned());
-            if !self.report.stale_gpu_reads.contains(&site) {
-                self.report.stale_gpu_reads.push(site);
-            }
-        }
-    }
-
-    fn host_read(&mut self, i: usize, buf: &str) {
-        let b = self.id(buf);
-        if self.host_v[b] < self.latest[b] {
-            let site = (i, buf.to_owned());
-            if !self.report.stale_host_reads.contains(&site) {
-                self.report.stale_host_reads.push(site);
-            }
+        let (held, sites) = if gpu {
+            (self.dev_v[b], &mut self.report.stale_gpu_reads)
+        } else {
+            (self.host_v[b], &mut self.report.stale_host_reads)
+        };
+        let site = (i, buf.to_owned());
+        if held < self.latest[b] && !sites.contains(&site) {
+            sites.push(site);
         }
     }
 
@@ -168,7 +163,7 @@ impl Oracle<'_> {
                 ..
             } => {
                 for buf in &reads {
-                    self.gpu_read(i, buf);
+                    self.read(i, buf, true);
                 }
                 for buf in &writes {
                     self.gpu_write(buf);
@@ -187,7 +182,7 @@ impl Oracle<'_> {
                     if self.lowered.model == AddressSpace::Adsm {
                         continue;
                     }
-                    self.host_read(i, buf);
+                    self.read(i, buf, false);
                 }
                 for buf in &writes {
                     self.host_write(buf);

@@ -2,33 +2,37 @@
 //!
 //! The paper's central claim is that the memory model dictates which
 //! communication a program must perform. The static verifier in
-//! [`crate::check`](mod@crate::check) can already *prove* a transfer
-//! redundant (HM0103) or missing (HM0101/HM0102); this module acts on
-//! those proofs: it rewrites a lowered program to the *minimal
-//! sufficient* communication set the abstract interpreter can certify.
-//!
-//! The pass iterates two phases to a fixpoint:
+//! [`crate::check`](mod@crate::check) proves a transfer redundant
+//! (HM0103) or missing (HM0101/HM0102); this module acts on those proofs,
+//! rewriting a lowered program to the *minimal sufficient* communication
+//! set the abstract interpreter can certify, in two phases:
 //!
 //! 1. **Insert** — for every `Error`-severity finding with a mechanical
 //!    remedy (stale read → host-to-device copy, missing transfer-back →
 //!    device-to-host copy, untagged shared data → `sharedmalloc` retag,
 //!    ownership violation → release/acquire), apply the remedy at the
 //!    reported site and re-check.
-//! 2. **Delete** — generate-and-test over the guarded candidate set
-//!    (whole `Memcpy`/`copyfromCPUtoGPU` statements, single buffers of
-//!    ownership and ADSM copy groups): a deletion survives only if the
-//!    re-run checker reports no new finding at *any* severity **and** the
-//!    concrete [`crate::run_oracle`] interpreter still observes no stale
-//!    read. Compute statements are never candidates, so the fixed
-//!    program's compute trace is bit-identical to the input's.
+//! 2. **Delete** — a `Memcpy`, or one buffer of a `copyfromCPUtoGPU` or
+//!    ownership group, goes iff removing it changes no finding but its own
+//!    HM0103: on every execution, each flag it sets already holds that
+//!    value or is overwritten before any statement reads it. The
+//!    interpreter records what each statement reads, writes and changes;
+//!    a backward liveness sweep over the records decides. Compute
+//!    statements are never candidates, so the compute trace is untouched.
 //!
-//! Both phases are deterministic (statements scanned in order, buffers in
-//! group order), so `fix` is idempotent: `fix(fix(p)) == fix(p)`.
+//! Both phases are deterministic, so `fix` is idempotent:
+//! `fix(fix(p)) == fix(p)`.
+
+use std::collections::HashMap;
 
 use crate::ast::Program;
-use crate::check::{check_lowered, run_oracle, Code, Diagnostic, Severity};
+use crate::check::{
+    check_lowered, collect_buffers, interpret, matching_tail, render_line, repeat, Code,
+    Diagnostic, Effects, Severity,
+};
 use crate::lower::{lower, Lowered};
 use crate::model::AddressSpace;
+use crate::pretty::render;
 use crate::stmt::Stmt;
 
 /// One edit the fix pass performed.
@@ -63,7 +67,8 @@ pub struct FixReport {
     /// set.
     pub fixed: Lowered,
     /// Communication statements (or group members) the checker proved
-    /// removable, in removal order.
+    /// removable, in program order; each index is into the program with
+    /// the earlier removals applied.
     pub removed: Vec<FixEdit>,
     /// Statements inserted (or rewritten, for `sharedmalloc` retags) to
     /// clear `Error` findings, in insertion order.
@@ -71,8 +76,9 @@ pub struct FixReport {
     /// Findings at `Error` or `Warning` severity that survive in the
     /// fixed program — violations with no mechanical remedy.
     pub residual: Vec<Diagnostic>,
-    /// Outer insert/delete rounds until the fixpoint.
-    pub iterations: usize,
+    /// For each fixed statement, the original one it came from (`None`
+    /// if inserted).
+    origin: Vec<Option<usize>>,
 }
 
 impl FixReport {
@@ -87,6 +93,41 @@ impl FixReport {
     #[must_use]
     pub fn lines_saved(&self) -> i64 {
         i64::from(self.original.comm_overhead_lines()) - i64::from(self.fixed.comm_overhead_lines())
+    }
+
+    /// A line diff from [`render`] of the original to that of the fixed
+    /// program: common lines prefixed with two spaces, removals with
+    /// `- `, insertions with `+ `, and a rewritten line as a removal then
+    /// an insertion. Lines pair up by the statement each fixed statement
+    /// came from, so the diff is linear in the program.
+    #[must_use]
+    pub fn diff(&self) -> String {
+        let before = render(&self.original);
+        let before: Vec<&str> = before.lines().collect();
+        // Statement `i` is on line `render_line(i)`, between a header and
+        // a closing line that pair by position.
+        let head = render_line(0) - 1;
+        let from: Vec<Option<usize>> = (0..head)
+            .map(Some)
+            .chain(self.origin.iter().map(|o| o.map(|i| head + i)))
+            .chain([Some(before.len() - 1)])
+            .collect();
+        let mut out = String::new();
+        let mut next = 0;
+        for (j, line) in render(&self.fixed).lines().enumerate() {
+            // Removals print before insertions at the same point.
+            let upto = from[j..].iter().find_map(|&f| f).unwrap_or(before.len());
+            for gone in &before[next..upto.max(next)] {
+                out.push_str(&format!("- {gone}\n"));
+            }
+            match from[j] {
+                Some(i) if before[i] == line => out.push_str(&format!("  {line}\n")),
+                Some(i) => out.push_str(&format!("- {}\n+ {line}\n", before[i])),
+                None => out.push_str(&format!("+ {line}\n")),
+            }
+            next = from[j].map_or(upto.max(next), |i| i + 1);
+        }
+        out
     }
 }
 
@@ -122,21 +163,10 @@ pub fn fix(program: &Program, model: AddressSpace) -> FixReport {
 #[must_use]
 pub fn fix_lowered(original: &Lowered) -> FixReport {
     let mut cur = original.clone();
-    let mut removed = Vec::new();
+    let mut origin = (0..cur.stmts.len()).map(Some).collect();
     let mut inserted = Vec::new();
-    let mut iterations = 0;
-    // Outer fixpoint: insertions can unlock deletions and vice versa.
-    // Each round either changes the program or terminates, and every
-    // round is bounded, so the loop is finite; the belt-and-braces bound
-    // covers pathological inputs.
-    while iterations < 32 {
-        iterations += 1;
-        let did_insert = insert_pass(&mut cur, &mut inserted);
-        let did_delete = delete_pass(&mut cur, &mut removed);
-        if !did_insert && !did_delete {
-            break;
-        }
-    }
+    insert_pass(&mut cur, &mut origin, &mut inserted);
+    let removed = delete_pass(&mut cur, &mut origin);
     let residual = check_lowered(&cur)
         .into_iter()
         .filter(|d| d.severity <= Severity::Warning)
@@ -147,7 +177,7 @@ pub fn fix_lowered(original: &Lowered) -> FixReport {
         removed,
         inserted,
         residual,
-        iterations,
+        origin,
     }
 }
 
@@ -163,8 +193,7 @@ enum Remedy {
     Retag { at: usize, buf: String },
 }
 
-fn insert_pass(cur: &mut Lowered, inserted: &mut Vec<FixEdit>) -> bool {
-    let mut changed = false;
+fn insert_pass(cur: &mut Lowered, origin: &mut Vec<Option<usize>>, inserted: &mut Vec<FixEdit>) {
     // Each accepted remedy strictly reduces the number of Error findings,
     // so this terminates; the bound covers remedies that merely trade one
     // error for another on adversarial inputs.
@@ -186,11 +215,12 @@ fn insert_pass(cur: &mut Lowered, inserted: &mut Vec<FixEdit>) -> bool {
         if errors_after >= errors.len() {
             break;
         }
+        if let Remedy::Before { at, .. } = remedy {
+            origin.insert(at, None);
+        }
         inserted.push(edit);
         *cur = trial;
-        changed = true;
     }
-    changed
 }
 
 fn plan_remedy(cur: &Lowered, d: &Diagnostic) -> Option<Remedy> {
@@ -250,7 +280,7 @@ fn apply_remedy(trial: &mut Lowered, remedy: &Remedy) -> FixEdit {
             FixEdit {
                 stmt: *at,
                 text: stmt.to_string(),
-                buffer: single_buffer(stmt),
+                buffer: stmt.buffers().first().cloned(),
             }
         }
         Remedy::Retag { at, buf } => {
@@ -272,147 +302,201 @@ fn apply_remedy(trial: &mut Lowered, remedy: &Remedy) -> FixEdit {
 }
 
 // ---------------------------------------------------------------------
-// Deletion phase: generate-and-test over the guarded candidate set.
+// Deletion phase: liveness over the interpreter's records.
 // ---------------------------------------------------------------------
 
-/// One deletion candidate.
-enum Deletion {
-    /// Remove the whole statement at `at`.
-    Whole { at: usize },
-    /// Remove one buffer from the group statement at `at` (deleting the
-    /// statement if the group empties).
-    Drop { at: usize, buf: String },
-}
-
-/// Severity and oracle tallies used to accept or reject a deletion.
-#[derive(PartialEq, Eq, PartialOrd)]
-struct Verdicts {
-    errors: usize,
-    warnings: usize,
-    notes: usize,
-    stale_reads: usize,
-}
-
-fn verdicts(lowered: &Lowered) -> Verdicts {
-    let diags = check_lowered(lowered);
-    let count = |s: Severity| diags.iter().filter(|d| d.severity == s).count();
-    let oracle = run_oracle(lowered);
-    Verdicts {
-        errors: count(Severity::Error),
-        warnings: count(Severity::Warning),
-        notes: count(Severity::Note),
-        stale_reads: oracle.stale_gpu_reads.len() + oracle.stale_host_reads.len(),
-    }
-}
-
-fn delete_pass(cur: &mut Lowered, removed: &mut Vec<FixEdit>) -> bool {
-    let mut changed = false;
-    loop {
-        let baseline = verdicts(cur);
-        let mut progressed = false;
-        'scan: for at in 0..cur.stmts.len() {
-            for deletion in candidates_at(&cur.stmts[at], at) {
-                let mut trial = cur.clone();
-                let edit = apply_deletion(&mut trial, &deletion);
-                let after = verdicts(&trial);
-                // The deletion survives only if no tally gets worse: the
-                // checker must not report a new finding at any severity
-                // and the concrete oracle must not observe a new stale
-                // read. (Notes matter: removing a final acquire trades a
-                // special op for an HM0105 note, which is not minimal —
-                // it is a different program.)
-                if after.errors <= baseline.errors
-                    && after.warnings <= baseline.warnings
-                    && after.notes <= baseline.notes
-                    && after.stale_reads <= baseline.stale_reads
-                {
-                    removed.push(edit);
-                    *cur = trial;
-                    progressed = true;
-                    changed = true;
-                    break 'scan;
+/// Removes every candidate the interpreter's records prove removable,
+/// keeping `origin` in step, and returns the removals.
+fn delete_pass(cur: &mut Lowered, origin: &mut Vec<Option<usize>>) -> Vec<FixEdit> {
+    let start = std::mem::take(&mut cur.stmts);
+    let adsm: HashMap<&str, u64> = start
+        .iter()
+        .filter_map(|s| match s {
+            Stmt::AdsmAlloc { buf, bytes } => Some((buf.as_str(), *bytes)),
+            _ => None,
+        })
+        .collect();
+    // Per statement of `start`, which of its members are left (`None` if
+    // it is no candidate).
+    let mut left: Vec<Option<Vec<bool>>> = start
+        .iter()
+        .map(|s| {
+            members(s)
+                .filter(|m| !m.is_empty())
+                .map(|m| vec![true; m.len()])
+        })
+        .collect();
+    // A second interpret-and-sweep round removes what the first turns into
+    // no-ops (the release after a dead acquire); a third would find
+    // nothing (DESIGN.md §2.11).
+    for _ in 0..2 {
+        let from;
+        (cur.stmts, from, _) = apply(&start, &left, &adsm);
+        let mut changed = false;
+        for (needed, &i) in sweep(cur).iter().zip(&from) {
+            if let (Some(needed), Some(left)) = (needed, &mut left[i]) {
+                for (kept, &needed) in left.iter_mut().filter(|k| **k).zip(needed) {
+                    (*kept, changed) = (needed, changed || !needed);
                 }
             }
         }
-        if !progressed {
+        if !changed {
             break;
         }
     }
-    changed
+    let (stmts, from, edits) = apply(&start, &left, &adsm);
+    cur.stmts = stmts;
+    *origin = from.iter().map(|&i| origin[i]).collect();
+    edits
 }
 
-/// Deletion candidates for the statement at `at`. Only communication
-/// statements the checker exactly guards are candidates; `Sync`,
-/// `FreeDevice`, allocations, and compute statements are never touched.
-fn candidates_at(stmt: &Stmt, at: usize) -> Vec<Deletion> {
-    match stmt {
-        Stmt::MemcpyH2D { .. } | Stmt::MemcpyD2H { .. } => vec![Deletion::Whole { at }],
-        Stmt::AdsmCopyToDevice { bufs, .. }
-        | Stmt::ReleaseOwnership { bufs }
-        | Stmt::AcquireOwnership { bufs } => {
-            let mut out: Vec<Deletion> = bufs
-                .iter()
-                .filter(|_| bufs.len() > 1)
-                .map(|b| Deletion::Drop { at, buf: b.clone() })
-                .collect();
-            out.push(Deletion::Whole { at });
-            out
-        }
-        _ => Vec::new(),
-    }
-}
-
-fn apply_deletion(trial: &mut Lowered, deletion: &Deletion) -> FixEdit {
-    match deletion {
-        Deletion::Whole { at } => {
-            let stmt = trial.stmts.remove(*at);
-            FixEdit {
-                stmt: *at,
-                text: stmt.to_string(),
-                buffer: single_buffer(&stmt),
-            }
-        }
-        Deletion::Drop { at, buf } => {
-            let text = trial.stmts[*at].to_string();
-            match &mut trial.stmts[*at] {
-                Stmt::AdsmCopyToDevice { bufs, bytes } => {
-                    bufs.retain(|b| b != buf);
-                    // The group's byte count is a total; without the
-                    // per-buffer split recorded we conservatively leave
-                    // it (only line counts and event counts matter, and
-                    // both come from the buffer list).
-                    let _ = bytes;
-                }
-                Stmt::ReleaseOwnership { bufs } | Stmt::AcquireOwnership { bufs } => {
-                    bufs.retain(|b| b != buf);
-                }
-                other => unreachable!("drop plans only target groups, found {other}"),
-            }
-            FixEdit {
-                stmt: *at,
-                text,
-                buffer: Some(buf.clone()),
-            }
-        }
-    }
-}
-
-/// The buffer a single-buffer statement names, if any.
-fn single_buffer(stmt: &Stmt) -> Option<String> {
-    match stmt {
-        Stmt::MemcpyH2D { buf, .. }
-        | Stmt::MemcpyD2H { buf, .. }
-        | Stmt::HostAlloc { buf, .. }
-        | Stmt::SharedAlloc { buf, .. }
-        | Stmt::AdsmAlloc { buf, .. } => Some(buf.clone()),
-        Stmt::AdsmCopyToDevice { bufs, .. }
-        | Stmt::ReleaseOwnership { bufs }
-        | Stmt::AcquireOwnership { bufs }
-            if bufs.len() == 1 =>
+/// What `left` leaves of `start`: the statements, the index in `start`
+/// each comes from, and the removals in [`FixReport::removed`]'s encoding
+/// — in program order, group members one at a time, each index into the
+/// program with the earlier removals applied, and a group that empties
+/// going as a whole with its last member.
+fn apply(
+    start: &[Stmt],
+    left: &[Option<Vec<bool>>],
+    adsm: &HashMap<&str, u64>,
+) -> (Vec<Stmt>, Vec<usize>, Vec<FixEdit>) {
+    let (mut stmts, mut from, mut edits) = (Vec::new(), Vec::new(), Vec::new());
+    for (i, (stmt, left)) in start.iter().zip(left).enumerate() {
+        let mut now = stmt.clone();
+        let members = members(stmt).unwrap_or_default();
+        for (buf, _) in members
+            .iter()
+            .zip(left.iter().flatten())
+            .filter(|(_, &k)| !k)
         {
-            Some(bufs[0].clone())
+            edits.push(FixEdit {
+                stmt: stmts.len(),
+                text: now.to_string(),
+                buffer: Some(buf.clone()),
+            });
+            drop_member(&mut now, buf, adsm);
         }
-        _ => None,
+        if left.as_ref().is_none_or(|l| l.contains(&true)) {
+            stmts.push(now);
+            from.push(i);
+        }
+    }
+    (stmts, from, edits)
+}
+
+/// Per statement, `None` if it stays whole (no candidate, or a finding of
+/// its own besides HM0103), else per member whether some later read sees
+/// its change.
+fn sweep(cur: &Lowered) -> Vec<Option<Vec<bool>>> {
+    let (diags, effects) = interpret(cur, true);
+    let mut needed: Vec<_> = cur
+        .stmts
+        .iter()
+        .map(|s| members(s).map(|m| vec![false; m.len()]))
+        .collect();
+    for d in diags.iter().filter(|d| d.code != Code::RedundantTransfer) {
+        needed[d.stmt.expect("lowered findings carry a statement")] = None;
+    }
+    let names = collect_buffers(cur);
+    let mut sweep = Sweep {
+        stmts: &cur.stmts,
+        live: vec![0; names.len()],
+        names,
+        effects,
+        needed,
+    };
+    sweep.span(0, cur.stmts.len());
+    sweep.needed
+}
+
+/// Backward liveness over the interpreter's records.
+struct Sweep<'a> {
+    stmts: &'a [Stmt],
+    names: Vec<String>,
+    effects: Effects,
+    /// Per buffer, the flags some later statement reads before any write.
+    live: Vec<u8>,
+    needed: Vec<Option<Vec<bool>>>,
+}
+
+impl Sweep<'_> {
+    /// Walks `stmts[start..end]` backward, split into statements and loops
+    /// as the interpreter splits it, each loop under its cycle rule.
+    fn span(&mut self, start: usize, end: usize) {
+        let mut items = Vec::new();
+        let mut i = start;
+        while i < end {
+            let last = match self.stmts[i] {
+                Stmt::LoopHead { .. } => matching_tail(self.stmts, i),
+                _ => i,
+            };
+            items.push((i, last));
+            i = last.saturating_add(1);
+        }
+        for (i, last) in items.into_iter().rev() {
+            if let Stmt::LoopHead { iterations } = self.stmts[i] {
+                let live = |s: &Self| s.live.clone();
+                repeat(
+                    self,
+                    iterations,
+                    live,
+                    |s, l| s.live = l,
+                    |s| s.span(i + 1, last),
+                );
+            } else {
+                self.stmt(i);
+            }
+        }
+    }
+
+    fn stmt(&mut self, i: usize) {
+        let (stmts, accesses) = (self.stmts, &self.effects[i]);
+        let Some(needed) = &mut self.needed[i] else {
+            for a in accesses {
+                self.live[a.buf] = self.live[a.buf] & !a.wrote | a.read;
+            }
+            return;
+        };
+        for (k, buf) in members(&stmts[i]).unwrap_or_default().iter().enumerate() {
+            let b = self.names.iter().position(|n| n == buf).expect("a buffer");
+            // A member no later read sees neither kills nor reads here.
+            if let Some(a) = accesses
+                .iter()
+                .find(|a| a.buf == b && a.changed & self.live[b] != 0)
+            {
+                needed[k] = true;
+                self.live[b] = self.live[b] & !a.wrote | a.read;
+            }
+        }
+    }
+}
+
+/// The members of a deletion candidate: the buffer of a `Memcpy`, each
+/// buffer of an ADSM copy or ownership group. `Sync`, `FreeDevice`,
+/// allocations and compute statements are no candidates.
+fn members(stmt: &Stmt) -> Option<&[String]> {
+    let candidate = matches!(
+        stmt,
+        Stmt::MemcpyH2D { .. }
+            | Stmt::MemcpyD2H { .. }
+            | Stmt::AdsmCopyToDevice { .. }
+            | Stmt::ReleaseOwnership { .. }
+            | Stmt::AcquireOwnership { .. }
+    );
+    candidate.then(|| stmt.buffers())
+}
+
+/// Drops `buf` from the group `stmt`; an ADSM copy stops counting the
+/// bytes its `adsmAlloc` gives.
+fn drop_member(stmt: &mut Stmt, buf: &str, adsm: &HashMap<&str, u64>) {
+    if let Stmt::AdsmCopyToDevice { bytes, .. } = stmt {
+        *bytes = bytes.saturating_sub(adsm.get(buf).copied().unwrap_or(0));
+    }
+    if let Stmt::AdsmCopyToDevice { bufs, .. }
+    | Stmt::ReleaseOwnership { bufs }
+    | Stmt::AcquireOwnership { bufs } = stmt
+    {
+        bufs.retain(|b| b != buf);
     }
 }
 
@@ -436,56 +520,10 @@ fn buffer_bytes(lowered: &Lowered, buf: &str) -> u64 {
     64
 }
 
-// ---------------------------------------------------------------------
-// Line diff for `hetmem fix --format diff`.
-// ---------------------------------------------------------------------
-
-/// A minimal line diff between two renderings: common lines prefixed with
-/// two spaces, removals with `- `, insertions with `+ ` (longest common
-/// subsequence, so the diff is minimal).
-#[must_use]
-pub fn diff_lines(before: &str, after: &str) -> String {
-    let a: Vec<&str> = before.lines().collect();
-    let b: Vec<&str> = after.lines().collect();
-    // LCS table; the lowered programs are tens of lines, so O(n*m) is
-    // plenty.
-    let mut lcs = vec![vec![0usize; b.len() + 1]; a.len() + 1];
-    for i in (0..a.len()).rev() {
-        for j in (0..b.len()).rev() {
-            lcs[i][j] = if a[i] == b[j] {
-                lcs[i + 1][j + 1] + 1
-            } else {
-                lcs[i + 1][j].max(lcs[i][j + 1])
-            };
-        }
-    }
-    let mut out = String::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] == b[j] {
-            out.push_str(&format!("  {}\n", a[i]));
-            i += 1;
-            j += 1;
-        } else if lcs[i + 1][j] >= lcs[i][j + 1] {
-            out.push_str(&format!("- {}\n", a[i]));
-            i += 1;
-        } else {
-            out.push_str(&format!("+ {}\n", b[j]));
-            j += 1;
-        }
-    }
-    for line in &a[i..] {
-        out.push_str(&format!("- {line}\n"));
-    }
-    for line in &b[j..] {
-        out.push_str(&format!("+ {line}\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::run_oracle;
     use crate::programs;
 
     #[test]
@@ -641,10 +679,72 @@ mod tests {
 
     #[test]
     fn diff_marks_removed_lines() {
-        let before = "a\nb\nc\n";
-        let after = "a\nc\nd\n";
-        let diff = diff_lines(before, after);
-        assert_eq!(diff, "  a\n- b\n  c\n+ d\n");
+        let init = |buf: &str| Stmt::InitCode {
+            bufs: vec![buf.into()],
+            bytes: 64,
+        };
+        let lowered = |stmts| Lowered {
+            program_name: "p".into(),
+            model: AddressSpace::Disjoint,
+            stmts,
+        };
+        let b = Stmt::MemcpyH2D {
+            buf: "b".into(),
+            bytes: 64,
+        };
+        let d = Stmt::MemcpyD2H {
+            buf: "d".into(),
+            bytes: 64,
+        };
+        let edit = |stmt, s: &Stmt| FixEdit {
+            stmt,
+            text: s.to_string(),
+            buffer: s.buffers().first().cloned(),
+        };
+        // `d` is inserted after `c`, then `b` removed.
+        let report = FixReport {
+            original: lowered(vec![init("a"), b.clone(), init("c")]),
+            fixed: lowered(vec![init("a"), init("c"), d.clone()]),
+            removed: vec![edit(1, &b)],
+            inserted: vec![edit(3, &d)],
+            residual: Vec::new(),
+            origin: vec![Some(0), Some(2), None],
+        };
+        let before = render(&report.original);
+        let after = render(&report.fixed);
+        let (x, y): (Vec<&str>, Vec<&str>) = (before.lines().collect(), after.lines().collect());
+        let expected = format!(
+            "  {}\n  {}\n  {}\n  {}\n- {}\n  {}\n+ {}\n  }}\n",
+            x[0], x[1], x[2], x[3], x[4], x[5], y[5]
+        );
+        assert_eq!(report.diff(), expected);
+    }
+
+    #[test]
+    fn a_dropped_adsm_buffer_stops_counting_its_bytes() {
+        // `k` overwrites `b` before anything reads the published copy, so
+        // `b` leaves the initial `copyfromCPUtoGPU(a, b)`.
+        let program = crate::parse_program(
+            "program p { compute 1; buffer a: 64; buffer b: 128; init a, b; \
+             loop 2 { gpu k(read a; write b); gpu k2(read b; write b); } seq fin(read a); }",
+        )
+        .expect("valid program");
+        let report = fix(&program, AddressSpace::Adsm);
+        let copies: Vec<(Vec<String>, u64)> = report
+            .fixed
+            .stmts
+            .iter()
+            .filter_map(|s| match s {
+                Stmt::AdsmCopyToDevice { bufs, bytes } => Some((bufs.clone(), *bytes)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(copies, vec![(vec!["a".to_owned()], 64)], "{report}");
+        let trace = crate::generate_trace(&report.fixed);
+        assert_eq!(
+            trace.comm_bytes_in(hetmem_trace::TransferDirection::HostToDevice),
+            64
+        );
     }
 
     #[test]

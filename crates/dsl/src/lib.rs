@@ -58,7 +58,7 @@ pub use check::{
     Severity,
 };
 pub use codegen::generate_trace;
-pub use fix::{diff_lines, fix, fix_lowered, FixEdit, FixReport};
+pub use fix::{fix, fix_lowered, FixEdit, FixReport};
 pub use loc::{kernel_overhead, loc_table, paper_loc_table, LocRow};
 pub use lower::{lower, Lowered};
 pub use model::AddressSpace;

@@ -155,25 +155,17 @@ impl LowerCtx<'_> {
     }
 
     fn epilogue(&mut self) {
-        match self.model {
-            AddressSpace::Disjoint => {
-                if !self.gpu_bufs.is_empty() {
-                    self.out.push(Stmt::Sync);
-                    for &b in &self.gpu_bufs.clone() {
-                        self.out.push(Stmt::FreeDevice {
-                            bufs: vec![self.name(b)],
-                        });
-                    }
-                }
-            }
-            AddressSpace::Adsm => {
-                if !self.gpu_bufs.is_empty() {
-                    self.out.push(Stmt::Sync);
-                    let bufs = self.names(&self.gpu_bufs.clone());
-                    self.out.push(Stmt::FreeDevice { bufs });
-                }
-            }
-            AddressSpace::Unified | AddressSpace::PartiallyShared => {}
+        let freed = matches!(self.model, AddressSpace::Disjoint | AddressSpace::Adsm);
+        if !freed || self.gpu_bufs.is_empty() {
+            return;
+        }
+        self.out.push(Stmt::Sync);
+        let bufs = self.names(&self.gpu_bufs.clone());
+        if self.model == AddressSpace::Adsm {
+            self.out.push(Stmt::FreeDevice { bufs });
+        } else {
+            let frees = bufs.into_iter().map(|b| Stmt::FreeDevice { bufs: vec![b] });
+            self.out.extend(frees);
         }
     }
 
@@ -183,13 +175,35 @@ impl LowerCtx<'_> {
             return;
         }
         for &b in bufs {
-            if self.loc[b.0] == Loc::DeviceOnly {
-                self.out.push(Stmt::MemcpyD2H {
-                    buf: self.name(b),
-                    bytes: self.program.buffer(b).bytes,
-                });
-                self.loc[b.0] = Loc::Both;
-            }
+            self.copy_from(b, Loc::DeviceOnly);
+        }
+    }
+
+    /// Disjoint: copies `b` to the other side if it lives only on `only`.
+    fn copy_from(&mut self, b: BufId, only: Loc) {
+        if self.loc[b.0] != only {
+            return;
+        }
+        let (buf, bytes) = (self.name(b), self.program.buffer(b).bytes);
+        self.out.push(match only {
+            Loc::HostOnly => Stmt::MemcpyH2D { buf, bytes },
+            _ => Stmt::MemcpyD2H { buf, bytes },
+        });
+        self.loc[b.0] = Loc::Both;
+    }
+
+    /// ADSM: publishes `bufs`, if any, in one grouped copy.
+    fn publish(&mut self, bufs: &[BufId]) {
+        if bufs.is_empty() {
+            return;
+        }
+        let bytes = bufs.iter().map(|&b| self.program.buffer(b).bytes).sum();
+        self.out.push(Stmt::AdsmCopyToDevice {
+            bufs: self.names(bufs),
+            bytes,
+        });
+        for &b in bufs {
+            self.host_dirty[b.0] = false;
         }
     }
 
@@ -217,13 +231,7 @@ impl LowerCtx<'_> {
             AddressSpace::Unified => {}
             AddressSpace::Disjoint => {
                 for &b in reads {
-                    if self.loc[b.0] == Loc::HostOnly {
-                        self.out.push(Stmt::MemcpyH2D {
-                            buf: self.name(b),
-                            bytes: self.program.buffer(b).bytes,
-                        });
-                        self.loc[b.0] = Loc::Both;
-                    }
+                    self.copy_from(b, Loc::HostOnly);
                 }
             }
             AddressSpace::Adsm => {
@@ -232,16 +240,7 @@ impl LowerCtx<'_> {
                     .copied()
                     .filter(|b| self.host_dirty[b.0])
                     .collect();
-                if !needing.is_empty() {
-                    let bytes = needing.iter().map(|&b| self.program.buffer(b).bytes).sum();
-                    self.out.push(Stmt::AdsmCopyToDevice {
-                        bufs: self.names(&needing),
-                        bytes,
-                    });
-                    for b in needing {
-                        self.host_dirty[b.0] = false;
-                    }
-                }
+                self.publish(&needing);
             }
             AddressSpace::PartiallyShared => {
                 // Release ownership of every shared object the kernel
@@ -311,13 +310,7 @@ impl LowerCtx<'_> {
         match self.model {
             AddressSpace::Disjoint => {
                 for &b in &invariant {
-                    if self.loc[b.0] == Loc::HostOnly {
-                        self.out.push(Stmt::MemcpyH2D {
-                            buf: self.name(b),
-                            bytes: self.program.buffer(b).bytes,
-                        });
-                        self.loc[b.0] = Loc::Both;
-                    }
+                    self.copy_from(b, Loc::HostOnly);
                 }
             }
             AddressSpace::Adsm => {
@@ -326,16 +319,7 @@ impl LowerCtx<'_> {
                     .copied()
                     .filter(|b| self.host_dirty[b.0])
                     .collect();
-                if !needing.is_empty() {
-                    let bytes = needing.iter().map(|&b| self.program.buffer(b).bytes).sum();
-                    self.out.push(Stmt::AdsmCopyToDevice {
-                        bufs: self.names(&needing),
-                        bytes,
-                    });
-                    for b in needing {
-                        self.host_dirty[b.0] = false;
-                    }
-                }
+                self.publish(&needing);
             }
             AddressSpace::Unified | AddressSpace::PartiallyShared => {}
         }
@@ -351,12 +335,8 @@ impl LowerCtx<'_> {
         let (host_read, _) = accesses_in(body, Target::Cpu);
         let (_, gpu_written) = accesses_in(body, Target::Gpu);
         for b in host_read {
-            if !gpu_written.contains(&b) && self.loc[b.0] == Loc::DeviceOnly {
-                self.out.push(Stmt::MemcpyD2H {
-                    buf: self.name(b),
-                    bytes: self.program.buffer(b).bytes,
-                });
-                self.loc[b.0] = Loc::Both;
+            if !gpu_written.contains(&b) {
+                self.copy_from(b, Loc::DeviceOnly);
             }
         }
     }
@@ -410,14 +390,7 @@ impl LowerCtx<'_> {
                 return;
             }
             if self.model == AddressSpace::Adsm {
-                let bytes = stale.iter().map(|&b| self.program.buffer(b).bytes).sum();
-                self.out.push(Stmt::AdsmCopyToDevice {
-                    bufs: self.names(&stale),
-                    bytes,
-                });
-                for b in stale {
-                    self.host_dirty[b.0] = false;
-                }
+                self.publish(&stale);
                 continue;
             }
             for b in stale {
@@ -458,24 +431,8 @@ impl LowerCtx<'_> {
                     reads,
                     writes,
                     ..
-                } => {
-                    self.host_reads(reads);
-                    let mut args = self.names(reads);
-                    args.extend(self.names(writes));
-                    args.dedup();
-                    self.out.push(Stmt::KernelCall {
-                        target: Target::Cpu,
-                        name: name.clone(),
-                        args,
-                        reads: self.names(reads),
-                        writes: self.names(writes),
-                        parallel: true,
-                        arg_bytes: self.arg_bytes(reads, writes),
-                        args_upload: false,
-                    });
-                    self.host_writes(writes);
                 }
-                Step::Seq {
+                | Step::Seq {
                     name,
                     reads,
                     writes,
@@ -490,7 +447,7 @@ impl LowerCtx<'_> {
                         args,
                         reads: self.names(reads),
                         writes: self.names(writes),
-                        parallel: false,
+                        parallel: matches!(step, Step::Kernel { .. }),
                         arg_bytes: self.arg_bytes(reads, writes),
                         args_upload: false,
                     });

@@ -130,6 +130,26 @@ pub enum Stmt {
 }
 
 impl Stmt {
+    /// The buffers the statement names, in order.
+    pub(crate) fn buffers(&self) -> &[String] {
+        match self {
+            Stmt::HostAlloc { buf, .. }
+            | Stmt::SharedAlloc { buf, .. }
+            | Stmt::AdsmAlloc { buf, .. }
+            | Stmt::MemcpyH2D { buf, .. }
+            | Stmt::MemcpyD2H { buf, .. } => std::slice::from_ref(buf),
+            Stmt::DeclDevicePtrs { bufs }
+            | Stmt::DeviceAlloc { bufs, .. }
+            | Stmt::AdsmCopyToDevice { bufs, .. }
+            | Stmt::ReleaseOwnership { bufs }
+            | Stmt::AcquireOwnership { bufs }
+            | Stmt::FreeDevice { bufs }
+            | Stmt::InitCode { bufs, .. } => bufs,
+            Stmt::KernelCall { args, .. } => args,
+            Stmt::Sync | Stmt::LoopHead { .. } | Stmt::LoopTail => &[],
+        }
+    }
+
     /// Whether this line exists only to handle inter-PU data communication
     /// and data handling — the lines Table V counts.
     #[must_use]

@@ -28,7 +28,6 @@ pub fn fix_report_to_json(report: &FixReport) -> Json {
         ("program", Json::Str(report.original.program_name.clone())),
         ("model", Json::Str(report.original.model.to_string())),
         ("changed", Json::Bool(report.changed())),
-        ("iterations", Json::UInt(report.iterations as u64)),
         (
             "comm_lines_before",
             Json::UInt(u64::from(report.original.comm_overhead_lines())),

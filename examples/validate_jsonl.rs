@@ -10,8 +10,8 @@
 //!   and message, and the summary's error/warning/note totals must match
 //!   them;
 //! * a summary with `fixed` ends a `fix` stream: every other line must be a
-//!   `"fix"` with program, model, changed flag, iteration count, comm-line
-//!   totals and edit lists, and the summary's edit totals must match them;
+//!   `"fix"` with program, model, changed flag, comm-line totals and edit
+//!   lists, and the summary's edit totals must match them;
 //! * any other summary ends an observability stream, which needs nothing
 //!   beyond the shared shape.
 //!
@@ -129,7 +129,6 @@ fn validate_fix(path: &str, body: &[Line], summary: &Json) -> Result<(), String>
     for Line { at, value: v, .. } in body {
         require_str(v, "program", at)?;
         require_str(v, "model", at)?;
-        require_u64(v, "iterations", at)?;
         require_u64(v, "residual", at)?;
         let changed = match v.get("changed") {
             Some(Json::Bool(b)) => *b,

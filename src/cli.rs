@@ -1170,13 +1170,7 @@ fn execute_fix(
                 let id = format!("{}/{}", report.original.program_name, report.original.model);
                 println!("--- {id} (original)");
                 println!("+++ {id} (fixed)");
-                print!(
-                    "{}",
-                    hetmem_dsl::diff_lines(
-                        &hetmem_dsl::render(&report.original),
-                        &hetmem_dsl::render(&report.fixed)
-                    )
-                );
+                print!("{}", report.diff());
             }
         }
     }
