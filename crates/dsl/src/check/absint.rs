@@ -87,7 +87,8 @@ pub(crate) fn interpret(lowered: &Lowered, record: bool) -> (Vec<Diagnostic>, Ef
 
 /// The abstract state of every buffer at one point of a lowered program,
 /// for interpreting the program a piece at a time: lowering asks it which
-/// buffers a loop's later iterations read stale.
+/// copies are stale where it places a transfer, and which buffers a loop's
+/// later iterations read stale.
 #[derive(Clone, Debug)]
 pub(crate) struct Interp {
     names: Vec<String>,
@@ -99,6 +100,16 @@ impl Interp {
     pub(crate) fn new(names: Vec<String>) -> Interp {
         let state = vec![INITIAL; names.len()];
         Interp { names, state }
+    }
+
+    /// Whether `side`'s copy of buffer `b` (by its index in `names`) holds
+    /// the newest value.
+    pub(crate) fn fresh(&self, b: usize, side: Target) -> bool {
+        let flag = match side {
+            Target::Cpu => HOST_FRESH,
+            Target::Gpu => DEV_FRESH,
+        };
+        self.state[b] & flag != 0
     }
 
     /// Interprets `stmts` under `model` from this state, leaving it in

@@ -17,14 +17,17 @@
 //!   copy-back: the CPU addresses the shared space directly), one grouped
 //!   free line, and a final synchronization.
 //!
-//! A forward per-buffer location analysis decides where transfers are
-//! needed; loop bodies are walked once, so statements inside loops count
-//! once toward the static source-line metric (Table V) while expanding per
-//! iteration during code generation. Transfers a loop needs only from its
-//! second iteration on are the checker's: after a body is emitted, the
-//! abstract interpreter of [`crate::check`](mod@crate::check) runs the loop
-//! from the state at its head, and every buffer it finds read stale
-//! (HM0101/HM0102) gets an end-of-body transfer.
+//! Lowering keeps no freshness model of its own: the abstract interpreter
+//! of [`crate::check`](mod@crate::check) runs along over every statement
+//! emitted, and a transfer is placed wherever its state says the reading
+//! side's copy is stale — before a GPU read, before a host read, before a
+//! loop for its invariant inputs and outputs. Loop bodies are walked once,
+//! so statements inside loops count once toward the static source-line
+//! metric (Table V) while expanding per iteration during code generation.
+//! Transfers a loop needs only from its second iteration on come from the
+//! same interpreter: after a body is emitted, it runs the loop from the
+//! state at its head, and every buffer it finds read stale (HM0101/HM0102)
+//! gets an end-of-body transfer to the side stale at the end of the body.
 
 use crate::ast::{for_each_access, BufId, Program, Step, Target};
 use crate::check::{Code, Interp};
@@ -51,14 +54,6 @@ impl Lowered {
     }
 }
 
-/// Where a buffer's current data lives (disjoint-space analysis).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Loc {
-    HostOnly,
-    DeviceOnly,
-    Both,
-}
-
 /// The buffers the steps on `side` read and write anywhere in `steps`,
 /// each list in first-touch order.
 fn accesses_in(steps: &[Step], side: Target) -> (Vec<BufId>, Vec<BufId>) {
@@ -83,12 +78,9 @@ struct LowerCtx<'p> {
     model: AddressSpace,
     /// Buffers any GPU kernel touches (device-visible set).
     gpu_bufs: Vec<BufId>,
-    /// Disjoint: where each buffer's valid data is.
-    loc: Vec<Loc>,
-    /// ADSM: host has written this shared buffer since its last copy-in.
-    host_dirty: Vec<bool>,
     /// Disjoint and ADSM: the checker's state at the end of
-    /// `out[..checked]`, where the bodies of open loops run once.
+    /// `out[..checked]`, where the bodies of open loops run once. Every
+    /// transfer is placed from it.
     checker: Interp,
     checked: usize,
     /// The checker's state at the head of each loop being emitted,
@@ -106,10 +98,6 @@ impl LowerCtx<'_> {
         ids.iter().map(|&b| self.name(b)).collect()
     }
 
-    fn is_gpu_buf(&self, b: BufId) -> bool {
-        self.gpu_bufs.contains(&b)
-    }
-
     fn prologue(&mut self) {
         // Allocations. `sharedmalloc` replaces `malloc` one-for-one in the
         // partially shared model; ADSM keeps the host allocation and adds
@@ -117,7 +105,7 @@ impl LowerCtx<'_> {
         for (i, buf) in self.program.buffers.iter().enumerate() {
             let id = BufId(i);
             match self.model {
-                AddressSpace::PartiallyShared if self.is_gpu_buf(id) => {
+                AddressSpace::PartiallyShared if self.gpu_bufs.contains(&id) => {
                     self.out.push(Stmt::SharedAlloc {
                         buf: buf.name.clone(),
                         bytes: buf.bytes,
@@ -169,50 +157,53 @@ impl LowerCtx<'_> {
         }
     }
 
-    fn host_reads(&mut self, bufs: &[BufId]) {
-        if self.model != AddressSpace::Disjoint {
-            // Unified / PAS / ADSM: the host can address results directly.
-            return;
-        }
-        for &b in bufs {
-            self.copy_from(b, Loc::DeviceOnly);
-        }
+    /// Whether the model places transfers: disjoint copies, ADSM
+    /// publishes.
+    fn places_transfers(&self) -> bool {
+        matches!(self.model, AddressSpace::Disjoint | AddressSpace::Adsm)
     }
 
-    /// Disjoint: copies `b` to the other side if it lives only on `only`.
-    fn copy_from(&mut self, b: BufId, only: Loc) {
-        if self.loc[b.0] != only {
-            return;
-        }
-        let (buf, bytes) = (self.name(b), self.program.buffer(b).bytes);
-        self.out.push(match only {
-            Loc::HostOnly => Stmt::MemcpyH2D { buf, bytes },
-            _ => Stmt::MemcpyD2H { buf, bytes },
-        });
-        self.loc[b.0] = Loc::Both;
+    /// Whether the checker finds `side`'s copy of `b` stale after the
+    /// statements emitted so far.
+    fn stale(&mut self, b: BufId, side: Target) -> bool {
+        self.advance_checker();
+        !self.checker.fresh(b.0, side)
     }
 
-    /// ADSM: publishes `bufs`, if any, in one grouped copy.
-    fn publish(&mut self, bufs: &[BufId]) {
-        if bufs.is_empty() {
-            return;
-        }
-        let bytes = bufs.iter().map(|&b| self.program.buffer(b).bytes).sum();
-        self.out.push(Stmt::AdsmCopyToDevice {
-            bufs: self.names(bufs),
-            bytes,
-        });
-        for &b in bufs {
-            self.host_dirty[b.0] = false;
-        }
-    }
-
-    fn host_writes(&mut self, bufs: &[BufId]) {
-        for &b in bufs {
-            self.loc[b.0] = Loc::HostOnly;
-            if self.is_gpu_buf(b) {
-                self.host_dirty[b.0] = true;
+    /// Makes `side`'s copy of each of `bufs` fresh where the checker finds
+    /// it stale. The model decides only the form: one `Memcpy` per buffer
+    /// under disjoint, one grouped publish under ADSM, whose host view
+    /// needs no copy (the CPU addresses the shared space directly).
+    fn bring(&mut self, side: Target, bufs: &[BufId]) {
+        match self.model {
+            AddressSpace::Disjoint => {
+                for &b in bufs {
+                    if !self.stale(b, side) {
+                        continue;
+                    }
+                    let (buf, bytes) = (self.name(b), self.program.buffer(b).bytes);
+                    self.out.push(match side {
+                        Target::Gpu => Stmt::MemcpyH2D { buf, bytes },
+                        Target::Cpu => Stmt::MemcpyD2H { buf, bytes },
+                    });
+                }
             }
+            AddressSpace::Adsm if side == Target::Gpu => {
+                let stale: Vec<BufId> = bufs
+                    .iter()
+                    .copied()
+                    .filter(|&b| self.stale(b, side))
+                    .collect();
+                if stale.is_empty() {
+                    return;
+                }
+                let bytes = stale.iter().map(|&b| self.program.buffer(b).bytes).sum();
+                self.out.push(Stmt::AdsmCopyToDevice {
+                    bufs: self.names(&stale),
+                    bytes,
+                });
+            }
+            _ => {}
         }
     }
 
@@ -227,35 +218,20 @@ impl LowerCtx<'_> {
     }
 
     fn gpu_kernel(&mut self, name: &str, reads: &[BufId], writes: &[BufId], args_upload: bool) {
-        match self.model {
-            AddressSpace::Unified => {}
-            AddressSpace::Disjoint => {
-                for &b in reads {
-                    self.copy_from(b, Loc::HostOnly);
+        if self.model == AddressSpace::PartiallyShared {
+            // Release ownership of every shared object the kernel
+            // touches (one grouped line, as in Figure 2b).
+            let mut touched: Vec<BufId> = reads.to_vec();
+            for &w in writes {
+                if !touched.contains(&w) {
+                    touched.push(w);
                 }
             }
-            AddressSpace::Adsm => {
-                let needing: Vec<BufId> = reads
-                    .iter()
-                    .copied()
-                    .filter(|b| self.host_dirty[b.0])
-                    .collect();
-                self.publish(&needing);
-            }
-            AddressSpace::PartiallyShared => {
-                // Release ownership of every shared object the kernel
-                // touches (one grouped line, as in Figure 2b).
-                let mut touched: Vec<BufId> = reads.to_vec();
-                for &w in writes {
-                    if !touched.contains(&w) {
-                        touched.push(w);
-                    }
-                }
-                self.out.push(Stmt::ReleaseOwnership {
-                    bufs: self.names(&touched),
-                });
-            }
+            self.out.push(Stmt::ReleaseOwnership {
+                bufs: self.names(&touched),
+            });
         }
+        self.bring(Target::Gpu, reads);
 
         let mut args = self.names(reads);
         for &w in writes {
@@ -275,76 +251,37 @@ impl LowerCtx<'_> {
             args_upload,
         });
 
-        match self.model {
-            AddressSpace::PartiallyShared => {
-                // Re-acquire the results before the host may touch them.
-                self.out.push(Stmt::AcquireOwnership {
-                    bufs: self.names(writes),
-                });
-            }
-            AddressSpace::Disjoint => {
-                for &w in writes {
-                    self.loc[w.0] = Loc::DeviceOnly;
-                }
-            }
-            AddressSpace::Adsm => {
-                // A GPU write makes the device-resident object the truth;
-                // the CPU addresses it directly, so any pending host-side
-                // update is superseded (the runtime invalidates the shadow).
-                for &w in writes {
-                    self.host_dirty[w.0] = false;
-                }
-            }
-            AddressSpace::Unified => {}
+        if self.model == AddressSpace::PartiallyShared {
+            // Re-acquire the results before the host may touch them.
+            self.out.push(Stmt::AcquireOwnership {
+                bufs: self.names(writes),
+            });
         }
     }
 
-    fn hoist_loop_invariant_inputs(&mut self, body: &[Step]) {
-        let (_, host_written) = accesses_in(body, Target::Cpu);
-        let (gpu_reads, _) = accesses_in(body, Target::Gpu);
-        let invariant: Vec<BufId> = gpu_reads
-            .into_iter()
-            .filter(|b| !host_written.contains(b))
-            .collect();
-
-        match self.model {
-            AddressSpace::Disjoint => {
-                for &b in &invariant {
-                    self.copy_from(b, Loc::HostOnly);
-                }
-            }
-            AddressSpace::Adsm => {
-                let needing: Vec<BufId> = invariant
-                    .iter()
-                    .copied()
-                    .filter(|b| self.host_dirty[b.0])
-                    .collect();
-                self.publish(&needing);
-            }
-            AddressSpace::Unified | AddressSpace::PartiallyShared => {}
-        }
-    }
-
-    /// Hoists the mirror of [`Self::hoist_loop_invariant_inputs`]: a buffer
-    /// the host reads inside the loop that no GPU kernel re-writes there is
-    /// copied back once, before the loop, instead of once per iteration.
-    fn hoist_loop_invariant_outputs(&mut self, body: &[Step]) {
-        if self.model != AddressSpace::Disjoint {
+    /// Hoists loop-invariant transfers: a buffer the GPU reads in the loop
+    /// that the host never writes there is brought to the device once,
+    /// before the loop, and a buffer the host reads there that no GPU
+    /// kernel writes is brought back once — as any real program would be
+    /// written (and as the paper's communication counts assume).
+    fn hoist_loop_invariant_transfers(&mut self, body: &[Step]) {
+        if !self.places_transfers() {
             return;
         }
-        let (host_read, _) = accesses_in(body, Target::Cpu);
-        let (_, gpu_written) = accesses_in(body, Target::Gpu);
-        for b in host_read {
-            if !gpu_written.contains(&b) {
-                self.copy_from(b, Loc::DeviceOnly);
-            }
+        let (host_read, host_written) = accesses_in(body, Target::Cpu);
+        let (gpu_read, gpu_written) = accesses_in(body, Target::Gpu);
+        for (side, read, written) in [
+            (Target::Gpu, gpu_read, host_written),
+            (Target::Cpu, host_read, gpu_written),
+        ] {
+            let invariant: Vec<BufId> = read.into_iter().filter(|b| !written.contains(b)).collect();
+            self.bring(side, &invariant);
         }
     }
 
     /// Runs the checker over the statements emitted since it last ran.
-    /// Only the disjoint and ADSM fix-ups read its state.
     fn advance_checker(&mut self) {
-        if !matches!(self.model, AddressSpace::Disjoint | AddressSpace::Adsm) {
+        if !self.places_transfers() {
             return;
         }
         self.checker.run(&self.out[self.checked..], self.model);
@@ -373,13 +310,13 @@ impl LowerCtx<'_> {
     }
 
     /// Appends end-of-body transfers for the buffers a later iteration of
-    /// the innermost open loop reads stale — the loop-carried cases the
-    /// forward location analysis cannot see (e.g. a host read early in
-    /// the body of a buffer a GPU kernel re-writes later in it). The
-    /// checker finds them; the side fresh at the end of the body is the
-    /// copy source.
+    /// the innermost open loop reads stale — the loop-carried cases a
+    /// single pass over the body cannot see (e.g. a host read early in
+    /// the body of a buffer a GPU kernel re-writes later in it). Each
+    /// such buffer is brought to whichever side the checker finds stale
+    /// at the end of the body.
     fn normalize_loop_body(&mut self, head: usize) {
-        if !matches!(self.model, AddressSpace::Disjoint | AddressSpace::Adsm) {
+        if !self.places_transfers() {
             return;
         }
         // Each fix-up makes one more buffer fresh on entry, so a couple of
@@ -390,17 +327,12 @@ impl LowerCtx<'_> {
                 return;
             }
             if self.model == AddressSpace::Adsm {
-                self.publish(&stale);
+                self.bring(Target::Gpu, &stale);
                 continue;
             }
             for b in stale {
-                let (buf, bytes) = (self.name(b), self.program.buffer(b).bytes);
-                self.out.push(if self.loc[b.0] == Loc::HostOnly {
-                    Stmt::MemcpyH2D { buf, bytes }
-                } else {
-                    Stmt::MemcpyD2H { buf, bytes }
-                });
-                self.loc[b.0] = Loc::Both;
+                self.bring(Target::Gpu, &[b]);
+                self.bring(Target::Cpu, &[b]);
             }
         }
     }
@@ -414,7 +346,6 @@ impl LowerCtx<'_> {
                         bufs: self.names(bufs),
                         bytes,
                     });
-                    self.host_writes(bufs);
                 }
                 Step::Kernel {
                     target: Target::Gpu,
@@ -437,7 +368,7 @@ impl LowerCtx<'_> {
                     reads,
                     writes,
                 } => {
-                    self.host_reads(reads);
+                    self.bring(Target::Cpu, reads);
                     let mut args = self.names(reads);
                     args.extend(self.names(writes));
                     args.dedup();
@@ -451,16 +382,9 @@ impl LowerCtx<'_> {
                         arg_bytes: self.arg_bytes(reads, writes),
                         args_upload: false,
                     });
-                    self.host_writes(writes);
                 }
                 Step::Loop { iterations, body } => {
-                    // Hoist loop-invariant input transfers: a buffer the GPU
-                    // reads in the loop but the host never writes inside it
-                    // is copied once, before the loop — as any real program
-                    // would be written (and as the paper's communication
-                    // counts assume).
-                    self.hoist_loop_invariant_inputs(body);
-                    self.hoist_loop_invariant_outputs(body);
+                    self.hoist_loop_invariant_transfers(body);
                     self.advance_checker();
                     self.open_loops.push(self.checker.clone());
                     let head = self.out.len();
@@ -471,8 +395,8 @@ impl LowerCtx<'_> {
                     // its body runs once.
                     self.checked = self.out.len();
                     self.walk(body);
-                    // The forward location analysis is exact for iteration
-                    // one; patch up what later iterations would read stale.
+                    // The transfers placed so far serve iteration one;
+                    // patch up what later iterations would read stale.
                     if *iterations > 1 {
                         self.normalize_loop_body(head);
                     }
@@ -498,13 +422,10 @@ pub fn lower(program: &Program, model: AddressSpace) -> Lowered {
     program
         .validate()
         .expect("lower() requires a valid program");
-    let n = program.buffers.len();
     let mut ctx = LowerCtx {
         program,
         model,
         gpu_bufs: program.gpu_buffers(),
-        loc: vec![Loc::HostOnly; n],
-        host_dirty: vec![false; n],
         checker: Interp::new(program.buffers.iter().map(|b| b.name.clone()).collect()),
         checked: 0,
         open_loops: Vec::new(),
@@ -775,6 +696,27 @@ mod tests {
         assert!(matches!(dis.stmts[d2h[0] + 1], Stmt::LoopHead { .. }));
         assert_eq!(dis.comm_overhead_lines(), 5);
         assert_eq!(lower(&p, AddressSpace::Adsm).comm_overhead_lines(), 3);
+    }
+
+    #[test]
+    fn a_buffer_nothing_wrote_is_not_uploaded() {
+        // Both copies of `a` are equally valid before anything writes it,
+        // so the checker calls an upload before `k` redundant (HM0103).
+        let p = crate::parse_program(
+            "program p { compute 1; buffer a: 64; buffer b: 64; init b; \
+             gpu k(read a; write b); seq fin(read b); }",
+        )
+        .expect("parses");
+        let dis = lower(&p, AddressSpace::Disjoint);
+        assert_eq!(dis, crate::fix(&p, AddressSpace::Disjoint).fixed);
+        assert_eq!(dis.comm_overhead_lines(), 6);
+        let upload_a = |s: &Stmt| matches!(s, Stmt::MemcpyH2D { buf, .. } if buf == "a");
+        assert!(!dis.stmts.iter().any(upload_a), "{:?}", dis.stmts);
+        // ADSM never published `a`: its host view was never dirty.
+        let adsm = lower(&p, AddressSpace::Adsm);
+        assert_eq!(adsm.comm_overhead_lines(), 4);
+        let publish = |s: &Stmt| matches!(s, Stmt::AdsmCopyToDevice { .. });
+        assert!(!adsm.stmts.iter().any(publish), "{:?}", adsm.stmts);
     }
 
     #[test]

@@ -42,6 +42,34 @@ use hetmem_xplore::{
 use std::path::PathBuf;
 use std::sync::Arc;
 
+/// Writes part of a command's output to stdout, the one writer all of it
+/// goes through. A reader that closes the pipe early (`hetmem tables |
+/// head -1`) has read all it wants, so the process ends quietly with
+/// status 0 instead of panicking.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(err) = std::io::stdout().lock().write_fmt(args) {
+        if err.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {err}");
+    }
+}
+
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Timeline window size (in ticks) when `--timeline` gives no `:interval`
 /// suffix: about 24 µs of simulated time, a few hundred windows for the
 /// bundled kernels at small scales.
@@ -823,7 +851,7 @@ fn fleet_dispatcher(join: Option<&str>) -> Result<Option<Arc<dyn JobDispatcher>>
 /// else.
 pub fn execute(command: &Command) -> Result<(), SimError> {
     match command {
-        Command::Help => println!("{USAGE}"),
+        Command::Help => outln!("{USAGE}"),
         Command::Tables => {
             print_catalog();
             print_config();
@@ -868,7 +896,7 @@ pub fn execute(command: &Command) -> Result<(), SimError> {
                 .dispatcher(fleet_dispatcher(join.as_deref())?)
                 .build();
             let out = hetmem_xplore::run_sweep(spec, &config, &opts)?;
-            print!("{}", format.render(&out.records));
+            out!("{}", format.render(&out.records));
             eprintln!("sweep: {}", out.stats);
         }
         Command::Search {
@@ -889,17 +917,17 @@ pub fn execute(command: &Command) -> Result<(), SimError> {
             // for a fixed seed + spec, cold or warm cache); execution
             // counters go to stderr like the sweep's.
             match format {
-                OutputFormat::Json => println!("{}", result.to_json().render()),
-                OutputFormat::Table => println!("{}", result.render_table()),
+                OutputFormat::Json => outln!("{}", result.to_json().render()),
+                OutputFormat::Table => outln!("{}", result.render_table()),
                 OutputFormat::Csv => unreachable!("rejected at parse time"),
             }
             eprintln!("search: {}", result.stats);
         }
         Command::Loc { path } => {
             let program = load_program(path)?;
-            println!("{}: {} compute lines", program.name, program.compute_lines);
+            outln!("{}: {} compute lines", program.name, program.compute_lines);
             for model in AddressSpace::ALL {
-                println!(
+                outln!(
                     "  {:<4} {:>3} communication-handling lines",
                     model.abbrev(),
                     hetmem_dsl::lower(&program, model).comm_overhead_lines()
@@ -926,14 +954,14 @@ pub fn execute(command: &Command) -> Result<(), SimError> {
         } => execute_fix(targets, *all, models, *format, *deny_unchanged)?,
         Command::Lower { path, model } => {
             let program = load_program(path)?;
-            println!(
+            outln!(
                 "{}",
                 hetmem_dsl::render(&hetmem_dsl::lower(&program, *model))
             );
         }
         Command::Trace { kernel, scale } => {
             let trace = kernel.generate(&KernelParams::scaled(*scale));
-            print!("{}", hetmem_trace::write_trace(&trace));
+            out!("{}", hetmem_trace::write_trace(&trace));
         }
         Command::Sim {
             path,
@@ -969,10 +997,10 @@ pub fn execute(command: &Command) -> Result<(), SimError> {
                     .map_err(|e| SimError::Io(format!("cannot write {out_path}: {e}")))?;
             }
             match format {
-                OutputFormat::Table => println!("{}: {report}", system.name()),
+                OutputFormat::Table => outln!("{}: {report}", system.name()),
                 OutputFormat::Json => {
                     let answer = hetmem_xplore::sim_answer_to_json(system.name(), &report);
-                    println!("{}", answer.render());
+                    outln!("{}", answer.render());
                 }
                 OutputFormat::Csv => unreachable!("rejected at parse time"),
             }
@@ -997,9 +1025,9 @@ pub fn execute(command: &Command) -> Result<(), SimError> {
             })?;
             // The resolved addresses on stdout first, so scripts binding
             // port 0 can discover the ephemeral ports.
-            println!("hetmem-serve listening on http://{}", server.local_addr());
+            outln!("hetmem-serve listening on http://{}", server.local_addr());
             if let Some(cluster) = server.cluster_addr() {
-                println!("hetmem-serve cluster on {cluster}");
+                outln!("hetmem-serve cluster on {cluster}");
             }
             use std::io::Write as _;
             let _ = std::io::stdout().flush();
@@ -1028,15 +1056,15 @@ fn execute_fig(
         match number {
             5 => {
                 let (runs, _) = hetmem_xplore::run_case_studies(scale, &config, &opts)?;
-                println!("{}", render_figure5(&runs));
+                outln!("{}", render_figure5(&runs));
             }
             6 => {
                 let (runs, _) = hetmem_xplore::run_case_studies(scale, &config, &opts)?;
-                println!("{}", render_figure6(&runs));
+                outln!("{}", render_figure6(&runs));
             }
             7 => {
                 let (runs, _) = hetmem_xplore::run_address_spaces(scale, &config, &opts)?;
-                println!("{}", render_figure7(&runs));
+                outln!("{}", render_figure7(&runs));
             }
             _ => unreachable!("validated at parse time"),
         }
@@ -1054,7 +1082,7 @@ fn execute_fig(
         _ => unreachable!("validated at parse time"),
     };
     let out = hetmem_xplore::run_sweep(&spec, &config, &opts)?;
-    print!("{}", format.render(&out.records));
+    out!("{}", format.render(&out.records));
     Ok(())
 }
 
@@ -1115,10 +1143,10 @@ fn execute_check(
     match format {
         OutputFormat::Table => {
             for report in &reports {
-                println!("{report}");
+                outln!("{report}");
             }
         }
-        OutputFormat::Json => print!("{}", hetmem_xplore::check_reports_to_jsonl(&reports)),
+        OutputFormat::Json => out!("{}", hetmem_xplore::check_reports_to_jsonl(&reports)),
         OutputFormat::Csv => unreachable!("rejected at parse time"),
     }
     // Severity orders most-severe-first, so `<= deny` selects everything
@@ -1142,8 +1170,8 @@ fn execute_explain(text: &str) -> Result<(), SimError> {
             "unknown diagnostic code {text:?} (codes run HM0001-HM0005 and HM0101-HM0106)"
         ))
     })?;
-    println!("{}: {}", code, code.name());
-    println!("{}", code.explanation());
+    outln!("{}: {}", code, code.name());
+    outln!("{}", code.explanation());
     Ok(())
 }
 
@@ -1160,17 +1188,17 @@ fn execute_fix(
     match format {
         FixFormat::Pretty => {
             for report in &reports {
-                println!("{report}");
-                println!("{}", hetmem_dsl::render(&report.fixed));
+                outln!("{report}");
+                outln!("{}", hetmem_dsl::render(&report.fixed));
             }
         }
-        FixFormat::Json => print!("{}", hetmem_xplore::fix_reports_to_jsonl(&reports)),
+        FixFormat::Json => out!("{}", hetmem_xplore::fix_reports_to_jsonl(&reports)),
         FixFormat::Diff => {
             for report in &reports {
                 let id = format!("{}/{}", report.original.program_name, report.original.model);
-                println!("--- {id} (original)");
-                println!("+++ {id} (fixed)");
-                print!("{}", report.diff());
+                outln!("--- {id} (original)");
+                outln!("+++ {id} (fixed)");
+                out!("{}", report.diff());
             }
         }
     }
@@ -1211,7 +1239,7 @@ fn print_catalog() {
             e.locality.to_owned(),
         ]);
     }
-    println!(
+    outln!(
         "Table I: summary of heterogeneous computing memory systems\n{}",
         table.render()
     );
@@ -1219,16 +1247,18 @@ fn print_catalog() {
 
 fn print_config() {
     let c = SystemConfig::baseline();
-    println!("Table II: baseline system configuration");
-    println!(
+    outln!("Table II: baseline system configuration");
+    outln!(
         "CPU: 1 core, {:.1} GHz, out-of-order, gshare",
         ClockDomain::CPU.frequency_hz() as f64 / 1e9
     );
-    println!(
+    outln!(
         "  issue width {}, ROB {} entries, mispredict penalty {} cycles",
-        c.cpu.issue_width, c.cpu.rob_entries, c.cpu.mispredict_penalty
+        c.cpu.issue_width,
+        c.cpu.rob_entries,
+        c.cpu.mispredict_penalty
     );
-    println!(
+    outln!(
         "  L1D: {}-way {} KB ({}-cycle)   L2: {}-way {} KB ({}-cycle)",
         c.cpu.l1d.associativity,
         c.cpu.l1d.capacity_bytes / 1024,
@@ -1237,13 +1267,13 @@ fn print_config() {
         c.cpu.l2.capacity_bytes / 1024,
         c.cpu.l2.latency_cycles
     );
-    println!(
+    outln!(
         "GPU: 1 core, {:.1} GHz, in-order, {}-wide SIMD, stall on branch ({} cycles)",
         ClockDomain::GPU.frequency_hz() as f64 / 1e9,
         c.gpu.simd_width,
         c.gpu.branch_stall_cycles
     );
-    println!(
+    outln!(
         "  L1D: {}-way {} KB ({}-cycle)   scratchpad: {} KB s/w managed ({}-cycle)",
         c.gpu.l1d.associativity,
         c.gpu.l1d.capacity_bytes / 1024,
@@ -1251,7 +1281,7 @@ fn print_config() {
         c.gpu.scratchpad_bytes / 1024,
         c.gpu.scratchpad_latency
     );
-    println!(
+    outln!(
         "L3: {}-way {} MB total ({} tiles, {}-cycle), ring-bus network ({} cycles/hop)",
         c.llc.tile.associativity,
         u64::from(c.llc.tiles) * c.llc.tile.capacity_bytes / (1024 * 1024),
@@ -1259,14 +1289,14 @@ fn print_config() {
         c.llc.tile.latency_cycles,
         c.noc.hop_cycles
     );
-    println!(
+    outln!(
         "DRAM: DDR3-1333, {} controllers, {:?} scheduling, {} banks/channel, {} KB rows",
         c.dram.channels,
         c.dram.policy,
         c.dram.banks_per_channel,
         c.dram.row_bytes / 1024
     );
-    println!(
+    outln!(
         "MMU: {} KB CPU pages / {} KB GPU pages, {}-entry TLBs, {}-cycle walks\n",
         c.mmu.cpu_page_bytes / 1024,
         c.mmu.gpu_page_bytes / 1024,
@@ -1289,7 +1319,7 @@ fn print_characteristics() {
             c.initial_transfer_bytes.to_string(),
         ]);
     }
-    println!(
+    outln!(
         "Table III: benchmark characteristics (measured from generated traces)\n{}",
         table.render()
     );
@@ -1328,11 +1358,11 @@ fn print_comm_params() {
             latency,
         ]);
     }
-    println!(
+    outln!(
         "Table IV: parameters of modeling communication overhead\n{}",
         table.render()
     );
-    println!(
+    outln!(
         "trans_rate = {} GB/s (PCI-E 2.0)\n",
         c.pci_bytes_per_sec as f64 / 1e9
     );
@@ -1345,7 +1375,7 @@ fn print_comm_params() {
             format!("{:.2}", hetmem_sim::ticks_to_ns(ticks) / 1000.0),
         ]);
     }
-    println!(
+    outln!(
         "Derived transfer costs (320512 B, the reduction input)\n{}",
         derived.render()
     );
@@ -1363,7 +1393,7 @@ fn print_loc_table() {
             row.adsm.to_string(),
         ]);
     }
-    println!(
+    outln!(
         "Table V: source lines to handle data communication\n{}",
         table.render()
     );
@@ -1371,7 +1401,7 @@ fn print_loc_table() {
 
 /// Prints a study's `=== title ===` section header.
 fn print_section(title: &str) {
-    println!("\n=== {title} ===\n");
+    outln!("\n=== {title} ===\n");
 }
 
 /// The locality-management study §V-D says it could not perform: implicit
@@ -1393,9 +1423,9 @@ fn print_study_locality(scale: u32, config: &ExperimentConfig) {
             format!("{:.1}%", 100.0 * r.llc_miss_rate),
         ]);
     }
-    println!("{}", table.render());
-    println!("The hybrid locality bit lets the pinned shared table survive both PUs'");
-    println!("streaming floods; ignoring the bit (plain LRU) throws the push away.");
+    outln!("{}", table.render());
+    outln!("The hybrid locality bit lets the pinned shared table survive both PUs'");
+    outln!("streaming floods; ignoring the bit (plain LRU) throws the push away.");
 }
 
 /// The energy side of the design-space comparison (§VII motivates the
@@ -1453,9 +1483,9 @@ fn print_study_energy(scale: u32, config: &ExperimentConfig) -> Result<(), SimEr
             }
         }
     }
-    println!("{}", table.render());
-    println!("Shared-window systems (LRB, GMAC) save link energy by never moving results;");
-    println!("Fusion replaces the PCI link's per-byte cost with cheap on-die copies.");
+    outln!("{}", table.render());
+    outln!("Shared-window systems (LRB, GMAC) save link energy by never moving results;");
+    outln!("Fusion replaces the PCI link's per-byte cost with cheap on-die copies.");
     Ok(())
 }
 
@@ -1492,10 +1522,10 @@ fn print_study_page_size(scale: u32, config: &ExperimentConfig) -> Result<(), Si
             ]);
         }
     }
-    println!("{}", table.render());
-    println!("Larger GPU pages eliminate page walks on streaming kernels — one of the");
-    println!("hardware design options the paper credits to non-physically-unified");
-    println!("address spaces (each PU keeps its own page-table format).");
+    outln!("{}", table.render());
+    outln!("Larger GPU pages eliminate page walks on streaming kernels — one of the");
+    outln!("hardware design options the paper credits to non-physically-unified");
+    outln!("address spaces (each PU keeps its own page-table format).");
     Ok(())
 }
 
@@ -1537,11 +1567,11 @@ fn print_study_partition(scale: u32, config: &ExperimentConfig) -> Result<(), Si
             format!("{:.2}x", even as f64 / best.total_ticks as f64),
         ]);
     }
-    println!("{}", table.render());
-    println!("The in-order SIMD GPU retires these instruction streams more slowly than");
-    println!("the out-of-order CPU, so the time-balanced split is CPU-leaning — the even");
-    println!("division of the paper's methodology leaves the GPU as the parallel-phase");
-    println!("critical path (visible in Figure 5's GPU-bound parallel bars).");
+    outln!("{}", table.render());
+    outln!("The in-order SIMD GPU retires these instruction streams more slowly than");
+    outln!("the out-of-order CPU, so the time-balanced split is CPU-leaning — the even");
+    outln!("division of the paper's methodology leaves the GPU as the parallel-phase");
+    outln!("critical path (visible in Figure 5's GPU-bound parallel bars).");
     Ok(())
 }
 
@@ -1553,7 +1583,7 @@ fn print_study_pareto(scale: u32, config: &ExperimentConfig) -> Result<(), SimEr
         "Efficiency metrics & Pareto frontier over the evaluated systems (scale {scale})"
     ));
     let (runs, _) = hetmem_xplore::run_case_studies(scale, config, &SweepOptions::default())?;
-    println!("{}", system_frontier_table(&evaluate_systems(&runs)));
+    outln!("{}", system_frontier_table(&evaluate_systems(&runs)));
     Ok(())
 }
 

@@ -11,8 +11,9 @@
 //! communication line (both non-empty in the same places).
 //!
 //! A property harness then drives `lower()` itself through ~200 random
-//! programs, nested loops included, and holds its output to the
-//! checker-clean contract under all four address-space models; another
+//! programs, nested loops included, each also with only some of its
+//! buffers initialized, and holds its output to the checker-clean
+//! contract under all four address-space models; another
 //! holds the race verdicts (HM0106) on 400 lowerings to those on their
 //! loop-free unrollings.
 
@@ -240,6 +241,20 @@ fn arb_checked_program(rng: &mut Rng) -> Program {
     }
 }
 
+/// `program` with its up-front `init` cut to a random subset of its
+/// buffers, dropped when the subset is empty: GPU kernels may then read
+/// buffers nothing wrote.
+fn with_init_cut(rng: &mut Rng, mut program: Program) -> Program {
+    let Step::HostInit { bufs } = &mut program.steps[0] else {
+        unreachable!("arb_checked_program starts with its init");
+    };
+    bufs.retain(|_| rng.bool());
+    if bufs.is_empty() {
+        program.steps.remove(0);
+    }
+    program
+}
+
 #[test]
 fn lowerings_of_random_programs_are_checker_clean() {
     let memory_model_codes = [
@@ -250,26 +265,30 @@ fn lowerings_of_random_programs_are_checker_clean() {
         Code::OwnershipViolation,
     ];
     let mut rng = Rng::new(0xC11EC2);
+    let mut cut = Rng::new(0x1A17);
     for case in 0..200 {
         let program = arb_checked_program(&mut rng);
-        assert_eq!(program.validate(), Ok(()));
-        for model in AddressSpace::ALL {
-            let lowered = lower(&program, model);
-            let diags = check_lowered(&lowered);
-            for d in &diags {
-                let flagged = memory_model_codes.contains(&d.code)
-                    && (d.severity == Severity::Error || d.severity == Severity::Warning);
+        let partial = with_init_cut(&mut cut, program.clone());
+        for program in [program, partial] {
+            assert_eq!(program.validate(), Ok(()));
+            for model in AddressSpace::ALL {
+                let lowered = lower(&program, model);
+                let diags = check_lowered(&lowered);
+                for d in &diags {
+                    let flagged = memory_model_codes.contains(&d.code)
+                        && (d.severity == Severity::Error || d.severity == Severity::Warning);
+                    assert!(
+                        !flagged,
+                        "case {case} under {model}: lower() emitted a checker-dirty \
+                         program:\n{d}\nprogram: {program:?}"
+                    );
+                }
+                let oracle = run_oracle(&lowered);
                 assert!(
-                    !flagged,
-                    "case {case} under {model}: lower() emitted a checker-dirty \
-                     program:\n{d}\nprogram: {program:?}"
+                    oracle.is_clean(),
+                    "case {case} under {model}: oracle found stale reads: {oracle:?}"
                 );
             }
-            let oracle = run_oracle(&lowered);
-            assert!(
-                oracle.is_clean(),
-                "case {case} under {model}: oracle found stale reads: {oracle:?}"
-            );
         }
     }
 }

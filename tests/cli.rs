@@ -124,6 +124,41 @@ fn loc_and_lower_consume_dsl_sources() {
 }
 
 #[test]
+fn a_reader_closing_stdout_early_ends_the_run_quietly() {
+    use std::io::BufRead as _;
+    use std::process::Stdio;
+    let dir = std::env::temp_dir().join(format!("hetmem-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("long.hdsl");
+    // About 2 000 loops lower to several hundred KiB, past any pipe
+    // buffer, so the write after the reader leaves always fails.
+    let body = "loop 2 { gpu p(read b; write a); cpu c(read a; write b); }\n".repeat(2_000);
+    std::fs::write(
+        &path,
+        format!("program long {{ compute 1; buffer a: 64; buffer b: 64; init a, b;\n{body}}}\n"),
+    )
+    .expect("write source");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hetmem"))
+        .args(["lower", path.to_str().expect("utf8 path"), "dis"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("reads a line");
+    // The reader is dropped here, closing the pipe.
+    let out = child.wait_with_output().expect("child ends");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(first.starts_with("// long"), "{first}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn fig7_runs_at_small_scale() {
     let out = hetmem(&["fig", "7", "--scale", "512"]);
     assert!(out.status.success());
