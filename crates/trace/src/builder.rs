@@ -9,6 +9,7 @@
 use crate::inst::{Addr, CommEvent, Inst};
 use crate::phase::{Phase, PhaseSegment, PhasedTrace};
 use crate::stream::TraceStream;
+use std::{panic, thread};
 
 /// A tiny deterministic PRNG (SplitMix64) used for branch outcomes and
 /// irregular address streams.
@@ -26,12 +27,21 @@ impl SplitMix64 {
         SplitMix64 { state: seed }
     }
 
+    /// The constant every draw adds to the state.
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
     pub(crate) fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(Self::GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// Advances the state past `n` draws in O(1): each draw adds the same
+    /// constant, so skipping `n` of them adds `n` times it.
+    pub(crate) fn skip(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(Self::GAMMA));
     }
 
     /// Uniform value in `[0, 100)`, used for percentage draws.
@@ -267,6 +277,85 @@ impl AddressGen {
     }
 }
 
+/// Emits exactly `count` instructions following `mix` into a stream, drawing
+/// one branch outcome from `rng` per `Branch` (see [`branch_draws`]).
+fn emit(rng: &mut SplitMix64, count: usize, mix: InstMix, pattern: AddressPattern) -> TraceStream {
+    assert!(
+        mix.body_len() > 0,
+        "instruction mix must have at least one class"
+    );
+    let mut stream = TraceStream::with_capacity(count);
+    let mut addrs = pattern.into_gen();
+    let mut emitted = 0usize;
+    'outer: loop {
+        // One loop body: loads, int ops, fp ops, stores, branches.
+        for _ in 0..mix.loads {
+            if emitted == count {
+                break 'outer;
+            }
+            stream.push(Inst::Load {
+                addr: addrs.next_addr(),
+                bytes: mix.access_bytes,
+            });
+            emitted += 1;
+        }
+        for _ in 0..mix.int_ops {
+            if emitted == count {
+                break 'outer;
+            }
+            stream.push(Inst::IntAlu);
+            emitted += 1;
+        }
+        for _ in 0..mix.fp_ops {
+            if emitted == count {
+                break 'outer;
+            }
+            stream.push(if mix.simd {
+                Inst::SimdAlu { lanes: 8 }
+            } else {
+                Inst::FpAlu
+            });
+            emitted += 1;
+        }
+        for _ in 0..mix.stores {
+            if emitted == count {
+                break 'outer;
+            }
+            stream.push(Inst::Store {
+                addr: addrs.next_addr(),
+                bytes: mix.access_bytes,
+            });
+            emitted += 1;
+        }
+        for _ in 0..mix.branches {
+            if emitted == count {
+                break 'outer;
+            }
+            let taken = rng.percent() < mix.branch_taken_pct;
+            stream.push(Inst::Branch { taken });
+            emitted += 1;
+        }
+    }
+    debug_assert_eq!(stream.len(), count);
+    stream
+}
+
+/// How many outcomes [`emit`] draws from its PRNG for a stream of `count`
+/// instructions following `mix`: `branches` per full body, plus the branches
+/// that fit in the final partial body (they close each body). It depends on
+/// nothing else, which is what lets [`TraceBuilder::parallel`] start the GPU
+/// stream's draws before the CPU stream has made its own.
+fn branch_draws(count: usize, mix: InstMix) -> u64 {
+    let body = u64::from(mix.body_len());
+    if body == 0 {
+        // `emit` rejects the mix before it draws anything.
+        return 0;
+    }
+    let count = count as u64;
+    let branches = u64::from(mix.branches);
+    count / body * branches + (count % body).saturating_sub(body - branches)
+}
+
 /// Incrementally builds a [`PhasedTrace`].
 ///
 /// ```
@@ -296,72 +385,10 @@ impl TraceBuilder {
         }
     }
 
-    /// Emits exactly `count` instructions following `mix` into a stream.
-    fn emit(&mut self, count: usize, mix: InstMix, pattern: AddressPattern) -> TraceStream {
-        assert!(
-            mix.body_len() > 0,
-            "instruction mix must have at least one class"
-        );
-        let mut stream = TraceStream::with_capacity(count);
-        let mut addrs = pattern.into_gen();
-        let mut emitted = 0usize;
-        'outer: loop {
-            // One loop body: loads, int ops, fp ops, stores, branches.
-            for _ in 0..mix.loads {
-                if emitted == count {
-                    break 'outer;
-                }
-                stream.push(Inst::Load {
-                    addr: addrs.next_addr(),
-                    bytes: mix.access_bytes,
-                });
-                emitted += 1;
-            }
-            for _ in 0..mix.int_ops {
-                if emitted == count {
-                    break 'outer;
-                }
-                stream.push(Inst::IntAlu);
-                emitted += 1;
-            }
-            for _ in 0..mix.fp_ops {
-                if emitted == count {
-                    break 'outer;
-                }
-                stream.push(if mix.simd {
-                    Inst::SimdAlu { lanes: 8 }
-                } else {
-                    Inst::FpAlu
-                });
-                emitted += 1;
-            }
-            for _ in 0..mix.stores {
-                if emitted == count {
-                    break 'outer;
-                }
-                stream.push(Inst::Store {
-                    addr: addrs.next_addr(),
-                    bytes: mix.access_bytes,
-                });
-                emitted += 1;
-            }
-            for _ in 0..mix.branches {
-                if emitted == count {
-                    break 'outer;
-                }
-                let taken = self.rng.percent() < mix.branch_taken_pct;
-                stream.push(Inst::Branch { taken });
-                emitted += 1;
-            }
-        }
-        debug_assert_eq!(stream.len(), count);
-        stream
-    }
-
     /// Appends a sequential (CPU-only) segment of exactly `count`
     /// instructions.
     pub fn sequential(&mut self, count: usize, mix: InstMix, pattern: AddressPattern) {
-        let cpu = self.emit(count, mix, pattern);
+        let cpu = emit(&mut self.rng, count, mix, pattern);
         self.trace.push_segment(PhaseSegment::new(
             Phase::Sequential,
             cpu,
@@ -371,6 +398,14 @@ impl TraceBuilder {
 
     /// Appends a parallel segment with exactly `cpu_count` CPU instructions
     /// and `gpu_count` GPU instructions.
+    ///
+    /// The two streams are emitted concurrently: the GPU stream on a scoped
+    /// helper thread, the CPU stream on the calling thread. The result equals
+    /// emitting the CPU stream and then the GPU stream on one thread, because
+    /// the branch PRNG is the only state they share and the GPU stream starts
+    /// from the state the CPU stream's draws leave, skipped to in O(1). If
+    /// the helper cannot be spawned, the GPU stream is emitted inline; a
+    /// panic in it resurfaces here with its own payload.
     #[allow(clippy::too_many_arguments)]
     pub fn parallel(
         &mut self,
@@ -381,8 +416,26 @@ impl TraceBuilder {
         gpu_mix: InstMix,
         gpu_pattern: AddressPattern,
     ) {
-        let cpu = self.emit(cpu_count, cpu_mix, cpu_pattern);
-        let gpu = self.emit(gpu_count, gpu_mix, gpu_pattern);
+        let mut gpu_rng = self.rng;
+        gpu_rng.skip(branch_draws(cpu_count, cpu_mix));
+        // Captures only shared references, so it is `Copy`: a failed spawn
+        // leaves a copy to run inline.
+        let gpu_job = || {
+            let mut rng = gpu_rng;
+            let stream = emit(&mut rng, gpu_count, gpu_mix, gpu_pattern.clone());
+            (stream, rng)
+        };
+        let (cpu, (gpu, rng)) = thread::scope(|s| {
+            let helper = thread::Builder::new().spawn_scoped(s, gpu_job);
+            let cpu = emit(&mut self.rng, cpu_count, cpu_mix, cpu_pattern);
+            debug_assert_eq!(self.rng, gpu_rng, "branch_draws miscounted the CPU stream");
+            let gpu = match helper {
+                Ok(handle) => handle.join().unwrap_or_else(|p| panic::resume_unwind(p)),
+                Err(_) => gpu_job(),
+            };
+            (cpu, gpu)
+        });
+        self.rng = rng;
         self.trace
             .push_segment(PhaseSegment::new(Phase::Parallel, cpu, gpu));
     }
@@ -431,8 +484,8 @@ mod tests {
     #[test]
     fn emit_hits_exact_count_for_any_remainder() {
         for count in [0usize, 1, 2, 6, 7, 13, 100, 101] {
-            let mut b = TraceBuilder::new("t", 1);
-            let s = b.emit(
+            let s = emit(
+                &mut SplitMix64::new(1),
                 count,
                 InstMix::cpu_compute(),
                 AddressPattern::Stream {
@@ -447,9 +500,9 @@ mod tests {
 
     #[test]
     fn emit_follows_mix_ratios() {
-        let mut b = TraceBuilder::new("t", 1);
         let mix = InstMix::cpu_compute(); // body = 7: 2 loads, 1 int, 2 fp, 1 store, 1 branch
-        let s = b.emit(
+        let s = emit(
+            &mut SplitMix64::new(1),
             700,
             mix,
             AddressPattern::Stream {
@@ -468,8 +521,8 @@ mod tests {
     #[test]
     fn emit_is_deterministic() {
         let make = || {
-            let mut b = TraceBuilder::new("t", 99);
-            b.emit(
+            emit(
+                &mut SplitMix64::new(99),
                 500,
                 InstMix::gpu_compute(),
                 AddressPattern::Irregular {
@@ -481,6 +534,119 @@ mod tests {
             )
         };
         assert_eq!(make(), make());
+    }
+
+    #[test]
+    fn skip_equals_repeated_draws() {
+        for n in [0u64, 1, 2, 1_000] {
+            let mut skipped = SplitMix64::new(0x5EED);
+            skipped.skip(n);
+            let mut drawn = SplitMix64::new(0x5EED);
+            for _ in 0..n {
+                drawn.next_u64();
+            }
+            assert_eq!(skipped, drawn, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn branch_draws_count_the_emitted_branches() {
+        let no_branches = InstMix {
+            branches: 0,
+            ..InstMix::cpu_compute()
+        };
+        let mixes = crate::kernels::MIXES.into_iter().chain([
+            InstMix::cpu_compute(),
+            InstMix::gpu_compute(),
+            InstMix::serial(),
+            no_branches,
+        ]);
+        for mix in mixes {
+            for count in 0..=3 * mix.body_len() as usize {
+                let mut rng = SplitMix64::new(3);
+                let pattern = AddressPattern::Stream {
+                    base: 0,
+                    len: 1024,
+                    stride: 8,
+                };
+                let s = emit(&mut rng, count, mix, pattern);
+                let branches = s.class_count(InstClass::Branch) as u64;
+                assert_eq!(branch_draws(count, mix), branches, "{mix:?} × {count}");
+                let mut want = SplitMix64::new(3);
+                want.skip(branches);
+                assert_eq!(rng, want, "{mix:?} × {count}");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_equals_sequential_emission() {
+        let cpu_pattern = AddressPattern::Irregular {
+            base: 0,
+            len: 4096,
+            elem: 4,
+            seed: 11,
+        };
+        let gpu_pattern = AddressPattern::Stream {
+            base: 0x8000,
+            len: 4096,
+            stride: 32,
+        };
+        // Bodies of 8 with two closing branches: 103 CPU instructions end
+        // on the first branch of the 13th body, so the GPU stream starts
+        // after 12 × 2 + 1 draws.
+        let cpu_mix = InstMix {
+            branches: 2,
+            ..InstMix::serial()
+        };
+        let gpu_mix = InstMix::gpu_compute();
+        let mut b = TraceBuilder::new("t", 21);
+        b.parallel(
+            103,
+            cpu_mix,
+            cpu_pattern.clone(),
+            57,
+            gpu_mix,
+            gpu_pattern.clone(),
+        );
+        b.sequential(9, InstMix::serial(), gpu_pattern.clone());
+
+        let mut rng = SplitMix64::new(21);
+        let cpu = emit(&mut rng, 103, cpu_mix, cpu_pattern);
+        let gpu = emit(&mut rng, 57, gpu_mix, gpu_pattern.clone());
+        let serial = emit(&mut rng, 9, InstMix::serial(), gpu_pattern);
+        let t = b.finish();
+        let (par, seq) = (&t.segments()[0], &t.segments()[1]);
+        assert_eq!(par.stream(crate::PuKind::Cpu), &cpu);
+        assert_eq!(par.stream(crate::PuKind::Gpu), &gpu);
+        assert_eq!(seq.stream(crate::PuKind::Cpu), &serial);
+    }
+
+    #[test]
+    #[should_panic(expected = "instruction mix must have at least one class")]
+    fn parallel_with_an_empty_gpu_mix_panics() {
+        let empty = InstMix {
+            loads: 0,
+            int_ops: 0,
+            fp_ops: 0,
+            stores: 0,
+            branches: 0,
+            ..InstMix::gpu_compute()
+        };
+        let pattern = AddressPattern::Stream {
+            base: 0,
+            len: 256,
+            stride: 8,
+        };
+        let mut b = TraceBuilder::new("t", 0);
+        b.parallel(
+            10,
+            InstMix::cpu_compute(),
+            pattern.clone(),
+            10,
+            empty,
+            pattern,
+        );
     }
 
     #[test]

@@ -19,6 +19,30 @@ const RESULT_BYTES: u64 = 32_768;
 /// Convolution window width in elements.
 const WINDOW: u64 = 5;
 
+/// 5-tap window: reads dominate, one store per output element.
+pub(super) const CPU_MIX: InstMix = InstMix {
+    loads: 3,
+    int_ops: 1,
+    fp_ops: 2,
+    stores: 1,
+    branches: 1,
+    simd: false,
+    access_bytes: 4,
+    branch_taken_pct: 95,
+};
+
+/// The GPU's SIMD counterpart of [`CPU_MIX`].
+pub(super) const GPU_MIX: InstMix = InstMix {
+    loads: 3,
+    int_ops: 1,
+    fp_ops: 3,
+    stores: 1,
+    branches: 1,
+    simd: true,
+    access_bytes: 32,
+    branch_taken_pct: 97,
+};
+
 pub(super) fn generate(params: &KernelParams) -> PhasedTrace {
     let (cpu_par, gpu_par) = params.partition(448_260, 448_259);
     let cpu_halves = split(cpu_par, 2);
@@ -26,27 +50,6 @@ pub(super) fn generate(params: &KernelParams) -> PhasedTrace {
     let serial = params.count(65_536);
     let input = params.bytes(INITIAL_BYTES);
 
-    // 5-tap window: reads dominate, one store per output element.
-    let cpu_mix = InstMix {
-        loads: 3,
-        int_ops: 1,
-        fp_ops: 2,
-        stores: 1,
-        branches: 1,
-        simd: false,
-        access_bytes: 4,
-        branch_taken_pct: 95,
-    };
-    let gpu_mix = InstMix {
-        loads: 3,
-        int_ops: 1,
-        fp_ops: 3,
-        stores: 1,
-        branches: 1,
-        simd: true,
-        access_bytes: 32,
-        branch_taken_pct: 97,
-    };
     let cpu_pat = AddressPattern::Window {
         base: layout::CPU_BASE,
         len: input,
@@ -70,10 +73,10 @@ pub(super) fn generate(params: &KernelParams) -> PhasedTrace {
     // Row pass.
     b.parallel(
         cpu_halves[0],
-        cpu_mix,
+        CPU_MIX,
         cpu_pat.clone(),
         gpu_halves[0],
-        gpu_mix,
+        GPU_MIX,
         gpu_pat.clone(),
     );
     // Mid-computation halo exchange.
@@ -96,10 +99,10 @@ pub(super) fn generate(params: &KernelParams) -> PhasedTrace {
     // Column pass.
     b.parallel(
         cpu_halves[1],
-        cpu_mix,
+        CPU_MIX,
         cpu_pat,
         gpu_halves[1],
-        gpu_mix,
+        GPU_MIX,
         gpu_pat,
     );
     b.communication([CommEvent {

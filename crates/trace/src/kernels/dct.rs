@@ -16,35 +16,37 @@ const RESULT_BYTES: u64 = 131_072;
 /// log2 of the butterfly span in elements (256 Ki f32 / 4 = 64 Ki elements).
 const LOG2_N: u32 = 16;
 
+/// FP-heavy butterfly: two loads, four FP ops (twiddle multiply-add),
+/// two stores.
+pub(super) const CPU_MIX: InstMix = InstMix {
+    loads: 2,
+    int_ops: 1,
+    fp_ops: 4,
+    stores: 2,
+    branches: 1,
+    simd: false,
+    access_bytes: 4,
+    branch_taken_pct: 96,
+};
+
+/// The GPU's SIMD counterpart of [`CPU_MIX`].
+pub(super) const GPU_MIX: InstMix = InstMix {
+    loads: 2,
+    int_ops: 1,
+    fp_ops: 4,
+    stores: 2,
+    branches: 1,
+    simd: true,
+    access_bytes: 32,
+    branch_taken_pct: 98,
+};
+
 pub(super) fn generate(params: &KernelParams) -> PhasedTrace {
     let (cpu_par, gpu_par) = params.partition(2_359_298, 2_359_298);
     let serial = params.count(262_144);
     let input = params.bytes(INITIAL_BYTES);
     // Butterfly spans shrink with the scale so addresses stay in the region.
     let log2_n = LOG2_N.saturating_sub(params.scale.ilog2().min(LOG2_N - 4));
-
-    // FP-heavy butterfly: two loads, four FP ops (twiddle multiply-add),
-    // two stores.
-    let cpu_mix = InstMix {
-        loads: 2,
-        int_ops: 1,
-        fp_ops: 4,
-        stores: 2,
-        branches: 1,
-        simd: false,
-        access_bytes: 4,
-        branch_taken_pct: 96,
-    };
-    let gpu_mix = InstMix {
-        loads: 2,
-        int_ops: 1,
-        fp_ops: 4,
-        stores: 2,
-        branches: 1,
-        simd: true,
-        access_bytes: 32,
-        branch_taken_pct: 98,
-    };
 
     let mut b = TraceBuilder::new("dct", 0x5EED_0004);
     b.communication([CommEvent {
@@ -55,14 +57,14 @@ pub(super) fn generate(params: &KernelParams) -> PhasedTrace {
     }]);
     b.parallel(
         cpu_par,
-        cpu_mix,
+        CPU_MIX,
         AddressPattern::Butterfly {
             base: layout::CPU_BASE,
             log2_n,
             elem: 4,
         },
         gpu_par,
-        gpu_mix,
+        GPU_MIX,
         AddressPattern::Butterfly {
             base: layout::GPU_BASE,
             log2_n,

@@ -22,35 +22,37 @@ const PARTIAL_BYTES: u64 = 4_096;
 /// Bytes of the centroid broadcast sent back to the GPU.
 const CENTROID_BYTES: u64 = 2_048;
 
+/// Distance computation: point loads are clustered (irregular within the
+/// assigned cluster's working set), FP-heavy.
+pub(super) const CPU_MIX: InstMix = InstMix {
+    loads: 2,
+    int_ops: 1,
+    fp_ops: 3,
+    stores: 0,
+    branches: 1,
+    simd: false,
+    access_bytes: 4,
+    branch_taken_pct: 92,
+};
+
+/// The GPU's SIMD counterpart of [`CPU_MIX`].
+pub(super) const GPU_MIX: InstMix = InstMix {
+    loads: 2,
+    int_ops: 1,
+    fp_ops: 4,
+    stores: 0,
+    branches: 1,
+    simd: true,
+    access_bytes: 32,
+    branch_taken_pct: 95,
+};
+
 pub(super) fn generate(params: &KernelParams) -> PhasedTrace {
     let (cpu_par, gpu_par) = params.partition(1_847_765, 1_844_981);
     let cpu_iters = split(cpu_par, ITERATIONS);
     let gpu_iters = split(gpu_par, ITERATIONS);
     let serial_iters = split(params.count(36_784), ITERATIONS);
     let input = params.bytes(INITIAL_BYTES);
-
-    // Distance computation: point loads are clustered (irregular within the
-    // assigned cluster's working set), FP-heavy.
-    let cpu_mix = InstMix {
-        loads: 2,
-        int_ops: 1,
-        fp_ops: 3,
-        stores: 0,
-        branches: 1,
-        simd: false,
-        access_bytes: 4,
-        branch_taken_pct: 92,
-    };
-    let gpu_mix = InstMix {
-        loads: 2,
-        int_ops: 1,
-        fp_ops: 4,
-        stores: 0,
-        branches: 1,
-        simd: true,
-        access_bytes: 32,
-        branch_taken_pct: 95,
-    };
 
     let mut b = TraceBuilder::new("k-mean", 0x5EED_0006);
     b.communication([CommEvent {
@@ -62,7 +64,7 @@ pub(super) fn generate(params: &KernelParams) -> PhasedTrace {
     for iter in 0..ITERATIONS {
         b.parallel(
             cpu_iters[iter],
-            cpu_mix,
+            CPU_MIX,
             AddressPattern::Irregular {
                 base: layout::CPU_BASE,
                 len: input,
@@ -70,7 +72,7 @@ pub(super) fn generate(params: &KernelParams) -> PhasedTrace {
                 seed: 0xC1D0 + iter as u64,
             },
             gpu_iters[iter],
-            gpu_mix,
+            GPU_MIX,
             AddressPattern::Irregular {
                 base: layout::GPU_BASE,
                 len: input,

@@ -18,34 +18,36 @@ const RESULT_BYTES: u64 = 262_144;
 /// Row length in bytes of the modelled 256×256 f32 matrices.
 const ROW_BYTES: u64 = 1024;
 
+/// Inner-product loop: two loads (a[i][k], b[k][j]), multiply-accumulate,
+/// occasional store of c[i][j], loop-back branch.
+pub(super) const CPU_MIX: InstMix = InstMix {
+    loads: 2,
+    int_ops: 1,
+    fp_ops: 2,
+    stores: 1,
+    branches: 1,
+    simd: false,
+    access_bytes: 4,
+    branch_taken_pct: 98,
+};
+
+/// The GPU's SIMD counterpart of [`CPU_MIX`].
+pub(super) const GPU_MIX: InstMix = InstMix {
+    loads: 2,
+    int_ops: 1,
+    fp_ops: 3,
+    stores: 1,
+    branches: 1,
+    simd: true,
+    access_bytes: 32,
+    branch_taken_pct: 99,
+};
+
 pub(super) fn generate(params: &KernelParams) -> PhasedTrace {
     let (cpu_par, gpu_par) = params.partition(8_585_229, 8_585_228);
     let serial = params.count(16_384);
     let input = params.bytes(INITIAL_BYTES);
     let result = params.bytes(RESULT_BYTES);
-
-    // Inner-product loop: two loads (a[i][k], b[k][j]), multiply-accumulate,
-    // occasional store of c[i][j], loop-back branch.
-    let cpu_mix = InstMix {
-        loads: 2,
-        int_ops: 1,
-        fp_ops: 2,
-        stores: 1,
-        branches: 1,
-        simd: false,
-        access_bytes: 4,
-        branch_taken_pct: 98,
-    };
-    let gpu_mix = InstMix {
-        loads: 2,
-        int_ops: 1,
-        fp_ops: 3,
-        stores: 1,
-        branches: 1,
-        simd: true,
-        access_bytes: 32,
-        branch_taken_pct: 99,
-    };
 
     let mut b = TraceBuilder::new("matrix mul", 0x5EED_0002);
     b.communication([CommEvent {
@@ -56,7 +58,7 @@ pub(super) fn generate(params: &KernelParams) -> PhasedTrace {
     }]);
     b.parallel(
         cpu_par,
-        cpu_mix,
+        CPU_MIX,
         AddressPattern::RowColumn {
             base: layout::CPU_BASE,
             len: input,
@@ -64,7 +66,7 @@ pub(super) fn generate(params: &KernelParams) -> PhasedTrace {
             elem: 4,
         },
         gpu_par,
-        gpu_mix,
+        GPU_MIX,
         AddressPattern::RowColumn {
             base: layout::GPU_BASE,
             len: input,

@@ -14,45 +14,48 @@ const INITIAL_BYTES: u64 = 39_936;
 /// Bytes of the GPU's sorted half returned to the host.
 const RESULT_BYTES: u64 = 39_936;
 
+/// Compare-and-move loops: branches are data-dependent (~55 % taken), so
+/// the CPU's gshare predictor suffers and the GPU serializes on them.
+pub(super) const CPU_MIX: InstMix = InstMix {
+    loads: 2,
+    int_ops: 2,
+    fp_ops: 0,
+    stores: 1,
+    branches: 2,
+    simd: false,
+    access_bytes: 4,
+    branch_taken_pct: 55,
+};
+
+/// The GPU's SIMD counterpart of [`CPU_MIX`].
+pub(super) const GPU_MIX: InstMix = InstMix {
+    loads: 2,
+    int_ops: 3,
+    fp_ops: 0,
+    stores: 1,
+    branches: 2,
+    simd: true,
+    access_bytes: 32,
+    branch_taken_pct: 55,
+};
+
+/// The final sequential merge streams two sorted runs but writes with
+/// data-dependent interleaving.
+pub(super) const SERIAL_MIX: InstMix = InstMix {
+    loads: 2,
+    int_ops: 2,
+    fp_ops: 0,
+    stores: 1,
+    branches: 2,
+    simd: false,
+    access_bytes: 4,
+    branch_taken_pct: 55,
+};
+
 pub(super) fn generate(params: &KernelParams) -> PhasedTrace {
     let (cpu_par, gpu_par) = params.partition(161_233, 157_233);
     let serial = params.count(97_668);
     let input = params.bytes(INITIAL_BYTES);
-
-    // Compare-and-move loops: branches are data-dependent (~55 % taken), so
-    // the CPU's gshare predictor suffers and the GPU serializes on them.
-    let cpu_mix = InstMix {
-        loads: 2,
-        int_ops: 2,
-        fp_ops: 0,
-        stores: 1,
-        branches: 2,
-        simd: false,
-        access_bytes: 4,
-        branch_taken_pct: 55,
-    };
-    let gpu_mix = InstMix {
-        loads: 2,
-        int_ops: 3,
-        fp_ops: 0,
-        stores: 1,
-        branches: 2,
-        simd: true,
-        access_bytes: 32,
-        branch_taken_pct: 55,
-    };
-    // The final sequential merge streams two sorted runs but writes with
-    // data-dependent interleaving.
-    let serial_mix = InstMix {
-        loads: 2,
-        int_ops: 2,
-        fp_ops: 0,
-        stores: 1,
-        branches: 2,
-        simd: false,
-        access_bytes: 4,
-        branch_taken_pct: 55,
-    };
 
     let mut b = TraceBuilder::new("merge sort", 0x5EED_0005);
     b.communication([CommEvent {
@@ -63,7 +66,7 @@ pub(super) fn generate(params: &KernelParams) -> PhasedTrace {
     }]);
     b.parallel(
         cpu_par,
-        cpu_mix,
+        CPU_MIX,
         AddressPattern::Irregular {
             base: layout::CPU_BASE,
             len: input,
@@ -71,7 +74,7 @@ pub(super) fn generate(params: &KernelParams) -> PhasedTrace {
             seed: 0xA11CE,
         },
         gpu_par,
-        gpu_mix,
+        GPU_MIX,
         AddressPattern::Irregular {
             base: layout::GPU_BASE,
             len: input,
@@ -87,7 +90,7 @@ pub(super) fn generate(params: &KernelParams) -> PhasedTrace {
     }]);
     b.sequential(
         serial,
-        serial_mix,
+        SERIAL_MIX,
         AddressPattern::Stream {
             base: layout::CPU_BASE,
             len: input * 2,

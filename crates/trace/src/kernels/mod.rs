@@ -274,6 +274,25 @@ pub(crate) fn split(total: usize, parts: usize) -> Vec<usize> {
     (0..parts).map(|i| base + usize::from(i < rem)).collect()
 }
 
+/// Every kernel-specific instruction mix the generators emit with; the
+/// other sequential phases use [`InstMix::serial`](crate::InstMix::serial).
+#[cfg(test)]
+pub(crate) const MIXES: [crate::InstMix; 13] = [
+    reduction::CPU_MIX,
+    reduction::GPU_MIX,
+    matmul::CPU_MIX,
+    matmul::GPU_MIX,
+    convolution::CPU_MIX,
+    convolution::GPU_MIX,
+    dct::CPU_MIX,
+    dct::GPU_MIX,
+    mergesort::CPU_MIX,
+    mergesort::GPU_MIX,
+    mergesort::SERIAL_MIX,
+    kmeans::CPU_MIX,
+    kmeans::GPU_MIX,
+];
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,33 +15,35 @@ const INITIAL_BYTES: u64 = 320_512;
 /// Bytes of the GPU's partial-sum result returned to the host.
 const RESULT_BYTES: u64 = 64;
 
+/// Reduction of 4-byte integers: two loads feed one add; the loop-back
+/// branch is highly biased.
+pub(super) const CPU_MIX: InstMix = InstMix {
+    loads: 2,
+    int_ops: 2,
+    fp_ops: 0,
+    stores: 0,
+    branches: 1,
+    simd: false,
+    access_bytes: 4,
+    branch_taken_pct: 95,
+};
+
+/// The GPU's SIMD counterpart of [`CPU_MIX`].
+pub(super) const GPU_MIX: InstMix = InstMix {
+    loads: 2,
+    int_ops: 1,
+    fp_ops: 2, // SIMD partial sums
+    stores: 0,
+    branches: 1,
+    simd: true,
+    access_bytes: 32,
+    branch_taken_pct: 97,
+};
+
 pub(super) fn generate(params: &KernelParams) -> PhasedTrace {
     let (cpu_par, gpu_par) = params.partition(70_006, 70_001);
     let serial = params.count(99_996);
     let input = params.bytes(INITIAL_BYTES);
-
-    // Reduction of 4-byte integers: two loads feed one add; the loop-back
-    // branch is highly biased.
-    let cpu_mix = InstMix {
-        loads: 2,
-        int_ops: 2,
-        fp_ops: 0,
-        stores: 0,
-        branches: 1,
-        simd: false,
-        access_bytes: 4,
-        branch_taken_pct: 95,
-    };
-    let gpu_mix = InstMix {
-        loads: 2,
-        int_ops: 1,
-        fp_ops: 2, // SIMD partial sums
-        stores: 0,
-        branches: 1,
-        simd: true,
-        access_bytes: 32,
-        branch_taken_pct: 97,
-    };
 
     let mut b = TraceBuilder::new("reduction", 0x5EED_0001);
     b.communication([CommEvent {
@@ -52,14 +54,14 @@ pub(super) fn generate(params: &KernelParams) -> PhasedTrace {
     }]);
     b.parallel(
         cpu_par,
-        cpu_mix,
+        CPU_MIX,
         AddressPattern::Stream {
             base: layout::CPU_BASE,
             len: input,
             stride: 4,
         },
         gpu_par,
-        gpu_mix,
+        GPU_MIX,
         AddressPattern::Stream {
             base: layout::GPU_BASE,
             len: input,

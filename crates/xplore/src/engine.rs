@@ -610,7 +610,8 @@ pub fn run_jobs(
     // calling thread. Single-worker batches (the service's per-shard path,
     // benches, and `--jobs 1`) run inline: no spawn, no channel, and —
     // because the engine pool is thread-local — recycled engines survive
-    // from one sweep to the next.
+    // from one sweep to the next. Generating a job's trace still uses one
+    // helper thread per parallel segment (`TraceBuilder::parallel`).
     let run_local =
         |indices: &[usize], sink: &mut dyn FnMut(usize, Result<SweepRecord, SimError>)| {
             let units = units(indices);

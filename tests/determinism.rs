@@ -135,11 +135,45 @@ const KERNEL_TRACE_SCALE_64_DIGESTS: [(Kernel, u64); 6] = [
     (Kernel::KMeans, 0x2e3d_f22e_3d50_6497),
 ];
 
+/// FNV-1a digests of the `.hmt` text of traces in other shapes: GPU shares of
+/// 10 % and 90 % at scale 64 (uneven streams), and scale 7 (streams ending
+/// mid-body). Recorded while each parallel segment's CPU and GPU streams were
+/// still emitted one after the other on one thread.
+const KERNEL_TRACE_SHAPE_DIGESTS: [(Kernel, u32, Option<u32>, u64); 18] = [
+    (Kernel::Reduction, 64, Some(10), 0x6d14_4280_9139_5481),
+    (Kernel::Reduction, 64, Some(90), 0xa1d4_0744_249c_23fa),
+    (Kernel::Reduction, 7, None, 0x9402_b070_fcf0_6f79),
+    (Kernel::MatrixMul, 64, Some(10), 0xe82f_bb02_39e1_9026),
+    (Kernel::MatrixMul, 64, Some(90), 0xa1fc_df1c_0b0c_a9ee),
+    (Kernel::MatrixMul, 7, None, 0xbca9_898c_3ba1_e15f),
+    (Kernel::Convolution, 64, Some(10), 0x66ba_a9eb_34bd_0b6e),
+    (Kernel::Convolution, 64, Some(90), 0xba6f_6d78_09b4_24a7),
+    (Kernel::Convolution, 7, None, 0xf5b2_c33d_2177_9d97),
+    (Kernel::Dct, 64, Some(10), 0xe90b_e00f_f58f_28d2),
+    (Kernel::Dct, 64, Some(90), 0x4f0c_1257_9a12_0ceb),
+    (Kernel::Dct, 7, None, 0x0c3a_642e_f920_4bd3),
+    (Kernel::MergeSort, 64, Some(10), 0xec5a_42b7_f76e_0658),
+    (Kernel::MergeSort, 64, Some(90), 0x9e37_4567_1b91_ba29),
+    (Kernel::MergeSort, 7, None, 0xe33d_23ae_ff32_8f59),
+    (Kernel::KMeans, 64, Some(10), 0x1c0a_506e_7ec3_e467),
+    (Kernel::KMeans, 64, Some(90), 0x6c8b_77e6_f50c_458d),
+    (Kernel::KMeans, 7, None, 0x7730_01fa_5f87_2e4c),
+];
+
 #[test]
 fn kernel_traces_match_the_pinned_digests() {
-    for (kernel, want) in KERNEL_TRACE_SCALE_64_DIGESTS {
-        let text = write_trace(&kernel.generate(&KernelParams::scaled(64)));
+    let scale_64 = KERNEL_TRACE_SCALE_64_DIGESTS.map(|(kernel, want)| (kernel, 64, None, want));
+    for (kernel, scale, gpu_share, want) in scale_64.into_iter().chain(KERNEL_TRACE_SHAPE_DIGESTS) {
+        let params = KernelParams::scaled(scale);
+        let params = match gpu_share {
+            Some(pct) => params.with_gpu_share(pct),
+            None => params,
+        };
+        let text = write_trace(&kernel.generate(&params));
         let digest = fnv1a(text.as_bytes());
-        assert_eq!(digest, want, "{kernel} trace digests to {digest:#018x}");
+        assert_eq!(
+            digest, want,
+            "{kernel} at scale {scale}, GPU share {gpu_share:?}, digests to {digest:#018x}"
+        );
     }
 }
