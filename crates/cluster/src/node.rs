@@ -332,27 +332,13 @@ impl ClusterNode {
     /// `"cluster"` section of `/metrics`.
     #[must_use]
     pub fn status_json(&self) -> Json {
-        let peers: Vec<Json> = {
-            let members = lock(&self.members);
-            let mut rows: Vec<(String, String)> = members
-                .iter()
-                .map(|(addr, p)| (addr.clone(), p.http.clone()))
-                .collect();
-            rows.sort();
-            rows.into_iter()
-                .map(|(cluster, http)| {
-                    Json::obj(vec![
-                        ("cluster", Json::Str(cluster)),
-                        ("http", Json::Str(http)),
-                    ])
-                })
-                .collect()
-        };
+        let mut rows = self.member_rows();
+        rows.sort();
         let count = |c: &AtomicU64| Json::UInt(c.load(Ordering::Relaxed));
         Json::obj(vec![
             ("self", Json::Str(self.self_addr.clone())),
             ("http", Json::Str(self.cfg.http_addr.clone())),
-            ("peers", Json::Arr(peers)),
+            ("peers", peers_json(rows)),
             ("forwards_out", count(&self.forwards_out)),
             ("forwards_in", count(&self.forwards_in)),
             ("work_steals", count(&self.work_steals)),
@@ -455,22 +441,28 @@ impl ClusterNode {
     /// Rebuilds the hash ring from the current member set plus self.
     /// Every membership change funnels through here, which makes it the
     /// one place to persist the peer list for unattended rejoin.
+    ///
+    /// Connection threads and the heartbeat thread rebuild concurrently,
+    /// so the whole rebuild, from reading the members to renaming the
+    /// peer file, holds the ring lock. The last rebuild to finish then
+    /// read the latest member set, and its ring and file are the ones
+    /// that stay. Lock order: the ring, then the members.
     fn rebuild_ring(&self) {
-        let mut nodes: Vec<String> = lock(&self.members).keys().cloned().collect();
-        nodes.push(self.self_addr.clone());
-        let ring = Ring::new(&nodes);
-        *lock(&self.ring) = ring;
-        self.persist_peers();
+        let mut ring = lock(&self.ring);
+        let rows = self.peer_rows();
+        let nodes: Vec<String> = rows.iter().map(|(cluster, _)| cluster.clone()).collect();
+        *ring = Ring::new(&nodes);
+        self.persist_peers(rows);
     }
 
-    /// Writes the current peer list to [`ClusterConfig::peers_path`]
+    /// Writes the peer list `rows` to [`ClusterConfig::peers_path`]
     /// (write-temp-then-rename, so readers never see a torn file).
     /// Best-effort: a full disk must not take down membership.
-    fn persist_peers(&self) {
+    fn persist_peers(&self, rows: Vec<(String, String)>) {
         let Some(path) = &self.cfg.peers_path else {
             return;
         };
-        let body = Json::obj(vec![("peers", self.peer_list())]).render() + "\n";
+        let body = Json::obj(vec![("peers", peers_json(rows))]).render() + "\n";
         let tmp = path.with_extension("json.tmp");
         if let Some(parent) = path.parent() {
             let _ = std::fs::create_dir_all(parent);
@@ -510,24 +502,25 @@ impl ClusterNode {
         false
     }
 
-    /// The gossiped peer list: every member plus this node.
-    fn peer_list(&self) -> Json {
-        let mut rows: Vec<(String, String)> = lock(&self.members)
+    /// Every member's `(cluster, http)` address pair, unsorted.
+    fn member_rows(&self) -> Vec<(String, String)> {
+        lock(&self.members)
             .iter()
             .map(|(addr, p)| (addr.clone(), p.http.clone()))
-            .collect();
+            .collect()
+    }
+
+    /// Every member's address pair plus this node's, sorted.
+    fn peer_rows(&self) -> Vec<(String, String)> {
+        let mut rows = self.member_rows();
         rows.push((self.self_addr.clone(), self.cfg.http_addr.clone()));
         rows.sort();
-        Json::Arr(
-            rows.into_iter()
-                .map(|(cluster, http)| {
-                    Json::obj(vec![
-                        ("cluster", Json::Str(cluster)),
-                        ("http", Json::Str(http)),
-                    ])
-                })
-                .collect(),
-        )
+        rows
+    }
+
+    /// The gossiped peer list: every member plus this node.
+    fn peer_list(&self) -> Json {
+        peers_json(self.peer_rows())
     }
 
     fn heartbeat_loop(self: Arc<ClusterNode>) {
@@ -768,6 +761,20 @@ pub(crate) fn execute(owner: &str, endpoint: &str, body: &str) -> Result<Reply, 
             peer: owner.to_owned(),
         }),
     }
+}
+
+/// A peer list as JSON: one `{"cluster", "http"}` object per row.
+fn peers_json(rows: Vec<(String, String)>) -> Json {
+    Json::Arr(
+        rows.into_iter()
+            .map(|(cluster, http)| {
+                Json::obj(vec![
+                    ("cluster", Json::Str(cluster)),
+                    ("http", Json::Str(http)),
+                ])
+            })
+            .collect(),
+    )
 }
 
 fn error_frame(message: &str) -> Json {
@@ -1029,6 +1036,67 @@ mod tests {
         assert_eq!(lock(&a.ring).len(), 2);
         b2.shutdown();
         a.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_membership_changes_leave_ring_and_peer_file_current() {
+        let dir = std::env::temp_dir().join(format!(
+            "hetmem-cluster-rebuild-test-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("cluster-peers.json");
+        // Loopback addresses nothing listens on; a long heartbeat keeps
+        // the loop from dialing and burying them.
+        let made_up = |t: usize, i: usize| format!("127.0.0.1:{}", 9 + t * 200 + i);
+        let node = ClusterNode::start(
+            ClusterConfig {
+                heartbeat_ms: 600_000,
+                peers_path: Some(path.clone()),
+                ..ClusterConfig::default()
+            },
+            hooks("n"),
+        )
+        .expect("start");
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                let (node, start) = (&node, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..150 {
+                        let peer = PeerState {
+                            http: String::new(),
+                            last_seen: Instant::now(),
+                        };
+                        lock(&node.members).insert(made_up(t, i), peer);
+                        node.rebuild_ring();
+                        if i >= 3 {
+                            lock(&node.members).remove(&made_up(t, i - 3));
+                            node.rebuild_ring();
+                        }
+                    }
+                });
+            }
+        });
+        let mut expected: Vec<String> = lock(&node.members).keys().cloned().collect();
+        expected.push(node.self_addr().to_owned());
+        expected.sort();
+        assert_eq!(lock(&node.ring).nodes(), expected.as_slice());
+        let body = std::fs::read_to_string(&path).expect("peer file");
+        let persisted = hetmem_xplore::json::parse(&body).expect("peer file parses");
+        let Some(Json::Arr(rows)) = persisted.get("peers") else {
+            panic!("no peer list in {body}");
+        };
+        let listed: Vec<&str> = rows
+            .iter()
+            .filter_map(|row| row.get("cluster").and_then(Json::as_str))
+            .collect();
+        assert_eq!(listed, expected);
+        // The made-up peers would be sent a leave frame.
+        lock(&node.members).clear();
+        node.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
