@@ -352,9 +352,10 @@ impl ClusterNode {
     }
 
     /// Leaves the ring and stops both background threads: announces a
-    /// graceful `leave` to every peer (so they rehash immediately
-    /// instead of waiting out the miss window), then joins the
-    /// listener and heartbeat threads.
+    /// graceful `leave` to every peer at once (so they rehash immediately
+    /// instead of waiting out the miss window, and a silent peer costs
+    /// one read timeout in all, not one each), then joins the listener
+    /// and heartbeat threads.
     pub fn shutdown(&self) {
         if self.draining.swap(true, Ordering::SeqCst) {
             return;
@@ -366,9 +367,12 @@ impl ClusterNode {
             ("kind", Json::Str("leave".to_owned())),
             ("from", Json::Str(self.self_addr.clone())),
         ]);
-        for peer in peers {
-            let _ = proto::call(&peer, &leave, HEARTBEAT_READ_TIMEOUT);
-        }
+        std::thread::scope(|scope| {
+            for peer in &peers {
+                let leave = &leave;
+                scope.spawn(move || proto::call(peer, leave, HEARTBEAT_READ_TIMEOUT));
+            }
+        });
         // Wake the accept loop so it observes the drain flag.
         let _ = TcpStream::connect(self.listen_addr);
         let threads = std::mem::take(&mut *lock(&self.threads));
@@ -1098,5 +1102,37 @@ mod tests {
         lock(&node.members).clear();
         node.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn silent_peers_are_left_at_once() {
+        // Listeners that never accept still complete the handshake, so
+        // each leave waits out its whole read timeout.
+        let silent: Vec<TcpListener> = (0..8)
+            .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
+            .collect();
+        let node = ClusterNode::start(
+            ClusterConfig {
+                heartbeat_ms: 600_000,
+                ..ClusterConfig::default()
+            },
+            hooks("n"),
+        )
+        .expect("start");
+        for listener in &silent {
+            let peer = PeerState {
+                http: String::new(),
+                last_seen: Instant::now(),
+            };
+            let addr = listener.local_addr().expect("addr").to_string();
+            lock(&node.members).insert(addr, peer);
+        }
+        let started = Instant::now();
+        node.shutdown();
+        let took = started.elapsed();
+        assert!(
+            took < 2 * HEARTBEAT_READ_TIMEOUT,
+            "8 silent peers took {took:?} to leave"
+        );
     }
 }

@@ -1,26 +1,23 @@
 //! Checker-driven communication optimizer (`hetmem fix`).
 //!
 //! The paper's central claim is that the memory model dictates which
-//! communication a program must perform. The static verifier in
-//! [`crate::check`](mod@crate::check) proves a transfer redundant
-//! (HM0103) or missing (HM0101/HM0102); this module acts on those proofs,
-//! rewriting a lowered program to the *minimal sufficient* communication
-//! set the abstract interpreter can certify, in two phases:
+//! communication a program must perform. [`lower`] places every transfer
+//! from the checker's own freshness state, so its output is already
+//! checker-clean; the static verifier in [`crate::check`](mod@crate::check)
+//! can still prove some of those transfers redundant (HM0103). This module
+//! acts on those proofs, deleting down to the *minimal sufficient*
+//! communication set the abstract interpreter can certify.
 //!
-//! 1. **Insert** — for every `Error`-severity finding with a mechanical
-//!    remedy (stale read → host-to-device copy, missing transfer-back →
-//!    device-to-host copy, untagged shared data → `sharedmalloc` retag,
-//!    ownership violation → release/acquire), apply the remedy at the
-//!    reported site and re-check.
-//! 2. **Delete** — a `Memcpy`, or one buffer of a `copyfromCPUtoGPU` or
-//!    ownership group, goes iff removing it changes no finding but its own
-//!    HM0103: on every execution, each flag it sets already holds that
-//!    value or is overwritten before any statement reads it. The
-//!    interpreter records what each statement reads, writes and changes;
-//!    a backward liveness sweep over the records decides. Compute
-//!    statements are never candidates, so the compute trace is untouched.
+//! A `Memcpy`, or one buffer of a `copyfromCPUtoGPU` or ownership group,
+//! goes iff removing it changes no finding but its own HM0103: on every
+//! execution, each flag it sets already holds that value or is overwritten
+//! before any statement reads it. The interpreter records what each
+//! statement reads, writes and changes; a backward liveness sweep over the
+//! records decides. Compute statements are never candidates, so the
+//! compute trace is untouched, and nothing is ever inserted, so the fixed
+//! program is the original with members removed.
 //!
-//! Both phases are deterministic, so `fix` is idempotent:
+//! The pass is deterministic, so `fix` is idempotent:
 //! `fix(fix(p)) == fix(p)`.
 
 use std::collections::HashMap;
@@ -35,13 +32,13 @@ use crate::model::AddressSpace;
 use crate::pretty::render;
 use crate::stmt::Stmt;
 
-/// One edit the fix pass performed.
+/// One removal the fix pass performed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FixEdit {
     /// Statement index (into the program as it was at the time of the
     /// edit) where the edit applied.
     pub stmt: usize,
-    /// Rendered text of the statement removed, inserted, or rewritten.
+    /// Rendered text of the statement the removal applied to.
     pub text: String,
     /// The buffer the edit is about, when the edit touches a single
     /// buffer of a grouped statement (or a single-buffer transfer).
@@ -70,35 +67,32 @@ pub struct FixReport {
     /// removable, in program order; each index is into the program with
     /// the earlier removals applied.
     pub removed: Vec<FixEdit>,
-    /// Statements inserted (or rewritten, for `sharedmalloc` retags) to
-    /// clear `Error` findings, in insertion order.
-    pub inserted: Vec<FixEdit>,
     /// Findings at `Error` or `Warning` severity that survive in the
-    /// fixed program — violations with no mechanical remedy.
+    /// fixed program.
     pub residual: Vec<Diagnostic>,
-    /// For each fixed statement, the original one it came from (`None`
-    /// if inserted).
-    origin: Vec<Option<usize>>,
+    /// For each fixed statement, the original one it came from.
+    origin: Vec<usize>,
 }
 
 impl FixReport {
     /// Whether the pass changed the program at all.
     #[must_use]
     pub fn changed(&self) -> bool {
-        !self.removed.is_empty() || !self.inserted.is_empty()
+        !self.removed.is_empty()
     }
 
-    /// Communication-handling source lines saved by the fix (negative if
-    /// the pass had to insert more than it removed).
+    /// Communication-handling source lines saved by the fix.
     #[must_use]
-    pub fn lines_saved(&self) -> i64 {
-        i64::from(self.original.comm_overhead_lines()) - i64::from(self.fixed.comm_overhead_lines())
+    pub fn lines_saved(&self) -> u32 {
+        // `fixed` is `original` with members removed, so this never wraps.
+        self.original.comm_overhead_lines() - self.fixed.comm_overhead_lines()
     }
 
     /// A line diff from [`render`] of the original to that of the fixed
     /// program: common lines prefixed with two spaces, removals with
-    /// `- `, insertions with `+ `, and a rewritten line as a removal then
-    /// an insertion. Lines pair up by the statement each fixed statement
+    /// `- `, and a rewritten line (a group that lost members, or the
+    /// header restating the comm-line count) as a removal then an
+    /// insertion. Lines pair up by the statement each fixed statement
     /// came from, so the diff is linear in the program.
     #[must_use]
     pub fn diff(&self) -> String {
@@ -107,25 +101,22 @@ impl FixReport {
         // Statement `i` is on line `render_line(i)`, between a header and
         // a closing line that pair by position.
         let head = render_line(0) - 1;
-        let from: Vec<Option<usize>> = (0..head)
-            .map(Some)
-            .chain(self.origin.iter().map(|o| o.map(|i| head + i)))
-            .chain([Some(before.len() - 1)])
+        let from: Vec<usize> = (0..head)
+            .chain(self.origin.iter().map(|i| head + i))
+            .chain([before.len() - 1])
             .collect();
         let mut out = String::new();
         let mut next = 0;
-        for (j, line) in render(&self.fixed).lines().enumerate() {
-            // Removals print before insertions at the same point.
-            let upto = from[j..].iter().find_map(|&f| f).unwrap_or(before.len());
-            for gone in &before[next..upto.max(next)] {
+        for (line, &i) in render(&self.fixed).lines().zip(&from) {
+            for gone in &before[next..i] {
                 out.push_str(&format!("- {gone}\n"));
             }
-            match from[j] {
-                Some(i) if before[i] == line => out.push_str(&format!("  {line}\n")),
-                Some(i) => out.push_str(&format!("- {}\n+ {line}\n", before[i])),
-                None => out.push_str(&format!("+ {line}\n")),
+            if before[i] == line {
+                out.push_str(&format!("  {line}\n"));
+            } else {
+                out.push_str(&format!("- {}\n+ {line}\n", before[i]));
             }
-            next = from[j].map_or(upto.max(next), |i| i + 1);
+            next = i + 1;
         }
         out
     }
@@ -135,12 +126,11 @@ impl std::fmt::Display for FixReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "fix `{}` under {}: {} removal(s), {} insertion(s), {} comm line(s) saved, \
+            "fix `{}` under {}: {} removal(s), {} comm line(s) saved, \
              {} residual finding(s)",
             self.original.program_name,
             self.original.model,
             self.removed.len(),
-            self.inserted.len(),
             self.lines_saved(),
             self.residual.len()
         )
@@ -162,152 +152,25 @@ pub fn fix(program: &Program, model: AddressSpace) -> FixReport {
 /// communication set. See the module docs for the algorithm.
 #[must_use]
 pub fn fix_lowered(original: &Lowered) -> FixReport {
-    let mut cur = original.clone();
-    let mut origin = (0..cur.stmts.len()).map(Some).collect();
-    let mut inserted = Vec::new();
-    insert_pass(&mut cur, &mut origin, &mut inserted);
-    let removed = delete_pass(&mut cur, &mut origin);
-    let residual = check_lowered(&cur)
+    let mut fixed = original.clone();
+    let (removed, origin) = delete_pass(&mut fixed);
+    let residual = check_lowered(&fixed)
         .into_iter()
         .filter(|d| d.severity <= Severity::Warning)
         .collect();
     FixReport {
         original: original.clone(),
-        fixed: cur,
+        fixed,
         removed,
-        inserted,
         residual,
         origin,
     }
 }
 
-// ---------------------------------------------------------------------
-// Insertion phase: clear Error findings at their reported sites.
-// ---------------------------------------------------------------------
-
-/// A planned remedy for one `Error` finding.
-enum Remedy {
-    /// Insert `stmt` before statement `at`.
-    Before { at: usize, stmt: Stmt },
-    /// Rewrite the `HostAlloc` of `buf` at `at` into a `SharedAlloc`.
-    Retag { at: usize, buf: String },
-}
-
-fn insert_pass(cur: &mut Lowered, origin: &mut Vec<Option<usize>>, inserted: &mut Vec<FixEdit>) {
-    // Each accepted remedy strictly reduces the number of Error findings,
-    // so this terminates; the bound covers remedies that merely trade one
-    // error for another on adversarial inputs.
-    let budget = cur.stmts.len() * 4 + 16;
-    for _ in 0..budget {
-        let errors: Vec<Diagnostic> = check_lowered(cur)
-            .into_iter()
-            .filter(|d| d.severity == Severity::Error)
-            .collect();
-        let Some(remedy) = errors.iter().find_map(|d| plan_remedy(cur, d)) else {
-            break;
-        };
-        let mut trial = cur.clone();
-        let edit = apply_remedy(&mut trial, &remedy);
-        let errors_after = check_lowered(&trial)
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count();
-        if errors_after >= errors.len() {
-            break;
-        }
-        if let Remedy::Before { at, .. } = remedy {
-            origin.insert(at, None);
-        }
-        inserted.push(edit);
-        *cur = trial;
-    }
-}
-
-fn plan_remedy(cur: &Lowered, d: &Diagnostic) -> Option<Remedy> {
-    let at = d.stmt?;
-    let buf = d.buffer.clone()?;
-    let bytes = buffer_bytes(cur, &buf);
-    match (d.code, cur.model) {
-        (Code::StaleRead, AddressSpace::Disjoint) => Some(Remedy::Before {
-            at,
-            stmt: Stmt::MemcpyH2D { buf, bytes },
-        }),
-        (Code::StaleRead, AddressSpace::Adsm) => Some(Remedy::Before {
-            at,
-            stmt: Stmt::AdsmCopyToDevice {
-                bufs: vec![buf],
-                bytes,
-            },
-        }),
-        (Code::MissingTransferBack, AddressSpace::Disjoint) => Some(Remedy::Before {
-            at,
-            stmt: Stmt::MemcpyD2H { buf, bytes },
-        }),
-        (Code::UntaggedShared, AddressSpace::PartiallyShared) => {
-            let at = cur
-                .stmts
-                .iter()
-                .position(|s| matches!(s, Stmt::HostAlloc { buf: b, .. } if *b == buf))?;
-            Some(Remedy::Retag { at, buf })
-        }
-        (Code::OwnershipViolation, AddressSpace::PartiallyShared) => {
-            // Ownership has a remedy only for accesses on the wrong side
-            // of the protocol; lifetime violations (freed, never
-            // allocated) stay residual.
-            match cur.stmts.get(at)? {
-                Stmt::KernelCall {
-                    target: crate::ast::Target::Gpu,
-                    ..
-                } => Some(Remedy::Before {
-                    at,
-                    stmt: Stmt::ReleaseOwnership { bufs: vec![buf] },
-                }),
-                Stmt::KernelCall { .. } | Stmt::InitCode { .. } => Some(Remedy::Before {
-                    at,
-                    stmt: Stmt::AcquireOwnership { bufs: vec![buf] },
-                }),
-                _ => None,
-            }
-        }
-        _ => None,
-    }
-}
-
-fn apply_remedy(trial: &mut Lowered, remedy: &Remedy) -> FixEdit {
-    match remedy {
-        Remedy::Before { at, stmt } => {
-            trial.stmts.insert(*at, stmt.clone());
-            FixEdit {
-                stmt: *at,
-                text: stmt.to_string(),
-                buffer: stmt.buffers().first().cloned(),
-            }
-        }
-        Remedy::Retag { at, buf } => {
-            let bytes = match &trial.stmts[*at] {
-                Stmt::HostAlloc { bytes, .. } => *bytes,
-                other => unreachable!("retag plans only target HostAlloc, found {other}"),
-            };
-            trial.stmts[*at] = Stmt::SharedAlloc {
-                buf: buf.clone(),
-                bytes,
-            };
-            FixEdit {
-                stmt: *at,
-                text: trial.stmts[*at].to_string(),
-                buffer: Some(buf.clone()),
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Deletion phase: liveness over the interpreter's records.
-// ---------------------------------------------------------------------
-
-/// Removes every candidate the interpreter's records prove removable,
-/// keeping `origin` in step, and returns the removals.
-fn delete_pass(cur: &mut Lowered, origin: &mut Vec<Option<usize>>) -> Vec<FixEdit> {
+/// Removes every candidate the interpreter's records prove removable and
+/// returns the removals and, per statement left, the index of the
+/// statement of `cur` it came from.
+fn delete_pass(cur: &mut Lowered) -> (Vec<FixEdit>, Vec<usize>) {
     let start = std::mem::take(&mut cur.stmts);
     let adsm: HashMap<&str, u64> = start
         .iter()
@@ -346,8 +209,7 @@ fn delete_pass(cur: &mut Lowered, origin: &mut Vec<Option<usize>>) -> Vec<FixEdi
     }
     let (stmts, from, edits) = apply(&start, &left, &adsm);
     cur.stmts = stmts;
-    *origin = from.iter().map(|&i| origin[i]).collect();
-    edits
+    (edits, from)
 }
 
 /// What `left` leaves of `start`: the statements, the index in `start`
@@ -500,26 +362,6 @@ fn drop_member(stmt: &mut Stmt, buf: &str, adsm: &HashMap<&str, u64>) {
     }
 }
 
-/// Best-effort byte size for `buf`, scanned from the lowering's
-/// allocation and transfer statements.
-fn buffer_bytes(lowered: &Lowered, buf: &str) -> u64 {
-    for stmt in &lowered.stmts {
-        match stmt {
-            Stmt::HostAlloc { buf: b, bytes }
-            | Stmt::SharedAlloc { buf: b, bytes }
-            | Stmt::AdsmAlloc { buf: b, bytes }
-            | Stmt::MemcpyH2D { buf: b, bytes }
-            | Stmt::MemcpyD2H { buf: b, bytes }
-                if b == buf =>
-            {
-                return *bytes;
-            }
-            _ => {}
-        }
-    }
-    64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,7 +372,6 @@ mod tests {
     fn kmeans_pas_ownership_ping_pong_is_elided() {
         let report = fix(&programs::k_means(), AddressSpace::PartiallyShared);
         assert!(report.changed(), "{report}");
-        assert!(report.inserted.is_empty(), "{:?}", report.inserted);
         // The three back-to-back GPU kernels keep ownership across the
         // whole chain: two acquire/release round-trips go away.
         assert_eq!(report.removed.len(), 4, "{:?}", report.removed);
@@ -572,97 +413,12 @@ mod tests {
                 let report = fix(&program, model);
                 assert!(
                     !report.changed(),
-                    "{}: {model}: {report}\nremoved: {:?}\ninserted: {:?}",
+                    "{}: {model}: {report}\nremoved: {:?}",
                     program.name,
-                    report.removed,
-                    report.inserted
+                    report.removed
                 );
             }
         }
-    }
-
-    #[test]
-    fn deleted_upload_is_reinserted() {
-        // Break a lowering by hand: strip the reduction upload, then fix.
-        let mut broken = lower(&programs::reduction(), AddressSpace::Disjoint);
-        let upload = broken
-            .stmts
-            .iter()
-            .position(|s| matches!(s, Stmt::MemcpyH2D { .. }))
-            .expect("reduction/DIS has an upload");
-        broken.stmts.remove(upload);
-        assert!(
-            check_lowered(&broken)
-                .iter()
-                .any(|d| d.code == Code::StaleRead),
-            "removing the upload must break the program"
-        );
-        let report = fix_lowered(&broken);
-        assert!(!report.inserted.is_empty(), "{report}");
-        assert!(
-            !check_lowered(&report.fixed)
-                .iter()
-                .any(|d| d.severity == Severity::Error),
-            "fix must clear the stale read"
-        );
-        assert!(run_oracle(&report.fixed).is_clean());
-    }
-
-    #[test]
-    fn missing_transfer_back_is_reinserted() {
-        let mut broken = lower(&programs::reduction(), AddressSpace::Disjoint);
-        let back = broken
-            .stmts
-            .iter()
-            .position(|s| matches!(s, Stmt::MemcpyD2H { .. }))
-            .expect("reduction/DIS copies the result back");
-        broken.stmts.remove(back);
-        let report = fix_lowered(&broken);
-        assert!(
-            report
-                .inserted
-                .iter()
-                .any(|e| e.text.contains("MemcpyDevicetoHost")),
-            "{:?}",
-            report.inserted
-        );
-        assert!(run_oracle(&report.fixed).is_clean());
-    }
-
-    #[test]
-    fn untagged_shared_buffer_is_retagged() {
-        let mut broken = lower(&programs::reduction(), AddressSpace::PartiallyShared);
-        // Un-tag the shared buffer: SharedAlloc -> HostAlloc.
-        for stmt in &mut broken.stmts {
-            if let Stmt::SharedAlloc { buf, bytes } = stmt {
-                *stmt = Stmt::HostAlloc {
-                    buf: buf.clone(),
-                    bytes: *bytes,
-                };
-                break;
-            }
-        }
-        assert!(
-            check_lowered(&broken)
-                .iter()
-                .any(|d| d.code == Code::UntaggedShared),
-            "untagging must break the program"
-        );
-        let report = fix_lowered(&broken);
-        assert!(
-            report
-                .inserted
-                .iter()
-                .any(|e| e.text.contains("sharedmalloc")),
-            "{:?}",
-            report.inserted
-        );
-        assert!(
-            !check_lowered(&report.fixed)
-                .iter()
-                .any(|d| d.severity == Severity::Error),
-            "retag must clear the errors"
-        );
     }
 
     #[test]
@@ -701,21 +457,21 @@ mod tests {
             text: s.to_string(),
             buffer: s.buffers().first().cloned(),
         };
-        // `d` is inserted after `c`, then `b` removed.
+        // `b` is removed from the middle and `d` from the end.
         let report = FixReport {
-            original: lowered(vec![init("a"), b.clone(), init("c")]),
-            fixed: lowered(vec![init("a"), init("c"), d.clone()]),
-            removed: vec![edit(1, &b)],
-            inserted: vec![edit(3, &d)],
+            original: lowered(vec![init("a"), b.clone(), init("c"), d.clone()]),
+            fixed: lowered(vec![init("a"), init("c")]),
+            removed: vec![edit(1, &b), edit(2, &d)],
             residual: Vec::new(),
-            origin: vec![Some(0), Some(2), None],
+            origin: vec![0, 2],
         };
         let before = render(&report.original);
         let after = render(&report.fixed);
         let (x, y): (Vec<&str>, Vec<&str>) = (before.lines().collect(), after.lines().collect());
+        // The header restates the comm-line count, so it is rewritten.
         let expected = format!(
-            "  {}\n  {}\n  {}\n  {}\n- {}\n  {}\n+ {}\n  }}\n",
-            x[0], x[1], x[2], x[3], x[4], x[5], y[5]
+            "- {}\n+ {}\n  {}\n  {}\n  {}\n- {}\n  {}\n- {}\n  }}\n",
+            x[0], y[0], x[1], x[2], x[3], x[4], x[5], x[6]
         );
         assert_eq!(report.diff(), expected);
     }

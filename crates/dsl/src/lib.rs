@@ -21,8 +21,7 @@
 //!   differentially validated by a concrete [`run_oracle`] interpreter.
 //! * [`fix`](mod@fix) — checker-driven communication optimizer: rewrites a
 //!   lowering to the minimal communication set the checker can prove
-//!   sufficient, deleting provably-redundant transfers and inserting the
-//!   transfers needed to clear errors.
+//!   sufficient by deleting provably-redundant transfers.
 //!
 //! ## Example
 //!

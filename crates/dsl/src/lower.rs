@@ -27,10 +27,12 @@
 //! Transfers a loop needs only from its second iteration on come from the
 //! same interpreter: after a body is emitted, it runs the loop from the
 //! state at its head, and every buffer it finds read stale (HM0101/HM0102)
-//! gets an end-of-body transfer to the side stale at the end of the body.
+//! gets an end-of-body transfer to the side stale at the end of the body,
+//! unless moving a nested loop's end-of-body transfer to the start of the
+//! nested body serves both loops.
 
 use crate::ast::{for_each_access, BufId, Program, Step, Target};
-use crate::check::{Code, Interp};
+use crate::check::{matching_tail, Code, Interp};
 use crate::model::AddressSpace;
 use crate::stmt::Stmt;
 
@@ -289,11 +291,11 @@ impl LowerCtx<'_> {
     }
 
     /// The buffers the checker finds read stale (HM0101/HM0102) in the
-    /// body of the innermost open loop, whose head is `self.out[head]`,
-    /// in id order. The loop is closed and run from the checker's state
-    /// at its head, where the bodies of the loops around it ran once.
-    fn stale_in_body(&self, head: usize) -> Vec<BufId> {
-        let mut stmts = self.out[head..].to_vec();
+    /// innermost open loop, given from its head on as `body`, in id
+    /// order. The loop is closed and run from the checker's state at its
+    /// head, where the bodies of the loops around it ran once.
+    fn stale_in(&self, body: &[Stmt]) -> Vec<BufId> {
+        let mut stmts = body.to_vec();
         stmts.push(Stmt::LoopTail);
         let mut at_head = self.open_loops.last().expect("inside a loop").clone();
         let findings = at_head.run(&stmts, self.model);
@@ -310,21 +312,26 @@ impl LowerCtx<'_> {
     }
 
     /// Appends end-of-body transfers for the buffers a later iteration of
-    /// the innermost open loop reads stale — the loop-carried cases a
-    /// single pass over the body cannot see (e.g. a host read early in
-    /// the body of a buffer a GPU kernel re-writes later in it). Each
-    /// such buffer is brought to whichever side the checker finds stale
-    /// at the end of the body.
+    /// the innermost open loop, whose head is `self.out[head]`, reads
+    /// stale — the loop-carried cases a single pass over the body cannot
+    /// see (e.g. a host read early in the body of a buffer a GPU kernel
+    /// re-writes later in it). Each such buffer is brought to whichever
+    /// side the checker finds stale at the end of the body, unless moving
+    /// a nested loop's end-of-body transfer to the start of its body
+    /// serves this loop too.
     fn normalize_loop_body(&mut self, head: usize) {
         if !self.places_transfers() {
             return;
         }
-        // Each fix-up makes one more buffer fresh on entry, so a couple of
-        // rounds always converge; the bound is just a safety net.
+        // Each fix-up or move makes one more buffer fresh on entry, so a
+        // couple of rounds always converge; the bound is just a safety net.
         for _ in 0..=self.program.buffers.len() {
-            let stale = self.stale_in_body(head);
+            let stale = self.stale_in(&self.out[head..]);
             if stale.is_empty() {
                 return;
+            }
+            if self.move_nested_transfer(head, &stale) {
+                continue;
             }
             if self.model == AddressSpace::Adsm {
                 self.bring(Target::Gpu, &stale);
@@ -335,6 +342,45 @@ impl LowerCtx<'_> {
                 self.bring(Target::Cpu, &[b]);
             }
         }
+    }
+
+    /// Moves one end-of-body transfer of a loop nested in the innermost
+    /// open loop (head `self.out[head]`) to the start of that nested body
+    /// if the open loop then reads fewer of the `stale` buffers stale and
+    /// no other. The transfer runs as often there, and also serves the
+    /// open loop's next iteration, where a second end-of-body transfer
+    /// would otherwise go. Returns whether it moved one.
+    fn move_nested_transfer(&mut self, head: usize, stale: &[BufId]) -> bool {
+        let names = self.names(stale);
+        let body = self.out[head..].to_vec();
+        for inner in (1..body.len()).filter(|&i| matches!(body[i], Stmt::LoopHead { .. })) {
+            let tail = matching_tail(&body, inner);
+            for t in (inner + 1..tail).rev() {
+                let transfer = matches!(
+                    body[t],
+                    Stmt::MemcpyH2D { .. } | Stmt::MemcpyD2H { .. } | Stmt::AdsmCopyToDevice { .. }
+                );
+                if !transfer {
+                    break;
+                }
+                if !body[t].buffers().iter().any(|b| names.contains(b)) {
+                    continue;
+                }
+                let mut trial = body.clone();
+                let moved = trial.remove(t);
+                trial.insert(inner + 1, moved);
+                let now = self.stale_in(&trial);
+                if now.len() < stale.len() && now.iter().all(|b| stale.contains(b)) {
+                    self.out.truncate(head);
+                    self.out.extend(trial);
+                    // Rerun the body once from the head.
+                    self.checker = self.open_loops.last().expect("inside a loop").clone();
+                    self.checked = head + 1;
+                    return true;
+                }
+            }
+        }
+        false
     }
 
     fn walk(&mut self, steps: &[Step]) {
@@ -717,6 +763,40 @@ mod tests {
         assert_eq!(adsm.comm_overhead_lines(), 4);
         let publish = |s: &Stmt| matches!(s, Stmt::AdsmCopyToDevice { .. });
         assert!(!adsm.stmts.iter().any(publish), "{:?}", adsm.stmts);
+    }
+
+    #[test]
+    fn an_inner_loop_upload_serves_the_outer_loop_too() {
+        // Nothing writes `b` before `g` first reads it, so iteration one
+        // needs no upload. Later iterations of both loops read the host's
+        // writes: one upload at the start of the inner body serves them
+        // all, where each loop's own end-of-body upload would take two
+        // lines and one more transfer per outer iteration.
+        let p = crate::parse_program(
+            "program p { compute 1; buffer a: 64; buffer b: 64; init a; loop 2 { \
+             loop 4 { gpu g(read b; write a); seq s(read a; write b); } \
+             seq t(read a; write b); } seq fin(read a); }",
+        )
+        .expect("parses");
+        for model in [AddressSpace::Disjoint, AddressSpace::Adsm] {
+            let l = lower(&p, model);
+            let uploads: Vec<usize> = (0..l.stmts.len())
+                .filter(|&i| match &l.stmts[i] {
+                    Stmt::MemcpyH2D { buf, .. } => buf == "b",
+                    Stmt::AdsmCopyToDevice { bufs, .. } => bufs.contains(&"b".to_owned()),
+                    _ => false,
+                })
+                .collect();
+            assert_eq!(uploads.len(), 1, "{model}: {:?}", l.stmts);
+            let inner = l
+                .stmts
+                .iter()
+                .rposition(|s| matches!(s, Stmt::LoopHead { iterations: 4 }))
+                .expect("inner loop");
+            assert_eq!(uploads[0], inner + 1, "{model}: {:?}", l.stmts);
+            assert!(crate::check::run_oracle(&l).is_clean(), "{model}");
+            assert!(!crate::fix(&p, model).changed(), "{model}");
+        }
     }
 
     #[test]

@@ -232,9 +232,8 @@ pub fn score(
                     .kernels
                     .iter()
                     .map(|k| {
-                        hetmem_dsl::programs::find(k.name()).map_or(0.0, |p| {
-                            hetmem_dsl::fix(&p, model).lines_saved().max(0) as f64
-                        })
+                        hetmem_dsl::programs::find(k.name())
+                            .map_or(0.0, |p| f64::from(hetmem_dsl::fix(&p, model).lines_saved()))
                     })
                     .sum();
                 sum / space.kernels.len().max(1) as f64

@@ -662,9 +662,6 @@ pub fn run_fix_request(req: &DslRequest, metrics: &Metrics) -> Result<String, St
         metrics
             .transfers_removed
             .fetch_add(report.removed.len() as u64, Ordering::Relaxed);
-        metrics
-            .transfers_inserted
-            .fetch_add(report.inserted.len() as u64, Ordering::Relaxed);
     }
     Ok(fix_reports_to_jsonl(&reports))
 }
@@ -1129,7 +1126,6 @@ mod tests {
         assert_eq!(v.get("transfers_removed").and_then(Json::as_u64), Some(4));
         assert_eq!(metrics.fixes_completed.load(Ordering::Relaxed), 1);
         assert_eq!(metrics.transfers_removed.load(Ordering::Relaxed), 4);
-        assert_eq!(metrics.transfers_inserted.load(Ordering::Relaxed), 0);
 
         assert!(parse_fix_request("{\"targets\":[]}").is_err());
         assert!(parse_fix_request("{}").is_err());

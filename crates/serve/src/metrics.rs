@@ -108,9 +108,6 @@ pub struct Metrics {
     pub frontier_points: AtomicU64,
     /// `/v1/fix` jobs executed to completion.
     pub fixes_completed: AtomicU64,
-    /// Communication statements the fix pass inserted, across all
-    /// completed fix jobs.
-    pub transfers_inserted: AtomicU64,
     /// Communication statements (or group members) the fix pass removed,
     /// across all completed fix jobs.
     pub transfers_removed: AtomicU64,
@@ -168,7 +165,6 @@ impl Metrics {
             ("search_evaluations", load(&self.search_evaluations)),
             ("frontier_points", load(&self.frontier_points)),
             ("fixes_completed", load(&self.fixes_completed)),
-            ("transfers_inserted", load(&self.transfers_inserted)),
             ("transfers_removed", load(&self.transfers_removed)),
             ("queue_depth", Json::UInt(queue_depth)),
             ("busy_workers", Json::UInt(busy_workers)),
@@ -327,7 +323,6 @@ mod tests {
         m.frontier_points.fetch_add(3, Ordering::Relaxed);
         m.bump(&m.fixes_completed);
         m.transfers_removed.fetch_add(4, Ordering::Relaxed);
-        m.transfers_inserted.fetch_add(2, Ordering::Relaxed);
         let ev = hetmem_sim::EventCounts {
             dram_requests: 7,
             fast_forward_ticks: 5,
@@ -348,10 +343,6 @@ mod tests {
         assert_eq!(
             json.get("transfers_removed").and_then(Json::as_u64),
             Some(4)
-        );
-        assert_eq!(
-            json.get("transfers_inserted").and_then(Json::as_u64),
-            Some(2)
         );
         assert_eq!(json.get("queue_depth").and_then(Json::as_u64), Some(3));
         assert_eq!(json.get("workers").and_then(Json::as_u64), Some(4));

@@ -36,14 +36,10 @@ pub fn fix_report_to_json(report: &FixReport) -> Json {
             "comm_lines_after",
             Json::UInt(u64::from(report.fixed.comm_overhead_lines())),
         ),
-        ("lines_saved", Json::Int(report.lines_saved())),
+        ("lines_saved", Json::UInt(u64::from(report.lines_saved()))),
         (
             "removed",
             Json::Arr(report.removed.iter().map(edit_to_json).collect()),
-        ),
-        (
-            "inserted",
-            Json::Arr(report.inserted.iter().map(edit_to_json).collect()),
         ),
         ("residual", Json::UInt(report.residual.len() as u64)),
     ])
@@ -54,13 +50,11 @@ pub fn fix_report_to_json(report: &FixReport) -> Json {
 #[must_use]
 pub fn fix_reports_to_jsonl(reports: &[FixReport]) -> String {
     let mut out = String::new();
-    let (mut changed, mut removed, mut inserted) = (0u64, 0u64, 0u64);
-    let mut saved = 0i64;
+    let (mut changed, mut removed, mut saved) = (0u64, 0u64, 0u64);
     for report in reports {
         changed += u64::from(report.changed());
         removed += report.removed.len() as u64;
-        inserted += report.inserted.len() as u64;
-        saved += report.lines_saved();
+        saved += u64::from(report.lines_saved());
         out.push_str(&fix_report_to_json(report).render());
         out.push('\n');
     }
@@ -69,8 +63,7 @@ pub fn fix_reports_to_jsonl(reports: &[FixReport]) -> String {
         ("fixed", Json::UInt(reports.len() as u64)),
         ("changed", Json::UInt(changed)),
         ("transfers_removed", Json::UInt(removed)),
-        ("transfers_inserted", Json::UInt(inserted)),
-        ("lines_saved", Json::Int(saved)),
+        ("lines_saved", Json::UInt(saved)),
     ]);
     out.push_str(&summary.render());
     out.push('\n');

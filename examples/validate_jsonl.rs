@@ -10,8 +10,8 @@
 //!   and message, and the summary's error/warning/note totals must match
 //!   them;
 //! * a summary with `fixed` ends a `fix` stream: every other line must be a
-//!   `"fix"` with program, model, changed flag, comm-line totals and edit
-//!   lists, and the summary's edit totals must match them;
+//!   `"fix"` with program, model, changed flag, comm-line totals and a
+//!   removal list, and the summary's totals must match them;
 //! * any other summary ends an observability stream, which needs nothing
 //!   beyond the shared shape.
 //!
@@ -32,16 +32,6 @@ fn require_u64(v: &Json, key: &str, at: &str) -> Result<u64, String> {
     v.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| format!("{at}: missing integer {key:?}"))
-}
-
-/// `lines_saved` is a signed total (insertions can outnumber removals
-/// on a broken input), so integers of either sign are acceptable.
-fn require_i64(v: &Json, key: &str, at: &str) -> Result<i64, String> {
-    match v.get(key) {
-        Some(Json::UInt(n)) => i64::try_from(*n).map_err(|_| format!("{at}: {key} overflows i64")),
-        Some(Json::Int(n)) => Ok(*n),
-        _ => Err(format!("{at}: missing integer {key:?}")),
-    }
 }
 
 fn require_edits(v: &Json, key: &str, at: &str) -> Result<u64, String> {
@@ -123,8 +113,8 @@ fn validate_check(path: &str, body: &[Line], summary: &Json) -> Result<(), Strin
 }
 
 fn validate_fix(path: &str, body: &[Line], summary: &Json) -> Result<(), String> {
-    let mut totals = [0u64; 3]; // changed, removed, inserted
-    let mut saved = 0i64;
+    let mut totals = [0u64; 2]; // changed, removed
+    let mut saved = 0u64;
     only_kind(body, "fix")?;
     for Line { at, value: v, .. } in body {
         require_str(v, "program", at)?;
@@ -136,12 +126,11 @@ fn validate_fix(path: &str, body: &[Line], summary: &Json) -> Result<(), String>
         };
         totals[0] += u64::from(changed);
         totals[1] += require_edits(v, "removed", at)?;
-        totals[2] += require_edits(v, "inserted", at)?;
         let before = require_u64(v, "comm_lines_before", at)?;
         let after = require_u64(v, "comm_lines_after", at)?;
-        let lines_saved = require_i64(v, "lines_saved", at)?;
+        let lines_saved = require_u64(v, "lines_saved", at)?;
         saved += lines_saved;
-        if lines_saved != before as i64 - after as i64 {
+        if before.checked_sub(after) != Some(lines_saved) {
             return Err(format!(
                 "{at}: lines_saved={lines_saved} but comm lines go \
                  {before} -> {after}"
@@ -159,22 +148,20 @@ fn validate_fix(path: &str, body: &[Line], summary: &Json) -> Result<(), String>
             ("fixed", body.len() as u64),
             ("changed", totals[0]),
             ("transfers_removed", totals[1]),
-            ("transfers_inserted", totals[2]),
         ],
     )?;
-    let got_saved = require_i64(summary, "lines_saved", &at)?;
+    let got_saved = require_u64(summary, "lines_saved", &at)?;
     if got_saved != saved {
         return Err(format!(
             "{at}: lines_saved={got_saved} but the stream totals {saved}"
         ));
     }
     println!(
-        "{path}: {} fix report(s) OK ({} changed, {} removed, {} \
-         inserted, {saved} line(s) saved)",
+        "{path}: {} fix report(s) OK ({} changed, {} removed, {saved} \
+         line(s) saved)",
         body.len(),
         totals[0],
-        totals[1],
-        totals[2]
+        totals[1]
     );
     Ok(())
 }

@@ -299,9 +299,8 @@ commands:
       [--format pretty|json|diff] [--deny unchanged]
                                 rewrite program(s) to the minimal communication
                                 set the checker certifies: deletes provably
-                                redundant transfers, inserts the transfers
-                                needed to clear errors; --deny unchanged exits
-                                1 when nothing changed
+                                redundant transfers from the lowering;
+                                --deny unchanged exits 1 when nothing changed
   lower <program.hdsl> <model>  print a lowering (uni|pas|dis|adsm)
   trace <kernel> [--scale N]    dump a kernel trace (.hmt) to stdout
   sim <trace.hmt> <system> [--format json|table] [--events F.jsonl]

@@ -12,16 +12,19 @@
 //!
 //! A property harness then drives `lower()` itself through ~200 random
 //! programs, nested loops included, each also with only some of its
-//! buffers initialized, and holds its output to the checker-clean
-//! contract under all four address-space models; another
-//! holds the race verdicts (HM0106) on 400 lowerings to those on their
-//! loop-free unrollings.
+//! buffers initialized and with random declared access modes, and holds
+//! its output to the checker-clean contract under all four address-space
+//! models; another holds the race verdicts (HM0106) on 400 lowerings to
+//! those on their loop-free unrollings.
 
 use std::collections::BTreeSet;
 
+use hetmem::sim::{EventCounts, EventTrace, Simulation};
+use hetmem::trace::{Phase, PhaseSegment, PhasedTrace};
 use hetmem_dsl::{
-    check_lowered, fix_lowered, lower, parse_program, programs, run_oracle, write_program,
-    AccessMode, AddressSpace, BufId, Buffer, Code, Lowered, Program, Severity, Step, Stmt, Target,
+    check_lowered, fix_lowered, generate_trace, lower, parse_program, programs, run_oracle,
+    write_program, AccessMode, AddressSpace, BufId, Buffer, Code, Lowered, Program, Severity, Step,
+    Stmt, Target,
 };
 
 fn all_programs() -> Vec<Program> {
@@ -266,10 +269,13 @@ fn lowerings_of_random_programs_are_checker_clean() {
     ];
     let mut rng = Rng::new(0xC11EC2);
     let mut cut = Rng::new(0x1A17);
+    let mut modes = Rng::new(0x30DE5);
     for case in 0..200 {
         let program = arb_checked_program(&mut rng);
         let partial = with_init_cut(&mut cut, program.clone());
-        for program in [program, partial] {
+        let moded = with_random_modes(&mut modes, program.clone());
+        let moded_partial = with_random_modes(&mut modes, partial.clone());
+        for program in [program, partial, moded, moded_partial] {
             assert_eq!(program.validate(), Ok(()));
             for model in AddressSpace::ALL {
                 let lowered = lower(&program, model);
@@ -368,7 +374,8 @@ fn races_in_loops_are_the_races_of_their_unrolling() {
 
 // ---------------------------------------------------------------------
 // Property: the grammar round-trips (access modes included) and the fix
-// pass is a projection (fix(fix(p)) == fix(p)).
+// pass is a projection (fix(fix(p)) == fix(p)) that only removes
+// communication.
 // ---------------------------------------------------------------------
 
 /// Stamps every buffer with a random declared access mode; the grammar
@@ -402,6 +409,45 @@ fn random_programs_round_trip_through_the_grammar_with_access_modes() {
     }
 }
 
+/// Whether `fixed` is `original`, or the same group with members dropped.
+fn is_pruned(fixed: &Stmt, original: &Stmt) -> bool {
+    let subsequence = |f: &[String], o: &[String]| {
+        let mut o = o.iter();
+        f.iter().all(|b| o.any(|c| c == b))
+    };
+    match (fixed, original) {
+        (
+            Stmt::AdsmCopyToDevice { bufs: f, bytes: fb },
+            Stmt::AdsmCopyToDevice { bufs: o, bytes: ob },
+        ) => fb <= ob && subsequence(f, o),
+        (Stmt::ReleaseOwnership { bufs: f }, Stmt::ReleaseOwnership { bufs: o })
+        | (Stmt::AcquireOwnership { bufs: f }, Stmt::AcquireOwnership { bufs: o }) => {
+            subsequence(f, o)
+        }
+        _ => fixed == original,
+    }
+}
+
+/// The trace's compute segments — everything except `Communication`.
+fn compute_segments(trace: &PhasedTrace) -> Vec<&PhaseSegment> {
+    trace
+        .segments()
+        .iter()
+        .filter(|s| s.phase() != Phase::Communication)
+        .collect()
+}
+
+/// Simulates `trace` with the event observer attached and returns the
+/// aggregate counts.
+fn observed_counts(trace: &PhasedTrace) -> EventCounts {
+    let mut sim = Simulation::builder()
+        .observer(EventTrace::new())
+        .build()
+        .expect("baseline config is valid");
+    sim.run(trace).expect("generated traces are well-formed");
+    sim.into_observer().counts()
+}
+
 #[test]
 fn fix_is_idempotent_on_random_programs() {
     let mut rng = Rng::new(0xF1C5EED);
@@ -420,6 +466,30 @@ fn fix_is_idempotent_on_random_programs() {
             assert!(
                 run_oracle(&once.fixed).is_clean(),
                 "case {case} under {model}: fix broke the program"
+            );
+            // Fix only removes: each fixed statement is the next original
+            // one it prunes, in order.
+            let mut original = once.original.stmts.iter();
+            for stmt in &once.fixed.stmts {
+                assert!(
+                    original.any(|o| is_pruned(stmt, o)),
+                    "case {case} under {model}: `{stmt}` comes from no original \
+                     statement\nprogram: {program:?}"
+                );
+            }
+            // The computation is untouched and the observed communication
+            // never grows.
+            let base = generate_trace(&once.original);
+            let fixed = generate_trace(&once.fixed);
+            assert_eq!(
+                compute_segments(&base),
+                compute_segments(&fixed),
+                "case {case} under {model}: fix changed a compute segment"
+            );
+            let (base, fixed) = (observed_counts(&base), observed_counts(&fixed));
+            assert!(
+                fixed.comm_events <= base.comm_events && fixed.special_ops <= base.special_ops,
+                "case {case} under {model}: communication grew: {base:?} -> {fixed:?}"
             );
         }
     }

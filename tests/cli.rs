@@ -799,11 +799,6 @@ fn fix_json_stream_parses_and_ends_with_a_summary() {
         summary.get("transfers_removed").and_then(Json::as_u64) >= Some(4),
         "{summary:?}"
     );
-    assert_eq!(
-        summary.get("transfers_inserted").and_then(Json::as_u64),
-        Some(0),
-        "pristine lowerings never need insertions"
-    );
 }
 
 #[test]
