@@ -56,23 +56,27 @@ impl Lowered {
     }
 }
 
-/// The buffers the steps on `side` read and write anywhere in `steps`,
-/// each list in first-touch order.
+/// The buffers whose first access by the steps on `side` in `steps` is a
+/// read (a step's reads count before its writes), and the buffers those
+/// steps write anywhere in `steps`, each list in first-touch order.
 fn accesses_in(steps: &[Step], side: Target) -> (Vec<BufId>, Vec<BufId>) {
-    let (mut read, mut written) = (Vec::new(), Vec::new());
+    let (mut read_first, mut written) = (Vec::new(), Vec::new());
     for_each_access(steps, &mut |target, reads, writes| {
         if target != side {
             return;
         }
-        for (acc, bufs) in [(&mut read, reads), (&mut written, writes)] {
-            for &b in bufs {
-                if !acc.contains(&b) {
-                    acc.push(b);
-                }
+        for &b in reads {
+            if !read_first.contains(&b) && !written.contains(&b) {
+                read_first.push(b);
+            }
+        }
+        for &b in writes {
+            if !written.contains(&b) {
+                written.push(b);
             }
         }
     });
-    (read, written)
+    (read_first, written)
 }
 
 struct LowerCtx<'p> {
@@ -262,10 +266,12 @@ impl LowerCtx<'_> {
     }
 
     /// Hoists loop-invariant transfers: a buffer the GPU reads in the loop
-    /// that the host never writes there is brought to the device once,
-    /// before the loop, and a buffer the host reads there that no GPU
-    /// kernel writes is brought back once — as any real program would be
-    /// written (and as the paper's communication counts assume).
+    /// before any GPU write there, and that the host never writes there,
+    /// is brought to the device once, before the loop, and a buffer the
+    /// host reads there before any host write, and that no GPU kernel
+    /// writes, is brought back once — as any real program would be
+    /// written (and as the paper's communication counts assume). A buffer
+    /// a side writes before it reads it there needs no copy on that side.
     fn hoist_loop_invariant_transfers(&mut self, body: &[Step]) {
         if !self.places_transfers() {
             return;
@@ -797,6 +803,41 @@ mod tests {
             assert!(crate::check::run_oracle(&l).is_clean(), "{model}");
             assert!(!crate::fix(&p, model).changed(), "{model}");
         }
+    }
+
+    #[test]
+    fn a_buffer_the_gpu_writes_before_reading_is_not_hoisted() {
+        // `g12` writes `b1` before `g13` reads it, in every iteration, so
+        // only `b0` needs an upload before the loop; hoisting `b1` too
+        // left a member `fix` deletes.
+        let p = crate::parse_program(
+            "program p { compute 1; buffer b0: 64; buffer b1: 64; init b0, b1; loop 4 { \
+             gpu g12(read b0; write b1, b0); gpu g13(read b1; write b1, b0); } \
+             seq fin(read b0, b1); }",
+        )
+        .expect("parses");
+        for model in [AddressSpace::Disjoint, AddressSpace::Adsm] {
+            let l = lower(&p, model);
+            let uploads_b1 = |s: &Stmt| match s {
+                Stmt::MemcpyH2D { buf, .. } => buf == "b1",
+                Stmt::AdsmCopyToDevice { bufs, .. } => bufs.contains(&"b1".to_owned()),
+                _ => false,
+            };
+            assert!(!l.stmts.iter().any(uploads_b1), "{model}: {:?}", l.stmts);
+            assert!(crate::check::run_oracle(&l).is_clean(), "{model}");
+            assert!(!crate::fix(&p, model).changed(), "{model}");
+        }
+        // The host side follows the same rule: `fin` writes `a` before
+        // `use` reads it, so nothing is copied back before the loop.
+        let p = crate::parse_program(
+            "program p { compute 1; buffer a: 64; buffer b: 64; init b; \
+             gpu k(read b; write a); loop 4 { seq fin(write a); seq use(read a); } }",
+        )
+        .expect("parses");
+        let dis = lower(&p, AddressSpace::Disjoint);
+        let d2h = |s: &Stmt| matches!(s, Stmt::MemcpyD2H { .. });
+        assert!(!dis.stmts.iter().any(d2h), "{:?}", dis.stmts);
+        assert!(crate::check::run_oracle(&dis).is_clean());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::fabric::CommCosts;
 use crate::hierarchy::MemoryHierarchy;
 use crate::obs::SimObserver;
 use crate::Gshare;
-use hetmem_trace::{CacheLevel, Inst, PuKind, SpecialOp, TraceStream};
+use hetmem_trace::{CacheLevel, Cursor, Inst, PuKind, SpecialOp, TraceStream};
 use std::collections::VecDeque;
 
 /// Cycle-accounting statistics for the CPU core.
@@ -92,8 +92,7 @@ impl CpuCore {
         let rob_entries = self.config.rob_entries as usize;
         CpuRun {
             core: self,
-            insts,
-            idx: 0,
+            insts: insts.cursor(),
             next_issue: start,
             rob: VecDeque::new(),
             last_retire: start,
@@ -115,8 +114,7 @@ impl CpuCore {
 #[derive(Debug)]
 pub struct CpuRun<'a> {
     core: &'a mut CpuCore,
-    insts: &'a TraceStream,
-    idx: usize,
+    insts: Cursor<'a>,
     next_issue: Tick,
     rob: VecDeque<Tick>,
     last_retire: Tick,
@@ -132,7 +130,7 @@ impl CpuRun<'_> {
     /// Whether all instructions have been issued.
     #[must_use]
     pub fn done(&self) -> bool {
-        self.idx == self.insts.len()
+        self.insts.is_done()
     }
 
     /// Global time of the next issue slot (the run's current time).
@@ -156,8 +154,6 @@ impl CpuRun<'_> {
     /// (those belong to communication segments, which the system executes
     /// directly).
     pub fn step<O: SimObserver>(&mut self, hier: &mut MemoryHierarchy, obs: &mut O) {
-        let inst = self.insts.get(self.idx);
-        self.idx += 1;
         // Issue-slot spacing: issue_width instructions per cycle.
         let (tpc, slot) = (self.tpc, self.slot);
 
@@ -176,7 +172,9 @@ impl CpuRun<'_> {
         self.core.stats.instructions += 1;
         obs.on_instruction(PuKind::Cpu, t);
 
-        let completion = match inst {
+        // Read next to the match, so the compiler can branch from a
+        // generated stream's class test straight to its arm.
+        let completion = match self.insts.next_inst() {
             Inst::IntAlu => t + tpc,
             Inst::Mul => t + 3 * tpc,
             Inst::FpAlu | Inst::SimdAlu { .. } => t + 4 * tpc,
@@ -237,12 +235,7 @@ impl CpuRun<'_> {
     /// the number skipped; the caller accounts for their time via
     /// [`CpuRun::advance_clock`].
     pub fn skip_plain(&mut self, max: usize) -> usize {
-        let start = self.idx;
-        let stop = self.insts.len().min(start.saturating_add(max));
-        while self.idx < stop && !matches!(self.insts.get(self.idx), Inst::Special(_)) {
-            self.idx += 1;
-        }
-        self.idx - start
+        self.insts.skip_plain(max)
     }
 
     /// Fast-forwards the run's clock by `ticks` of extrapolated skip time.

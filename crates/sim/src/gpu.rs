@@ -13,7 +13,7 @@ use crate::config::GpuConfig;
 use crate::fabric::CommCosts;
 use crate::hierarchy::MemoryHierarchy;
 use crate::obs::SimObserver;
-use hetmem_trace::{CacheLevel, Inst, PuKind, SpecialOp, TraceStream};
+use hetmem_trace::{CacheLevel, Cursor, Inst, PuKind, SpecialOp, TraceStream};
 
 /// Cycle-accounting statistics for the GPU core.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -135,8 +135,7 @@ impl GpuCore {
         let max_misses = self.config.max_outstanding_misses.max(1) as usize;
         GpuRun {
             core: self,
-            insts,
-            idx: 0,
+            insts: insts.cursor(),
             now: start,
             pending_misses: std::collections::VecDeque::new(),
             tpc,
@@ -156,8 +155,7 @@ impl GpuCore {
 #[derive(Debug)]
 pub struct GpuRun<'a> {
     core: &'a mut GpuCore,
-    insts: &'a TraceStream,
-    idx: usize,
+    insts: Cursor<'a>,
     now: Tick,
     /// Completion times of in-flight misses (warp-level latency hiding).
     pending_misses: std::collections::VecDeque<Tick>,
@@ -173,7 +171,7 @@ impl GpuRun<'_> {
     /// Whether all instructions have executed.
     #[must_use]
     pub fn done(&self) -> bool {
-        self.idx == self.insts.len()
+        self.insts.is_done()
     }
 
     /// The core's current global time.
@@ -199,13 +197,12 @@ impl GpuRun<'_> {
     ///
     /// Panics if called after [`GpuRun::done`], or on a communication event.
     pub fn step<O: SimObserver>(&mut self, hier: &mut MemoryHierarchy, obs: &mut O) {
-        let inst = self.insts.get(self.idx);
-        self.idx += 1;
         let tpc = self.tpc;
         self.core.stats.instructions += 1;
         obs.on_instruction(PuKind::Gpu, self.now);
 
-        match inst {
+        // Read next to the match, as in `CpuRun::step`.
+        match self.insts.next_inst() {
             Inst::IntAlu | Inst::Mul | Inst::FpAlu | Inst::SimdAlu { .. } => {
                 // One instruction per cycle; SIMD width is throughput, not
                 // extra latency, in this in-order pipe.
@@ -277,12 +274,7 @@ impl GpuRun<'_> {
     /// Returns the number skipped; the caller accounts for their time via
     /// [`GpuRun::advance_clock`]. See [`crate::cpu::CpuRun::skip_plain`].
     pub fn skip_plain(&mut self, max: usize) -> usize {
-        let start = self.idx;
-        let stop = self.insts.len().min(start.saturating_add(max));
-        while self.idx < stop && !matches!(self.insts.get(self.idx), Inst::Special(_)) {
-            self.idx += 1;
-        }
-        self.idx - start
+        self.insts.skip_plain(max)
     }
 
     /// Fast-forwards the run's clock by `ticks` of extrapolated skip time.

@@ -1,15 +1,15 @@
 //! Helpers for composing phase-structured traces.
 //!
-//! Kernel generators (and the DSL code generator) describe work as *counts*
-//! of instructions with a per-kernel [`InstMix`] and an [`AddressPattern`];
-//! the [`TraceBuilder`] expands those into concrete instruction streams with
-//! exactly the requested dynamic instruction counts, which is what lets the
-//! generators reproduce Table III of the paper to the instruction.
+//! Kernel generators describe work as *counts* of instructions with a
+//! per-kernel [`InstMix`] and an [`AddressPattern`]; the [`TraceBuilder`]
+//! turns each into a generated stream of exactly the requested dynamic
+//! instruction count, which is what lets the generators reproduce Table III
+//! of the paper to the instruction. A generated stream keeps that spec and
+//! computes its instructions as they are read (see the `generated` module).
 
 use crate::inst::{Addr, CommEvent, Inst};
 use crate::phase::{Phase, PhaseSegment, PhasedTrace};
 use crate::stream::TraceStream;
-use std::{panic, thread};
 
 /// A tiny deterministic PRNG (SplitMix64) used for branch outcomes and
 /// irregular address streams.
@@ -30,6 +30,7 @@ impl SplitMix64 {
     /// The constant every draw adds to the state.
     const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
+    #[inline]
     pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(Self::GAMMA);
         let mut z = self.state;
@@ -45,11 +46,13 @@ impl SplitMix64 {
     }
 
     /// Uniform value in `[0, 100)`, used for percentage draws.
+    #[inline]
     pub(crate) fn percent(&mut self) -> u8 {
         (self.next_u64() % 100) as u8
     }
 
     /// Uniform value in `[0, bound)`. `bound` must be non-zero.
+    #[cfg(test)]
     pub(crate) fn below(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0);
         self.next_u64() % bound
@@ -140,7 +143,7 @@ impl InstMix {
 
 /// A deterministic generator of memory addresses shaped like a kernel's
 /// access pattern.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AddressPattern {
     /// Sequential streaming through `[base, base + len)` with `stride`-byte
     /// steps, wrapping around (reduction, streaming kernels).
@@ -200,155 +203,16 @@ pub enum AddressPattern {
     },
 }
 
-impl AddressPattern {
-    /// Turns the pattern description into a concrete address generator.
-    #[must_use]
-    pub fn into_gen(self) -> AddressGen {
-        let rng = match &self {
-            AddressPattern::Irregular { seed, .. } => SplitMix64::new(*seed),
-            _ => SplitMix64::new(0),
-        };
-        AddressGen {
-            pattern: self,
-            step: 0,
-            rng,
-        }
-    }
-}
-
-/// Iterator state for an [`AddressPattern`].
-#[derive(Clone, Debug)]
-pub struct AddressGen {
-    pattern: AddressPattern,
-    step: u64,
-    rng: SplitMix64,
-}
-
-impl AddressGen {
-    /// Next address in the pattern. Infinite; never fails.
-    pub fn next_addr(&mut self) -> Addr {
-        let step = self.step;
-        self.step = self.step.wrapping_add(1);
-        match &self.pattern {
-            AddressPattern::Stream { base, len, stride } => {
-                let len = (*len).max(*stride);
-                base + (step * stride) % len
-            }
-            AddressPattern::RowColumn {
-                base,
-                len,
-                row_bytes,
-                elem,
-            } => {
-                let len = (*len).max(*elem);
-                if step.is_multiple_of(2) {
-                    // Row-major stream through A.
-                    base + (step / 2 * elem) % len
-                } else {
-                    // Column walk through B: stride of one row per access.
-                    base + (step / 2 * row_bytes + (step / (2 * 64)) * elem) % len
-                }
-            }
-            AddressPattern::Window {
-                base,
-                len,
-                width,
-                elem,
-            } => {
-                let len = (*len).max(*elem);
-                let width = (*width).max(1);
-                let pos = step / width; // window index
-                let off = step % width; // element within window
-                base + ((pos * elem) + off * elem) % len
-            }
-            AddressPattern::Butterfly { base, log2_n, elem } => {
-                let n = 1u64 << log2_n;
-                let idx = step % n;
-                let rev = idx.reverse_bits() >> (64 - log2_n);
-                base + rev * elem
-            }
-            AddressPattern::Irregular {
-                base, len, elem, ..
-            } => {
-                let slots = ((*len).max(*elem)) / (*elem).max(1);
-                base + self.rng.below(slots.max(1)) * elem
-            }
-        }
-    }
-}
-
-/// Emits exactly `count` instructions following `mix` into a stream, drawing
-/// one branch outcome from `rng` per `Branch` (see [`branch_draws`]).
-fn emit(rng: &mut SplitMix64, count: usize, mix: InstMix, pattern: AddressPattern) -> TraceStream {
-    assert!(
-        mix.body_len() > 0,
-        "instruction mix must have at least one class"
-    );
-    let mut stream = TraceStream::with_capacity(count);
-    let mut addrs = pattern.into_gen();
-    let mut emitted = 0usize;
-    'outer: loop {
-        // One loop body: loads, int ops, fp ops, stores, branches.
-        for _ in 0..mix.loads {
-            if emitted == count {
-                break 'outer;
-            }
-            stream.push(Inst::Load {
-                addr: addrs.next_addr(),
-                bytes: mix.access_bytes,
-            });
-            emitted += 1;
-        }
-        for _ in 0..mix.int_ops {
-            if emitted == count {
-                break 'outer;
-            }
-            stream.push(Inst::IntAlu);
-            emitted += 1;
-        }
-        for _ in 0..mix.fp_ops {
-            if emitted == count {
-                break 'outer;
-            }
-            stream.push(if mix.simd {
-                Inst::SimdAlu { lanes: 8 }
-            } else {
-                Inst::FpAlu
-            });
-            emitted += 1;
-        }
-        for _ in 0..mix.stores {
-            if emitted == count {
-                break 'outer;
-            }
-            stream.push(Inst::Store {
-                addr: addrs.next_addr(),
-                bytes: mix.access_bytes,
-            });
-            emitted += 1;
-        }
-        for _ in 0..mix.branches {
-            if emitted == count {
-                break 'outer;
-            }
-            let taken = rng.percent() < mix.branch_taken_pct;
-            stream.push(Inst::Branch { taken });
-            emitted += 1;
-        }
-    }
-    debug_assert_eq!(stream.len(), count);
-    stream
-}
-
-/// How many outcomes [`emit`] draws from its PRNG for a stream of `count`
-/// instructions following `mix`: `branches` per full body, plus the branches
-/// that fit in the final partial body (they close each body). It depends on
-/// nothing else, which is what lets [`TraceBuilder::parallel`] start the GPU
-/// stream's draws before the CPU stream has made its own.
-fn branch_draws(count: usize, mix: InstMix) -> u64 {
+/// How many outcomes a stream of `count` instructions following `mix` draws
+/// from its PRNG: `branches` per full body, plus the branches that fit in
+/// the final partial body (they close each body). It depends on nothing
+/// else, which is what lets the builder hand each generated stream its PRNG
+/// state without expanding the streams before it, and a cursor seek to any
+/// instruction's draw.
+pub(crate) fn branch_draws(count: usize, mix: InstMix) -> u64 {
     let body = u64::from(mix.body_len());
     if body == 0 {
-        // `emit` rejects the mix before it draws anything.
+        // A generated stream rejects the mix before it draws anything.
         return 0;
     }
     let count = count as u64;
@@ -385,10 +249,18 @@ impl TraceBuilder {
         }
     }
 
+    /// A generated stream of exactly `count` instructions that draws its
+    /// branch outcomes from the builder's PRNG, which then moves past them.
+    fn generate(&mut self, count: usize, mix: InstMix, pattern: AddressPattern) -> TraceStream {
+        let stream = TraceStream::generated(count, mix, pattern, self.rng);
+        self.rng.skip(branch_draws(count, mix));
+        stream
+    }
+
     /// Appends a sequential (CPU-only) segment of exactly `count`
     /// instructions.
     pub fn sequential(&mut self, count: usize, mix: InstMix, pattern: AddressPattern) {
-        let cpu = emit(&mut self.rng, count, mix, pattern);
+        let cpu = self.generate(count, mix, pattern);
         self.trace.push_segment(PhaseSegment::new(
             Phase::Sequential,
             cpu,
@@ -397,15 +269,8 @@ impl TraceBuilder {
     }
 
     /// Appends a parallel segment with exactly `cpu_count` CPU instructions
-    /// and `gpu_count` GPU instructions.
-    ///
-    /// The two streams are emitted concurrently: the GPU stream on a scoped
-    /// helper thread, the CPU stream on the calling thread. The result equals
-    /// emitting the CPU stream and then the GPU stream on one thread, because
-    /// the branch PRNG is the only state they share and the GPU stream starts
-    /// from the state the CPU stream's draws leave, skipped to in O(1). If
-    /// the helper cannot be spawned, the GPU stream is emitted inline; a
-    /// panic in it resurfaces here with its own payload.
+    /// and `gpu_count` GPU instructions. The GPU stream's branch outcomes
+    /// follow the CPU stream's draws.
     #[allow(clippy::too_many_arguments)]
     pub fn parallel(
         &mut self,
@@ -416,26 +281,8 @@ impl TraceBuilder {
         gpu_mix: InstMix,
         gpu_pattern: AddressPattern,
     ) {
-        let mut gpu_rng = self.rng;
-        gpu_rng.skip(branch_draws(cpu_count, cpu_mix));
-        // Captures only shared references, so it is `Copy`: a failed spawn
-        // leaves a copy to run inline.
-        let gpu_job = || {
-            let mut rng = gpu_rng;
-            let stream = emit(&mut rng, gpu_count, gpu_mix, gpu_pattern.clone());
-            (stream, rng)
-        };
-        let (cpu, (gpu, rng)) = thread::scope(|s| {
-            let helper = thread::Builder::new().spawn_scoped(s, gpu_job);
-            let cpu = emit(&mut self.rng, cpu_count, cpu_mix, cpu_pattern);
-            debug_assert_eq!(self.rng, gpu_rng, "branch_draws miscounted the CPU stream");
-            let gpu = match helper {
-                Ok(handle) => handle.join().unwrap_or_else(|p| panic::resume_unwind(p)),
-                Err(_) => gpu_job(),
-            };
-            (cpu, gpu)
-        });
-        self.rng = rng;
+        let cpu = self.generate(cpu_count, cpu_mix, cpu_pattern);
+        let gpu = self.generate(gpu_count, gpu_mix, gpu_pattern);
         self.trace
             .push_segment(PhaseSegment::new(Phase::Parallel, cpu, gpu));
     }
@@ -477,15 +324,167 @@ impl TraceBuilder {
 }
 
 #[cfg(test)]
+pub(crate) mod reference {
+    //! The stored-form emitter generated streams replaced, kept as the
+    //! reference they must equal: each address is computed from its step
+    //! with a `%`, and every instruction is pushed into a stored stream.
+
+    use super::{AddressPattern, InstMix, SplitMix64};
+    use crate::inst::{Addr, Inst};
+    use crate::stream::TraceStream;
+
+    /// Iterator state for an [`AddressPattern`], one `%` per address.
+    pub(crate) struct RefGen {
+        pattern: AddressPattern,
+        step: u64,
+        rng: SplitMix64,
+    }
+
+    impl RefGen {
+        pub(crate) fn new(pattern: AddressPattern) -> RefGen {
+            let rng = match &pattern {
+                AddressPattern::Irregular { seed, .. } => SplitMix64::new(*seed),
+                _ => SplitMix64::new(0),
+            };
+            RefGen {
+                pattern,
+                step: 0,
+                rng,
+            }
+        }
+
+        pub(crate) fn next_addr(&mut self) -> Addr {
+            let step = self.step;
+            self.step = self.step.wrapping_add(1);
+            match &self.pattern {
+                AddressPattern::Stream { base, len, stride } => {
+                    let len = (*len).max(*stride);
+                    base + (step * stride) % len
+                }
+                AddressPattern::RowColumn {
+                    base,
+                    len,
+                    row_bytes,
+                    elem,
+                } => {
+                    let len = (*len).max(*elem);
+                    if step.is_multiple_of(2) {
+                        base + (step / 2 * elem) % len
+                    } else {
+                        base + (step / 2 * row_bytes + (step / (2 * 64)) * elem) % len
+                    }
+                }
+                AddressPattern::Window {
+                    base,
+                    len,
+                    width,
+                    elem,
+                } => {
+                    let len = (*len).max(*elem);
+                    let width = (*width).max(1);
+                    let pos = step / width;
+                    let off = step % width;
+                    base + ((pos * elem) + off * elem) % len
+                }
+                AddressPattern::Butterfly { base, log2_n, elem } => {
+                    let n = 1u64 << log2_n;
+                    let idx = step % n;
+                    let rev = idx.reverse_bits().checked_shr(64 - log2_n).unwrap_or(0);
+                    base + rev * elem
+                }
+                AddressPattern::Irregular {
+                    base, len, elem, ..
+                } => {
+                    let slots = ((*len).max(*elem)) / (*elem).max(1);
+                    base + self.rng.below(slots.max(1)) * elem
+                }
+            }
+        }
+    }
+
+    /// Emits exactly `count` instructions following `mix` into a stored
+    /// stream, drawing one branch outcome from `rng` per `Branch`.
+    pub(crate) fn emit(
+        rng: &mut SplitMix64,
+        count: usize,
+        mix: InstMix,
+        pattern: AddressPattern,
+    ) -> TraceStream {
+        assert!(
+            mix.body_len() > 0,
+            "instruction mix must have at least one class"
+        );
+        let mut stream = TraceStream::new();
+        let mut addrs = RefGen::new(pattern);
+        let mut emitted = 0usize;
+        'outer: loop {
+            for _ in 0..mix.loads {
+                if emitted == count {
+                    break 'outer;
+                }
+                stream.push(Inst::Load {
+                    addr: addrs.next_addr(),
+                    bytes: mix.access_bytes,
+                });
+                emitted += 1;
+            }
+            for _ in 0..mix.int_ops {
+                if emitted == count {
+                    break 'outer;
+                }
+                stream.push(Inst::IntAlu);
+                emitted += 1;
+            }
+            for _ in 0..mix.fp_ops {
+                if emitted == count {
+                    break 'outer;
+                }
+                stream.push(if mix.simd {
+                    Inst::SimdAlu { lanes: 8 }
+                } else {
+                    Inst::FpAlu
+                });
+                emitted += 1;
+            }
+            for _ in 0..mix.stores {
+                if emitted == count {
+                    break 'outer;
+                }
+                stream.push(Inst::Store {
+                    addr: addrs.next_addr(),
+                    bytes: mix.access_bytes,
+                });
+                emitted += 1;
+            }
+            for _ in 0..mix.branches {
+                if emitted == count {
+                    break 'outer;
+                }
+                let taken = rng.percent() < mix.branch_taken_pct;
+                stream.push(Inst::Branch { taken });
+                emitted += 1;
+            }
+        }
+        stream
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use super::reference::{emit, RefGen};
     use super::*;
+    use crate::generated::AddressGen;
     use crate::inst::{CommKind, InstClass, TransferDirection};
 
+    /// A generated stream of `count` instructions from PRNG seed 1.
+    fn generated(count: usize, mix: InstMix, pattern: AddressPattern) -> TraceStream {
+        TraceStream::generated(count, mix, pattern, SplitMix64::new(1))
+    }
+
     #[test]
-    fn emit_hits_exact_count_for_any_remainder() {
+    fn generated_streams_hit_exact_count_for_any_remainder() {
         for count in [0usize, 1, 2, 6, 7, 13, 100, 101] {
-            let s = emit(
-                &mut SplitMix64::new(1),
+            let s = generated(
                 count,
                 InstMix::cpu_compute(),
                 AddressPattern::Stream {
@@ -495,14 +494,14 @@ mod tests {
                 },
             );
             assert_eq!(s.len(), count);
+            assert_eq!(s.iter().count(), count);
         }
     }
 
     #[test]
-    fn emit_follows_mix_ratios() {
+    fn generated_streams_follow_mix_ratios() {
         let mix = InstMix::cpu_compute(); // body = 7: 2 loads, 1 int, 2 fp, 1 store, 1 branch
-        let s = emit(
-            &mut SplitMix64::new(1),
+        let s = generated(
             700,
             mix,
             AddressPattern::Stream {
@@ -518,11 +517,226 @@ mod tests {
         assert_eq!(s.class_count(InstClass::Branch), 100);
     }
 
+    /// Every kernel mix, the builder's named mixes and a branch-free mix.
+    fn all_mixes() -> Vec<InstMix> {
+        let no_branches = InstMix {
+            branches: 0,
+            ..InstMix::cpu_compute()
+        };
+        crate::kernels::MIXES
+            .into_iter()
+            .chain([
+                InstMix::cpu_compute(),
+                InstMix::gpu_compute(),
+                InstMix::serial(),
+                no_branches,
+            ])
+            .collect()
+    }
+
+    /// The five patterns, each at a kernel-like shape and at the edges of
+    /// its arithmetic: lengths that are not powers of two, a row longer
+    /// than the region, width 1, a region shorter than the stride, slot
+    /// counts that are and are not powers of two, and a one-element
+    /// butterfly.
+    fn all_patterns() -> Vec<AddressPattern> {
+        use AddressPattern::{Butterfly, Irregular, RowColumn, Stream, Window};
+        vec![
+            Stream {
+                base: 0x1000,
+                len: 4096,
+                stride: 8,
+            },
+            Stream {
+                base: 0x1000,
+                len: 1000,
+                stride: 24,
+            },
+            Stream {
+                base: 0x1000,
+                len: 16,
+                stride: 64,
+            },
+            RowColumn {
+                base: 0x2000,
+                len: 524_288,
+                row_bytes: 1024,
+                elem: 4,
+            },
+            RowColumn {
+                base: 0x2000,
+                len: 3000,
+                row_bytes: 1000,
+                elem: 12,
+            },
+            RowColumn {
+                base: 0x2000,
+                len: 600,
+                row_bytes: 1024,
+                elem: 32,
+            },
+            RowColumn {
+                base: 0x2000,
+                len: 8,
+                row_bytes: 4,
+                elem: 32,
+            },
+            Window {
+                base: 0x3000,
+                len: 4096,
+                width: 5,
+                elem: 4,
+            },
+            Window {
+                base: 0x3000,
+                len: 1000,
+                width: 1,
+                elem: 8,
+            },
+            Window {
+                base: 0x3000,
+                len: 6,
+                width: 3,
+                elem: 8,
+            },
+            Butterfly {
+                base: 0x4000,
+                log2_n: 7,
+                elem: 8,
+            },
+            Butterfly {
+                base: 0x4000,
+                log2_n: 1,
+                elem: 32,
+            },
+            Butterfly {
+                base: 0x4000,
+                log2_n: 0,
+                elem: 8,
+            },
+            Irregular {
+                base: 0x5000,
+                len: 4096,
+                elem: 4,
+                seed: 7,
+            },
+            Irregular {
+                base: 0x5000,
+                len: 1000,
+                elem: 8,
+                seed: 9,
+            },
+            Irregular {
+                base: 0x5000,
+                len: 4,
+                elem: 8,
+                seed: 11,
+            },
+        ]
+    }
+
     #[test]
-    fn emit_is_deterministic() {
+    fn generated_streams_equal_the_reference_emission() {
+        let mut pick = SplitMix64::new(0xC0DE);
+        let mut below = |n: usize| (pick.next_u64() % n as u64) as usize;
+        for mix in all_mixes() {
+            let body = mix.body_len() as usize;
+            for pattern in all_patterns() {
+                // Counts that end at a body's end and mid-body, and one
+                // long enough for the row/column walk's every-64th-pair
+                // bump.
+                for count in [0, 1, body - 1, body, 3 * body + 2, 1_000 + body / 2] {
+                    let start = SplitMix64::new(below(1 << 20) as u64);
+                    let mut rng = start;
+                    let want_stream = emit(&mut rng, count, mix, pattern.clone());
+                    let want: Vec<Inst> = want_stream.iter().collect();
+                    let got = TraceStream::generated(count, mix, pattern.clone(), start);
+                    let case = format!("{mix:?} {pattern:?} × {count}");
+                    assert_eq!(got.len(), count, "{case}");
+                    assert!(got.iter().eq(want.iter().copied()), "{case}");
+                    assert_eq!(got, want_stream, "{case}");
+                    assert_eq!(want_stream, got, "{case}");
+                    for class in [
+                        InstClass::Load,
+                        InstClass::IntOp,
+                        InstClass::FpOp,
+                        InstClass::Store,
+                        InstClass::Branch,
+                        InstClass::Comm,
+                        InstClass::Special,
+                    ] {
+                        let n = want.iter().filter(|i| i.class() == class).count();
+                        assert_eq!(got.class_count(class), n, "{case} {class:?}");
+                    }
+                    if count == 0 {
+                        continue;
+                    }
+                    for _ in 0..16 {
+                        let i = below(count);
+                        assert_eq!(got.get(i), want[i], "{case} at {i}");
+                    }
+                    // Random jumps, then reads onward from where each lands.
+                    let mut cursor = got.cursor();
+                    for _ in 0..16 {
+                        if below(2) == 0 {
+                            cursor.seek(below(count + 1));
+                        } else {
+                            let at = cursor.index();
+                            let n = below(count);
+                            let skipped = cursor.skip_plain(n);
+                            assert_eq!(skipped, n.min(count - at), "{case}");
+                        }
+                        for _ in 0..below(3 * body) {
+                            if cursor.is_done() {
+                                break;
+                            }
+                            let i = cursor.index();
+                            assert_eq!(cursor.next_inst(), want[i], "{case} at {i}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn address_walks_equal_the_reference_at_every_step() {
+        for pattern in all_patterns() {
+            let mut got = AddressGen::new(&pattern);
+            let mut want = RefGen::new(pattern.clone());
+            for step in 0..2_000 {
+                assert_eq!(got.next_addr(), want.next_addr(), "{pattern:?} step {step}");
+            }
+            // A seek lands where stepping does.
+            for step in [0u64, 1, 127, 128, 129, 1_999] {
+                let mut sought = AddressGen::new(&pattern);
+                sought.seek(step);
+                let mut want = RefGen::new(pattern.clone());
+                for _ in 0..step {
+                    want.next_addr();
+                }
+                assert_eq!(
+                    sought.next_addr(),
+                    want.next_addr(),
+                    "{pattern:?} seek {step}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn generated_stream_converts_to_the_stored_form_on_push() {
+        let mut s = generated(9, InstMix::serial(), all_patterns()[1].clone());
+        let mut want: Vec<Inst> = s.iter().collect();
+        s.push(Inst::Mul);
+        want.push(Inst::Mul);
+        assert!(s.iter().eq(want));
+    }
+
+    #[test]
+    fn generation_is_deterministic() {
         let make = || {
-            emit(
-                &mut SplitMix64::new(99),
+            generated(
                 500,
                 InstMix::gpu_compute(),
                 AddressPattern::Irregular {
@@ -533,7 +747,7 @@ mod tests {
                 },
             )
         };
-        assert_eq!(make(), make());
+        assert!(make().iter().eq(make().iter()));
     }
 
     #[test]
@@ -551,17 +765,7 @@ mod tests {
 
     #[test]
     fn branch_draws_count_the_emitted_branches() {
-        let no_branches = InstMix {
-            branches: 0,
-            ..InstMix::cpu_compute()
-        };
-        let mixes = crate::kernels::MIXES.into_iter().chain([
-            InstMix::cpu_compute(),
-            InstMix::gpu_compute(),
-            InstMix::serial(),
-            no_branches,
-        ]);
-        for mix in mixes {
+        for mix in all_mixes() {
             for count in 0..=3 * mix.body_len() as usize {
                 let mut rng = SplitMix64::new(3);
                 let pattern = AddressPattern::Stream {
@@ -651,12 +855,11 @@ mod tests {
 
     #[test]
     fn stream_pattern_wraps_in_region() {
-        let mut g = AddressPattern::Stream {
+        let mut g = AddressGen::new(&AddressPattern::Stream {
             base: 0x1000,
             len: 64,
             stride: 8,
-        }
-        .into_gen();
+        });
         let addrs: Vec<_> = (0..10).map(|_| g.next_addr()).collect();
         assert_eq!(addrs[0], 0x1000);
         assert_eq!(addrs[7], 0x1038);
@@ -668,12 +871,11 @@ mod tests {
 
     #[test]
     fn butterfly_pattern_stays_in_region() {
-        let mut g = AddressPattern::Butterfly {
+        let mut g = AddressGen::new(&AddressPattern::Butterfly {
             base: 0,
             log2_n: 4,
             elem: 8,
-        }
-        .into_gen();
+        });
         for _ in 0..64 {
             let a = g.next_addr();
             assert!(a < 16 * 8);
@@ -682,13 +884,12 @@ mod tests {
 
     #[test]
     fn irregular_pattern_is_aligned_and_bounded() {
-        let mut g = AddressPattern::Irregular {
+        let mut g = AddressGen::new(&AddressPattern::Irregular {
             base: 0x2000,
             len: 4096,
             elem: 4,
             seed: 3,
-        }
-        .into_gen();
+        });
         for _ in 0..1000 {
             let a = g.next_addr();
             assert!((0x2000..0x3000).contains(&a));

@@ -3,9 +3,11 @@
 //! Instructions carry only what the cycle-level simulator needs: an
 //! operation class, memory addresses for loads/stores, and semantic payloads
 //! for the communication / programming-model operations whose cost depends on
-//! the memory-model design point under evaluation. Traces hold millions of
-//! them, so a [`crate::TraceStream`] stores each in a 16-byte slot and keeps
-//! the rare, wider payloads in side tables.
+//! the memory-model design point under evaluation. Kernel traces hold
+//! millions of them, so a generated [`crate::TraceStream`] stores none: its
+//! cursor computes each `Inst` from the segment's spec as the simulator
+//! reads it. A stream built instruction by instruction stores each in a
+//! 16-byte slot and keeps the rare, wider payloads in side tables.
 
 /// A virtual memory address in the modelled system.
 pub type Addr = u64;

@@ -11,8 +11,12 @@
 //!   explicit *communication events* ([`CommEvent`]) and *programming
 //!   model* operations ([`SpecialOp`]) so the same kernel trace can be
 //!   replayed under any memory-model design point.
-//! * [`TraceStream`] — one PU's instructions, stored 16 bytes apiece, with
-//!   the comm and special payloads in per-stream side tables.
+//! * [`TraceStream`] — one PU's instructions. A kernel generator's stream
+//!   keeps only its spec (count, instruction mix, address pattern, PRNG
+//!   start) and computes each instruction as a [`Cursor`] reads it; a
+//!   stream built instruction by instruction (`.hmt` input, DSL-lowered
+//!   traces) stores them 16 bytes apiece, with the comm and special
+//!   payloads in per-stream side tables.
 //! * [`PhasedTrace`] — a trace structured into the paper's three execution
 //!   phases (sequential, parallel, communication).
 //! * [`kernels`] — deterministic generators for the paper's six kernels
@@ -39,6 +43,7 @@
 mod builder;
 mod characteristics;
 mod encode;
+mod generated;
 mod inst;
 pub mod kernels;
 mod phase;
@@ -51,7 +56,7 @@ pub use inst::{
     Addr, CacheLevel, CommEvent, CommKind, Inst, InstClass, MemSpace, SpecialOp, TransferDirection,
 };
 pub use phase::{Phase, PhaseSegment, PhasedTrace};
-pub use stream::TraceStream;
+pub use stream::{Cursor, TraceStream};
 
 /// The two classes of processing unit in the modelled heterogeneous system.
 ///

@@ -2,9 +2,9 @@
 //! queue, with optional content-addressed result caching.
 //!
 //! The pool's unit of work is the set of jobs of one (kernel, scale). They
-//! share one generated trace (kept in a small in-memory store) and differ
-//! only in the communication model, so a unit simulates the trace's compute
-//! once and replays it for the other models ([`Simulation::run_group`]).
+//! share one generated trace and differ only in the communication model,
+//! so a unit simulates the trace's compute once and replays it for the
+//! other models ([`Simulation::run_group`]).
 //! Workers pull units from an atomic cursor and results are written back
 //! into per-job slots, making the collected output identical for any
 //! worker count.
@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Execution knobs for a sweep.
@@ -194,50 +194,12 @@ pub struct SweepOutput {
     pub stats: SweepStats,
 }
 
-/// Shares generated traces between jobs of the same (kernel, scale).
-#[derive(Default)]
-struct TraceStore {
-    map: Mutex<HashMap<(&'static str, u32), Arc<PhasedTrace>>>,
-}
-
-/// Coarse bound on memoized traces. Generation is deterministic per
-/// (kernel, scale), so eviction only costs regeneration; the bound exists
-/// so a long-lived service fed many distinct scales cannot hoard memory.
-/// It holds the 42 traces of the six kernels at scales 8 through 512, so a
-/// sweep over all of them never clears the store mid-run.
-const TRACE_STORE_CAP: usize = 64;
-
-impl TraceStore {
-    /// The process-wide store. Traces are immutable and deterministic, so
-    /// one memo serves every sweep, service request, and bench in the
-    /// process — repeated sweeps stop regenerating their kernels.
-    fn global() -> &'static TraceStore {
-        static STORE: std::sync::OnceLock<TraceStore> = std::sync::OnceLock::new();
-        STORE.get_or_init(TraceStore::default)
-    }
-
-    fn get(&self, job: &Job) -> Arc<PhasedTrace> {
-        let key = (job.kernel.name(), job.scale);
-        if let Some(t) = self.map.lock().expect("trace store lock").get(&key) {
-            return Arc::clone(t);
-        }
-        // Generate outside the lock so other kernels proceed; a racing
-        // duplicate generation is wasted work but still deterministic.
-        let trace = Arc::new(job.kernel.generate(&KernelParams::scaled(job.scale)));
-        let mut map = self.map.lock().expect("trace store lock");
-        if map.len() >= TRACE_STORE_CAP {
-            map.clear();
-        }
-        Arc::clone(map.entry(key).or_insert(trace))
-    }
-}
-
-/// The (memoized) generated trace for `job`'s kernel at `job`'s scale —
-/// the same store [`run_jobs`] uses, exposed so single-job callers (the
-/// simulation service) share it.
+/// The generated trace for `job`'s kernel at `job`'s scale. A generated
+/// trace holds only its segments' specs, so this takes microseconds and
+/// needs no memo.
 #[must_use]
 pub fn job_trace(job: &Job) -> Arc<PhasedTrace> {
-    TraceStore::global().get(job)
+    Arc::new(job.kernel.generate(&KernelParams::scaled(job.scale)))
 }
 
 /// The content key addressing one job's cache entry: everything that
@@ -518,7 +480,6 @@ pub fn run_jobs(
         opts.workers
     };
 
-    let traces = TraceStore::global();
     let cancelled = || {
         opts.cancel
             .as_deref()
@@ -553,7 +514,7 @@ pub fn run_jobs(
         let Some(&(first, _)) = misses.first() else {
             return;
         };
-        let trace = traces.get(&jobs[first]);
+        let trace = job_trace(&jobs[first]);
         let mut finish = |(index, key): &(usize, Option<String>), result| {
             if let (Ok(record), Some(c), Some(key)) = (&result, cache, key) {
                 if let Err(e) = c.put(key, record) {
@@ -971,22 +932,6 @@ mod tests {
             spaces: vec![AddressSpace::Unified],
             scales: vec![512],
         }
-    }
-
-    #[test]
-    fn trace_store_keeps_every_trace_of_a_multi_scale_sweep() {
-        let store = TraceStore::default();
-        let jobs = SweepSpec {
-            scales: vec![8, 16, 32, 64, 128, 256, 512],
-            ..SweepSpec::full(1)
-        }
-        .expand();
-        let first = store.get(&jobs[0]);
-        for job in &jobs {
-            let _ = store.get(job);
-        }
-        assert_eq!(store.map.lock().expect("trace store lock").len(), 42);
-        assert!(Arc::ptr_eq(&first, &store.get(&jobs[0])));
     }
 
     /// One engine cell against [`execute_job`]: one un-replayed

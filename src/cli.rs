@@ -1435,7 +1435,7 @@ fn print_study_energy(scale: u32, config: &ExperimentConfig) -> Result<(), SimEr
         "Energy study: per-component estimates for the evaluated systems (scale {scale})"
     ));
     let (runs, _) = hetmem_xplore::run_case_studies(scale, config, &SweepOptions::default())?;
-    // The grid's own traces, still in the engine's trace store.
+    // The grid's own traces: generating one again takes microseconds.
     let comm_bytes: Vec<(Kernel, u64, u64)> = Kernel::ALL
         .iter()
         .map(|&kernel| {

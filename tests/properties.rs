@@ -19,8 +19,9 @@ use hetmem::sim::{
 };
 use hetmem::trace::kernels::{Kernel, KernelParams};
 use hetmem::trace::{
-    parse_trace, write_trace, CacheLevel, CommEvent, CommKind, Inst, InstClass, Phase,
-    PhaseSegment, PhasedTrace, PuKind, SpecialOp, TraceStream, TransferDirection,
+    parse_trace, write_trace, AddressPattern, CacheLevel, CommEvent, CommKind, Inst, InstClass,
+    InstMix, Phase, PhaseSegment, PhasedTrace, PuKind, SpecialOp, TraceBuilder, TraceStream,
+    TransferDirection,
 };
 use std::collections::BTreeMap;
 
@@ -900,6 +901,70 @@ fn arb_any_inst(rng: &mut Rng) -> Inst {
     }
 }
 
+/// A random instruction mix with at least one class.
+fn arb_mix(rng: &mut Rng) -> InstMix {
+    let weight = |rng: &mut Rng| rng.range(0, 4) as u32;
+    let mut mix = InstMix {
+        loads: weight(rng),
+        int_ops: weight(rng),
+        fp_ops: weight(rng),
+        stores: weight(rng),
+        branches: weight(rng),
+        simd: rng.bool(),
+        access_bytes: rng.pick(&[4, 8, 32]),
+        branch_taken_pct: rng.range(0, 101) as u8,
+    };
+    if mix.body_len() == 0 {
+        mix.int_ops = 1;
+    }
+    mix
+}
+
+/// A random address pattern of any of the five kinds, over regions that
+/// need not be powers of two or longer than a step.
+fn arb_pattern(rng: &mut Rng) -> AddressPattern {
+    let base = rng.range(0, 1 << 30) & !63;
+    let len = rng.range(1, 1 << 14);
+    let elem = rng.pick(&[1, 4, 8, 12, 32]);
+    match rng.range(0, 5) {
+        0 => AddressPattern::Stream {
+            base,
+            len,
+            stride: rng.range(1, 256),
+        },
+        1 => AddressPattern::RowColumn {
+            base,
+            len,
+            row_bytes: rng.range(1, 1 << 15),
+            elem,
+        },
+        2 => AddressPattern::Window {
+            base,
+            len,
+            width: rng.range(0, 9),
+            elem,
+        },
+        3 => AddressPattern::Butterfly {
+            base,
+            log2_n: rng.range(0, 12) as u32,
+            elem,
+        },
+        _ => AddressPattern::Irregular {
+            base,
+            len,
+            elem,
+            seed: rng.next_u64(),
+        },
+    }
+}
+
+/// The CPU stream of a one-segment trace a [`TraceBuilder`] generates.
+fn arb_generated_stream(rng: &mut Rng) -> TraceStream {
+    let mut b = TraceBuilder::new("g", rng.next_u64());
+    b.sequential(rng.usize_range(0, 300), arb_mix(rng), arb_pattern(rng));
+    b.finish().segments()[0].stream(PuKind::Cpu).clone()
+}
+
 #[test]
 fn trace_stream_agrees_with_a_vec_of_insts() {
     const CLASSES: [InstClass; 7] = [
@@ -912,9 +977,16 @@ fn trace_stream_agrees_with_a_vec_of_insts() {
         InstClass::Special,
     ];
     let mut rng = Rng::new(0x5107);
-    for _ in 0..CASES {
-        let insts = rng.vec(0, 300, arb_any_inst);
-        let stream: TraceStream = insts.iter().copied().collect();
+    for case in 0..2 * CASES {
+        // Half the cases store pushed instructions, half generate them.
+        let (insts, stream) = if case % 2 == 0 {
+            let insts = rng.vec(0, 300, arb_any_inst);
+            let stream: TraceStream = insts.iter().copied().collect();
+            (insts, stream)
+        } else {
+            let stream = arb_generated_stream(&mut rng);
+            (stream.iter().collect::<Vec<Inst>>(), stream)
+        };
         assert_eq!(stream.len(), insts.len());
         assert_eq!(stream.is_empty(), insts.is_empty());
         for (i, &inst) in insts.iter().enumerate() {
@@ -942,12 +1014,37 @@ fn trace_stream_agrees_with_a_vec_of_insts() {
             pushed.push(inst);
         }
         assert_eq!(pushed, stream);
+        assert_eq!(stream, pushed);
         if !insts.is_empty() {
             let mut other = insts.clone();
             let at = rng.usize_range(0, other.len());
             other[at] = arb_any_inst(&mut rng);
             let other_stream: TraceStream = other.iter().copied().collect();
             assert_eq!(other_stream == stream, other == insts);
+            assert_eq!(stream == other_stream, other == insts);
+        }
+
+        // A cursor reads the same instructions after any jump.
+        let mut cursor = stream.cursor();
+        for _ in 0..8 {
+            if rng.bool() {
+                cursor.seek(rng.usize_range(0, insts.len() + 1));
+            } else {
+                let (at, max) = (cursor.index(), rng.usize_range(0, insts.len() + 1));
+                let plain = insts[at..]
+                    .iter()
+                    .take(max)
+                    .take_while(|i| !matches!(i, Inst::Special(_)))
+                    .count();
+                assert_eq!(cursor.skip_plain(max), plain, "skip {max} from {at}");
+            }
+            for _ in 0..rng.usize_range(0, 20) {
+                if cursor.is_done() {
+                    break;
+                }
+                let i = cursor.index();
+                assert_eq!(cursor.next_inst(), insts[i], "instruction {i}");
+            }
         }
     }
 }
